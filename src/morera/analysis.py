@@ -16,15 +16,13 @@ circles overlap admit non-analytic functions that pass every per-circle test.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import extension as ext
-from .errors import ConfigError, DomainError, ExtensionFailureError, SamplingError
+from .errors import ConfigError, DomainError, ExtensionFailureError, InconclusiveError, SamplingError
 from .geometry import DEFAULT_TAU, Circle, PencilFrame
 
 DEFAULT_CROSS_TOL = 1e-6
@@ -41,17 +39,6 @@ CLASS_CONSISTENT = "holomorphic-consistent"
 CLASS_MORERA_FAILURE = "morera-failure"
 CLASS_INCONSISTENT = "inconsistent"
 CLASS_INCONCLUSIVE = "inconclusive"
-
-
-def max_workers() -> int:
-    """Worker cap for per-circle parallelism (MORERA_THREADS overrides)."""
-    env = os.environ.get("MORERA_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"MORERA_THREADS must be an integer, got {env!r}") from None
-    return min(4, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -182,53 +169,46 @@ class Report:
         }
 
 
-def _test_one_circle(
-    f: Oracle, config: FamilyConfig, parameter: float, tol: float, samples: int
-) -> CircleResult:
-    circle = config.circle(parameter)
-    try:
-        data, result, inconclusive = ext.analyze_with_refinement(f, circle, tol, samples)
-    except SamplingError as exc:
-        raise SamplingError(
-            f"sweep of {config.kind} family failed at parameter {parameter}: {exc}",
-            theta=exc.theta,
-            value=exc.value,
-        ) from None
-    total = data.total_energy
-    relative = data.tail_energy_negative / total if total > 0 else 0.0
-    return CircleResult(
-        family=config.kind,
-        parameter=float(parameter),
-        circle=circle,
-        samples=data.sample_count,
-        negative_energy=data.tail_energy_negative,
-        relative_negative_energy=relative,
-        passes=result.passes,
-        aliasing=result.aliasing_flag,
-        inconclusive=inconclusive,
-    )
-
-
 def test_family(
     f: Oracle,
     config: FamilyConfig,
     tol: float = ext.DEFAULT_MORERA_TOL,
     samples: int = ext.DEFAULT_SAMPLES,
-    workers: Optional[int] = None,
 ) -> Report:
     """Run the extendability test on every grid circle of ``config``.
 
-    Per-circle work may run in parallel (``workers`` defaults to
-    :func:`max_workers`); results are aggregated in parameter order, so the
-    report does not depend on scheduling.
+    All circles go through one :func:`extension.analyze_batch` call; results
+    are in parameter order.
     """
     params = config.parameters()
-    workers = max_workers() if workers is None else max(1, workers)
-    if workers > 1 and len(params) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda t: _test_one_circle(f, config, t, tol, samples), params))
-    else:
-        results = [_test_one_circle(f, config, t, tol, samples) for t in params]
+    circles = [config.circle(t) for t in params]
+    try:
+        batch = ext.analyze_batch(
+            f, [c.center for c in circles], [c.radius for c in circles], tol, samples
+        )
+    except SamplingError as exc:
+        raise SamplingError(
+            f"sweep of {config.kind} family failed at parameter {params[exc.row]}: {exc}",
+            theta=exc.theta,
+            value=exc.value,
+        ) from None
+    results = []
+    for i, (t, circle) in enumerate(zip(params, circles)):
+        negative = float(batch.negative_energy[i])
+        total = float(batch.total_energy[i])
+        results.append(
+            CircleResult(
+                family=config.kind,
+                parameter=float(t),
+                circle=circle,
+                samples=int(batch.samples[i]),
+                negative_energy=negative,
+                relative_negative_energy=negative / total if total > 0 else 0.0,
+                passes=bool(batch.passes[i]),
+                aliasing=bool(batch.aliasing[i]),
+                inconclusive=bool(batch.inconclusive[i]),
+            )
+        )
     passes = all(r.passes for r in results)
     inconclusive = any(r.inconclusive for r in results)
     worst = max(results, key=lambda r: r.relative_negative_energy, default=None)
@@ -264,7 +244,7 @@ def surrounding_circles(
 
 def cross_consistency(
     f: Oracle,
-    T: float,
+    T: Union[float, Sequence[float]],
     probe_count: int = 8,
     tau: float = DEFAULT_TAU,
     tol: float = ext.DEFAULT_MORERA_TOL,
@@ -276,39 +256,39 @@ def cross_consistency(
 ) -> float:
     """Largest disagreement between extensions from circles surrounding ``T``.
 
-    Evaluates the holomorphic extension of ``f`` from a sample of surrounding
-    circles of both families at ``probe_count`` probe points near T and
-    returns the maximum pairwise difference.  Every sampled circle must pass
-    the extendability test, else :class:`ExtensionFailureError` propagates.
+    For each real point T (one, or a sequence) evaluates the holomorphic
+    extension of ``f`` from a sample of surrounding circles of both families
+    at ``probe_count`` probe points near T, and returns the maximum pairwise
+    difference over all T.  Each distinct circle is analyzed once, with the
+    same refinement as a sweep circle.  A circle that fails the
+    extendability test raises :class:`ExtensionFailureError`; failing that,
+    one still aliased at the sample cap raises :class:`InconclusiveError`.
     """
-    T = float(T)
-    if not (-1.0 + 2.0 * tau < T < 0.0):
-        raise DomainError(f"T = {T} outside the admissible interval ({-1.0 + 2.0 * tau}, 0)")
-    chosen = surrounding_circles(T, tau, r_floor, t_floor, margin, per_family)
-    if len(chosen) < 2:
-        raise ConfigError(f"no surrounding circles available for T = {T} under the given floors")
-    delta = min(
-        0.25 * min(c.radius - abs(T - c.center) for _, _, c in chosen),
-        0.02,
-    )
-    probes = T + delta * np.exp(2j * np.pi * np.arange(probe_count) / probe_count)
-    values = np.empty((len(chosen), probe_count), dtype=complex)
-    for i, (kind, param, circle) in enumerate(chosen):
-        data = ext.cached_analyze(f, circle, samples)
-        result = ext.extension_test(data, tol)
-        if not result.passes:
-            raise ExtensionFailureError(
-                f"f does not extend from the {kind} circle with parameter {param} "
-                f"surrounding T = {T} (negative energy {data.tail_energy_negative:.3e})",
-                circle=circle,
-            )
-        for j, probe in enumerate(probes):
-            values[i, j] = ext.evaluate_extension(data, complex(probe), result)
+    t_values = [float(t) for t in np.atleast_1d(T)]
+    keys: dict = {}  # (center, radius) -> row of the batch
+    names: dict = {}  # row -> description of the circle, from its first T
+    pairs = []  # (T, row), one per surrounding circle of each T
+    probes = []
+    for t in t_values:
+        if not (-1.0 + 2.0 * tau < t < 0.0):
+            raise DomainError(f"T = {t} outside the admissible interval ({-1.0 + 2.0 * tau}, 0)")
+        chosen = surrounding_circles(t, tau, r_floor, t_floor, margin, per_family)
+        if len(chosen) < 2:
+            raise ConfigError(f"no surrounding circles available for T = {t} under the given floors")
+        delta = min(0.25 * min(c.radius - abs(t - c.center) for _, _, c in chosen), 0.02)
+        ring = t + delta * np.exp(2j * np.pi * np.arange(probe_count) / probe_count)
+        for kind, param, circle in chosen:
+            row = keys.setdefault((circle.center, circle.radius), len(keys))
+            names.setdefault(row, f"the {kind} circle with parameter {param} surrounding T = {t}")
+            pairs.append((t, row))
+            probes.append(ring)
+    batch = ext.analyze_batch(f, [c for c, _ in keys], [r for _, r in keys], tol, samples)
+    batch.require_extensions(names.__getitem__)
+    values = batch.evaluate(np.array(probes), [row for _, row in pairs])
     residual = 0.0
-    for j in range(probe_count):
-        col = values[:, j]
-        diff = np.abs(col[:, None] - col[None, :]).max()
-        residual = max(residual, float(diff))
+    for t in t_values:
+        block = values[[i for i, (s, _) in enumerate(pairs) if s == t]]
+        residual = max(residual, float(np.abs(block[:, None, :] - block[None, :, :]).max()))
     return residual
 
 
@@ -463,22 +443,23 @@ class Verdict:
         }
 
 
-def verdict(f: Oracle, config: PipelineConfig = PipelineConfig(), workers: Optional[int] = None) -> Verdict:
+def verdict(f: Oracle, config: PipelineConfig = PipelineConfig()) -> Verdict:
     """Run the full pipeline on ``f`` and classify the outcome.
 
-    morera-failure: some circle of some family hardly fails the test.
-    inconclusive: no hard failure, but some circle stayed aliased at the
-    sample-count cap.  Otherwise both families pass and the verdict is
-    holomorphic-consistent when cross-consistency and the Wirtinger residual
-    are both below tolerance, else inconsistent (possible only when the
-    families' smallest circles overlap).
+    morera-failure: some circle of some family, or of the cross-consistency
+    check, hardly fails the test.  inconclusive: no hard failure, but some
+    such circle stayed aliased at the sample-count cap.  Otherwise both
+    families pass and the verdict is holomorphic-consistent when
+    cross-consistency and the Wirtinger residual are both below tolerance,
+    else inconsistent (possible only when the families' smallest circles
+    overlap).
     """
     centered_cfg = config.centered_family()
     pencil_cfg = config.pencil_family()
     hypotheses_valid = validate_families(centered_cfg, pencil_cfg)
     families = (
-        test_family(f, centered_cfg, config.morera_tol, config.samples, workers),
-        test_family(f, pencil_cfg, config.morera_tol, config.samples, workers),
+        test_family(f, centered_cfg, config.morera_tol, config.samples),
+        test_family(f, pencil_cfg, config.morera_tol, config.samples),
     )
     try:
         _, dbar_extrap, dbar_err = dbar_residual_detail(f, config.dbar_grid)
@@ -507,28 +488,23 @@ def verdict(f: Oracle, config: PipelineConfig = PipelineConfig(), workers: Optio
             return _f(np.asarray(zeta, dtype=complex) / _rot) if isinstance(zeta, np.ndarray) else _f(zeta / _rot)
 
     t_values = config.t_values()
-    cross = 0.0
-    note = None
     try:
-        for T in t_values:
-            cross = max(
-                cross,
-                cross_consistency(
-                    f_norm,
-                    float(T),
-                    config.probe_count,
-                    config.tau,
-                    config.morera_tol,
-                    config.samples,
-                    r_floor=config.r_min,
-                    t_floor=config.pencil_floor,
-                ),
-            )
-    except ExtensionFailureError as exc:
-        # An off-grid circle inside the configured ranges failed: that is a
-        # Morera failure the finite grid missed.
+        cross = cross_consistency(
+            f_norm,
+            t_values,
+            config.probe_count,
+            config.tau,
+            config.morera_tol,
+            config.samples,
+            r_floor=config.r_min,
+            t_floor=config.pencil_floor,
+        )
+    except (ExtensionFailureError, InconclusiveError) as exc:
+        # An off-grid circle inside the configured ranges failed (a Morera
+        # failure the finite grid missed) or stayed aliased at the cap.
+        failed = isinstance(exc, ExtensionFailureError)
         return Verdict(
-            CLASS_MORERA_FAILURE,
+            CLASS_MORERA_FAILURE if failed else CLASS_INCONCLUSIVE,
             families,
             hypotheses_valid,
             cross_note=str(exc),
@@ -544,7 +520,6 @@ def verdict(f: Oracle, config: PipelineConfig = PipelineConfig(), workers: Optio
         hypotheses_valid,
         cross_residual=cross,
         cross_t_values=tuple(float(T) for T in t_values),
-        cross_note=note,
         dbar_value=dbar_value,
         dbar_error=dbar_error,
     )

@@ -11,8 +11,8 @@ Commands:
                       configuration, printed side by side
 
 Exit codes: 0 success, 1 failing/inconsistent verdict, 2 configuration or
-input-data error, 3 numerically inconclusive.  MORERA_THREADS caps sweep
-parallelism; all file outputs are written atomically.
+input-data error, 3 numerically inconclusive.  All file outputs are written
+atomically.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 from . import analysis, exprparser, extension, fiber, funczoo, gridio
 from .errors import (
     ConfigError,
+    InconclusiveError,
     MoreraError,
     ParseError,
     SamplingError,
@@ -452,6 +453,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ConfigError, ParseError, SamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except InconclusiveError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     except MoreraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -23,12 +23,17 @@ class DomainError(MoreraError, ValueError):
 
 
 class SamplingError(MoreraError):
-    """A function oracle returned a non-finite value while being sampled."""
+    """A function oracle returned a non-finite value while being sampled.
 
-    def __init__(self, message, theta=None, value=None):
+    ``row`` is the index of the offending circle when a batch of circles was
+    sampled at once.
+    """
+
+    def __init__(self, message, theta=None, value=None, row=None):
         super().__init__(message)
         self.theta = theta
         self.value = value
+        self.row = row
 
 
 class InvalidStateError(MoreraError):
@@ -55,6 +60,18 @@ class ExtensionFailureError(MoreraError):
     """Holomorphic-extension test failed on a circle a computation relies on.
 
     Carries the offending circle so reports can name it.
+    """
+
+    def __init__(self, message, circle=None):
+        super().__init__(message)
+        self.circle = circle
+
+
+class InconclusiveError(MoreraError):
+    """A circle a computation relies on stayed aliased at the sample-count cap.
+
+    Whether the function extends from that circle is undecided, so nothing
+    built on its extension can be computed.  Carries the circle.
     """
 
     def __init__(self, message, circle=None):

@@ -6,6 +6,11 @@ content.  Numerically we sample the trace at N equispaced angles, take the
 discrete Fourier transform, and measure the energy in negative bins plus a
 high-frequency aliasing guard.  The nonnegative part of the series doubles as
 the extension itself, evaluated as a power series in (zeta - center)/radius.
+
+:func:`analyze_batch` runs the same test on many circles at once: one oracle
+call and one FFT per doubling level, resampling only the rows whose aliasing
+guard trips.  :func:`analyze_with_refinement` is its single-circle
+counterpart.
 """
 
 from __future__ import annotations
@@ -16,7 +21,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InvalidStateError, ParameterDomainError, SamplingError
+from .errors import (
+    DomainError,
+    ExtensionFailureError,
+    InconclusiveError,
+    InvalidStateError,
+    ParameterDomainError,
+    SamplingError,
+)
 from .geometry import Circle
 
 # Relative negative-tail energy threshold below which a trace counts as
@@ -136,40 +148,76 @@ def oracle_values(f: Oracle, points: np.ndarray, check: bool = True) -> np.ndarr
     return values
 
 
+def _sample_rows(f: Oracle, centers: np.ndarray, radii: np.ndarray, n: int) -> np.ndarray:
+    """Samples of ``f`` at ``n`` equispaced points of each circle, one row each.
+
+    Non-finite samples raise :class:`SamplingError` carrying the angle and
+    the row of the first offending sample.
+    """
+    if n < 8 or n & (n - 1):
+        raise ParameterDomainError(f"sample count must be a power of two >= 8, got {n}")
+    theta = 2.0 * np.pi * np.arange(n) / n
+    points = centers[:, None] + radii[:, None] * np.exp(1j * theta)[None, :]
+    values = oracle_values(f, points, check=False)
+    bad = ~np.isfinite(values.real) | ~np.isfinite(values.imag)
+    if bad.any():
+        row, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        circle = Circle(complex(centers[row]), float(radii[row]))
+        raise SamplingError(
+            f"oracle returned non-finite value {values[row, j]} at theta = {theta[j]} on {circle}",
+            theta=float(theta[j]),
+            value=complex(values[row, j]),
+            row=int(row),
+        )
+    return values
+
+
 def sample_circle(f: Oracle, circle: Circle, n: int) -> CircleTrace:
     """Sample ``f`` at ``n`` equispaced points of ``circle``.
 
     Non-finite samples raise :class:`SamplingError` carrying the offending
     angle.
     """
-    n = int(n)
-    if n < 8 or n & (n - 1):
-        raise ParameterDomainError(f"sample count must be a power of two >= 8, got {n}")
-    theta = 2.0 * np.pi * np.arange(n) / n
-    points = circle.center + circle.radius * np.exp(1j * theta)
-    values = oracle_values(f, points, check=False)
-    bad = ~np.isfinite(values.real) | ~np.isfinite(values.imag)
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise SamplingError(
-            f"oracle returned non-finite value {values[j]} at theta = {theta[j]} on {circle}",
-            theta=float(theta[j]),
-            value=complex(values[j]),
-        )
-    return CircleTrace(circle, values)
+    values = _sample_rows(f, np.array([circle.center]), np.array([circle.radius]), int(n))
+    return CircleTrace(circle, values[0])
+
+
+def _energy_bands(coeffs: np.ndarray) -> tuple:
+    """Negative, aliasing-band and total energy along the last axis.
+
+    ``coeffs`` are in FFT order [0..N/2-1, -N/2..-1]: the negative band is
+    k < 0, the aliasing band |k| >= N/4.
+    """
+    n = coeffs.shape[-1]
+    energy = np.abs(coeffs) ** 2
+    negative = energy[..., n // 2 :].sum(axis=-1)
+    high = energy[..., n // 4 : n - n // 4 + 1].sum(axis=-1)
+    return negative, high, energy.sum(axis=-1)
+
+
+def _threshold_rule(negative, high, total, tol: float) -> tuple:
+    """Threshold, aliasing flag and pass flag of the extendability test.
+
+    Works elementwise on scalars or arrays: a trace passes iff its negative
+    energy is at most ``tol`` times its total energy (plus a tiny absolute
+    floor) and the aliasing band stays below the same threshold.
+    """
+    if not tol > 0.0:
+        raise ParameterDomainError(f"tolerance must be positive, got {tol}")
+    threshold = tol * (total + ENERGY_FLOOR)
+    aliasing = np.greater(high, threshold)
+    passes = np.logical_and(np.less_equal(negative, threshold), np.logical_not(aliasing))
+    return threshold, aliasing, passes
 
 
 def analyze_trace(trace: CircleTrace) -> FourierData:
     """Fourier coefficients c_k = (1/N) sum_j values_j exp(-i k theta_j)."""
     n = trace.sample_count
     c = np.fft.fft(trace.values) / n
+    negative, high, _ = _energy_bands(c)
     # reorder from [0..N/2-1, -N/2..-1] to [-N/2 .. N/2-1]
     coeffs = np.concatenate([c[n // 2 :], c[: n // 2]])
-    k = np.arange(-(n // 2), n // 2)
-    energy = np.abs(coeffs) ** 2
-    negative = float(np.sum(energy[k < 0]))
-    high = float(np.sum(energy[np.abs(k) >= n // 4]))
-    return FourierData(trace.circle, coeffs, negative, high)
+    return FourierData(trace.circle, coeffs, float(negative), float(high))
 
 
 def analyze_circle(f: Oracle, circle: Circle, n: int = DEFAULT_SAMPLES) -> FourierData:
@@ -194,12 +242,10 @@ def extension_test(data: FourierData, tol: float = DEFAULT_MORERA_TOL) -> Extens
     total energy (plus a tiny absolute floor) and the high-frequency aliasing
     guard stays below the same threshold.
     """
-    if not tol > 0.0:
-        raise ParameterDomainError(f"tolerance must be positive, got {tol}")
-    threshold = tol * (data.total_energy + ENERGY_FLOOR)
-    aliasing = data.tail_energy_high > threshold
-    passes = data.tail_energy_negative <= threshold and not aliasing
-    return ExtensionResult(passes, data.tail_energy_negative, threshold, aliasing)
+    threshold, aliasing, passes = _threshold_rule(
+        data.tail_energy_negative, data.tail_energy_high, data.total_energy, tol
+    )
+    return ExtensionResult(bool(passes), data.tail_energy_negative, float(threshold), bool(aliasing))
 
 
 def analyze_with_refinement(
@@ -254,3 +300,136 @@ def evaluate_extension(
     for c in nonneg[::-1]:
         acc = acc * u + c
     return complex(acc)
+
+
+@dataclass(frozen=True)
+class BatchAnalysis:
+    """Per-row outcome of :func:`analyze_batch`, one row per circle.
+
+    ``samples`` is the sample count at which each row stopped; ``passes``,
+    ``aliasing`` and ``inconclusive`` follow :func:`analyze_with_refinement`.
+    ``groups`` holds ``(rows, coefficients)`` pairs, one per sample count at
+    which some rows stopped: ``coefficients[i]`` is the FFT-order DFT
+    [0..N/2-1, -N/2..-1] of row ``rows[i]``, and ``rows`` is ascending.
+    """
+
+    centers: np.ndarray
+    radii: np.ndarray
+    samples: np.ndarray
+    negative_energy: np.ndarray
+    total_energy: np.ndarray
+    passes: np.ndarray
+    aliasing: np.ndarray
+    inconclusive: np.ndarray
+    groups: tuple
+
+    def circle(self, row: int) -> Circle:
+        return Circle(complex(self.centers[row]), float(self.radii[row]))
+
+    def require_extensions(self, name: Callable[[int], str]) -> None:
+        """Raise unless every row passes, naming the row by ``name(row)``.
+
+        The first failing row raises :class:`ExtensionFailureError`; when
+        none fails, the first row still aliased at the sample cap raises
+        :class:`InconclusiveError`.
+        """
+        for flags, error, what in (
+            (~self.passes & ~self.inconclusive, ExtensionFailureError, "does not extend holomorphically"),
+            (self.inconclusive, InconclusiveError, "is undecided (aliased at the sample cap)"),
+        ):
+            if flags.any():
+                row = int(np.argmax(flags))
+                raise error(
+                    f"f {what} from {name(row)} (negative energy "
+                    f"{self.negative_energy[row]:.3e}, {self.samples[row]} samples)",
+                    circle=self.circle(row),
+                )
+
+    def evaluate(self, points, rows=None) -> np.ndarray:
+        """Extensions at per-row points: that of row ``rows[i]`` at ``points[i]``.
+
+        ``points`` has shape (m,) or (m, probes), each point in the closed
+        disc of its circle; ``rows`` defaults to every row in order.  Sums
+        sum_{k>=0} c_k ((zeta - a)/r)^k by Horner's rule, vectorized over the
+        points.  Refuses rows that fail the extendability test.
+        """
+        rows = np.arange(self.samples.size) if rows is None else np.asarray(rows, dtype=int)
+        failing = np.flatnonzero(~self.passes[rows])
+        if failing.size:
+            row = int(rows[failing[0]])
+            raise InvalidStateError(
+                f"extension evaluated on data that fails the extendability test "
+                f"(negative energy {self.negative_energy[row]:.3e}) on {self.circle(row)}"
+            )
+        points = np.asarray(points, dtype=complex)
+        out = np.empty(points.shape, dtype=complex)
+        shape = (-1,) + (1,) * (points.ndim - 1)
+        for group_rows, coeffs in self.groups:
+            pos = np.minimum(np.searchsorted(group_rows, rows), group_rows.size - 1)
+            sel = np.flatnonzero(group_rows[pos] == rows)
+            if not sel.size:
+                continue
+            take = pos[sel]
+            picked = rows[sel]
+            u = (points[sel] - self.centers[picked].reshape(shape)) / self.radii[picked].reshape(shape)
+            acc = np.zeros_like(u)
+            for k in range(coeffs.shape[1] // 2 - 1, -1, -1):
+                acc *= u
+                acc += coeffs[take, k].reshape(shape)
+            out[sel] = acc
+        return out
+
+
+def analyze_batch(
+    f: Oracle,
+    centers,
+    radii,
+    tol: float = DEFAULT_MORERA_TOL,
+    n0: int = DEFAULT_SAMPLES,
+    n_max: int = MAX_SAMPLES,
+) -> BatchAnalysis:
+    """Extendability test on many circles, doubling N only where it aliases.
+
+    Row i is the circle with center ``centers[i]`` and radius ``radii[i]``.
+    Each doubling level makes one oracle call on the (rows x N) point matrix
+    and one FFT along the rows; rows whose aliasing guard trips are resampled
+    at 2N, up to ``n_max``, where a still-aliased row is inconclusive.  Every
+    row matches :func:`analyze_with_refinement` on its circle.  Non-finite
+    samples raise :class:`SamplingError` with ``row`` set.
+    """
+    centers = np.asarray(centers, dtype=complex).ravel()
+    radii = np.asarray(radii, dtype=float).ravel()
+    m = centers.size
+    samples = np.zeros(m, dtype=int)
+    negative = np.zeros(m)
+    total = np.zeros(m)
+    passes = np.zeros(m, dtype=bool)
+    aliasing = np.zeros(m, dtype=bool)
+    groups = []
+    active = np.arange(m)
+    n = int(n0)
+    while active.size:
+        try:
+            coeffs = np.fft.fft(_sample_rows(f, centers[active], radii[active], n), axis=1)
+        except SamplingError as exc:
+            exc.row = int(active[exc.row])
+            raise
+        coeffs /= n
+        row_negative, row_high, row_total = _energy_bands(coeffs)
+        _, row_aliasing, row_passes = _threshold_rule(row_negative, row_high, row_total, tol)
+        samples[active] = n
+        negative[active] = row_negative
+        total[active] = row_total
+        passes[active] = row_passes
+        aliasing[active] = row_aliasing
+        if n >= n_max or not row_aliasing.any():
+            groups.append((active, coeffs))
+            break
+        if not row_aliasing.all():
+            groups.append((active[~row_aliasing], coeffs[~row_aliasing]))
+        active = active[row_aliasing]
+        del coeffs
+        n *= 2
+    return BatchAnalysis(
+        centers, radii, samples, negative, total, passes, aliasing, aliasing.copy(), tuple(groups)
+    )

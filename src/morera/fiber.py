@@ -37,6 +37,7 @@ from .errors import (
     DegenerateInputError,
     DomainError,
     ExtensionFailureError,
+    InconclusiveError,
     MoreraError,
 )
 from .geometry import (
@@ -62,25 +63,20 @@ SEGMENT_IMAG_TOL = 1e-9
 # Default quadrature size (total nodes over both pieces) and per-panel order.
 DEFAULT_NODES = 512
 _PANEL_ORDER = 16
+# Gauss-Legendre nodes and weights of one panel on [-1, 1].
+_PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(_PANEL_ORDER)
 
 Oracle = Callable[[complex], complex]
-
-
-@lru_cache(maxsize=None)
-def _panel_rule(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
 
 
 def _composite_gauss(a: float, b: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes/weights on the oriented interval [a, b]."""
     panels = max(1, int(math.ceil(n_nodes / _PANEL_ORDER)))
-    x, w = _panel_rule(_PANEL_ORDER)
     edges = np.linspace(a, b, panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mids[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
+    nodes = (mids[:, None] + half[:, None] * _PANEL_X[None, :]).ravel()
+    weights = (half[:, None] * _PANEL_W[None, :]).ravel()
     return nodes, weights
 
 
@@ -216,11 +212,6 @@ def fiber_curve(z: complex, nodes_per_piece: int = DEFAULT_NODES // 2, tau: floa
     return curve
 
 
-@lru_cache(maxsize=512)
-def _cached_curve(z: complex, nodes_per_piece: int, tau: float) -> FiberCurve:
-    return fiber_curve(z, nodes_per_piece, tau)
-
-
 def winding_number(curve: FiberCurve, W: complex) -> int:
     """Winding number of the curve about ``W`` (exact piecewise computation).
 
@@ -275,36 +266,35 @@ class RegionD:
         return region_contains(self.curve, W)
 
 
+def _leaf_value(f: Oracle, z: complex, circle: Circle, name: str, samples: int, tol: float) -> complex:
+    data, result, inconclusive = ext.analyze_with_refinement(f, circle, tol, samples)
+    if inconclusive:
+        raise InconclusiveError(
+            f"extendability from {name} is undecided: aliased at {data.sample_count} samples",
+            circle=circle,
+        )
+    if not result.passes:
+        raise ExtensionFailureError(
+            f"f does not extend holomorphically from {name} "
+            f"(negative energy {data.tail_energy_negative:.3e})",
+            circle=circle,
+        )
+    return ext.evaluate_extension(data, z, result)
+
+
 def eval_on_segment_leaf(
     f: Oracle, z: complex, R: float, samples: int = ext.DEFAULT_SAMPLES, tol: float = ext.DEFAULT_MORERA_TOL
 ) -> complex:
     """Extension of ``f`` from the centered circle of radius R, evaluated at z."""
     circle = Circle(0.0, R)
-    data = ext.cached_analyze(f, circle, samples)
-    result = ext.extension_test(data, tol)
-    if not result.passes:
-        raise ExtensionFailureError(
-            f"f does not extend holomorphically from {circle} "
-            f"(negative energy {data.tail_energy_negative:.3e})",
-            circle=circle,
-        )
-    return ext.evaluate_extension(data, z, result)
+    return _leaf_value(f, z, circle, str(circle), samples, tol)
 
 
 def eval_on_arc_leaf(
     f: Oracle, z: complex, t: float, samples: int = ext.DEFAULT_SAMPLES, tol: float = ext.DEFAULT_MORERA_TOL
 ) -> complex:
     """Extension of ``f`` from the pencil circle of parameter t, evaluated at z."""
-    circle = pencil_circle(t)
-    data = ext.cached_analyze(f, circle, samples)
-    result = ext.extension_test(data, tol)
-    if not result.passes:
-        raise ExtensionFailureError(
-            f"f does not extend holomorphically from pencil circle t = {t} "
-            f"(negative energy {data.tail_energy_negative:.3e})",
-            circle=circle,
-        )
-    return ext.evaluate_extension(data, z, result)
+    return _leaf_value(f, z, pencil_circle(t), f"pencil circle t = {t}", samples, tol)
 
 
 def eval_F(
@@ -341,65 +331,36 @@ def eval_F(
     return eval_on_arc_leaf(f, z, t, samples, tol)
 
 
-def _leaf_extensions_at_z(
-    f: Oracle,
-    z: complex,
-    centers: np.ndarray,
-    radii: np.ndarray,
-    samples: int,
-    tol: float,
-    kind: str,
+def _piece_values(
+    f: Oracle, z: complex, centers: np.ndarray, radii: np.ndarray, samples: int, tol: float, kind: str
 ) -> np.ndarray:
-    """Extensions of ``f`` from a batch of circles, all evaluated at ``z``.
+    """Extensions of ``f`` from the circles owning one piece's nodes, all at ``z``.
 
-    Vectorized across circles: one oracle call on a (circles x samples)
-    matrix, one batched FFT, one batched Horner evaluation.  Any circle
-    failing the extendability test aborts the batch, naming the circle.
+    One :func:`extension.analyze_batch` call; a circle that fails the test
+    (or stays aliased at the sample cap) aborts the piece, naming the circle.
     """
-    theta = 2.0 * np.pi * np.arange(samples) / samples
-    points = centers[:, None] + radii[:, None] * np.exp(1j * theta)[None, :]
-    values = ext.oracle_values(f, points)
-    coeffs = np.fft.fft(values, axis=1) / samples  # order [0..N/2-1, -N/2..-1]
-    energy = np.abs(coeffs) ** 2
-    half = samples // 2
-    total = energy.sum(axis=1)
-    negative = energy[:, half:].sum(axis=1)
-    high = energy[:, samples // 4 : samples - samples // 4 + 1].sum(axis=1)
-    threshold = tol * (total + ext.ENERGY_FLOOR)
-    bad = (negative > threshold) | (high > threshold)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ExtensionFailureError(
-            f"f does not extend holomorphically from the {kind} circle "
-            f"(center {centers[i]}, radius {radii[i]}) met along the fiber curve "
-            f"(negative energy {negative[i]:.3e}, aliasing energy {high[i]:.3e})",
-            circle=Circle(complex(centers[i]), float(radii[i])),
-        )
-    u = (z - centers) / radii
-    acc = np.zeros_like(u)
-    for k in range(half - 1, -1, -1):
-        acc = acc * u + coeffs[:, k]
-    return acc
+    batch = ext.analyze_batch(f, centers, radii, tol, samples)
+    batch.require_extensions(
+        lambda i: f"the {kind} circle (center {batch.centers[i]}, radius {batch.radii[i]}) "
+        "met along the fiber curve"
+    )
+    return batch.evaluate(np.full(centers.shape, z))
 
 
 @lru_cache(maxsize=64)
 def _fiber_values(
     f: Oracle, z: complex, nodes_per_piece: int, samples: int, tol: float, tau: float
 ) -> tuple[FiberCurve, np.ndarray]:
-    curve = _cached_curve(z, nodes_per_piece, tau)
+    # One batch per piece; the first piece's batch is released (on return
+    # from _piece_values) before the second piece is sampled.
+    curve = fiber_curve(z, nodes_per_piece, tau)
     values = np.empty_like(curve.nodes_w)
     seg = curve.nodes_piece == 0
-    if seg.any():
-        rs = curve.nodes_param[seg]
-        values[seg] = _leaf_extensions_at_z(
-            f, z, np.zeros_like(rs, dtype=complex), rs, samples, tol, "centered"
-        )
-    arcm = curve.nodes_piece == 1
-    if arcm.any():
-        ts = curve.nodes_param[arcm]
-        values[arcm] = _leaf_extensions_at_z(
-            f, z, ts.astype(complex), ts + 1.0, samples, tol, "pencil"
-        )
+    rs = curve.nodes_param[seg]
+    values[seg] = _piece_values(f, z, np.zeros(rs.shape, dtype=complex), rs, samples, tol, "centered")
+    arc = curve.nodes_piece == 1
+    ts = curve.nodes_param[arc]
+    values[arc] = _piece_values(f, z, ts.astype(complex), ts + 1.0, samples, tol, "pencil")
     return curve, values
 
 

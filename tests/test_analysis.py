@@ -3,6 +3,7 @@ import pytest
 
 from morera.analysis import (
     CLASS_CONSISTENT,
+    CLASS_INCONCLUSIVE,
     CLASS_INCONSISTENT,
     CLASS_MORERA_FAILURE,
     DbarGrid,
@@ -16,7 +17,13 @@ from morera.analysis import (
     verdict,
 )
 from morera.analysis import test_family as sweep_family
-from morera.errors import ConfigError, DomainError, ExtensionFailureError
+from morera.errors import (
+    ConfigError,
+    DomainError,
+    ExtensionFailureError,
+    InconclusiveError,
+    SamplingError,
+)
 from morera.funczoo import builtin, holomorphic_members
 
 
@@ -72,12 +79,14 @@ class TestTestFamily:
             report = sweep_family(f, FamilyConfig.pencil(0.25, count=count))
             assert not report.passes
 
-    def test_parallel_matches_serial(self):
-        f = builtin("rational").oracle
-        config = FamilyConfig.centered(0.1, 1.0, 12)
-        serial = sweep_family(f, config, workers=1)
-        parallel = sweep_family(f, config, workers=4)
-        assert [c.to_dict() for c in serial.circles] == [c.to_dict() for c in parallel.circles]
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_pole_on_a_circle_names_parameter_and_theta(self):
+        config = FamilyConfig.centered(0.1, 1.0, 8)
+        pole = config.parameters()[3]
+        with pytest.raises(SamplingError) as err:
+            sweep_family(lambda z: 1.0 / (np.asarray(z, dtype=complex) - pole), config)
+        assert f"parameter {pole}" in str(err.value)
+        assert err.value.theta == pytest.approx(0.0)
 
 
 class TestCrossConsistency:
@@ -96,6 +105,25 @@ class TestCrossConsistency:
     def test_t_outside_interval_rejected(self):
         with pytest.raises(DomainError):
             cross_consistency(builtin("poly3").oracle, -0.9)
+
+    def test_aliased_circle_refines(self):
+        # z^100 aliases at 256 samples on the outer surrounding circles.
+        residual = cross_consistency(lambda z: np.asarray(z, dtype=complex) ** 100, -0.3)
+        assert residual < 1e-12
+
+    def test_sequence_of_t_is_max_over_t(self):
+        f = builtin("counterexample").oracle
+        kwargs = dict(r_floor=0.6, t_floor=-0.4)
+        single = [cross_consistency(f, T, **kwargs) for T in (-0.3, -0.1)]
+        assert cross_consistency(f, [-0.3, -0.1], **kwargs) == pytest.approx(max(single), rel=1e-12)
+
+    def test_capped_circle_is_inconclusive(self):
+        # A pole just outside the unit circle: the surrounding circle of
+        # radius 1 stays aliased at the sample cap.
+        f = lambda z: 1.0 / (np.asarray(z, dtype=complex) - 1.0001)
+        with pytest.raises(InconclusiveError) as err:
+            cross_consistency(f, -0.3)
+        assert err.value.circle.radius == pytest.approx(1.0)
 
     def test_counterexample_disagrees_under_floors(self):
         # With both families floored the extensions exist but differ by circle.
@@ -189,6 +217,20 @@ class TestVerdict:
         assert v.classification == CLASS_MORERA_FAILURE
         assert all(not r.passes for r in v.families)
 
+    def test_high_degree_polynomial_consistent(self):
+        v = verdict(lambda z: np.asarray(z, dtype=complex) ** 100)
+        assert v.classification == CLASS_CONSISTENT
+        assert max(c.samples for r in v.families for c in r.circles) == 512
+
+    def test_cross_circle_aliased_at_cap_is_inconclusive(self):
+        # Every sweep circle stays clear of the pole at 1.0001; the radius-1
+        # cross-consistency circle does not.
+        f = lambda z: 1.0 / (np.asarray(z, dtype=complex) - 1.0001)
+        v = verdict(f, PipelineConfig(r_max=0.9, t_max=-0.1))
+        assert all(r.passes for r in v.families)
+        assert v.classification == CLASS_INCONCLUSIVE
+        assert "centered circle with parameter 1.0" in v.cross_note
+
     def test_invalid_tau(self):
         with pytest.raises(ConfigError):
             PipelineConfig(tau=0.7)
@@ -214,18 +256,3 @@ class TestReports:
         assert {"family", "parameter", "negative_energy", "passes"} <= set(doc["families"][0]["circles"][0])
         assert doc["families"][0]["family"] == "centered"
         assert doc["families"][1]["family"] == "pencil"
-
-
-class TestWorkerCap:
-    def test_env_cap(self, monkeypatch):
-        from morera.analysis import max_workers
-
-        monkeypatch.setenv("MORERA_THREADS", "2")
-        assert max_workers() == 2
-        monkeypatch.setenv("MORERA_THREADS", "0")
-        assert max_workers() == 1
-        monkeypatch.setenv("MORERA_THREADS", "three")
-        with pytest.raises(ConfigError):
-            max_workers()
-        monkeypatch.delenv("MORERA_THREADS")
-        assert max_workers() >= 1

@@ -167,6 +167,14 @@ class TestDemoSharpness:
         assert "verdict: morera-failure" in out
         assert "verdict: inconsistent" in out
 
+    @pytest.mark.parametrize("floor", ["0.51", "0.52"])
+    def test_floor_just_above_half(self, capsys, floor):
+        # Cross-consistency circles near the origin alias at 256 samples and
+        # must refine instead of failing.
+        code, out, _ = run(["demo-sharpness", "--floor", floor], capsys)
+        assert code == 0
+        assert out.splitlines()[-2].strip() == "verdict: inconsistent"
+
 
 class TestGridRoundTrip:
     def test_interpolated_function_matches(self, tmp_path):

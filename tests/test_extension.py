@@ -13,6 +13,8 @@ from morera.errors import (
     SamplingError,
 )
 from morera.extension import (
+    MAX_SAMPLES,
+    analyze_batch,
     analyze_circle,
     analyze_trace,
     analyze_with_refinement,
@@ -20,7 +22,7 @@ from morera.extension import (
     extension_test,
     sample_circle,
 )
-from morera.funczoo import builtin, holomorphic_members
+from morera.funczoo import builtin, builtin_names, holomorphic_members
 from morera.geometry import Circle, pencil_circle
 
 RNG = np.random.default_rng(20240811)
@@ -202,3 +204,86 @@ class TestEvaluateExtension:
                 2j * math.pi * rng.uniform(0, 1)
             )
             assert abs(evaluate_extension(data, zeta)) <= bound
+
+
+def _power100(z):
+    return np.asarray(z, dtype=complex) ** 100
+
+
+def _exp40(z):
+    return np.exp(40.0 * np.asarray(z, dtype=complex))
+
+
+# Centered and pencil rows, interleaved; z^100 and exp(40z) refine on most.
+BATCH_CIRCLES = [
+    Circle(0, 0.1),
+    pencil_circle(-0.7),
+    Circle(0, 0.45),
+    pencil_circle(-0.4),
+    Circle(0, 0.8),
+    pencil_circle(-0.1),
+    Circle(0, 1.0),
+    pencil_circle(0.0),
+]
+BATCH_ORACLES = [builtin(name).oracle for name in builtin_names()] + [_power100, _exp40]
+
+
+class TestAnalyzeBatch:
+    @pytest.mark.parametrize("n0, n_max", [(256, MAX_SAMPLES), (64, 512), (256, 256)])
+    @pytest.mark.parametrize("f", BATCH_ORACLES, ids=lambda f: getattr(f, "__name__", "f"))
+    def test_rows_match_reference(self, f, n0, n_max):
+        centers = [c.center for c in BATCH_CIRCLES]
+        radii = [c.radius for c in BATCH_CIRCLES]
+        batch = analyze_batch(f, centers, radii, 1e-8, n0, n_max)
+        for i, circle in enumerate(BATCH_CIRCLES):
+            data, result, inconclusive = analyze_with_refinement(f, circle, 1e-8, n0, n_max)
+            assert batch.samples[i] == data.sample_count, i
+            assert batch.passes[i] == result.passes, i
+            assert batch.aliasing[i] == result.aliasing_flag, i
+            assert batch.inconclusive[i] == inconclusive, i
+            for got, want in (
+                (batch.negative_energy[i], data.tail_energy_negative),
+                (batch.total_energy[i], data.total_energy),
+            ):
+                assert abs(got - want) <= max(1e-12 * abs(want), 1e-30), i
+            if result.passes:
+                zeta = circle.center + 0.6 * circle.radius * cmath.exp(0.7j)
+                value = batch.evaluate(np.array([zeta]), [i])[0]
+                assert value == pytest.approx(evaluate_extension(data, zeta, result), rel=1e-12, abs=1e-12)
+
+    def test_refines_and_caps(self):
+        # z^100 aliases at 256 samples on the unit circle and passes at 512;
+        # capped at 256 it is inconclusive.
+        refined = analyze_batch(_power100, [0, 0], [0.1, 1.0])
+        assert list(refined.samples) == [256, 512]
+        assert refined.passes.all() and not refined.inconclusive.any()
+        assert [len(rows) for rows, _ in refined.groups] == [1, 1]
+        capped = analyze_batch(_power100, [0, 0], [0.1, 1.0], n_max=256)
+        assert list(capped.inconclusive) == [False, True]
+        assert list(capped.passes) == [True, False]
+
+    def test_evaluate_per_row_probes(self):
+        f = builtin("rational").oracle
+        batch = analyze_batch(f, [0, -0.5, 0.2j], [0.9, 0.5, 0.3])
+        probes = batch.centers[:, None] + 0.5 * batch.radii[:, None] * np.exp(1j * np.arange(4))[None, :]
+        assert np.abs(batch.evaluate(probes) - f(probes)).max() < 1e-12
+
+    def test_evaluate_refuses_failing_rows(self):
+        batch = analyze_batch(np.conj, [0], [1.0])
+        with pytest.raises(InvalidStateError):
+            batch.evaluate(np.array([0.1]))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_sampling_error_names_row(self):
+        with pytest.raises(SamplingError) as err:
+            analyze_batch(lambda z: 1.0 / (z - 0.5), [0, 0, 0], [0.25, 0.5, 0.75])
+        assert err.value.row == 1
+        assert err.value.theta == pytest.approx(0.0)
+
+    def test_invalid_parameters(self):
+        with pytest.raises(ParameterDomainError):
+            analyze_batch(lambda z: z, [0], [1.0], n0=24)
+        with pytest.raises(ParameterDomainError):
+            analyze_batch(lambda z: z, [0], [1.0], tol=0.0)
+        with pytest.raises(ParameterDomainError):
+            extension_test(analyze_circle(lambda z: z, Circle(0, 1.0), 16), tol=-1.0)

@@ -239,6 +239,15 @@ class TestFiberIntegral:
     def test_counterexample_vanishes_where_admissible(self):
         assert abs(fiber_integral(builtin("counterexample").oracle, -0.2 + 0.5j)) < 1e-10
 
+    def test_high_degree_polynomial_vanishes(self):
+        # z^100 aliases at 256 samples on the outer leaves; they refine.
+        f = lambda z: np.asarray(z, dtype=complex) ** 100
+        assert abs(fiber_integral(f, 0.5j)) < 1e-10
+        inside = fiber_curve(0.5j)
+        W = interior_probe(inside)
+        assert abs(cauchy_transform(f, 0.5j, W) - (0.5j) ** 100) < 1e-12
+        assert eval_F(f, 0.5j, -2j) == pytest.approx((0.5j) ** 100, abs=1e-15)
+
     def test_absq_fails_on_pencil_leaves(self):
         with pytest.raises(ExtensionFailureError):
             fiber_integral(builtin("absq").oracle, 0.5j)
