@@ -15,20 +15,39 @@ Numbers are decimal literals with an optional trailing 'i' (imaginary unit);
 branches); abs/re/im return real values.
 
 Parse errors carry the byte offset of the offending position.  Evaluation is
-plain complex arithmetic; division by zero and log(0) raise
-:class:`~morera.errors.EvalError` carrying the point.
+one numpy walk of the AST that takes a single point or an array of points.
+A point where a subexpression is undefined (division by zero, log 0,
+overflow) raises :class:`~morera.errors.EvalError` carrying the point; in an
+array it becomes NaN, which the sampling layer reports with its circle and
+angle.
 """
 
 from __future__ import annotations
 
-import cmath
 import re as _re
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .errors import EvalError, ParseError
 
-FUNCTIONS = ("conj", "abs", "re", "im", "exp", "sin", "cos", "log", "sqrt")
+# Dispatch tables of the evaluator; abs/re/im are real-valued, and their
+# results are cast back to complex at once (so sqrt(-re(z)) stays on the
+# principal branch instead of becoming a real NaN).
+_CALLS = {
+    "conj": np.conjugate,
+    "abs": np.abs,
+    "re": np.real,
+    "im": np.imag,
+    "exp": np.exp,
+    "sin": np.sin,
+    "cos": np.cos,
+    "log": np.log,
+    "sqrt": np.sqrt,
+}
+_BINOPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+FUNCTIONS = tuple(_CALLS)
 
 _TOKEN_RE = _re.compile(
     r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+))(?P<imag>i\b)?"
@@ -272,73 +291,49 @@ def noninteger_power_warnings(node: Expr) -> list[str]:
     return warnings
 
 
-def evaluate(node: Expr, z: complex) -> complex:
-    """Evaluate an AST at the point ``z`` with standard complex arithmetic."""
-    z = complex(z)
+def evaluate(node: Expr, z):
+    """Evaluate an AST at a point or elementwise on an array of points.
 
-    def ev(n: Expr) -> complex:
-        if isinstance(n, Num):
-            return n.value
+    A point returns a ``complex`` and raises :class:`EvalError` where the
+    expression is undefined; an array returns a complex array of the same
+    shape with NaN at its undefined points.  A point is undefined when any
+    subexpression is non-finite there (division by zero, log 0, overflow),
+    even if a later operation would absorb it, as in (1/0)^0.
+    """
+    points = np.asarray(z, dtype=complex)
+    finite = np.array(np.isfinite(points))  # an array even for a point, updated in place
+
+    def ev(n: Expr):
         if isinstance(n, Var):
-            return z
-        if isinstance(n, Unary):
-            return -ev(n.operand)
-        if isinstance(n, Call):
-            v = ev(n.arg)
-            if n.func == "conj":
-                return v.conjugate()
-            if n.func == "abs":
-                return complex(abs(v))
-            if n.func == "re":
-                return complex(v.real)
-            if n.func == "im":
-                return complex(v.imag)
-            try:
-                if n.func == "exp":
-                    return cmath.exp(v)
-                if n.func == "sin":
-                    return cmath.sin(v)
-                if n.func == "cos":
-                    return cmath.cos(v)
-                if n.func == "log":
-                    return cmath.log(v)
-                if n.func == "sqrt":
-                    return cmath.sqrt(v)
-            except (ValueError, OverflowError) as exc:
-                raise EvalError(f"{n.func}({v}) undefined at z = {z}: {exc}", z=z) from None
-            raise EvalError(f"unknown function {n.func!r}", z=z)
-        if isinstance(n, BinOp):
-            a = ev(n.left)
-            b = ev(n.right)
-            try:
-                if n.op == "+":
-                    return a + b
-                if n.op == "-":
-                    return a - b
-                if n.op == "*":
-                    return a * b
-                if n.op == "/":
-                    return a / b
-                if n.op == "^":
-                    if _is_integer(b):
-                        return a ** int(b.real)
-                    return a**b
-            except ZeroDivisionError:
-                raise EvalError(f"division by zero at z = {z}", z=z) from None
-            except (ValueError, OverflowError) as exc:
-                raise EvalError(f"arithmetic error at z = {z}: {exc}", z=z) from None
-        raise TypeError(f"not an expression node: {n!r}")
+            return points
+        if isinstance(n, Num):
+            value = n.value
+        elif isinstance(n, Unary):
+            value = np.negative(ev(n.operand))
+        elif isinstance(n, Call):
+            value = np.asarray(_CALLS[n.func](ev(n.arg)), dtype=complex)
+        elif isinstance(n, BinOp):
+            value = _BINOPS[n.op](ev(n.left), ev(n.right))
+        else:
+            raise TypeError(f"not an expression node: {n!r}")
+        ok = np.isfinite(value)
+        if not ok.all():  # constants and most subexpressions are finite everywhere
+            np.logical_and(finite, ok, out=finite)
+        return value
 
-    result = ev(node)
-    if not (cmath.isfinite(result)):
-        raise EvalError(f"expression evaluated to non-finite value {result} at z = {z}", z=z)
-    return result
+    with np.errstate(all="ignore"):
+        value = ev(node)
+    if points.ndim == 0:
+        if not finite:
+            raise EvalError(f"expression undefined (non-finite) at z = {complex(points)}", z=complex(points))
+        return complex(value)
+    return np.where(finite, value, complex(np.nan, np.nan))
 
 
 def compile_function(node: Expr):
-    """Scalar oracle f(z) from an AST (a closure over :func:`evaluate`)."""
+    """Oracle f(z) from an AST, taking a point or an array like :func:`evaluate`."""
 
-    def oracle(z: complex) -> complex:
+    def oracle(z):
         return evaluate(node, z)
 
     return oracle

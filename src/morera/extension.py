@@ -120,9 +120,12 @@ class ExtensionResult:
 def oracle_values(f: Oracle, points: np.ndarray, check: bool = True) -> np.ndarray:
     """Evaluate an oracle on an arbitrary-shape point array.
 
-    Tries one vectorized call with the full array first and falls back to a
-    scalar loop for oracles that only accept single points.  With ``check``
-    set, non-finite samples raise :class:`SamplingError`.
+    Makes one vectorized call with the full array.  Only when that call
+    raises ``TypeError`` or ``ValueError`` (what ``complex(array)``,
+    ``math.*`` or ``if z == 0:`` raise on an array) or returns a value of
+    another shape does it fall back to a scalar loop, for oracles that only
+    accept single points; any other exception reaches the caller.  With
+    ``check`` set, non-finite samples raise :class:`SamplingError`.
     """
     points = np.asarray(points, dtype=complex)
     values = None
@@ -132,7 +135,7 @@ def oracle_values(f: Oracle, points: np.ndarray, check: bool = True) -> np.ndarr
             values = raw
         elif raw.shape == ():
             values = np.full(points.shape, complex(raw))
-    except Exception:
+    except (TypeError, ValueError):
         values = None
     if values is None:
         flat = np.array([complex(f(p)) for p in points.ravel()])

@@ -99,15 +99,15 @@ def read_polar_grid(path: str) -> GridFunction:
         raise ConfigError(f"grid file {path} is malformed: {exc}") from None
     if data.ndim != 2 or data.shape[1] != 4:
         raise ConfigError(f"grid file {path} must have 4 columns {HEADER}")
+    if not np.isfinite(data).all():
+        raise ConfigError(f"grid file {path} has non-finite entries")
     radii = np.unique(data[:, 0])
     thetas = np.unique(data[:, 1])
     if radii.size * thetas.size != data.shape[0]:
         raise ConfigError(f"grid file {path} is not a full (r, theta) tensor grid")
     values = np.full((radii.size, thetas.size), np.nan, dtype=complex)
-    r_index = {r: i for i, r in enumerate(radii)}
-    t_index = {t: j for j, t in enumerate(thetas)}
-    for r, t, re, im in data:
-        values[r_index[r], t_index[t]] = complex(re, im)
+    index = np.searchsorted(radii, data[:, 0]), np.searchsorted(thetas, data[:, 1])
+    values[index] = data[:, 2] + 1j * data[:, 3]
     if np.isnan(values.real).any():
         raise ConfigError(f"grid file {path} has missing (r, theta) combinations")
     return GridFunction(radii, thetas, values)

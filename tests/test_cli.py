@@ -209,11 +209,37 @@ class TestGridRoundTrip:
                 assert cb["parameter"] == cg["parameter"]
                 assert cb["passes"] == cg["passes"], (fam_b["family"], cb["parameter"])
 
+    def test_shuffled_rows_load_the_same_grid(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        write_polar_grid(str(path), builtin("rational").oracle, n_r=8, n_theta=16)
+        header, *rows = path.read_text().splitlines()
+        shuffled = tmp_path / "shuffled.csv"
+        order = np.random.default_rng(5).permutation(len(rows))
+        shuffled.write_text("\n".join([header] + [rows[i] for i in order]) + "\n")
+        z = 0.8 * np.exp(1j * np.linspace(0.0, 6.0, 40))
+        assert np.array_equal(read_polar_grid(str(shuffled))(z), read_polar_grid(str(path))(z))
+
+    def test_duplicated_row_rejected(self, capsys, tmp_path):
+        path = tmp_path / "grid.csv"
+        write_polar_grid(str(path), builtin("poly3").oracle, n_r=8, n_theta=16)
+        header, *rows = path.read_text().splitlines()
+        rows[5] = rows[4]
+        path.write_text("\n".join([header] + rows) + "\n")
+        code, _, err = run(["sweep", "--grid", str(path), "--circles", "8"], capsys)
+        assert code == 2 and "missing" in err
+
     def test_malformed_grid_rejected(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("r,theta,re,im\n0.0,0.0,1.0\n")
         code, _, err = run(["sweep", "--grid", str(bad), "--circles", "8"], capsys)
         assert code == 2
+
+    def test_nonfinite_grid_entry_rejected(self, capsys, tmp_path):
+        bad = tmp_path / "bad.csv"
+        rows = [f"{r},{float(t)!r},1,0" for r in ("0", "nan", "0.5", "1") for t in np.pi * np.arange(4) / 2]
+        bad.write_text("\n".join(["r,theta,re,im"] + rows) + "\n")
+        code, _, err = run(["sweep", "--grid", str(bad), "--circles", "8"], capsys)
+        assert code == 2 and "non-finite" in err
 
 
 class TestNegativeComplexLiterals:

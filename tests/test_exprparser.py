@@ -1,5 +1,6 @@
 import cmath
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from morera.exprparser import (
     Num,
     Unary,
     Var,
+    _is_integer,
     compile_function,
     evaluate,
     noninteger_power_warnings,
@@ -169,8 +171,6 @@ class TestEvaluate:
         assert evaluate(parse("log(z)"), -1.0 + 0.0j) == pytest.approx(1j * cmath.pi)
 
     def test_matches_hand_coded_oracles(self):
-        import numpy as np
-
         cases = [
             ("z^3 - 2", lambda z: z**3 - 2),
             ("exp(z)", cmath.exp),
@@ -233,3 +233,110 @@ _expr = st.recursive(
 @settings(max_examples=300, deadline=None)
 def test_print_parse_roundtrip(node):
     assert parse(to_source(node)) == node
+
+
+# --- Hypothesis: the numpy evaluator against a cmath reference ---
+
+
+def _reference_evaluate(node, z: complex) -> complex:
+    """Point-by-point cmath evaluation: the reference for :func:`evaluate`."""
+    z = complex(z)
+
+    def ev(n) -> complex:
+        if isinstance(n, Num):
+            return n.value
+        if isinstance(n, Var):
+            return z
+        if isinstance(n, Unary):
+            return -ev(n.operand)
+        if isinstance(n, Call):
+            v = ev(n.arg)
+            if n.func == "conj":
+                return v.conjugate()
+            if n.func == "abs":
+                return complex(abs(v))
+            if n.func == "re":
+                return complex(v.real)
+            if n.func == "im":
+                return complex(v.imag)
+            try:
+                return getattr(cmath, n.func)(v)
+            except (ValueError, OverflowError) as exc:
+                raise EvalError(f"{n.func}({v}) undefined at z = {z}: {exc}", z=z) from None
+        if isinstance(n, BinOp):
+            a = ev(n.left)
+            b = ev(n.right)
+            try:
+                if n.op == "+":
+                    return a + b
+                if n.op == "-":
+                    return a - b
+                if n.op == "*":
+                    return a * b
+                if n.op == "/":
+                    return a / b
+                if _is_integer(b):
+                    return a ** int(b.real)
+                return a**b
+            except (ZeroDivisionError, ValueError, OverflowError) as exc:
+                raise EvalError(f"arithmetic error at z = {z}: {exc}", z=z) from None
+        raise TypeError(f"not an expression node: {n!r}")
+
+    result = ev(node)
+    if not cmath.isfinite(result):
+        raise EvalError(f"non-finite value {result} at z = {z}", z=z)
+    return result
+
+
+def _defined(evaluator, node, z):
+    try:
+        return evaluator(node, z)
+    except EvalError:
+        return None
+
+
+# Points inside the unit disc, plus the center and a point on the real axis.
+_rng = np.random.default_rng(31)
+_POINTS = np.concatenate(
+    [[0.0, 0.5], np.sqrt(_rng.uniform(0, 0.98, 62)) * np.exp(2j * np.pi * _rng.uniform(0, 1, 62))]
+)
+_LARGE = 1e12
+
+
+@given(_expr)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_vectorized_evaluation_matches_reference(node):
+    array = evaluate(node, _POINTS)
+    assert array.shape == _POINTS.shape
+    for z, element in zip(_POINTS, array):
+        point = _defined(evaluate, node, complex(z))
+        if point is None:
+            assert not np.isfinite(element)
+        else:
+            assert point == element
+        reference = _defined(_reference_evaluate, node, complex(z))
+        if reference is None or point is None:
+            other = reference if point is None else point
+            assert other is None or abs(other) > _LARGE, (to_source(node), z)
+        elif abs(reference) < _LARGE:
+            assert abs(point - reference) <= 1e-10 * max(1.0, abs(reference)), (to_source(node), z)
+
+
+class TestUndefinedPoints:
+    def test_real_helpers_stay_complex(self):
+        node = parse("sqrt(-re(z))")
+        assert evaluate(node, 0.25) == -0.5j
+        assert evaluate(node, np.array([0.25]))[0] == -0.5j
+
+    def test_absorbed_nonfinite_value_is_undefined(self):
+        node = parse("(1/(z - z))^0")
+        with pytest.raises(EvalError) as err:
+            evaluate(node, 0.3)
+        assert err.value.z == 0.3
+        values = evaluate(node, np.array([0.3, -0.1j]))
+        assert np.isnan(values).all()
+
+    def test_array_marks_only_undefined_points(self):
+        values = compile_function(parse("1/(z - 0.5)"))(np.array([0.5, 0.0, 1.5]))
+        assert np.isnan(values[0])
+        assert list(values[1:]) == [-2.0, 1.0]

@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morera.analysis import FamilyConfig
+from morera.analysis import test_family as sweep_family
+from morera.cli import main
 from morera.errors import (
     DomainError,
     InvalidStateError,
     ParameterDomainError,
     SamplingError,
 )
+from morera.exprparser import compile_function, parse
 from morera.extension import (
     MAX_SAMPLES,
     analyze_batch,
@@ -287,3 +291,37 @@ class TestAnalyzeBatch:
             analyze_batch(lambda z: z, [0], [1.0], tol=0.0)
         with pytest.raises(ParameterDomainError):
             extension_test(analyze_circle(lambda z: z, Circle(0, 1.0), 16), tol=-1.0)
+
+
+class TestOracleErrors:
+    def test_array_error_is_raised_not_retried(self):
+        calls = []
+
+        def f(z):
+            calls.append(z)
+            raise RuntimeError("broken oracle")
+
+        with pytest.raises(RuntimeError, match="broken oracle"):
+            sweep_family(f, FamilyConfig.centered(0.2, count=4))
+        assert len(calls) == 1
+
+    def test_scalar_only_oracle_falls_back(self):
+        def f(z):
+            if z == 0:  # ValueError on an array
+                return 0j
+            return cmath.exp(z)
+
+        trace = sample_circle(f, Circle(0.1, 0.5), 32)
+        assert np.abs(trace.values - np.exp(0.1 + 0.5 * np.exp(1j * trace.thetas))).max() < 1e-15
+
+    def test_expression_pole_names_theta(self):
+        f = compile_function(parse("1/(z - 0.5)"))
+        with pytest.raises(SamplingError) as err:
+            sample_circle(f, Circle(0, 0.5), 16)
+        assert err.value.theta == 0.0
+
+    def test_expression_pole_exits_two_naming_theta(self, capsys):
+        code = main(["test-circle", "--expr", "1/(z - 0.5)", "--radius", "0.5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "theta = 0.0" in err
