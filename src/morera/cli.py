@@ -18,6 +18,9 @@ atomically.
 from __future__ import annotations
 
 import argparse
+# argparse's gettext imports locale when the first parser is built; import it
+# with the module so that cost falls in start-up, not inside each command.
+import locale  # noqa: F401
 import re
 import sys
 from dataclasses import replace

@@ -20,6 +20,9 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+# numpy loads its fft module on first use; import it here so that cost falls in
+# start-up, not inside the first command that samples a circle.
+import numpy.fft  # noqa: F401
 
 from .errors import (
     DomainError,

@@ -1,0 +1,192 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
+import warnings
+
+import numpy as np
+import pytest
+
+import morera
+from morera.errors import ConfigError
+from morera.funczoo import builtin, builtin_names
+from morera.gridio import GridFunction, read_polar_grid, write_polar_grid
+
+# Maximum error against the closed form of the scipy RectBivariateSpline
+# interpolant (cubic in r and theta, theta wrap-padded by 3 columns) that
+# gridio used before, on _points(), rounded up to 3 significant digits.
+SPLINE_MAX_ERROR = {
+    (64, 128): {
+        "absq": 1.12e-15,
+        "conjugate": 1.83e-08,
+        "counterexample": 1.47e-06,
+        "expz": 7.26e-07,
+        "poly3": 1.46e-06,
+        "radial-smooth": 1.79e-06,
+        "rational": 1.26e-06,
+    },
+    (48, 96): {
+        "absq": 8.89e-16,
+        "conjugate": 5.74e-08,
+        "counterexample": 4.61e-06,
+        "expz": 2.25e-06,
+        "poly3": 4.54e-06,
+        "radial-smooth": 7.03e-06,
+        "rational": 3.78e-06,
+    },
+}
+
+
+def _points():
+    rng = np.random.default_rng(20260)
+    return rng.uniform(0.0, 1.0, 4000) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, 4000))
+
+
+def _nodes(radii, n_theta):
+    return radii[:, None] * np.exp(2j * np.pi * np.arange(n_theta) / n_theta)[None, :]
+
+
+def _grid(f, radii, n_theta):
+    values = f(_nodes(radii, n_theta))
+    return GridFunction(radii, 2 * np.pi * np.arange(n_theta) / n_theta, values), values
+
+
+class TestInterpolant:
+    @pytest.mark.parametrize("shape", sorted(SPLINE_MAX_ERROR))
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_no_worse_than_the_old_spline(self, name, shape):
+        f = builtin(name).oracle
+        g, _ = _grid(f, np.linspace(0.0, 1.0, shape[0]), shape[1])
+        z = _points()
+        assert np.max(np.abs(g(z) - f(z))) <= SPLINE_MAX_ERROR[shape][name]
+
+    @pytest.mark.parametrize("n_theta", [45, 47, 64])
+    def test_reproduces_nodes_and_converges(self, n_theta):
+        f = builtin("poly3").oracle
+        radii = np.linspace(0.0, 1.0, 32)
+        g, values = _grid(f, radii, n_theta)
+        assert np.max(np.abs(g(_nodes(radii, n_theta)) - values)) < 1e-13
+        z = _points()
+        assert np.max(np.abs(g(z) - f(z))) < 1e-6
+
+    def test_nonuniform_radii(self):
+        radii = np.sqrt(np.linspace(0.0, 1.0, 40))
+
+        # A cubic in r, constant in theta: the not-a-knot spline reproduces it.
+        def cubic(z):
+            return (np.abs(z) ** 3 - 2 * np.abs(z) + 1).astype(complex)
+
+        g, _ = _grid(cubic, radii, 16)
+        z = _points()
+        assert np.max(np.abs(g(z) - cubic(z))) < 1e-13
+        f = builtin("expz").oracle
+        g, values = _grid(f, radii, 64)
+        assert np.max(np.abs(g(_nodes(radii, 64)) - values)) < 1e-13
+        assert np.max(np.abs(g(z) - f(z))) < 1e-4
+
+    def test_radius_clamped_to_the_grid(self):
+        f = builtin("poly3").oracle
+        g, _ = _grid(f, np.linspace(0.2, 0.9, 20), 32)
+        for ray in (1.0, np.exp(2j)):
+            assert g(0.1 * ray) == g(0.2 * ray)
+            assert g(0.95 * ray) == g(0.9 * ray)
+
+    def test_continuous_across_theta_zero(self):
+        g, _ = _grid(builtin("counterexample").oracle, np.linspace(0.0, 1.0, 16), 32)
+        for r in (0.5, 1.0):
+            at_zero = g(r)
+            # -1e-300 rounds to theta = 2 pi exactly after the mod.
+            assert abs(g(complex(r, -1e-300)) - at_zero) < 1e-15
+            for eps in (1e-12, -1e-12):
+                assert abs(g(r * np.exp(1j * eps)) - at_zero) < 1e-11
+
+    @pytest.mark.parametrize("n_theta", [8, 9])
+    def test_real_samples_give_a_real_interpolant(self, n_theta):
+        # An even grid's Nyquist mode must be split between +n/2 and -n/2:
+        # kept at +n/2 alone it turns cos(n theta / 2) into exp(i n theta / 2),
+        # and copied whole to both it misses the samples.
+        radii = np.linspace(0.1, 1.0, 6)
+        values = np.random.default_rng(6).standard_normal((6, n_theta)).astype(complex)
+        g = GridFunction(radii, 2 * np.pi * np.arange(n_theta) / n_theta, values)
+        assert np.max(np.abs(g(_points()).imag)) < 1e-14
+        assert np.max(np.abs(g(_nodes(radii, n_theta)) - values)) < 1e-13
+
+    def test_scalar_in_complex_out(self):
+        g, _ = _grid(builtin("expz").oracle, np.linspace(0.0, 1.0, 8), 16)
+        for z in (0.3, 0.3 + 0.1j, np.complex128(0.3 - 0.2j)):
+            assert type(g(z)) is complex
+        z = np.array([[0.3, 0.1j], [-0.5, 0.2 - 0.2j]])
+        out = g(z)
+        assert out.shape == z.shape and out[1, 0] == g(-0.5)
+
+    def test_radii_must_increase(self):
+        thetas = 2 * np.pi * np.arange(8) / 8
+        with pytest.raises(ConfigError, match="increasing"):
+            GridFunction(np.array([0.0, 0.5, 0.5, 1.0, 1.5]), thetas, np.zeros((5, 8), dtype=complex))
+
+
+class TestLoader:
+    def test_headerless_and_commented_files_load_the_same_grid(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        write_polar_grid(str(path), builtin("rational").oracle, n_r=8, n_theta=16)
+        header, *rows = path.read_text().splitlines()
+        bare = tmp_path / "bare.csv"
+        bare.write_text("\n".join(rows) + "\n")
+        commented = tmp_path / "commented.csv"
+        commented.write_text(
+            "\n".join(["# sampled rational", "", header] + rows[:5] + ["", "# middle"] + rows[5:]) + "\n"
+        )
+        z = 0.8 * np.exp(1j * np.linspace(0.0, 6.0, 40))
+        expected = read_polar_grid(str(path))(z)
+        for other in (bare, commented):
+            assert np.array_equal(read_polar_grid(str(other))(z), expected)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "empty"), ("# nothing\n\n", "empty"), ("r,theta,re,im\n", "no data"), ("r,theta,re,im\n# c\n\n", "no data")],
+    )
+    def test_no_data_rows(self, tmp_path, text, message):
+        path = tmp_path / "grid.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=message):
+                read_polar_grid(str(path))
+
+    def test_three_columns_rejected(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text("r,theta,re,im\n0,0,1\n1,0,1\n")
+        with pytest.raises(ConfigError, match="4 columns"):
+            read_polar_grid(str(path))
+
+
+def test_cli_import_loads_no_scipy_and_commands_import_nothing(tmp_path):
+    # A module a command imports lazily is paid for inside every CLI call.
+    grid = tmp_path / "expz.csv"
+    write_polar_grid(str(grid), builtin("expz").oracle, n_r=16, n_theta=32)
+    script = textwrap.dedent(
+        f"""
+        import contextlib, io, json, sys
+        import morera.cli
+        loaded = set(sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [
+                morera.cli.main(["verdict", "--builtin", "expz"]),
+                morera.cli.main(["test-circle", "--grid", {str(grid)!r}, "--center", "0.1", "--radius", "0.5"]),
+            ]
+        print(json.dumps({{
+            "codes": codes,
+            "scipy": sorted(m for m in loaded if m == "scipy" or m.startswith("scipy.")),
+            "numpy.ma": "numpy.ma" in loaded,
+            "numpy.fft": "numpy.fft" in loaded,
+            "new": sorted(set(sys.modules) - loaded),
+        }}))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(morera.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0], "scipy": [], "numpy.ma": False, "numpy.fft": True, "new": []}
