@@ -18,7 +18,9 @@ the plain fiber integral of F is a holomorphic function of z.
 
 Quadrature is composite Gauss-Legendre per smooth piece in the natural
 parameters (R on the segment, t on the arc), with node counts doubled until
-two successive refinements agree.
+two successive refinements agree.  The Cauchy transform subtracts a constant
+c (F at the node nearest W) from the integrand and adds c * ind(W) back, so
+the near-singular part of the kernel only ever meets F - c.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -101,7 +103,7 @@ class FiberCurve:
     nodes_piece: np.ndarray
     nodes_param: np.ndarray
 
-    @property
+    @cached_property
     def diameter(self) -> float:
         re = self.nodes_w.real
         im = self.nodes_w.imag
@@ -213,12 +215,11 @@ def fiber_curve(z: complex, nodes_per_piece: int = DEFAULT_NODES // 2, tau: floa
 
 
 def winding_number(curve: FiberCurve, W: complex) -> int:
-    """Winding number of the curve about ``W`` (exact piecewise computation).
+    """Winding number of the curve about ``W``: 1 inside D_z, 0 outside.
 
-    The straight segment contributes the principal argument of the endpoint
-    ratio; the arc is subdivided finely enough, relative to its distance from
-    ``W``, that each sub-chord's principal argument equals the continuous
-    argument change along it.
+    The segment is a chord of the arc's circle, so D_z is that disc cut by
+    the chord's line: ``W`` is inside iff it lies in the open disc and on the
+    same side of the chord as the arc's midpoint.
     """
     W = complex(W)
     d = curve.distance(W)
@@ -226,29 +227,13 @@ def winding_number(curve: FiberCurve, W: complex) -> int:
         raise CurveProximityError(
             f"W = {W} is within {curve.proximity_guard:.3e} of the fiber curve; membership ambiguous"
         )
-    z = curve.z
-    zbar, inv = curve.segment
-    if z.imag > 0:
-        seg_a, seg_b = zbar, inv
-    else:
-        seg_a, seg_b = inv, zbar
-    total = cmath.phase((seg_b - W) / (seg_a - W))
-
-    arc = curve.arc
-    rho = arc.circle.radius
-    sweep = arc.sweep
-    d_arc = _arc_distance(W, arc)
-    n_sub = int(min(200000, max(8, math.ceil(2.0 * rho * sweep / (math.pi * d_arc)))))
-    thetas = np.linspace(arc.angle_start, arc.angle_end, n_sub + 1)
-    pts = arc.circle.center + rho * np.exp(1j * thetas)
-    ratios = (pts[1:] - W) / (pts[:-1] - W)
-    total += float(np.sum(np.angle(ratios)))
-
-    winding = total / (2.0 * math.pi)
-    rounded = round(winding)
-    if abs(winding - rounded) > 0.25:
-        raise CurveProximityError(f"winding number about {W} did not converge: {winding}")
-    return int(rounded)
+    circle = curve.arc.circle
+    a, b = curve.segment
+    chord = (b - a).conjugate()
+    side = (chord * (W - a)).imag
+    arc_side = (chord * (curve.arc.point(0.5) - a)).imag
+    inside = abs(W - circle.center) < circle.radius and (side > 0.0) == (arc_side > 0.0)
+    return curve.orientation if inside else 0
 
 
 def region_contains(curve: FiberCurve, W: complex) -> bool:
@@ -364,11 +349,11 @@ def _fiber_values(
     return curve, values
 
 
-def _contour_sum(curve: FiberCurve, values: np.ndarray, W: complex | None) -> complex:
+def _contour_sum(curve: FiberCurve, values: np.ndarray, W: complex | None, c: complex, jump: complex) -> complex:
     if W is None:
         return complex(np.sum(values * curve.nodes_dw))
-    kernel = values / (curve.nodes_w - W)
-    return complex(np.sum(kernel * curve.nodes_dw) / (2.0j * math.pi))
+    kernel = (values - c) / (curve.nodes_w - W)
+    return complex(np.sum(kernel * curve.nodes_dw) / (2.0j * math.pi)) + jump
 
 
 def _refined_transform(
@@ -382,6 +367,12 @@ def _refined_transform(
 ) -> complex:
     per_piece = max(_PANEL_ORDER, nodes // 2)
     curve, values = _fiber_values(f, z, per_piece, samples, tol, tau)
+    # Singularity subtraction: Theta(W) = (1/2 pi i) * integral of
+    # (F - c)/(w - W) dw + c * ind(W) holds for any constant c.  With c the
+    # value at the first level's node nearest W the integrand stays small
+    # where the kernel is large; c is fixed for every level.
+    c = 0j
+    jump = 0j
     if W is not None:
         guard = curve.proximity_guard
         d = curve.distance(W)
@@ -390,17 +381,23 @@ def _refined_transform(
                 f"W = {W} is within {guard:.3e} of the fiber curve of z = {z}; "
                 "move W or refine the curve"
             )
-    current = _contour_sum(curve, values, W)
+        c = complex(values[np.argmin(np.abs(curve.nodes_w - W))])
+        if c != 0:
+            jump = c * winding_number(curve, W)
+    current = _contour_sum(curve, values, W, c, jump)
     for _ in range(MAX_REFINEMENTS):
         per_piece *= 2
         curve, values = _fiber_values(f, z, per_piece, samples, tol, tau)
-        refined = _contour_sum(curve, values, W)
-        if abs(refined - current) < QUAD_REFINE_TOL:
+        refined = _contour_sum(curve, values, W, c, jump)
+        change = abs(refined - current)
+        if change < QUAD_REFINE_TOL:
             return refined
         current = refined
+    where = "the fiber integral" if W is None else f"W = {W} ({d / curve.diameter:.2e} x diameter from the curve)"
     raise MoreraError(
         f"contour quadrature over the fiber curve of z = {z} failed to converge "
-        f"to {QUAD_REFINE_TOL} within {MAX_REFINEMENTS} refinements"
+        f"to {QUAD_REFINE_TOL} within {MAX_REFINEMENTS} refinements at {where}: "
+        f"the last two sums differ by {change:.3e}"
     )
 
 

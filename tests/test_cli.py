@@ -136,6 +136,21 @@ class TestTestCircleCommand:
 
 
 class TestThetaCommand:
+    def test_readme_example_exits_zero(self, capsys, tmp_path):
+        out_file = tmp_path / "theta.csv"
+        code, _, err = run(["theta", "--builtin", "poly3", "--z", "0.5i", "-o", str(out_file)], capsys)
+        assert code == 0, err
+        f_z = builtin("poly3").oracle(0.5j)
+        counts = {"inside": 0, "outside": 0}
+        for line in out_file.read_text().splitlines()[1:]:
+            cells = line.split(",")
+            if cells[2] == "near-curve":
+                continue
+            counts[cells[2]] += 1
+            value = complex(float(cells[3]), float(cells[4]))
+            assert abs(value - (f_z if cells[2] == "inside" else 0.0)) < 1e-6, line
+        assert counts["inside"] and counts["outside"]
+
     def test_dichotomy_in_table(self, capsys):
         code, out, _ = run(
             ["theta", "--builtin", "poly3", "--z", "0.5i", "--w-count", "7", "--nodes", "256"],

@@ -3,17 +3,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from morera.cli import main
 from morera.errors import (
     CurveProximityError,
     DegenerateInputError,
     DomainError,
     ExtensionFailureError,
+    MoreraError,
 )
 from morera.fiber import (
     RegionD,
+    _arc_distance,
+    _fiber_values,
     cauchy_transform,
     eval_F,
     eval_on_arc_leaf,
@@ -32,6 +36,45 @@ admissible_points = st.builds(
     st.floats(0.15, 0.9),
     st.floats(0.0, 2.0 * math.pi),
 ).filter(lambda z: abs(z.imag) > 0.05 and in_admissible_region(z))
+
+
+def off_curve(curve, piece, s, offset):
+    """The point at fraction ``s`` along one piece, moved ``offset`` along the
+    normal (positive toward the inside of the region)."""
+    if piece == "segment":
+        a, b = curve.segment
+        p = a + s * (b - a)
+        n = 1j * (b - a) / abs(b - a)
+        if ((curve.arc.point(0.5) - p) * n.conjugate()).real < 0.0:
+            n = -n
+    else:
+        p = curve.arc.point(s)
+        n = (curve.arc.circle.center - p) / abs(curve.arc.circle.center - p)
+    return complex(p + offset * n)
+
+
+def reference_winding(curve, W):
+    """Winding number by summing principal arguments along the curve.
+
+    The straight segment contributes the principal argument of the endpoint
+    ratio; the arc is subdivided finely enough, relative to its distance from
+    ``W``, that each sub-chord's principal argument equals the continuous
+    argument change along it.
+    """
+    z = curve.z
+    zbar, inv = curve.segment
+    seg_a, seg_b = (zbar, inv) if z.imag > 0 else (inv, zbar)
+    total = cmath.phase((seg_b - W) / (seg_a - W))
+    arc = curve.arc
+    rho = arc.circle.radius
+    d_arc = _arc_distance(W, arc)
+    n_sub = int(min(200000, max(8, math.ceil(2.0 * rho * arc.sweep / (math.pi * d_arc)))))
+    thetas = np.linspace(arc.angle_start, arc.angle_end, n_sub + 1)
+    pts = arc.circle.center + rho * np.exp(1j * thetas)
+    total += float(np.sum(np.angle((pts[1:] - W) / (pts[:-1] - W))))
+    winding = total / (2.0 * math.pi)
+    assert abs(winding - round(winding)) < 0.25
+    return int(round(winding))
 
 
 def interior_probe(curve):
@@ -97,6 +140,12 @@ class TestFiberCurve:
                 c = fiber_curve(rad * direction)
                 assert c.diameter <= 3.0 * c0 * (1 - rad)
 
+    def test_diameter_computed_once(self):
+        c = fiber_curve(0.4 + 0.3j)
+        re, im = c.nodes_w.real, c.nodes_w.imag
+        assert c.diameter == math.hypot(re.max() - re.min(), im.max() - im.min())
+        assert vars(c)["diameter"] == c.diameter
+
     def test_polyline_matches_nodes(self):
         c = fiber_curve(0.4 + 0.3j)
         pieces = dict((name, pts) for name, _, pts in c.polyline(64))
@@ -119,6 +168,22 @@ class TestRegionMembership:
         c = fiber_curve(0.5j)
         with pytest.raises(CurveProximityError):
             region_contains(c, -1.0j)  # on the segment
+
+    @given(
+        admissible_points,
+        st.sampled_from(("segment", "arc")),
+        st.floats(0.01, 0.99),
+        st.floats(-5.0, 0.5),
+        st.sampled_from((-1.0, 1.0)),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_closed_form_matches_argument_sum(self, z, piece, s, log_fraction, side):
+        # Points from 1e-5 up to about 3 diameters off either piece, on
+        # both sides.
+        c = fiber_curve(z, nodes_per_piece=32)
+        W = off_curve(c, piece, s, side * 10.0**log_fraction * c.diameter)
+        assume(c.distance(W) >= 2.0 * c.proximity_guard)
+        assert winding_number(c, W) == reference_winding(c, W)
 
     @given(admissible_points)
     @settings(max_examples=40, deadline=None)
@@ -216,6 +281,54 @@ class TestCauchyTransform:
         W = interior_probe(curve)
         assert cauchy_transform(f, z, W) == pytest.approx(z**2 / W, abs=1e-9)
         assert abs(cauchy_transform(f, z, 4.0 - 1.0j)) < 1e-9
+
+    @pytest.mark.parametrize("name", ["poly3", "expz", "rational"])
+    def test_dichotomy_near_the_curve(self, name):
+        f = builtin(name).oracle
+        for z in (0.5j, -0.2 + 0.5j, 0.3 - 0.4j):
+            curve = fiber_curve(z)
+            for piece in ("segment", "arc"):
+                for fraction in (1e-5, 1e-4, 1e-3, 1e-2):
+                    for side in (1.0, -1.0):
+                        W = off_curve(curve, piece, 0.5, side * fraction * curve.diameter)
+                        assert region_contains(curve, W) is (side > 0)
+                        expected = f(z) if side > 0 else 0.0
+                        assert abs(cauchy_transform(f, z, W) - expected) < 1e-6, (z, piece, fraction, side)
+
+    @pytest.mark.parametrize("name", ["poly3", "expz", "rational"])
+    def test_holomorphic_table_stops_at_first_refinement(self, name, capsys):
+        for z in ("-0.2+0.5i", "0.5i", "0.3-0.4i"):
+            _fiber_values.cache_clear()
+            assert main(["theta", "--builtin", name, "--z", z]) == 0
+            capsys.readouterr()
+            assert _fiber_values.cache_info().misses == 2, z
+
+    def test_counterexample_near_the_curve(self):
+        # Subtracting F at the nearest node lets a non-constant F converge
+        # 3e-3 x diameter off the segment, where the plain sum does not.
+        # (Off the arc of -0.2+0.5i it still fails at that distance.)
+        f = builtin("counterexample").oracle
+        for z in (-0.2 + 0.5j, 0.5j, 0.3 - 0.4j):
+            curve = fiber_curve(z)
+            for side in (1.0, -1.0):
+                W = off_curve(curve, "segment", 0.5, side * 3e-3 * curve.diameter)
+                expected = z**2 / W if side > 0 else 0.0
+                assert abs(cauchy_transform(f, z, W) - expected) < 1e-9, (z, side)
+
+    def test_nonconvergence_names_the_point(self):
+        # A non-constant F still defeats the quadrature very near the curve.
+        f = builtin("counterexample").oracle
+        z = 0.3 - 0.4j
+        curve = fiber_curve(z)
+        for side in (1.0, -1.0):
+            W = off_curve(curve, "segment", 0.5, side * 6e-5 * curve.diameter)
+            with pytest.raises(MoreraError) as err:
+                cauchy_transform(f, z, W)
+            assert type(err.value) is MoreraError
+            message = str(err.value)
+            assert f"W = {W}" in message
+            assert "6.00e-05 x diameter" in message
+            assert "last two sums differ by" in message
 
     def test_liouville_proxy(self):
         # For holomorphic f the fiberwise extension does not depend on w.
