@@ -317,17 +317,24 @@ def cmd_theta(args) -> int:
     pad = args.w_pad * curve.diameter
     xs = np.linspace(re.min() - pad, re.max() + pad, args.w_count)
     ys = np.linspace(im.min() - pad, im.max() + pad, args.w_count)
+    grid = [complex(x, y) for y in ys for x in xs]
+    near = [curve.distance(W) < curve.proximity_guard for W in grid]
+    far = [W for W, skip in zip(grid, near) if not skip]
+    # One winding number per W serves both the location and the transform.
+    windings = [fiber.winding_number(curve, W) for W in far]
+    values = []
+    if far:
+        values = fiber.cauchy_table(f, curve, far, windings, args.nodes, args.samples, tol).tolist()
+    results = zip(windings, values)
     rows = ["re_w,im_w,location,re_theta,im_theta,abs_theta"]
-    for y in ys:
-        for x in xs:
-            W = complex(x, y)
-            head = f"{float(x)!r},{float(y)!r}"
-            if curve.distance(W) < curve.proximity_guard:
-                rows.append(f"{head},near-curve,,,")
-                continue
-            location = "inside" if fiber.region_contains(curve, W) else "outside"
-            value = fiber.cauchy_transform(f, z, W, args.nodes, args.samples, tol, args.tau)
-            rows.append(f"{head},{location},{value.real!r},{value.imag!r},{abs(value)!r}")
+    for W, skip in zip(grid, near):
+        head = f"{W.real!r},{W.imag!r}"
+        if skip:
+            rows.append(f"{head},near-curve,,,")
+            continue
+        winding, value = next(results)
+        location = "inside" if winding else "outside"
+        rows.append(f"{head},{location},{value.real!r},{value.imag!r},{abs(value)!r}")
     _emit("\n".join(rows) + "\n", args.output)
     return EXIT_OK
 

@@ -71,7 +71,9 @@ class InconclusiveError(MoreraError):
     """A circle a computation relies on stayed aliased at the sample-count cap.
 
     Whether the function extends from that circle is undecided, so nothing
-    built on its extension can be computed.  Carries the circle.
+    built on its extension can be computed.  Carries the circle, or ``None``
+    when what stayed unresolved is the Chebyshev series of the fiberwise
+    extension along a piece of a fiber curve.
     """
 
     def __init__(self, message, circle=None):

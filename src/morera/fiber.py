@@ -16,11 +16,17 @@ Cauchy transform (1/2 pi i) * integral of F(z, w)/(w - W) dw vanishes for W
 outside the closed region and reproduces the fiberwise extension inside;
 the plain fiber integral of F is a holomorphic function of z.
 
-Quadrature is composite Gauss-Legendre per smooth piece in the natural
-parameters (R on the segment, t on the arc), with node counts doubled until
-two successive refinements agree.  The Cauchy transform subtracts a constant
-c (F at the node nearest W) from the integrand and adds c * ind(W) back, so
-the near-singular part of the kernel only ever meets F - c.
+F is a smooth function of each piece's natural parameter (R on the segment,
+t on the arc), and a constant one for holomorphic f.  It is represented per
+piece by a Chebyshev series: the extension is computed from the circles of
+nested Chebyshev-Lobatto parameters (17, 33, ... up to 257 points) until the
+series' tail coefficients stop mattering, so only those circles are tested
+and sampled.  Quadrature is composite Gauss-Legendre per piece in the same
+parameters, with node counts doubled until two successive refinements
+agree; every level reads its node values from the series.  The Cauchy
+transform subtracts a constant c (F at the node nearest W) from the
+integrand and adds c * ind(W) back, so the near-singular part of the kernel
+only ever meets F - c.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -67,6 +73,18 @@ DEFAULT_NODES = 512
 _PANEL_ORDER = 16
 # Gauss-Legendre nodes and weights of one panel on [-1, 1].
 _PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(_PANEL_ORDER)
+# F(z, .) is sampled per piece on nested Chebyshev-Lobatto grids of 17, 33,
+# ... up to 257 points, doubled until the last quarter of the series'
+# coefficients falls below _CHEB_CHOP times the piece's scale.  The scale is
+# max|F|, but at least _CHEB_FLOOR times the largest root-mean-square of f
+# on a sampled circle: the extension's round-off is about 1e-15 of the
+# latter, so an F that nearly vanishes (z^100 near 0) chops on noise.
+_CHEB_START = 17
+_CHEB_MAX = 257
+_CHEB_CHOP = 1e-10
+_CHEB_FLOOR = 1e-3
+# Cauchy kernels of many W are formed in row blocks of about this many entries.
+_BLOCK_ELEMENTS = 1 << 16
 
 Oracle = Callable[[complex], complex]
 
@@ -160,6 +178,33 @@ def _arc_distance(W: complex, arc: Arc) -> float:
     return min(abs(W - arc.start), abs(W - arc.end))
 
 
+def _quadrature(z: complex, t_min: float, per_piece: int) -> tuple:
+    """Composite Gauss nodes of both pieces in traversal order.
+
+    Returns (w, dw, piece, param): positions, complex weights, piece index
+    (0 segment, 1 arc) and owning-circle parameter of every node.
+    """
+    if z.imag > 0:
+        r_lo, r_hi = abs(z), 1.0
+        t_lo, t_hi = 0.0, t_min
+    else:
+        r_lo, r_hi = 1.0, abs(z)
+        t_lo, t_hi = t_min, 0.0
+
+    rs, wr = _composite_gauss(r_lo, r_hi, per_piece)
+    seg_w = rs**2 / z
+    seg_dw = (2.0 * rs / z) * wr
+
+    ts, wt = _composite_gauss(t_lo, t_hi, per_piece)
+    arc_w = ((z + 2.0) * ts + 1.0) / (z - ts)
+    arc_dw = ((z + 1.0) ** 2 / (z - ts) ** 2) * wt
+
+    seg = (seg_w, seg_dw, np.zeros(rs.shape, dtype=int), rs)
+    arc = (arc_w, arc_dw, np.ones(ts.shape, dtype=int), ts)
+    first, second = (seg, arc) if z.imag > 0 else (arc, seg)
+    return tuple(np.concatenate([a, b]) for a, b in zip(first, second))
+
+
 def fiber_curve(z: complex, nodes_per_piece: int = DEFAULT_NODES // 2, tau: float = DEFAULT_TAU) -> FiberCurve:
     """Build the positively oriented fiber curve of ``z``.
 
@@ -175,37 +220,10 @@ def fiber_curve(z: complex, nodes_per_piece: int = DEFAULT_NODES // 2, tau: floa
     if not in_admissible_region(z, tau):
         raise DomainError(f"z = {z} outside the admissible region for tau = {tau}")
     t_min = pencil_param(z)
-    arc = arc_lambda(z)
-    zbar = z.conjugate()
-    inv = 1.0 / z
-
-    if z.imag > 0:
-        r_lo, r_hi = abs(z), 1.0
-        t_lo, t_hi = 0.0, t_min
-    else:
-        r_lo, r_hi = 1.0, abs(z)
-        t_lo, t_hi = t_min, 0.0
-
-    rs, wr = _composite_gauss(r_lo, r_hi, nodes_per_piece)
-    seg_w = rs**2 / z
-    seg_dw = (2.0 * rs / z) * wr
-
-    ts, wt = _composite_gauss(t_lo, t_hi, nodes_per_piece)
-    arc_w = ((z + 2.0) * ts + 1.0) / (z - ts)
-    arc_dw = ((z + 1.0) ** 2 / (z - ts) ** 2) * wt
-
-    if z.imag > 0:
-        nodes_w = np.concatenate([seg_w, arc_w])
-        nodes_dw = np.concatenate([seg_dw, arc_dw])
-        nodes_piece = np.concatenate([np.zeros_like(rs, dtype=int), np.ones_like(ts, dtype=int)])
-        nodes_param = np.concatenate([rs, ts])
-    else:
-        nodes_w = np.concatenate([arc_w, seg_w])
-        nodes_dw = np.concatenate([arc_dw, seg_dw])
-        nodes_piece = np.concatenate([np.ones_like(ts, dtype=int), np.zeros_like(rs, dtype=int)])
-        nodes_param = np.concatenate([ts, rs])
-
-    curve = FiberCurve(z, (zbar, inv), arc, t_min, +1, nodes_w, nodes_dw, nodes_piece, nodes_param)
+    nodes_w, nodes_dw, nodes_piece, nodes_param = _quadrature(z, t_min, nodes_per_piece)
+    curve = FiberCurve(
+        z, (z.conjugate(), 1.0 / z), arc_lambda(z), t_min, +1, nodes_w, nodes_dw, nodes_piece, nodes_param
+    )
     # Orientation self-check: the signed area (1/2i) * contour integral of
     # conj(w) dw must come out positive.
     area = float(np.sum(np.conj(nodes_w) * nodes_dw).imag) / 2.0
@@ -318,87 +336,205 @@ def eval_F(
 
 def _piece_values(
     f: Oracle, z: complex, centers: np.ndarray, radii: np.ndarray, samples: int, tol: float, kind: str
-) -> np.ndarray:
-    """Extensions of ``f`` from the circles owning one piece's nodes, all at ``z``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Extensions of ``f`` from the given circles of one piece, all at ``z``.
 
     One :func:`extension.analyze_batch` call; a circle that fails the test
     (or stays aliased at the sample cap) aborts the piece, naming the circle.
+    Also returns the root-mean-square of ``f`` on each circle, the scale of
+    the round-off in its extension.
     """
     batch = ext.analyze_batch(f, centers, radii, tol, samples)
     batch.require_extensions(
         lambda i: f"the {kind} circle (center {batch.centers[i]}, radius {batch.radii[i]}) "
         "met along the fiber curve"
     )
-    return batch.evaluate(np.full(centers.shape, z))
+    return batch.evaluate(np.full(centers.shape, z)), np.sqrt(batch.total_energy)
 
 
-@lru_cache(maxsize=64)
-def _fiber_values(
-    f: Oracle, z: complex, nodes_per_piece: int, samples: int, tol: float, tau: float
-) -> tuple[FiberCurve, np.ndarray]:
-    # One batch per piece; the first piece's batch is released (on return
-    # from _piece_values) before the second piece is sampled.
-    curve = fiber_curve(z, nodes_per_piece, tau)
-    values = np.empty_like(curve.nodes_w)
-    seg = curve.nodes_piece == 0
-    rs = curve.nodes_param[seg]
-    values[seg] = _piece_values(f, z, np.zeros(rs.shape, dtype=complex), rs, samples, tol, "centered")
-    arc = curve.nodes_piece == 1
-    ts = curve.nodes_param[arc]
-    values[arc] = _piece_values(f, z, ts.astype(complex), ts + 1.0, samples, tol, "pencil")
-    return curve, values
+def _lobatto(lo: float, hi: float, n: int) -> np.ndarray:
+    """The n + 1 Chebyshev-Lobatto points of [lo, hi], from hi down to lo."""
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(n + 1) / n)
 
 
-def _contour_sum(curve: FiberCurve, values: np.ndarray, W: complex | None, c: complex, jump: complex) -> complex:
-    if W is None:
-        return complex(np.sum(values * curve.nodes_dw))
-    kernel = (values - c) / (curve.nodes_w - W)
-    return complex(np.sum(kernel * curve.nodes_dw) / (2.0j * math.pi)) + jump
+def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
+    """Coefficients of the Chebyshev interpolant through values at cos(pi j / n), j = 0..n."""
+    n = values.size - 1
+    coefficients = np.fft.fft(np.concatenate([values, values[-2:0:-1]]))[: n + 1] / n
+    coefficients[0] /= 2.0
+    coefficients[n] /= 2.0
+    return coefficients
 
 
-def _refined_transform(
-    f: Oracle,
-    z: complex,
-    W: complex | None,
-    nodes: int,
-    samples: int,
-    tol: float,
-    tau: float,
-) -> complex:
-    per_piece = max(_PANEL_ORDER, nodes // 2)
-    curve, values = _fiber_values(f, z, per_piece, samples, tol, tau)
-    # Singularity subtraction: Theta(W) = (1/2 pi i) * integral of
-    # (F - c)/(w - W) dw + c * ind(W) holds for any constant c.  With c the
-    # value at the first level's node nearest W the integrand stays small
-    # where the kernel is large; c is fixed for every level.
-    c = 0j
-    jump = 0j
-    if W is not None:
-        guard = curve.proximity_guard
-        d = curve.distance(W)
-        if d < guard:
-            raise CurveProximityError(
-                f"W = {W} is within {guard:.3e} of the fiber curve of z = {z}; "
-                "move W or refine the curve"
+@dataclass(frozen=True)
+class _PieceSeries:
+    """Chebyshev series of F(z, .) in one piece's parameter over [lo, hi].
+
+    ``tail`` is the largest coefficient in the last quarter and ``scale``
+    the largest |F| sampled (at least ``_CHEB_FLOOR`` times the largest
+    root-mean-square of f on a sampled circle); the series is resolved when
+    the tail is at most ``QUAD_REFINE_TOL * scale``.
+    """
+
+    name: str
+    lo: float
+    hi: float
+    coefficients: np.ndarray
+    tail: float
+    scale: float
+
+    @property
+    def symbol(self) -> str:
+        return "R" if self.name == "segment" else "t"
+
+    def __call__(self, params: np.ndarray) -> np.ndarray:
+        x = (2.0 * params - (self.lo + self.hi)) / (self.hi - self.lo)
+        return np.polynomial.chebyshev.chebval(x, self.coefficients)
+
+    def require_resolved(self, z: complex) -> None:
+        """Raise :class:`InconclusiveError` naming the piece unless its tail is within tolerance."""
+        if not self.tail <= QUAD_REFINE_TOL * self.scale:
+            raise InconclusiveError(
+                f"the fiberwise extension along the {self.name} of the fiber curve of z = {z} "
+                f"({self.symbol} from {self.lo!r} to {self.hi!r}) is unresolved: its Chebyshev "
+                f"tail is {self.tail:.3e} against a scale of {self.scale:.3e} at "
+                f"{self.coefficients.size} points"
             )
-        c = complex(values[np.argmin(np.abs(curve.nodes_w - W))])
-        if c != 0:
-            jump = c * winding_number(curve, W)
-    current = _contour_sum(curve, values, W, c, jump)
-    for _ in range(MAX_REFINEMENTS):
-        per_piece *= 2
-        curve, values = _fiber_values(f, z, per_piece, samples, tol, tau)
-        refined = _contour_sum(curve, values, W, c, jump)
-        change = abs(refined - current)
-        if change < QUAD_REFINE_TOL:
-            return refined
-        current = refined
-    where = "the fiber integral" if W is None else f"W = {W} ({d / curve.diameter:.2e} x diameter from the curve)"
-    raise MoreraError(
-        f"contour quadrature over the fiber curve of z = {z} failed to converge "
-        f"to {QUAD_REFINE_TOL} within {MAX_REFINEMENTS} refinements at {where}: "
-        f"the last two sums differ by {change:.3e}"
-    )
+
+
+def _piece_series(
+    f: Oracle, z: complex, name: str, lo: float, hi: float, samples: int, tol: float
+) -> _PieceSeries:
+    """Sample F on nested Lobatto grids of the piece until its series chops.
+
+    The segment's circles are centered with radius R, the arc's are the
+    pencil circles of parameter t.  Each doubling analyses only the new
+    (odd-index) circles.  Stops once the last quarter of the coefficients is
+    at most ``_CHEB_CHOP`` times the scale, or at ``_CHEB_MAX`` points.
+    """
+
+    def values_at(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if name == "segment":
+            return _piece_values(f, z, np.zeros(params.shape, dtype=complex), params, samples, tol, "centered")
+        return _piece_values(f, z, params.astype(complex), params + 1.0, samples, tol, "pencil")
+
+    n = _CHEB_START - 1
+    values, rms = values_at(_lobatto(lo, hi, n))
+    scale = max(float(np.abs(values).max()), _CHEB_FLOOR * float(rms.max()))
+    while True:
+        coefficients = _chebyshev_coefficients(values)
+        tail = float(np.abs(coefficients[-((n + 1) // 4) :]).max())
+        if tail <= _CHEB_CHOP * scale or n + 1 >= _CHEB_MAX:
+            return _PieceSeries(name, lo, hi, coefficients, tail, scale)
+        n *= 2
+        new, rms = values_at(_lobatto(lo, hi, n)[1::2])
+        scale = max(scale, float(np.abs(new).max()), _CHEB_FLOOR * float(rms.max()))
+        merged = np.empty(n + 1, dtype=complex)
+        merged[0::2] = values
+        merged[1::2] = new
+        values = merged
+
+
+class _FiberField:
+    """F(z, .) along the fiber curve of z, one Chebyshev series per piece.
+
+    Built once per (f, z, samples, tol, tau): every quadrature level reads its
+    node values from the series, so refining the quadrature costs no oracle
+    call.  A circle that fails the extendability test raises
+    :class:`ExtensionFailureError` from whichever piece meets it; only when
+    none does, a piece whose series did not resolve raises
+    :class:`InconclusiveError` naming the piece and its parameter range.
+    """
+
+    def __init__(self, f: Oracle, curve: FiberCurve, samples: int, tol: float):
+        self.curve = curve
+        z = curve.z
+        self.pieces = (
+            _piece_series(f, z, "segment", abs(z), 1.0, samples, tol),
+            _piece_series(f, z, "arc", curve.t_min, 0.0, samples, tol),
+        )
+        for piece in self.pieces:
+            piece.require_resolved(z)
+
+    def level(self, per_piece: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nodes, weights and F values of the composite Gauss rule with ``per_piece`` nodes a piece."""
+        w, dw, piece, param = _quadrature(self.curve.z, self.curve.t_min, per_piece)
+        values = np.empty_like(w)
+        for index, series in enumerate(self.pieces):
+            mask = piece == index
+            values[mask] = series(param[mask])
+        return w, dw, values
+
+    def _refine(self, per_piece: int, first: tuple, count: int, sums: Callable, where: Callable) -> np.ndarray:
+        """``count`` contour sums, node counts doubled until two successive levels agree.
+
+        ``sums(w, dw, values, rows)`` gives the sums of ``rows`` at one level;
+        only rows that have not yet agreed go on to the next level.  The first
+        row still apart after ``MAX_REFINEMENTS`` doublings raises, named by
+        ``where(row)``.
+        """
+        rows = np.arange(count)
+        current = sums(*first, rows)
+        result = np.empty(count, dtype=complex)
+        for _ in range(MAX_REFINEMENTS):
+            per_piece *= 2
+            refined = sums(*self.level(per_piece), rows)
+            change = np.abs(refined - current)
+            done = change < QUAD_REFINE_TOL
+            result[rows[done]] = refined[done]
+            rows, current, change = rows[~done], refined[~done], change[~done]
+            if not rows.size:
+                return result
+        raise MoreraError(
+            f"contour quadrature over the fiber curve of z = {self.curve.z} failed to converge "
+            f"to {QUAD_REFINE_TOL} within {MAX_REFINEMENTS} refinements at {where(int(rows[0]))}: "
+            f"the last two sums differ by {change[0]:.3e}"
+        )
+
+    def transforms(self, Ws: np.ndarray, windings: np.ndarray, nodes: int) -> np.ndarray:
+        """Cauchy transforms at points ``Ws`` beyond the proximity guard, with their winding numbers.
+
+        Singularity subtraction: Theta(W) = (1/2 pi i) * integral of
+        (F - c)/(w - W) dw + c * ind(W) holds for any constant c.  With c the
+        value at the first level's node nearest W the integrand stays small
+        where the kernel is large; c is fixed for every level.  The
+        (W x nodes) kernels are taken in row blocks of about
+        ``_BLOCK_ELEMENTS`` entries.
+        """
+        Ws = np.asarray(Ws, dtype=complex)
+        per_piece = max(_PANEL_ORDER, nodes // 2)
+        first = self.level(per_piece)
+        w0, _, values0 = first
+        step = max(1, _BLOCK_ELEMENTS // w0.size)
+        c = np.empty_like(Ws)
+        for s in range(0, Ws.size, step):
+            c[s : s + step] = values0[np.argmin(np.abs(w0 - Ws[s : s + step, None]), axis=1)]
+        jump = c * np.asarray(windings)
+
+        def sums(w, dw, values, rows):
+            out = np.empty(rows.size, dtype=complex)
+            step = max(1, _BLOCK_ELEMENTS // w.size)
+            for s in range(0, rows.size, step):
+                block = rows[s : s + step]
+                kernel = (values - c[block, None]) / (w - Ws[block, None])
+                out[s : s + step] = np.sum(kernel * dw, axis=1)
+            return out / (2.0j * math.pi) + jump[rows]
+
+        def where(row):
+            W = complex(Ws[row])
+            return f"W = {W} ({self.curve.distance(W) / self.curve.diameter:.2e} x diameter from the curve)"
+
+        return self._refine(per_piece, first, Ws.size, sums, where)
+
+    def integral(self, nodes: int) -> complex:
+        """Plain contour integral of F dw."""
+        per_piece = max(_PANEL_ORDER, nodes // 2)
+
+        def sums(w, dw, values, rows):
+            return np.full(rows.size, np.sum(values * dw))
+
+        result = self._refine(per_piece, self.level(per_piece), 1, sums, lambda row: "the fiber integral")
+        return complex(result[0])
 
 
 def cauchy_transform(
@@ -417,7 +553,35 @@ def cauchy_transform(
     extension at ``W`` inside.  ``nodes`` is the total initial node count
     across both pieces; it is doubled until two refinements agree.
     """
-    return _refined_transform(f, complex(z), complex(W), nodes, samples, tol, tau)
+    z = complex(z)
+    W = complex(W)
+    curve = fiber_curve(z, tau=tau)
+    guard = curve.proximity_guard
+    if curve.distance(W) < guard:
+        raise CurveProximityError(
+            f"W = {W} is within {guard:.3e} of the fiber curve of z = {z}; "
+            "move W or refine the curve"
+        )
+    return complex(cauchy_table(f, curve, [W], [winding_number(curve, W)], nodes, samples, tol)[0])
+
+
+def cauchy_table(
+    f: Oracle,
+    curve: FiberCurve,
+    Ws,
+    windings,
+    nodes: int = DEFAULT_NODES,
+    samples: int = ext.DEFAULT_SAMPLES,
+    tol: float = ext.DEFAULT_MORERA_TOL,
+) -> np.ndarray:
+    """Cauchy transforms along ``curve`` at many points ``Ws``, sampling F once.
+
+    Every W must lie beyond the proximity guard and come with its winding
+    number.  Equals :func:`cauchy_transform` at each W; a W whose quadrature
+    does not converge raises, the first in the order given.
+    """
+    field = _FiberField(f, curve, samples, tol)
+    return field.transforms(np.asarray(Ws, dtype=complex), np.asarray(windings), nodes)
 
 
 def fiber_integral(
@@ -434,4 +598,4 @@ def fiber_integral(
     for functions extending from every circle met by the curve it is zero up
     to quadrature error.
     """
-    return _refined_transform(f, complex(z), None, nodes, samples, tol, tau)
+    return _FiberField(f, fiber_curve(complex(z), tau=tau), samples, tol).integral(nodes)

@@ -6,18 +6,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from morera import extension, fiber
 from morera.cli import main
 from morera.errors import (
     CurveProximityError,
     DegenerateInputError,
     DomainError,
     ExtensionFailureError,
+    InconclusiveError,
     MoreraError,
 )
 from morera.fiber import (
     RegionD,
     _arc_distance,
-    _fiber_values,
+    _FiberField,
+    _piece_series,
+    _piece_values,
     cauchy_transform,
     eval_F,
     eval_on_arc_leaf,
@@ -29,6 +33,7 @@ from morera.fiber import (
 )
 from morera.funczoo import builtin, holomorphic_members
 from morera.geometry import in_admissible_region
+from morera.gridio import GridFunction
 
 # Admissible, comfortably non-real base points for property tests.
 admissible_points = st.builds(
@@ -75,6 +80,20 @@ def reference_winding(curve, W):
     winding = total / (2.0 * math.pi)
     assert abs(winding - round(winding)) < 0.25
     return int(round(winding))
+
+
+def reference_node_values(f, curve, samples=256, tol=1e-8):
+    """F at every quadrature node of ``curve``, each node's circle analysed on
+    its own: the per-node evaluation the Chebyshev series replaced."""
+    z = curve.z
+    values = np.empty_like(curve.nodes_w)
+    seg = curve.nodes_piece == 0
+    rs = curve.nodes_param[seg]
+    values[seg] = _piece_values(f, z, np.zeros(rs.shape, dtype=complex), rs, samples, tol, "centered")[0]
+    arc = curve.nodes_piece == 1
+    ts = curve.nodes_param[arc]
+    values[arc] = _piece_values(f, z, ts.astype(complex), ts + 1.0, samples, tol, "pencil")[0]
+    return values
 
 
 def interior_probe(curve):
@@ -296,12 +315,88 @@ class TestCauchyTransform:
                         assert abs(cauchy_transform(f, z, W) - expected) < 1e-6, (z, piece, fraction, side)
 
     @pytest.mark.parametrize("name", ["poly3", "expz", "rational"])
-    def test_holomorphic_table_stops_at_first_refinement(self, name, capsys):
+    def test_holomorphic_table_stops_at_first_refinement(self, name, capsys, monkeypatch):
+        # F(z, .) is constant, so each piece's series chops at the first
+        # Lobatto grid: one oracle call per piece, however many W the table
+        # has.  Every W converges at the first refinement, so the table
+        # builds the curve's nodes and two quadrature levels.
+        calls = []
+        levels = []
+        oracle_values = extension.oracle_values
+        quadrature = fiber._quadrature
+
+        def counted(f, points, check=True):
+            calls.append(np.size(points))
+            return oracle_values(f, points, check)
+
+        def counted_levels(z, t_min, per_piece):
+            levels.append(per_piece)
+            return quadrature(z, t_min, per_piece)
+
+        monkeypatch.setattr(extension, "oracle_values", counted)
+        monkeypatch.setattr(fiber, "_quadrature", counted_levels)
         for z in ("-0.2+0.5i", "0.5i", "0.3-0.4i"):
-            _fiber_values.cache_clear()
-            assert main(["theta", "--builtin", name, "--z", z]) == 0
-            capsys.readouterr()
-            assert _fiber_values.cache_info().misses == 2, z
+            counts = []
+            for w_count in ("3", "15"):
+                calls.clear()
+                levels.clear()
+                assert main(["theta", "--builtin", name, "--z", z, "--w-count", w_count]) == 0
+                capsys.readouterr()
+                assert len(calls) == 2, (z, w_count)
+                assert sum(calls) <= 2 * 33 * 256, (z, w_count)
+                assert levels == [256, 256, 512], (z, w_count)
+                counts.append(list(calls))
+            assert counts[0] == counts[1], z
+
+    def test_table_output_is_deterministic(self, capsys):
+        outputs = []
+        for _ in range(2):
+            assert main(["theta", "--builtin", "counterexample", "--z", "-0.2+0.5i", "--w-count", "9"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_table_matches_single_transforms(self, capsys):
+        f = builtin("counterexample").oracle
+        z = -0.2 + 0.5j
+        assert main(["theta", "--builtin", "counterexample", "--z", "-0.2+0.5i", "--w-count", "5"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        for row in rows:
+            if row[2] == "near-curve":
+                continue
+            W = complex(float(row[0]), float(row[1]))
+            value = complex(float(row[3]), float(row[4]))
+            assert value == cauchy_transform(f, z, W), W
+
+    @pytest.mark.parametrize("z", [-0.2 + 0.5j, 0.5j, 0.3 - 0.4j, -0.05 - 0.3j])
+    def test_counterexample_closed_form(self, z):
+        # F(z, w) = z^2/w on both pieces (segment: z^3/R^2 with R^2 = w z;
+        # arc: z^2 (z - t)/((z + 2) t + 1) = z^2/w), so by partial fractions
+        # Theta(W) = (z^2/W) (ind W - ind 0).  At -0.05-0.3i the arc's
+        # series runs to the 257-point cap.
+        f = builtin("counterexample").oracle
+        curve = fiber_curve(z)
+        ind0 = winding_number(curve, 0.0)
+
+        def closed_form(W):
+            return z**2 / W * (winding_number(curve, W) - ind0)
+
+        for W in (3.0 + 1.0j, -2.0 - 2.0j, 0.1 + 4.0j, interior_probe(curve)):
+            assert abs(cauchy_transform(f, z, W) - closed_form(W)) < 1e-9, W
+        for piece in ("segment", "arc"):
+            for s in (0.25, 0.5, 0.75):
+                for side in (1.0, -1.0):
+                    W = off_curve(curve, piece, s, side * 1e-2 * curve.diameter)
+                    assert abs(cauchy_transform(f, z, W) - closed_form(W)) < 1e-9, (piece, s, side)
+                    # 3e-3 x diameter off, panels are too coarse for some W
+                    # (there is no adaptive refinement near W): those must
+                    # raise the non-convergence error, never a wrong value.
+                    W = off_curve(curve, piece, s, side * 3e-3 * curve.diameter)
+                    try:
+                        value = cauchy_transform(f, z, W)
+                    except MoreraError as err:
+                        assert "failed to converge" in str(err), (piece, s, side)
+                        continue
+                    assert abs(value - closed_form(W)) < 1e-9, (piece, s, side)
 
     def test_counterexample_near_the_curve(self):
         # Subtracting F at the nearest node lets a non-constant F converge
@@ -338,6 +433,52 @@ class TestCauchyTransform:
         values = [eval_F(f, z, complex(w)) for w in curve.nodes_w[::64]]
         spread = max(abs(a - b) for a in values for b in values)
         assert spread < 1e-8
+
+
+class TestFiberSeries:
+    @pytest.mark.parametrize("name", ["poly3", "expz", "rational", "counterexample"])
+    def test_matches_per_node_values(self, name):
+        f = builtin(name).oracle
+        for z in (0.5j, -0.2 + 0.5j, 0.3 - 0.4j, -0.35j):
+            field = _FiberField(f, fiber_curve(z), 256, 1e-8)
+            for per_piece in (256, 512):
+                curve = fiber_curve(z, per_piece)
+                w, dw, values = field.level(per_piece)
+                assert np.array_equal(w, curve.nodes_w) and np.array_equal(dw, curve.nodes_dw)
+                expected = reference_node_values(f, curve)
+                assert np.abs(values - expected).max() <= 1e-12 * np.abs(expected).max(), (z, per_piece)
+
+    def test_grid_source_matches_per_node_values(self):
+        # Extendability thresholds are inflated x10 for grid sources, as the
+        # CLI does; interpolation noise in F is about 1e-11.
+        f = builtin("rational").oracle
+        radii = np.linspace(0.0, 1.0, 64)
+        thetas = 2.0 * np.pi * np.arange(128) / 128
+        grid = GridFunction(radii, thetas, f(radii[:, None] * np.exp(1j * thetas)[None, :]))
+        for z in (0.5j, -0.2 + 0.5j, 0.3 - 0.4j):
+            curve = fiber_curve(z)
+            _, _, values = _FiberField(grid, curve, 256, 1e-7).level(256)
+            expected = reference_node_values(grid, curve, tol=1e-7)
+            assert np.abs(values - expected).max() <= 1e-9 * np.abs(expected).max(), z
+
+    def test_holomorphic_series_chops_at_first_grid(self):
+        for name in ("poly3", "expz", "rational"):
+            field = _FiberField(builtin(name).oracle, fiber_curve(-0.2 + 0.5j), 256, 1e-8)
+            assert [piece.coefficients.size for piece in field.pieces] == [17, 17], name
+
+    def test_kinked_piece_is_unresolved(self):
+        # F = |R - 0.7| on the segment has a kink, so its Chebyshev tail
+        # decays only algebraically and is still far above tolerance at the
+        # 257-point cap.
+        f = lambda p: np.abs(np.abs(p) - 0.7)
+        series = _piece_series(f, 0.5j, "segment", 0.5, 1.0, 256, 1e-8)
+        assert series.coefficients.size == 257
+        with pytest.raises(InconclusiveError, match=r"along the segment .*\(R from 0\.5 to 1\.0\) is unresolved"):
+            series.require_resolved(0.5j)
+        # The pencil circles of the arc fail the extendability test, which
+        # takes precedence over the unresolved segment.
+        with pytest.raises(ExtensionFailureError):
+            fiber_integral(f, 0.5j)
 
 
 class TestFiberIntegral:

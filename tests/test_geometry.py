@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from morera.errors import DegenerateInputError, DomainError, ParameterDomainError
@@ -198,9 +198,11 @@ class TestSurrounds:
     @settings(max_examples=200)
     def test_pencil_nesting_declared_by_parameter(self, t1, t2):
         # All pencil members touch at -1; the family is ordered by t, with
-        # internal tangency counting as nested.
-        if t1 == t2:
-            return
+        # internal tangency counting as nested.  Parameters whose radii
+        # t + 1 round to the same float (t = -0.01 against one ulp below)
+        # give discs that are not nested in floating point, so they are not
+        # ordered by t.
+        assume(t1 + 1.0 != t2 + 1.0)
         lo, hi = min(t1, t2), max(t1, t2)
         assert surrounds(pencil_circle(lo), pencil_circle(hi), tangency_tol=1e-12) is True
         assert surrounds(pencil_circle(hi), pencil_circle(lo), tangency_tol=1e-12) is False
