@@ -109,57 +109,84 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_VALUE
 
 
+def _test_circle_flags(parser: argparse.ArgumentParser) -> None:
+    _add_function_flags(parser)
+    _add_tolerance_flags(parser)
+    parser.add_argument("--center", default="0", help="circle center (default 0)")
+    parser.add_argument("--radius", type=float, required=True, help="circle radius")
+    parser.add_argument("-o", "--output", default=None, help="write JSON here instead of stdout")
+
+
+def _sweep_flags(parser: argparse.ArgumentParser) -> None:
+    _add_function_flags(parser)
+    _add_family_flags(parser)
+    _add_tolerance_flags(parser)
+    parser.add_argument("--family", choices=["both", "centered", "pencil"], default="both")
+    parser.add_argument("-o", "--output", default=None)
+
+
+def _fiber_flags(parser: argparse.ArgumentParser) -> None:
+    _add_function_flags(parser)  # accepted for interface uniformity; geometry only
+    parser.add_argument("--z", action="append", required=True, help="base point (repeatable)")
+    parser.add_argument("--tau", type=float, default=DEFAULT_TAU)
+    parser.add_argument("--points-per-piece", type=int, default=256)
+    parser.add_argument("-o", "--output", default=None)
+
+
+def _theta_flags(parser: argparse.ArgumentParser) -> None:
+    _add_function_flags(parser)
+    _add_tolerance_flags(parser)
+    parser.add_argument("--z", required=True, help="base point")
+    parser.add_argument("--tau", type=float, default=DEFAULT_TAU)
+    parser.add_argument("--nodes", type=int, default=fiber.DEFAULT_NODES)
+    parser.add_argument("--w-count", type=int, default=15, help="W-grid is w-count x w-count (default %(default)s)")
+    parser.add_argument("--w-pad", type=float, default=0.75, help="grid padding as a fraction of the curve diameter")
+    parser.add_argument("-o", "--output", default=None)
+
+
+def _verdict_flags(parser: argparse.ArgumentParser) -> None:
+    _add_function_flags(parser)
+    _add_family_flags(parser)
+    _add_tolerance_flags(parser)
+    parser.add_argument("-o", "--output", default=None)
+
+
+def _demo_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--tau", type=float, default=DEFAULT_TAU)
+    parser.add_argument("--floor", type=float, default=0.6, help="radius floor of the violating config (default %(default)s)")
+    parser.add_argument("--circles", type=int, default=analysis.DEFAULT_CIRCLES)
+    parser.add_argument("-o", "--output", default=None, help="write both reports as JSON here")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every command of ``_COMMANDS`` as a subcommand."""
     parser = _Parser(
         prog="morera",
         description="Numerical tests for holomorphic extendability from families of circles.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p_circle = sub.add_parser("test-circle", help="extendability report for a single circle")
-    _add_function_flags(p_circle)
-    _add_tolerance_flags(p_circle)
-    p_circle.add_argument("--center", default="0", help="circle center (default 0)")
-    p_circle.add_argument("--radius", type=float, required=True, help="circle radius")
-    p_circle.add_argument("-o", "--output", default=None, help="write JSON here instead of stdout")
-
-    p_sweep = sub.add_parser("sweep", help="family sweeps, JSON report")
-    _add_function_flags(p_sweep)
-    _add_family_flags(p_sweep)
-    _add_tolerance_flags(p_sweep)
-    p_sweep.add_argument("--family", choices=["both", "centered", "pencil"], default="both")
-    p_sweep.add_argument("-o", "--output", default=None)
-
-    p_fiber = sub.add_parser("fiber", help="fiber-curve polyline CSV")
-    _add_function_flags(p_fiber)  # accepted for interface uniformity; geometry only
-    p_fiber.add_argument("--z", action="append", required=True, help="base point (repeatable)")
-    p_fiber.add_argument("--tau", type=float, default=DEFAULT_TAU)
-    p_fiber.add_argument("--points-per-piece", type=int, default=256)
-    p_fiber.add_argument("-o", "--output", default=None)
-
-    p_theta = sub.add_parser("theta", help="Cauchy-transform table over a W-grid, CSV")
-    _add_function_flags(p_theta)
-    _add_tolerance_flags(p_theta)
-    p_theta.add_argument("--z", required=True, help="base point")
-    p_theta.add_argument("--tau", type=float, default=DEFAULT_TAU)
-    p_theta.add_argument("--nodes", type=int, default=fiber.DEFAULT_NODES)
-    p_theta.add_argument("--w-count", type=int, default=15, help="W-grid is w-count x w-count (default %(default)s)")
-    p_theta.add_argument("--w-pad", type=float, default=0.75, help="grid padding as a fraction of the curve diameter")
-    p_theta.add_argument("-o", "--output", default=None)
-
-    p_verdict = sub.add_parser("verdict", help="full pipeline with classification")
-    _add_function_flags(p_verdict)
-    _add_family_flags(p_verdict)
-    _add_tolerance_flags(p_verdict)
-    p_verdict.add_argument("-o", "--output", default=None)
-
-    p_demo = sub.add_parser("demo-sharpness", help="counterexample under valid vs hypothesis-violating configs")
-    p_demo.add_argument("--tau", type=float, default=DEFAULT_TAU)
-    p_demo.add_argument("--floor", type=float, default=0.6, help="radius floor of the violating config (default %(default)s)")
-    p_demo.add_argument("--circles", type=int, default=analysis.DEFAULT_CIRCLES)
-    p_demo.add_argument("-o", "--output", default=None, help="write both reports as JSON here")
-
+    for name, (summary, add_flags, _) in _COMMANDS.items():
+        add_flags(sub.add_parser(name, help=summary))
     return parser
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse a command line as :func:`build_parser` does, building only the invoked command's parser.
+
+    The command's parser is the full parser's subparser for it (same prog,
+    same flags), so its help and its errors read the same; a command line it
+    takes whole gives the same namespace.  Anything else (no command, an
+    unknown one, the top-level ``-h``, arguments left over) goes to the full
+    parser, whose help, usage and errors are then the ones printed.
+    """
+    if argv and argv[0] in _COMMANDS:
+        _, add_flags, _ = _COMMANDS[argv[0]]
+        parser = _Parser(prog=f"morera {argv[0]}")
+        add_flags(parser)
+        args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def resolve_function(args) -> tuple:
@@ -183,6 +210,11 @@ def resolve_function(args) -> tuple:
         f"function interpolated from grid file; extendability threshold inflated x{inflation}"
     )
     return oracle, {"source": "grid", "path": args.grid}, warnings, inflation
+
+
+def _require_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise ConfigError(f"{flag} must be at least 1, got {value}")
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -292,6 +324,7 @@ def cmd_sweep(args) -> int:
 def cmd_fiber(args) -> int:
     # The function source is accepted for interface uniformity but the curve
     # is pure geometry; it is not evaluated here.
+    _require_positive("--points-per-piece", args.points_per_piece)
     zs = [parse_point(text) for text in args.z]
     rows = ["piece,index,param,re_w,im_w"] if len(zs) == 1 else ["z_re,z_im,piece,index,param,re_w,im_w"]
     for z in zs:
@@ -307,6 +340,7 @@ def cmd_fiber(args) -> int:
 
 
 def cmd_theta(args) -> int:
+    _require_positive("--w-count", args.w_count)
     f, desc, warnings, inflation = resolve_function(args)
     del desc
     z = parse_point(args.z)
@@ -318,16 +352,17 @@ def cmd_theta(args) -> int:
     xs = np.linspace(re.min() - pad, re.max() + pad, args.w_count)
     ys = np.linspace(im.min() - pad, im.max() + pad, args.w_count)
     grid = [complex(x, y) for y in ys for x in xs]
-    near = [curve.distance(W) < curve.proximity_guard for W in grid]
-    far = [W for W, skip in zip(grid, near) if not skip]
+    Ws = np.array(grid, dtype=complex)
+    near = curve.distances(Ws) < curve.proximity_guard
+    far = Ws[~near]
     # One winding number per W serves both the location and the transform.
-    windings = [fiber.winding_number(curve, W) for W in far]
+    windings = fiber.winding_numbers(curve, far)
     values = []
-    if far:
+    if far.size:
         values = fiber.cauchy_table(f, curve, far, windings, args.nodes, args.samples, tol).tolist()
-    results = zip(windings, values)
+    results = zip(windings.tolist(), values)
     rows = ["re_w,im_w,location,re_theta,im_theta,abs_theta"]
-    for W, skip in zip(grid, near):
+    for W, skip in zip(grid, near.tolist()):
         head = f"{W.real!r},{W.imag!r}"
         if skip:
             rows.append(f"{head},near-curve,,,")
@@ -445,21 +480,22 @@ def cmd_demo_sharpness(args) -> int:
     return EXIT_OK if reproduced else EXIT_FAILED_VERDICT
 
 
+# name -> (help, add_flags, handler); the order is the order of the help listing.
 _COMMANDS = {
-    "test-circle": cmd_test_circle,
-    "sweep": cmd_sweep,
-    "fiber": cmd_fiber,
-    "theta": cmd_theta,
-    "verdict": cmd_verdict,
-    "demo-sharpness": cmd_demo_sharpness,
+    "test-circle": ("extendability report for a single circle", _test_circle_flags, cmd_test_circle),
+    "sweep": ("family sweeps, JSON report", _sweep_flags, cmd_sweep),
+    "fiber": ("fiber-curve polyline CSV", _fiber_flags, cmd_fiber),
+    "theta": ("Cauchy-transform table over a W-grid, CSV", _theta_flags, cmd_theta),
+    "verdict": ("full pipeline with classification", _verdict_flags, cmd_verdict),
+    "demo-sharpness": ("counterexample under valid vs hypothesis-violating configs", _demo_flags, cmd_demo_sharpness),
 }
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
+    _, _, handler = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        return handler(args)
     except (ConfigError, ParseError, SamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -26,12 +26,13 @@ parameters, with node counts doubled until two successive refinements
 agree; every level reads its node values from the series.  The Cauchy
 transform subtracts a constant c (F at the node nearest W) from the
 integrand and adds c * ind(W) back, so the near-singular part of the kernel
-only ever meets F - c.
+only ever meets F - c.  A table of many W classifies them in one array pass
+(distances and winding numbers) and forms their kernels block by block in
+buffers allocated once per table, never kept between calls.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -83,8 +84,9 @@ _CHEB_START = 17
 _CHEB_MAX = 257
 _CHEB_CHOP = 1e-10
 _CHEB_FLOOR = 1e-3
-# Cauchy kernels of many W are formed in row blocks of about this many entries.
-_BLOCK_ELEMENTS = 1 << 16
+# Cauchy kernels of many W are formed in row blocks of about this many
+# entries: 256 KiB a complex block, so a block's buffers stay in cache.
+_BLOCK_ELEMENTS = 1 << 14
 
 Oracle = Callable[[complex], complex]
 
@@ -133,10 +135,32 @@ class FiberCurve:
 
     def distance(self, W: complex) -> float:
         """Exact distance from ``W`` to the curve trace."""
-        return min(
-            _segment_distance(W, self.segment[0], self.segment[1]),
-            _arc_distance(W, self.arc),
-        )
+        return float(self.distances(np.array([complex(W)]))[0])
+
+    def distances(self, Ws: np.ndarray) -> np.ndarray:
+        """Exact distances from the points ``Ws`` to the curve trace.
+
+        The nearer of the segment (the foot of the perpendicular clamped to
+        its ends) and the arc (the radial gap where ``W``'s angle about the
+        circle's center lies within the arc's sweep, else the nearer end).
+        """
+        Ws = np.asarray(Ws, dtype=complex)
+        a, b = self.segment
+        d = b - a
+        u = Ws - a
+        s = np.clip((u.real * d.real + u.imag * d.imag) / abs(d) ** 2, 0.0, 1.0)
+        segment = _modulus(Ws - (a + s * d))
+
+        arc = self.arc
+        v = Ws - arc.circle.center
+        phi = np.arctan2(v.imag, v.real)
+        lo, hi = sorted((arc.angle_start, arc.angle_end))
+        within = np.zeros(Ws.shape, dtype=bool)
+        for k in (-1, 0, 1):
+            shifted = phi + 2.0 * math.pi * k
+            within |= (lo <= shifted) & (shifted <= hi)
+        ends = np.minimum(_modulus(Ws - arc.start), _modulus(Ws - arc.end))
+        return np.minimum(segment, np.where(within, np.abs(_modulus(v) - arc.circle.radius), ends))
 
     def winding(self, W: complex) -> int:
         return winding_number(self, W)
@@ -154,28 +178,15 @@ class FiberCurve:
         return [("arc", ts, arc), ("segment", rs, seg)]
 
 
-def _segment_distance(W: complex, a: complex, b: complex) -> float:
-    d = b - a
-    denom = abs(d) ** 2
-    if denom == 0.0:
-        return abs(W - a)
-    s = ((W - a) * d.conjugate()).real / denom
-    s = min(1.0, max(0.0, s))
-    return abs(W - (a + s * d))
+def _modulus(u: np.ndarray) -> np.ndarray:
+    """|u| for complex ``u``, bit for bit as Python's ``abs`` gives it.
 
-
-def _arc_distance(W: complex, arc: Arc) -> float:
-    c = arc.circle.center
-    rho = arc.circle.radius
-    u = W - c
-    phi = cmath.phase(u)
-    lo, hi = arc.angle_start, arc.angle_end
-    if lo > hi:
-        lo, hi = hi, lo
-    for k in (-1, 0, 1):
-        if lo <= phi + 2.0 * math.pi * k <= hi:
-            return abs(abs(u) - rho)
-    return min(abs(W - arc.start), abs(W - arc.end))
+    numpy's complex absolute value (like its complex product, which is why
+    the classification spells products out in real arithmetic) may differ
+    from Python's in the last bit, and next to the curve the radial gap
+    |u| - rho magnifies such a difference.
+    """
+    return np.hypot(u.real, u.imag)
 
 
 def _quadrature(z: complex, t_min: float, per_piece: int) -> tuple:
@@ -232,26 +243,34 @@ def fiber_curve(z: complex, nodes_per_piece: int = DEFAULT_NODES // 2, tau: floa
     return curve
 
 
-def winding_number(curve: FiberCurve, W: complex) -> int:
-    """Winding number of the curve about ``W``: 1 inside D_z, 0 outside.
+def winding_numbers(curve: FiberCurve, Ws: np.ndarray) -> np.ndarray:
+    """Winding numbers of the curve about the points ``Ws``: 1 inside D_z, 0 outside.
 
     The segment is a chord of the arc's circle, so D_z is that disc cut by
     the chord's line: ``W`` is inside iff it lies in the open disc and on the
-    same side of the chord as the arc's midpoint.
+    same side of the chord as the arc's midpoint.  The first ``W`` within the
+    proximity guard of the curve raises :class:`CurveProximityError`.
     """
-    W = complex(W)
-    d = curve.distance(W)
-    if d < curve.proximity_guard:
+    Ws = np.asarray(Ws, dtype=complex)
+    near = np.flatnonzero(curve.distances(Ws) < curve.proximity_guard)
+    if near.size:
         raise CurveProximityError(
-            f"W = {W} is within {curve.proximity_guard:.3e} of the fiber curve; membership ambiguous"
+            f"W = {complex(Ws[near[0]])} is within {curve.proximity_guard:.3e} of the fiber curve; "
+            "membership ambiguous"
         )
     circle = curve.arc.circle
     a, b = curve.segment
     chord = (b - a).conjugate()
-    side = (chord * (W - a)).imag
+    u = Ws - a
+    side = chord.real * u.imag + chord.imag * u.real  # Im(chord * (W - a))
     arc_side = (chord * (curve.arc.point(0.5) - a)).imag
-    inside = abs(W - circle.center) < circle.radius and (side > 0.0) == (arc_side > 0.0)
-    return curve.orientation if inside else 0
+    inside = (_modulus(Ws - circle.center) < circle.radius) & ((side > 0.0) == (arc_side > 0.0))
+    return np.where(inside, curve.orientation, 0)
+
+
+def winding_number(curve: FiberCurve, W: complex) -> int:
+    """Winding number of the curve about ``W``: 1 inside D_z, 0 outside (see :func:`winding_numbers`)."""
+    return int(winding_numbers(curve, np.array([complex(W)]))[0])
 
 
 def region_contains(curve: FiberCurve, W: complex) -> bool:
@@ -499,16 +518,30 @@ class _FiberField:
         value at the first level's node nearest W the integrand stays small
         where the kernel is large; c is fixed for every level.  The
         (W x nodes) kernels are taken in row blocks of about
-        ``_BLOCK_ELEMENTS`` entries.
+        ``_BLOCK_ELEMENTS`` entries, all formed in the same three buffers
+        (kernel, denominator, node distances), allocated once per call and
+        sized for the finest level; no buffer outlives the call.
         """
         Ws = np.asarray(Ws, dtype=complex)
         per_piece = max(_PANEL_ORDER, nodes // 2)
         first = self.level(per_piece)
         w0, _, values0 = first
+        # Doubling the nodes per piece at most doubles each level's size.
+        size = max(_BLOCK_ELEMENTS, w0.size << MAX_REFINEMENTS)
+        kernel = np.empty(size, dtype=complex)
+        denominator = np.empty(size, dtype=complex)
+        distance = np.empty(size)
+
+        def view(buffer, rows, n):
+            """The first rows x n entries of a flat buffer, as a matrix."""
+            return buffer[: rows * n].reshape(rows, n)
+
         step = max(1, _BLOCK_ELEMENTS // w0.size)
         c = np.empty_like(Ws)
         for s in range(0, Ws.size, step):
-            c[s : s + step] = values0[np.argmin(np.abs(w0 - Ws[s : s + step, None]), axis=1)]
+            block = Ws[s : s + step, None]
+            gap = np.subtract(w0, block, out=view(denominator, block.size, w0.size))
+            c[s : s + step] = values0[np.argmin(np.abs(gap, out=view(distance, block.size, w0.size)), axis=1)]
         jump = c * np.asarray(windings)
 
         def sums(w, dw, values, rows):
@@ -516,8 +549,10 @@ class _FiberField:
             step = max(1, _BLOCK_ELEMENTS // w.size)
             for s in range(0, rows.size, step):
                 block = rows[s : s + step]
-                kernel = (values - c[block, None]) / (w - Ws[block, None])
-                out[s : s + step] = np.sum(kernel * dw, axis=1)
+                kernel_block = np.subtract(values, c[block, None], out=view(kernel, block.size, w.size))
+                kernel_block /= np.subtract(w, Ws[block, None], out=view(denominator, block.size, w.size))
+                kernel_block *= dw
+                out[s : s + step] = np.sum(kernel_block, axis=1)
             return out / (2.0j * math.pi) + jump[rows]
 
         def where(row):

@@ -1,8 +1,12 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from morera import cli
 from morera.cli import main, parse_point
 from morera.errors import ConfigError
 from morera.funczoo import builtin
@@ -275,3 +279,119 @@ class TestNegativeComplexLiterals:
         assert code == 0 and out.startswith("re_w,im_w")
         code, out, _ = run(["fiber", "--builtin", "expz", "--z", "-0.4-0.3i"], capsys)
         assert code == 0
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["theta", "--builtin", "poly3", "--z", "0.5i", "--w-count", "-1"],
+            ["theta", "--builtin", "poly3", "--z", "0.5i", "--w-count", "0"],
+            ["fiber", "--z", "0.5i", "--points-per-piece", "-3"],
+        ],
+    )
+    def test_below_one_is_config_error(self, capsys, argv):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {argv[-2]} must be at least 1, got {argv[-1]}\n"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples() -> list[list[str]]:
+    """Every ``morera ...`` command line of the README: example blocks and inline code."""
+    text = README.read_text()
+    lines = re.findall(r"^morera .*?(?=\s+#|$)", text.split("Examples:", 1)[1], re.MULTILINE)
+    lines += re.findall(r"`(morera [^`]+)`", text)
+    return [shlex.split(line)[1:] for line in lines]
+
+
+def readme_synopsis() -> dict[str, set[str]]:
+    """Option strings per command in the README's CLI synopsis, placeholder lines expanded."""
+    block = README.read_text().split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    placeholders = {}
+    commands = {}
+    for line in block.splitlines():
+        if line.startswith("morera "):
+            _, name, rest = line.split(None, 2)
+            commands[name] = rest
+        elif line.strip():
+            word, rest = line.split(None, 1)
+            placeholders[word] = rest
+    for name, rest in commands.items():
+        rest = re.sub(r"\b[A-Z]+\b", lambda m: placeholders.get(m.group(), m.group()), rest)
+        commands[name] = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", rest))
+    return commands
+
+
+PARSE_CORPUS = readme_examples() + [
+    *[[name, "-h"] for name in ("test-circle", "sweep", "fiber", "theta", "verdict", "demo-sharpness")],
+    ["verdict", "--builtin", "poly3", "--circ", "16"],
+    ["theta", "--builtin", "poly3", "--z=-0.2+0.5i"],
+    ["theta", "--builtin", "poly3", "--z", "-0.2+0.5i", "--w-count", "3"],
+    ["fiber", "--z", "0.5i", "--z", "-0.2+0.5i", "--z=-0.4-0.3i"],
+    ["verdict", "--builtin", "poly3", "--bogus"],
+    ["verdict", "--builtin", "poly3", "stray"],
+    ["verdict", "--builtin", "poly3", "--", "stray"],
+    ["theta", "--builtin", "poly3"],
+    ["verdict", "--circles", "many"],
+    ["sweep", "--builtin", "poly3", "--family", "neither"],
+    ["verdict", "--builtin"],
+    [],
+    ["bogus"],
+    ["--version"],
+    ["-h"],
+    ["-h", "verdict"],
+]
+
+
+class TestParser:
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """Replace every command's handler by one that records its namespace and returns 0."""
+        seen = []
+        table = {
+            name: (summary, add_flags, lambda args: seen.append(vars(args)) or 0)
+            for name, (summary, add_flags, _) in cli._COMMANDS.items()
+        }
+        monkeypatch.setattr(cli, "_COMMANDS", table)
+        return seen
+
+    @staticmethod
+    def outcome(parse, argv, capsys):
+        try:
+            result = ("parsed", parse(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_main_parses_as_the_full_parser(self, argv, capsys, recorded):
+        def via_main(argv):
+            assert main(argv) == 0
+            return recorded.pop()
+
+        expected = self.outcome(lambda argv: vars(cli.build_parser().parse_args(argv)), argv, capsys)
+        assert self.outcome(via_main, argv, capsys) == expected
+        assert not recorded
+
+    def test_command_builds_only_its_own_parser(self, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("the full parser was built")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        code, out, _ = run(["verdict", "--builtin", "poly3"], capsys)
+        assert code == 0 and json.loads(out)["verdict"] == "holomorphic-consistent"
+
+    def test_readme_synopsis_lists_every_flag(self):
+        synopsis = readme_synopsis()
+        assert list(synopsis) == list(cli._COMMANDS)
+        for name, flags in synopsis.items():
+            parser = cli._Parser(prog=f"morera {name}")
+            cli._COMMANDS[name][1](parser)
+            options = [action.option_strings for action in parser._actions if action.dest != "help"]
+            accepted = {flag for strings in options for flag in strings}
+            assert flags <= accepted, (name, flags - accepted)
+            assert all(flags & set(strings) for strings in options), name

@@ -18,7 +18,6 @@ from morera.errors import (
 )
 from morera.fiber import (
     RegionD,
-    _arc_distance,
     _FiberField,
     _piece_series,
     _piece_values,
@@ -58,6 +57,47 @@ def off_curve(curve, piece, s, offset):
     return complex(p + offset * n)
 
 
+def reference_segment_distance(W, a, b):
+    """Scalar distance from W to the segment [a, b] (the library's former code)."""
+    d = b - a
+    denom = abs(d) ** 2
+    if denom == 0.0:
+        return abs(W - a)
+    s = ((W - a) * d.conjugate()).real / denom
+    s = min(1.0, max(0.0, s))
+    return abs(W - (a + s * d))
+
+
+def reference_arc_distance(W, arc):
+    """Scalar distance from W to a circular arc (the library's former code)."""
+    c = arc.circle.center
+    rho = arc.circle.radius
+    u = W - c
+    phi = cmath.phase(u)
+    lo, hi = arc.angle_start, arc.angle_end
+    if lo > hi:
+        lo, hi = hi, lo
+    for k in (-1, 0, 1):
+        if lo <= phi + 2.0 * math.pi * k <= hi:
+            return abs(abs(u) - rho)
+    return min(abs(W - arc.start), abs(W - arc.end))
+
+
+def reference_distance(curve, W):
+    return min(reference_segment_distance(W, *curve.segment), reference_arc_distance(W, curve.arc))
+
+
+def reference_closed_form_winding(curve, W):
+    """Scalar chord-and-disc winding number (the library's former code, without the guard)."""
+    circle = curve.arc.circle
+    a, b = curve.segment
+    chord = (b - a).conjugate()
+    side = (chord * (W - a)).imag
+    arc_side = (chord * (curve.arc.point(0.5) - a)).imag
+    inside = abs(W - circle.center) < circle.radius and (side > 0.0) == (arc_side > 0.0)
+    return curve.orientation if inside else 0
+
+
 def reference_winding(curve, W):
     """Winding number by summing principal arguments along the curve.
 
@@ -72,7 +112,7 @@ def reference_winding(curve, W):
     total = cmath.phase((seg_b - W) / (seg_a - W))
     arc = curve.arc
     rho = arc.circle.radius
-    d_arc = _arc_distance(W, arc)
+    d_arc = reference_arc_distance(W, arc)
     n_sub = int(min(200000, max(8, math.ceil(2.0 * rho * arc.sweep / (math.pi * d_arc)))))
     thetas = np.linspace(arc.angle_start, arc.angle_end, n_sub + 1)
     pts = arc.circle.center + rho * np.exp(1j * thetas)
@@ -433,6 +473,108 @@ class TestCauchyTransform:
         values = [eval_F(f, z, complex(w)) for w in curve.nodes_w[::64]]
         spread = max(abs(a - b) for a in values for b in values)
         assert spread < 1e-8
+
+
+def theta_grid(curve, count, pad):
+    """The W grid of ``morera theta`` (rows in y, columns in x)."""
+    re, im = curve.nodes_w.real, curve.nodes_w.imag
+    pad *= curve.diameter
+    xs = np.linspace(re.min() - pad, re.max() + pad, count)
+    ys = np.linspace(im.min() - pad, im.max() + pad, count)
+    return np.array([complex(x, y) for y in ys for x in xs])
+
+
+# Test points relative to a curve: (kind, u, v, side, piece), u and v in [0, 1].
+probe_points = st.tuples(
+    st.sampled_from(["box", "chord", "end", "guard"]),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.sampled_from([-1.0, 1.0]),
+    st.sampled_from(["segment", "arc"]),
+)
+
+
+def probe_point(curve, kind, u, v, side, piece):
+    a, b = curve.segment
+    if kind == "box":  # anywhere within a diameter of the curve
+        lo = complex(curve.nodes_w.real.min(), curve.nodes_w.imag.min()) - curve.diameter * (1 + 1j)
+        return lo + 3.0 * curve.diameter * complex(u, v)
+    if kind == "chord":  # on the chord's line, beyond its ends too
+        return a + (3.0 * u - 1.0) * (b - a)
+    if kind == "end":  # 1e-9 to 1e-1 diameters from either shared end, any direction
+        end = a if side > 0 else b
+        return end + curve.diameter * 10.0 ** (-9.0 + 8.0 * u) * cmath.exp(2j * math.pi * v)
+    # just either side of the proximity guard, off either piece
+    offset = curve.proximity_guard * (1.0 + (2.0 * v - 1.0) * 1e-6)
+    return off_curve(curve, piece, 0.02 + 0.96 * u, side * offset)
+
+
+class TestBatchedClassification:
+    @settings(max_examples=150, deadline=None)
+    @given(admissible_points, st.lists(probe_points, min_size=1, max_size=12), st.integers(1, 21))
+    def test_matches_scalar_formulas(self, z, probes, count):
+        curve = fiber_curve(z)
+        Ws = np.array([probe_point(curve, *probe) for probe in probes])
+        distances = curve.distances(Ws)
+        for W, d in zip(Ws.tolist(), distances.tolist()):
+            expected = reference_distance(curve, W)
+            assert abs(d - expected) <= 1e-15 * expected, W
+            assert (d < curve.proximity_guard) == (expected < curve.proximity_guard), W
+        far = np.array([W for W in Ws.tolist() if reference_distance(curve, W) >= curve.proximity_guard])
+        windings = fiber.winding_numbers(curve, far)
+        assert windings.tolist() == [reference_closed_form_winding(curve, W) for W in far.tolist()]
+        if far.size < Ws.size:
+            with pytest.raises(CurveProximityError):
+                fiber.winding_numbers(curve, Ws)
+        # The near-curve rows of a theta table.
+        grid = theta_grid(curve, count, 0.75)
+        near = [reference_distance(curve, W) < curve.proximity_guard for W in grid.tolist()]
+        assert (curve.distances(grid) < curve.proximity_guard).tolist() == near
+
+    def test_scalar_wrappers_keep_the_guard(self):
+        curve = fiber_curve(0.5j)
+        W = off_curve(curve, "arc", 0.3, 0.5 * curve.proximity_guard)
+        assert curve.distance(W) == reference_distance(curve, W)
+        with pytest.raises(CurveProximityError, match="membership ambiguous"):
+            winding_number(curve, W)
+
+
+class TestKernelBlocking:
+    @pytest.mark.parametrize("name", ["poly3", "counterexample"])
+    @pytest.mark.parametrize("z", [0.5j, -0.2 + 0.5j])
+    def test_block_size_does_not_change_a_bit(self, name, z, monkeypatch):
+        f = builtin(name).oracle
+        curve = fiber_curve(z)
+        grid = theta_grid(curve, 9, 0.75)
+        Ws = grid[curve.distances(grid) >= curve.proximity_guard]
+        windings = fiber.winding_numbers(curve, Ws)
+        tables = []
+        for elements in (1 << 10, fiber._BLOCK_ELEMENTS, 1 << 18):
+            monkeypatch.setattr(fiber, "_BLOCK_ELEMENTS", elements)
+            tables.append(fiber.cauchy_table(f, curve, Ws, windings))
+        assert all(np.array_equal(tables[0], table) for table in tables[1:])
+
+        # The same levels with the kernel formed out of place over all W at once.
+        field = _FiberField(f, curve, extension.DEFAULT_SAMPLES, extension.DEFAULT_MORERA_TOL)
+        per_piece = fiber.DEFAULT_NODES // 2
+        w, dw, values = field.level(per_piece)
+        c = values[np.argmin(np.abs(w - Ws[:, None]), axis=1)]
+
+        def level(w, dw, values):
+            return np.sum((values - c[:, None]) / (w - Ws[:, None]) * dw, axis=1) / (2.0j * math.pi) + c * windings
+
+        previous = level(w, dw, values)
+        expected = np.empty_like(previous)
+        done = np.zeros(Ws.shape, dtype=bool)
+        for _ in range(fiber.MAX_REFINEMENTS):
+            per_piece *= 2
+            current = level(*field.level(per_piece))
+            agreed = ~done & (np.abs(current - previous) < fiber.QUAD_REFINE_TOL)
+            expected[agreed] = current[agreed]
+            done |= agreed
+            previous = current
+        assert done.all()
+        assert np.array_equal(tables[0], expected)
 
 
 class TestFiberSeries:
