@@ -13,18 +13,23 @@ Commands:
 Exit codes: 0 success, 1 failing/inconsistent verdict, 2 configuration or
 input-data error, 3 numerically inconclusive.  All file outputs are written
 atomically.
+
+Each command declares its flags once, in the ``add_flags`` function of
+``_COMMANDS``.  A plain command line (exact option strings, each with its
+value) is scanned against the flags that function records in a
+:class:`_FlagTable`; every other line, and every request for help, goes to
+an argparse parser built from the same function, so argparse alone prints
+help, usage and errors and is imported only then.
 """
 
 from __future__ import annotations
 
-import argparse
-# argparse's gettext imports locale when the first parser is built; import it
-# with the module so that cost falls in start-up, not inside each command.
-import locale  # noqa: F401
+import math
 import re
 import sys
 from dataclasses import replace
-from typing import Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -37,6 +42,9 @@ from .errors import (
     SamplingError,
 )
 from .geometry import DEFAULT_TAU, Circle
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_FAILED_VERDICT = 1
@@ -99,14 +107,91 @@ def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
 
 # Complex literals like -0.2+0.5i may open with a minus; widen argparse's
 # negative-number sniffing so they pass as option values (--z=-0.2+0.5i also
-# always works).
+# always works).  The scan takes the same values.
 _NEGATIVE_VALUE = re.compile(r"^-(\d|\.\d)")
 
 
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_VALUE
+def _parser(**kwargs) -> argparse.ArgumentParser:
+    """An argparse parser that takes :data:`_NEGATIVE_VALUE` strings as option values."""
+    import argparse
+
+    parser = argparse.ArgumentParser(**kwargs)
+    parser._negative_number_matcher = _NEGATIVE_VALUE
+    return parser
+
+
+class _FlagTable:
+    """The flags an ``add_flags`` function declares, recorded for :func:`_scan`.
+
+    It stands in for the argparse parser and its argument groups, and takes
+    only the ``add_argument`` keywords the scan reproduces, besides ``help``
+    and ``metavar``, which shape help text alone; any other keyword or
+    action is a ``TypeError``, so that a flag the scan would parse
+    differently from argparse cannot be declared.
+    """
+
+    def __init__(self):
+        self.flags: list[SimpleNamespace] = []
+        self.options: dict[str, SimpleNamespace] = {}
+
+    def add_argument_group(self, title: str) -> "_FlagTable":
+        return self
+
+    def add_argument(self, *option_strings, type=None, default=None, choices=None,
+                     required=False, action=None, help=None, metavar=None) -> None:
+        if action not in (None, "append"):
+            raise TypeError(f"unsupported action {action!r}")
+        long = [s for s in option_strings if s.startswith("--")]
+        dest = (long or option_strings)[0].lstrip("-").replace("-", "_")
+        flag = SimpleNamespace(option_strings=option_strings, dest=dest, type=type, default=default,
+                               choices=choices, required=required, append=action == "append")
+        self.flags.append(flag)
+        for option in option_strings:
+            self.options[option] = flag
+
+
+def _scan(command: str, tokens: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace of a plain ``command`` line, or None to leave the line to argparse.
+
+    Only exact option strings of the command's table are taken, as
+    ``--flag value`` (a value opening with ``-`` must match
+    :data:`_NEGATIVE_VALUE`) or ``--flag=value``.  Anything else (an unknown
+    or abbreviated flag, ``-h``, a missing value, a ``--`` token or value, a
+    value that fails its type or choices, a missing required flag) gives None.
+    """
+    table = _FlagTable()
+    _COMMANDS[command][1](table)
+    values = {"command": command, **{flag.dest: flag.default for flag in table.flags}}
+    seen = set()
+    i = 0
+    while i < len(tokens):
+        token = tokens[i]
+        option, equals, value = token.partition("=") if token.startswith("--") else (token, "", "")
+        flag = table.options.get(option)
+        if flag is None:
+            return None
+        if not equals:
+            i += 1
+            if i == len(tokens) or tokens[i].startswith("-") and not _NEGATIVE_VALUE.match(tokens[i]):
+                return None
+            value = tokens[i]
+        i += 1
+        if value == "--":  # argparse drops it: --expr=-- gives expr=[]
+            return None
+        if flag.type is not None:
+            try:
+                value = flag.type(value)
+            except (TypeError, ValueError):
+                return None
+        if flag.choices is not None and value not in flag.choices:
+            return None
+        if flag.append:
+            value = (values[flag.dest] or []) + [value]
+        values[flag.dest] = value
+        seen.add(flag.dest)
+    if any(flag.required and flag.dest not in seen for flag in table.flags):
+        return None
+    return SimpleNamespace(**values)
 
 
 def _test_circle_flags(parser: argparse.ArgumentParser) -> None:
@@ -160,30 +245,35 @@ def _demo_flags(parser: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """The full parser: every command of ``_COMMANDS`` as a subcommand."""
-    parser = _Parser(
+    parser = _parser(
         prog="morera",
         description="Numerical tests for holomorphic extendability from families of circles.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_parser)
     for name, (summary, add_flags, _) in _COMMANDS.items():
         add_flags(sub.add_parser(name, help=summary))
     return parser
 
 
-def parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse a command line as :func:`build_parser` does, building only the invoked command's parser.
+def parse_args(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
+    """Parse a command line as :func:`build_parser` does, with argparse only where needed.
 
-    The command's parser is the full parser's subparser for it (same prog,
-    same flags), so its help and its errors read the same; a command line it
-    takes whole gives the same namespace.  Anything else (no command, an
-    unknown one, the top-level ``-h``, arguments left over) goes to the full
-    parser, whose help, usage and errors are then the ones printed.
+    A plain command line is scanned against its command's flag table
+    (:func:`_scan`) and gives the namespace the full parser would.  A line
+    the scan does not take goes to the invoked command's argparse parser,
+    which is the full parser's subparser for it (same prog, same flags), so
+    its help and its errors read the same.  Anything that parser does not
+    take whole either (no command, an unknown one, the top-level ``-h``,
+    arguments left over) goes to the full parser, whose help, usage and
+    errors are then the ones printed.
     """
     if argv and argv[0] in _COMMANDS:
-        _, add_flags, _ = _COMMANDS[argv[0]]
-        parser = _Parser(prog=f"morera {argv[0]}")
-        add_flags(parser)
-        args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        args = _scan(argv[0], argv[1:])
+        if args is not None:
+            return args
+        parser = _parser(prog=f"morera {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        args, extras = parser.parse_known_args(argv[1:], SimpleNamespace(command=argv[0]))
         if not extras:
             return args
     return build_parser().parse_args(argv)
@@ -204,8 +294,10 @@ def resolve_function(args) -> tuple:
         warnings.extend(exprparser.noninteger_power_warnings(node))
         oracle = exprparser.compile_function(node)
         return oracle, {"source": "expr", "text": exprparser.to_source(node)}, warnings, inflation
-    oracle = gridio.read_polar_grid(args.grid)
     inflation = float(args.grid_inflation) if hasattr(args, "grid_inflation") else DEFAULT_GRID_INFLATION
+    if not 0.0 < inflation < math.inf:
+        raise ConfigError(f"--grid-inflation must be positive and finite, got {inflation}")
+    oracle = gridio.read_polar_grid(args.grid)
     warnings.append(
         f"function interpolated from grid file; extendability threshold inflated x{inflation}"
     )
@@ -341,6 +433,7 @@ def cmd_fiber(args) -> int:
 
 def cmd_theta(args) -> int:
     _require_positive("--w-count", args.w_count)
+    _require_positive("--nodes", args.nodes)
     f, desc, warnings, inflation = resolve_function(args)
     del desc
     z = parse_point(args.z)

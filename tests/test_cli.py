@@ -1,10 +1,19 @@
+import contextlib
+import functools
+import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morera import cli
 from morera.cli import main, parse_point
@@ -288,12 +297,25 @@ class TestCountFlags:
             ["theta", "--builtin", "poly3", "--z", "0.5i", "--w-count", "-1"],
             ["theta", "--builtin", "poly3", "--z", "0.5i", "--w-count", "0"],
             ["fiber", "--z", "0.5i", "--points-per-piece", "-3"],
+            ["theta", "--builtin", "poly3", "--z", "0.5i", "--w-count", "2", "--nodes", "-5"],
+            ["theta", "--builtin", "poly3", "--z", "0.5i", "--w-count", "2", "--nodes", "0"],
         ],
     )
     def test_below_one_is_config_error(self, capsys, argv):
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
         assert err == f"error: {argv[-2]} must be at least 1, got {argv[-1]}\n"
+
+
+class TestGridInflation:
+    @pytest.mark.parametrize("command", [["test-circle", "--radius", "0.5"], ["verdict", "--circles", "8"]])
+    @pytest.mark.parametrize("value, shown", [("0", "0.0"), ("-2", "-2.0"), ("nan", "nan"), ("inf", "inf")])
+    def test_non_positive_or_non_finite_names_the_flag(self, capsys, tmp_path, command, value, shown):
+        grid = tmp_path / "grid.csv"
+        write_polar_grid(str(grid), builtin("poly3").oracle, n_r=8, n_theta=16)
+        code, out, err = run(command + ["--grid", str(grid), "--grid-inflation", value], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: --grid-inflation must be positive and finite, got {shown}\n"
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -377,11 +399,12 @@ class TestParser:
         assert self.outcome(via_main, argv, capsys) == expected
         assert not recorded
 
-    def test_command_builds_only_its_own_parser(self, capsys, monkeypatch):
-        def refuse():
-            raise AssertionError("the full parser was built")
+    def test_plain_command_builds_no_parser(self, capsys, monkeypatch):
+        def refuse(**kwargs):
+            raise AssertionError("an argparse parser was built")
 
         monkeypatch.setattr(cli, "build_parser", refuse)
+        monkeypatch.setattr(cli, "_parser", refuse)
         code, out, _ = run(["verdict", "--builtin", "poly3"], capsys)
         assert code == 0 and json.loads(out)["verdict"] == "holomorphic-consistent"
 
@@ -389,9 +412,124 @@ class TestParser:
         synopsis = readme_synopsis()
         assert list(synopsis) == list(cli._COMMANDS)
         for name, flags in synopsis.items():
-            parser = cli._Parser(prog=f"morera {name}")
-            cli._COMMANDS[name][1](parser)
-            options = [action.option_strings for action in parser._actions if action.dest != "help"]
+            table = cli._FlagTable()
+            cli._COMMANDS[name][1](table)
+            options = [flag.option_strings for flag in table.flags]
             accepted = {flag for strings in options for flag in strings}
             assert flags <= accepted, (name, flags - accepted)
             assert all(flags & set(strings) for strings in options), name
+
+    def test_flag_table_refuses_what_the_scan_does_not_reproduce(self):
+        table = cli._FlagTable()
+        with pytest.raises(TypeError):
+            table.add_argument("--quiet", action="store_true")
+        with pytest.raises(TypeError):
+            table.add_argument("--count", nargs=2)
+
+
+# Values for the drawn command lines: the usual ones per flag type (among
+# them values that argparse takes specially, such as "-1", "" and "--"), and
+# odd values and tokens, drawn rarely, that many flags or all of them refuse.
+FUZZ_VALUES = {
+    float: ["0.25", "-1", "nan", "1e-3"],
+    int: ["8", "-1", "0"],
+    None: ["poly3", "0.5i", "-0.2+0.5i", "-1", "", "nan", "--"],
+}
+FUZZ_ODD_VALUES = ["-i", "--", "", "many", "0.5", "neither", "-0.2+0.5i", "nan"]
+FUZZ_ODD_TOKENS = ["-h", "--help", "--bogus", "-x", "stray", "--", "", "-1"]
+
+
+@st.composite
+def command_lines(draw, name):
+    """A command line for ``name`` drawn from its recorded flag table.
+
+    Well-formed flags are drawn more often than odd tokens, and required
+    flags are usually given, so that about half the lines are plain.
+    """
+    table = cli._FlagTable()
+    cli._COMMANDS[name][1](table)
+
+    def rarely(odd):
+        return odd and draw(st.integers(0, 9)) == 9
+
+    def flag_tokens(flag, odd=True):
+        option = draw(st.sampled_from(flag.option_strings))
+        usual = [*flag.choices, "neither"] if flag.choices else FUZZ_VALUES[flag.type]
+        value = draw(st.sampled_from(FUZZ_ODD_VALUES if rarely(odd) else usual))
+        form = draw(st.sampled_from(["bare", "prefix"] if rarely(odd) else ["separate", "equals"]))
+        if form == "equals":
+            return [f"{option}={value}"]
+        if form == "bare":  # a missing value, or the next token taken as one
+            return [option]
+        if form == "prefix" and option.startswith("--"):
+            return [option[: draw(st.integers(3, len(option)))], value]
+        return [option, value]
+
+    argv = [name]
+    for flag in table.flags:
+        if flag.required and not rarely(True):
+            argv += flag_tokens(flag, odd=False)
+    for _ in range(draw(st.integers(0, 5))):
+        if rarely(True):
+            argv.append(draw(st.sampled_from(FUZZ_ODD_TOKENS)))
+        else:
+            argv += flag_tokens(draw(st.sampled_from(table.flags)))
+    return argv
+
+
+@functools.lru_cache(maxsize=None)
+def full_parser():
+    return cli.build_parser()
+
+
+class TestScanMatchesArgparse:
+    @staticmethod
+    def outcome(parse, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = ("parsed", repr(sorted(vars(parse(argv)).items())))
+            except SystemExit as exc:
+                result = ("exit", exc.code)
+        return result, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_drawn_lines_parse_as_the_full_parser(self, name, data):
+        argv = data.draw(command_lines(name), label="argv")
+        seen = []
+        recording = {
+            command: (summary, add_flags, lambda args: seen.append(args) or 0)
+            for command, (summary, add_flags, _) in cli._COMMANDS.items()
+        }
+
+        def via_main(argv):
+            assert main(argv) == 0
+            return seen.pop()
+
+        expected = self.outcome(full_parser().parse_args, argv)
+        with mock.patch.dict(cli._COMMANDS, recording):
+            assert self.outcome(via_main, argv) == expected
+        assert not seen
+
+
+class TestModuleEntryPoint:
+    @staticmethod
+    def morera(*argv):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        return subprocess.run(
+            [sys.executable, "-m", "morera", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+
+    def test_runs_commands_help_and_usage_errors(self):
+        done = self.morera("verdict", "--builtin", "poly3", "--circles", "8")
+        assert done.returncode == 0 and json.loads(done.stdout)["verdict"] == "holomorphic-consistent"
+        done = self.morera("verdict", "-h")
+        assert done.returncode == 0 and done.stdout.startswith("usage: morera verdict [-h]")
+        assert "family configuration:" in done.stdout
+        done = self.morera("verdict", "--circles", "many")
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("usage: morera verdict [-h]")
+        assert done.stderr.endswith("morera verdict: error: argument --circles: invalid int value: 'many'\n")

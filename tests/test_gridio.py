@@ -162,7 +162,8 @@ class TestLoader:
 
 
 def test_cli_import_loads_no_scipy_and_commands_import_nothing(tmp_path):
-    # A module a command imports lazily is paid for inside every CLI call.
+    # A module a command imports lazily is paid for inside every CLI call;
+    # argparse (with gettext and locale) is imported only for help and errors.
     grid = tmp_path / "expz.csv"
     write_polar_grid(str(grid), builtin("expz").oracle, n_r=16, n_theta=32)
     script = textwrap.dedent(
@@ -180,6 +181,7 @@ def test_cli_import_loads_no_scipy_and_commands_import_nothing(tmp_path):
             "scipy": sorted(m for m in loaded if m == "scipy" or m.startswith("scipy.")),
             "numpy.ma": "numpy.ma" in loaded,
             "numpy.fft": "numpy.fft" in loaded,
+            "argparse": sorted(m for m in ("argparse", "gettext", "locale") if m in loaded),
             "new": sorted(set(sys.modules) - loaded),
         }}))
         """
@@ -189,4 +191,6 @@ def test_cli_import_loads_no_scipy_and_commands_import_nothing(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"codes": [0, 0], "scipy": [], "numpy.ma": False, "numpy.fft": True, "new": []}
+    assert result == {
+        "codes": [0, 0], "scipy": [], "numpy.ma": False, "numpy.fft": True, "argparse": [], "new": [],
+    }
