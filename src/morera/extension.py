@@ -1,4 +1,4 @@
-"""Holomorphic extendability of a function from a single circle.
+"""Holomorphic extendability of a function from circles.
 
 A function restricted to a circle extends holomorphically into the disc it
 bounds iff its Fourier series on the circle has no negative-frequency
@@ -7,16 +7,16 @@ discrete Fourier transform, and measure the energy in negative bins plus a
 high-frequency aliasing guard.  The nonnegative part of the series doubles as
 the extension itself, evaluated as a power series in (zeta - center)/radius.
 
-:func:`analyze_batch` runs the same test on many circles at once: one oracle
-call and one FFT per doubling level, resampling only the rows whose aliasing
-guard trips.  :func:`analyze_with_refinement` is its single-circle
-counterpart.
+:func:`analyze_batch` is the one kernel: it tests many circles at once, with
+one oracle call and one FFT per doubling level, resampling only the rows
+whose aliasing guard trips.  :func:`analyze_with_refinement` runs it on a
+single circle; :func:`analyze_circle` and :func:`analyze_trace` analyse one
+trace at a fixed N.  Every extension is summed by one vectorized Horner loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -216,14 +216,17 @@ def _threshold_rule(negative, high, total, tol: float) -> tuple:
     return threshold, aliasing, passes
 
 
-def analyze_trace(trace: CircleTrace) -> FourierData:
-    """Fourier coefficients c_k = (1/N) sum_j values_j exp(-i k theta_j)."""
-    n = trace.sample_count
-    c = np.fft.fft(trace.values) / n
+def _fourier_data(circle: Circle, c: np.ndarray) -> FourierData:
+    """:class:`FourierData` of one circle from its FFT-order DFT [0..N/2-1, -N/2..-1]."""
+    n = c.shape[0]
     negative, high, _ = _energy_bands(c)
     # reorder from [0..N/2-1, -N/2..-1] to [-N/2 .. N/2-1]
-    coeffs = np.concatenate([c[n // 2 :], c[: n // 2]])
-    return FourierData(trace.circle, coeffs, float(negative), float(high))
+    return FourierData(circle, np.concatenate([c[n // 2 :], c[: n // 2]]), float(negative), float(high))
+
+
+def analyze_trace(trace: CircleTrace) -> FourierData:
+    """Fourier coefficients c_k = (1/N) sum_j values_j exp(-i k theta_j)."""
+    return _fourier_data(trace.circle, np.fft.fft(trace.values) / trace.sample_count)
 
 
 def analyze_circle(f: Oracle, circle: Circle, n: int = DEFAULT_SAMPLES) -> FourierData:
@@ -231,14 +234,9 @@ def analyze_circle(f: Oracle, circle: Circle, n: int = DEFAULT_SAMPLES) -> Fouri
     return analyze_trace(sample_circle(f, circle, n))
 
 
-@lru_cache(maxsize=4096)
-def _cached_analysis(f: Oracle, center: complex, radius: float, n: int) -> FourierData:
-    return analyze_circle(f, Circle(center, radius), n)
-
-
-def cached_analyze(f: Oracle, circle: Circle, n: int = DEFAULT_SAMPLES) -> FourierData:
-    """Memoized :func:`analyze_circle` (same oracle object, circle and N)."""
-    return _cached_analysis(f, circle.center, circle.radius, n)
+# No cache: an alias kept only because bench/tracing.py wraps this name.  The
+# benchmark change that adds the in-program trace (ROADMAP item 4) deletes it.
+cached_analyze = analyze_circle
 
 
 def extension_test(data: FourierData, tol: float = DEFAULT_MORERA_TOL) -> ExtensionResult:
@@ -263,16 +261,13 @@ def analyze_with_refinement(
 ) -> tuple[FourierData, ExtensionResult, bool]:
     """Analyze a circle, doubling N while the aliasing guard trips.
 
-    Returns the final data and test result plus an ``inconclusive`` flag that
-    is set when the guard still trips at ``n_max`` samples.
+    One row of :func:`analyze_batch`.  Returns the final data and test result
+    plus an ``inconclusive`` flag that is set when the guard still trips at
+    ``n_max`` samples.
     """
-    n = int(n0)
-    while True:
-        data = cached_analyze(f, circle, n)
-        result = extension_test(data, tol)
-        if not result.aliasing_flag or n >= n_max:
-            return data, result, result.aliasing_flag
-        n *= 2
+    batch = analyze_batch(f, [circle.center], [circle.radius], tol, n0, n_max)
+    data = _fourier_data(circle, batch.groups[0][1][0])
+    return data, extension_test(data, tol), bool(batch.inconclusive[0])
 
 
 def evaluate_extension(
@@ -299,24 +294,35 @@ def evaluate_extension(
     u = (complex(zeta) - circle.center) / circle.radius
     if abs(u) > 1.0 + 1e-12:
         raise DomainError(f"zeta = {zeta} outside the closed disc of {circle}")
-    n = data.sample_count
-    nonneg = data.coefficients[n // 2 :]
-    # Horner evaluation of sum c_k u^k, highest degree first.
-    acc = 0.0 + 0.0j
-    for c in nonneg[::-1]:
-        acc = acc * u + c
-    return complex(acc)
+    return complex(_horner(data.coefficients[None, data.sample_count // 2 :], np.array([u]))[0])
+
+
+def _horner(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Power series sum_k coeffs[i, k] u[i]^k per row, by Horner's rule.
+
+    ``coeffs`` has one row per entry of the first axis of ``u``, whose shape
+    is (m,) or (m, probes); the sum runs over every column, highest degree
+    first.
+    """
+    shape = (-1,) + (1,) * (u.ndim - 1)
+    acc = np.zeros_like(u)
+    for k in range(coeffs.shape[1] - 1, -1, -1):
+        acc *= u
+        acc += coeffs[:, k].reshape(shape)
+    return acc
 
 
 @dataclass(frozen=True)
 class BatchAnalysis:
     """Per-row outcome of :func:`analyze_batch`, one row per circle.
 
-    ``samples`` is the sample count at which each row stopped; ``passes``,
-    ``aliasing`` and ``inconclusive`` follow :func:`analyze_with_refinement`.
-    ``groups`` holds ``(rows, coefficients)`` pairs, one per sample count at
-    which some rows stopped: ``coefficients[i]`` is the FFT-order DFT
-    [0..N/2-1, -N/2..-1] of row ``rows[i]``, and ``rows`` is ascending.
+    ``samples`` is the sample count at which each row stopped, and
+    ``negative_energy``, ``total_energy``, ``passes`` and ``aliasing`` are
+    the test's outcome at that count, as :func:`extension_test` computes it
+    for one circle.  ``groups`` holds ``(rows, coefficients)`` pairs, one per
+    sample count at which some rows stopped: ``coefficients[i]`` is the
+    FFT-order DFT [0..N/2-1, -N/2..-1] of row ``rows[i]``, and ``rows`` is
+    ascending.
     """
 
     centers: np.ndarray
@@ -326,8 +332,12 @@ class BatchAnalysis:
     total_energy: np.ndarray
     passes: np.ndarray
     aliasing: np.ndarray
-    inconclusive: np.ndarray
     groups: tuple
+
+    @property
+    def inconclusive(self) -> np.ndarray:
+        """Rows still aliased at the sample cap: a row stops aliased only there."""
+        return self.aliasing
 
     def circle(self, row: int) -> Circle:
         return Circle(complex(self.centers[row]), float(self.radii[row]))
@@ -375,14 +385,9 @@ class BatchAnalysis:
             sel = np.flatnonzero(group_rows[pos] == rows)
             if not sel.size:
                 continue
-            take = pos[sel]
             picked = rows[sel]
             u = (points[sel] - self.centers[picked].reshape(shape)) / self.radii[picked].reshape(shape)
-            acc = np.zeros_like(u)
-            for k in range(coeffs.shape[1] // 2 - 1, -1, -1):
-                acc *= u
-                acc += coeffs[take, k].reshape(shape)
-            out[sel] = acc
+            out[sel] = _horner(coeffs[pos[sel], : coeffs.shape[1] // 2], u)
         return out
 
 
@@ -399,9 +404,10 @@ def analyze_batch(
     Row i is the circle with center ``centers[i]`` and radius ``radii[i]``.
     Each doubling level makes one oracle call on the (rows x N) point matrix
     and one FFT along the rows; rows whose aliasing guard trips are resampled
-    at 2N, up to ``n_max``, where a still-aliased row is inconclusive.  Every
-    row matches :func:`analyze_with_refinement` on its circle.  Non-finite
-    samples raise :class:`SamplingError` with ``row`` set.
+    at 2N, up to ``n_max``, where a still-aliased row is inconclusive.  This
+    is the only refinement loop; single circles run through it as one-row
+    batches.  Non-finite samples raise :class:`SamplingError` with ``row``
+    set.
     """
     centers = np.asarray(centers, dtype=complex).ravel()
     radii = np.asarray(radii, dtype=float).ravel()
@@ -436,6 +442,4 @@ def analyze_batch(
         active = active[row_aliasing]
         del coeffs
         n *= 2
-    return BatchAnalysis(
-        centers, radii, samples, negative, total, passes, aliasing, aliasing.copy(), tuple(groups)
-    )
+    return BatchAnalysis(centers, radii, samples, negative, total, passes, aliasing, tuple(groups))

@@ -42,10 +42,10 @@ import numpy as np
 
 from . import extension as ext
 from .errors import (
+    ConfigError,
     CurveProximityError,
     DegenerateInputError,
     DomainError,
-    ExtensionFailureError,
     InconclusiveError,
     MoreraError,
 )
@@ -288,35 +288,22 @@ class RegionD:
         return region_contains(self.curve, W)
 
 
-def _leaf_value(f: Oracle, z: complex, circle: Circle, name: str, samples: int, tol: float) -> complex:
-    data, result, inconclusive = ext.analyze_with_refinement(f, circle, tol, samples)
-    if inconclusive:
-        raise InconclusiveError(
-            f"extendability from {name} is undecided: aliased at {data.sample_count} samples",
-            circle=circle,
-        )
-    if not result.passes:
-        raise ExtensionFailureError(
-            f"f does not extend holomorphically from {name} "
-            f"(negative energy {data.tail_energy_negative:.3e})",
-            circle=circle,
-        )
-    return ext.evaluate_extension(data, z, result)
-
-
 def eval_on_segment_leaf(
     f: Oracle, z: complex, R: float, samples: int = ext.DEFAULT_SAMPLES, tol: float = ext.DEFAULT_MORERA_TOL
 ) -> complex:
     """Extension of ``f`` from the centered circle of radius R, evaluated at z."""
     circle = Circle(0.0, R)
-    return _leaf_value(f, z, circle, str(circle), samples, tol)
+    values, _ = _piece_values(f, z, np.array([circle.center]), np.array([circle.radius]), samples, tol, "centered")
+    return complex(values[0])
 
 
 def eval_on_arc_leaf(
     f: Oracle, z: complex, t: float, samples: int = ext.DEFAULT_SAMPLES, tol: float = ext.DEFAULT_MORERA_TOL
 ) -> complex:
     """Extension of ``f`` from the pencil circle of parameter t, evaluated at z."""
-    return _leaf_value(f, z, pencil_circle(t), f"pencil circle t = {t}", samples, tol)
+    circle = pencil_circle(t)
+    values, _ = _piece_values(f, z, np.array([circle.center]), np.array([circle.radius]), samples, tol, "pencil")
+    return complex(values[0])
 
 
 def eval_F(
@@ -572,6 +559,11 @@ class _FiberField:
         return complex(result[0])
 
 
+def _require_nodes(nodes: int) -> None:
+    if not nodes >= 1:
+        raise ConfigError(f"quadrature node count must be at least 1, got {nodes}")
+
+
 def cauchy_transform(
     f: Oracle,
     z: complex,
@@ -615,6 +607,7 @@ def cauchy_table(
     number.  Equals :func:`cauchy_transform` at each W; a W whose quadrature
     does not converge raises, the first in the order given.
     """
+    _require_nodes(nodes)
     field = _FiberField(f, curve, samples, tol)
     return field.transforms(np.asarray(Ws, dtype=complex), np.asarray(windings), nodes)
 
@@ -633,4 +626,5 @@ def fiber_integral(
     for functions extending from every circle met by the curve it is zero up
     to quadrature error.
     """
+    _require_nodes(nodes)
     return _FiberField(f, fiber_curve(complex(z), tau=tau), samples, tol).integral(nodes)

@@ -143,12 +143,6 @@ class PencilFrame:
     def to_normalized_conj(self, w: complex) -> complex:
         return self.rotation.conjugate() * w
 
-    def from_normalized_conj(self, w: complex) -> complex:
-        return w / self.rotation.conjugate()
-
-    def circle_from_normalized(self, circle: Circle) -> Circle:
-        return Circle(self.from_normalized(circle.center), circle.radius)
-
 
 def pencil_circle(t: float, tau: float = 0.0) -> Circle:
     """Pencil member with parameter ``t``: center t, radius t + 1.

@@ -533,3 +533,11 @@ class TestModuleEntryPoint:
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.startswith("usage: morera verdict [-h]")
         assert done.stderr.endswith("morera verdict: error: argument --circles: invalid int value: 'many'\n")
+
+
+def test_bench_tracing_installs():
+    """Every program function the bench wraps by name still exists."""
+    root = Path(cli.__file__).resolve().parents[2]
+    script = 'import sys; sys.path[:0] = ["src", "bench"]; import tracing; tracing.install(tracing.Recorder())'
+    done = subprocess.run([sys.executable, "-c", script], cwd=root, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morera.analysis import FamilyConfig
+from morera import extension
+from morera.analysis import FamilyConfig, dumps_report
 from morera.analysis import test_family as sweep_family
-from morera.cli import main
+from morera.cli import main, parse_point
 from morera.errors import (
     DomainError,
     InvalidStateError,
@@ -30,6 +32,30 @@ from morera.funczoo import builtin, builtin_names, holomorphic_members
 from morera.geometry import Circle, pencil_circle
 
 RNG = np.random.default_rng(20240811)
+
+
+def reference_refinement(f, circle, tol=1e-8, n0=256, n_max=MAX_SAMPLES):
+    """Scalar refinement loop: analyse one circle at N, 2N, ... while it aliases.
+
+    The independent oracle for :func:`analyze_batch` and its one-row wrapper
+    :func:`analyze_with_refinement`.
+    """
+    n = n0
+    while True:
+        data = analyze_circle(f, circle, n)
+        result = extension_test(data, tol)
+        if not result.aliasing_flag or n >= n_max:
+            return data, result, result.aliasing_flag
+        n *= 2
+
+
+def reference_horner(data, zeta):
+    """Scalar Horner sum of the nonnegative-frequency series of ``data`` at ``zeta``."""
+    u = (complex(zeta) - data.circle.center) / data.circle.radius
+    acc = 0j
+    for c in data.coefficients[data.sample_count // 2 :][::-1]:
+        acc = acc * u + c
+    return complex(acc)
 
 
 def direct_dft(values):
@@ -240,7 +266,7 @@ class TestAnalyzeBatch:
         radii = [c.radius for c in BATCH_CIRCLES]
         batch = analyze_batch(f, centers, radii, 1e-8, n0, n_max)
         for i, circle in enumerate(BATCH_CIRCLES):
-            data, result, inconclusive = analyze_with_refinement(f, circle, 1e-8, n0, n_max)
+            data, result, inconclusive = reference_refinement(f, circle, 1e-8, n0, n_max)
             assert batch.samples[i] == data.sample_count, i
             assert batch.passes[i] == result.passes, i
             assert batch.aliasing[i] == result.aliasing_flag, i
@@ -253,7 +279,7 @@ class TestAnalyzeBatch:
             if result.passes:
                 zeta = circle.center + 0.6 * circle.radius * cmath.exp(0.7j)
                 value = batch.evaluate(np.array([zeta]), [i])[0]
-                assert value == pytest.approx(evaluate_extension(data, zeta, result), rel=1e-12, abs=1e-12)
+                assert value == pytest.approx(reference_horner(data, zeta), rel=1e-12, abs=1e-12)
 
     def test_refines_and_caps(self):
         # z^100 aliases at 256 samples on the unit circle and passes at 512;
@@ -291,6 +317,99 @@ class TestAnalyzeBatch:
             analyze_batch(lambda z: z, [0], [1.0], tol=0.0)
         with pytest.raises(ParameterDomainError):
             extension_test(analyze_circle(lambda z: z, Circle(0, 1.0), 16), tol=-1.0)
+
+
+class TestSingleCircle:
+    """Single circles run as one-row batches and match the scalar reference."""
+
+    @pytest.mark.parametrize("n0, n_max", [(256, MAX_SAMPLES), (64, 512), (256, 256)])
+    @pytest.mark.parametrize("f", BATCH_ORACLES, ids=lambda f: getattr(f, "__name__", "f"))
+    def test_refinement_matches_reference(self, f, n0, n_max):
+        for circle in BATCH_CIRCLES:
+            data, result, inconclusive = analyze_with_refinement(f, circle, 1e-8, n0, n_max)
+            want, want_result, want_inconclusive = reference_refinement(f, circle, 1e-8, n0, n_max)
+            assert data.circle == circle
+            assert np.array_equal(data.coefficients, want.coefficients)
+            assert data.tail_energy_negative == want.tail_energy_negative
+            assert data.tail_energy_high == want.tail_energy_high
+            assert (result, inconclusive) == (want_result, want_inconclusive)
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_evaluate_extension_matches_reference(self, name):
+        f = builtin(name).oracle
+        for circle in (Circle(0.1 + 0.2j, 0.6), pencil_circle(-0.3)):
+            data = analyze_circle(f, circle, 128)
+            result = extension_test(data)
+            if not result.passes:
+                continue
+            for rho, angle in ((0.0, 0.0), (0.5, 0.7), (0.9, -2.0), (1.0, 3.0)):
+                zeta = circle.center + rho * circle.radius * cmath.exp(1j * angle)
+                want = reference_horner(data, zeta)
+                assert evaluate_extension(data, zeta, result) == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+    def test_no_module_cache(self):
+        cached = [name for name, value in vars(extension).items() if hasattr(value, "cache_info")]
+        assert cached == []
+
+
+# test-circle cases: (source flags, oracle, center text, radius, samples flags).
+CLI_CIRCLES = [("0", 0.5), ("0.1+0.2i", 0.6), ("0", 1.0), ("-0.7", 0.3), ("0.25", 0.25)]
+CLI_CASES = (
+    [
+        (["--builtin", name], builtin(name).oracle, center, radius, ["--samples", str(n)])
+        for name in builtin_names()
+        for center, radius in CLI_CIRCLES
+        for n in (64, 256)
+    ]
+    + [
+        (["--expr", text], compile_function(parse(text)), center, radius, [])
+        for text in ("z^100", "exp(40*z)")
+        for center, radius in CLI_CIRCLES
+    ]
+    + [
+        (["--expr", "z^3000"], compile_function(parse("z^3000")), "0", 1.0, ["--samples", "8192"]),
+        (["--expr", "exp(1/(z-1.001))"], compile_function(parse("exp(1/(z-1.001))")), "0", 1.0, []),
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "source, f, center, radius, samples",
+    CLI_CASES,
+    ids=[" ".join(c[0] + ["--center", c[2], "--radius", str(c[3])] + c[4]) for c in CLI_CASES],
+)
+def test_cli_test_circle_matches_reference(capsys, source, f, center, radius, samples):
+    code = main(["test-circle", *source, "--center", center, "--radius", str(radius), *samples])
+    out = capsys.readouterr().out
+    circle = Circle(parse_point(center), radius)
+    n0 = int(samples[1]) if samples else 256
+    data, result, inconclusive = reference_refinement(f, circle, 1e-8, n0)
+    total = data.total_energy
+    shown = json.loads(out)
+    doc = {
+        "schema_version": 1,
+        "function": shown["function"],
+        "center_re": circle.center.real,
+        "center_im": circle.center.imag,
+        "radius": circle.radius,
+        "samples": data.sample_count,
+        "negative_energy": data.tail_energy_negative,
+        "relative_negative_energy": data.tail_energy_negative / total if total > 0 else 0.0,
+        "threshold": result.threshold_used,
+        "aliasing": result.aliasing_flag,
+        "passes": result.passes,
+        "verdict": "inconclusive" if inconclusive else ("extends" if result.passes else "does-not-extend"),
+        "warnings": [],
+    }
+    assert out == dumps_report(doc)
+    assert code == (3 if inconclusive else (0 if result.passes else 1))
+
+
+@pytest.mark.parametrize("case", CLI_CASES[-2:], ids=lambda case: case[0][1])
+def test_cli_test_circle_aliased_at_cap_exits_three(capsys, case):
+    flags, _, center, radius, samples = case
+    assert main(["test-circle", *flags, "--center", center, "--radius", str(radius), *samples]) == 3
+    assert json.loads(capsys.readouterr().out)["verdict"] == "inconclusive"
 
 
 class TestOracleErrors:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from morera import extension, fiber
 from morera.cli import main
 from morera.errors import (
+    ConfigError,
     CurveProximityError,
     DegenerateInputError,
     DomainError,
@@ -297,6 +298,17 @@ class TestEvalF:
 
 
 class TestCauchyTransform:
+    @pytest.mark.parametrize("nodes", [0, -5])
+    def test_node_count_below_one_rejected(self, nodes):
+        f = builtin("poly3").oracle
+        curve = fiber_curve(0.5j)
+        with pytest.raises(ConfigError, match="node count"):
+            fiber_integral(f, 0.5j, nodes)
+        with pytest.raises(ConfigError, match="node count"):
+            fiber.cauchy_table(f, curve, [5.0], [0], nodes)
+        with pytest.raises(ConfigError, match="node count"):
+            cauchy_transform(f, 0.5j, 0.1, nodes=nodes)
+
     def test_outside_vanishes(self):
         f = builtin("poly3").oracle
         assert abs(cauchy_transform(f, 0.5j, 5.0)) < 1e-10
