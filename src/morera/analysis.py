@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -215,33 +216,6 @@ def test_family(
     return Report(config, tuple(results), passes, inconclusive, worst)
 
 
-def surrounding_circles(
-    T: float,
-    tau: float = DEFAULT_TAU,
-    r_floor: float = 0.0,
-    t_floor: Optional[float] = None,
-    margin: float = 0.05,
-    per_family: int = 3,
-) -> list[tuple[str, float, Circle]]:
-    """Sample circles of both (normalized) families strictly surrounding ``T``.
-
-    A centered circle of radius R surrounds T iff |T| < R; a pencil member of
-    parameter t iff T < 2t + 1.  ``margin`` keeps T away from the boundary of
-    every selected circle so extension series converge comfortably.
-    """
-    t_floor = (-1.0 + tau) if t_floor is None else t_floor
-    out: list[tuple[str, float, Circle]] = []
-    r_lo = max(r_floor, abs(T) + margin)
-    if r_lo < 1.0:
-        for R in np.linspace(r_lo, 1.0, per_family):
-            out.append(("centered", float(R), Circle(0.0, float(R))))
-    t_lo = max(t_floor, (T - 1.0 + margin) / 2.0)
-    if t_lo < 0.0:
-        for t in np.linspace(t_lo, 0.0, per_family):
-            out.append(("pencil", float(t), Circle(complex(t), float(t) + 1.0)))
-    return out
-
-
 def cross_consistency(
     f: Oracle,
     T: Union[float, Sequence[float]],
@@ -259,37 +233,72 @@ def cross_consistency(
     For each real point T (one, or a sequence) evaluates the holomorphic
     extension of ``f`` from a sample of surrounding circles of both families
     at ``probe_count`` probe points near T, and returns the maximum pairwise
-    difference over all T.  Each distinct circle is analyzed once, with the
-    same refinement as a sweep circle.  A circle that fails the
-    extendability test raises :class:`ExtensionFailureError`; failing that,
-    one still aliased at the sample cap raises :class:`InconclusiveError`.
+    difference over all T.  A centered circle of radius R surrounds T iff
+    |T| < R, a pencil member of parameter t iff T < 2t + 1; each family
+    contributes ``per_family`` evenly spaced members, from ``margin`` inside
+    that bound (and the floors ``r_floor``, ``t_floor``) to the unit circle.
+    Each distinct circle is analyzed once, with the same refinement as a
+    sweep circle.  A circle that fails the extendability test raises
+    :class:`ExtensionFailureError`; failing that, one still aliased at the
+    sample cap raises :class:`InconclusiveError`.
     """
-    t_values = [float(t) for t in np.atleast_1d(T)]
-    keys: dict = {}  # (center, radius) -> row of the batch
-    names: dict = {}  # row -> description of the circle, from its first T
-    pairs = []  # (T, row), one per surrounding circle of each T
-    probes = []
-    for t in t_values:
-        if not (-1.0 + 2.0 * tau < t < 0.0):
-            raise DomainError(f"T = {t} outside the admissible interval ({-1.0 + 2.0 * tau}, 0)")
-        chosen = surrounding_circles(t, tau, r_floor, t_floor, margin, per_family)
-        if len(chosen) < 2:
-            raise ConfigError(f"no surrounding circles available for T = {t} under the given floors")
-        delta = min(0.25 * min(c.radius - abs(t - c.center) for _, _, c in chosen), 0.02)
-        ring = t + delta * np.exp(2j * np.pi * np.arange(probe_count) / probe_count)
-        for kind, param, circle in chosen:
-            row = keys.setdefault((circle.center, circle.radius), len(keys))
-            names.setdefault(row, f"the {kind} circle with parameter {param} surrounding T = {t}")
-            pairs.append((t, row))
-            probes.append(ring)
+    t_values = np.array([float(t) for t in np.atleast_1d(T)])
+    admissible = (-1.0 + 2.0 * tau < t_values) & (t_values < 0.0)
+    # Errors are raised in T order; circles are built only for the T before
+    # the first inadmissible one.
+    n = int(np.argmin(admissible)) if not admissible.all() else t_values.size
+    ts = t_values[:n]
+    t_floor = (-1.0 + tau) if t_floor is None else t_floor
+    r_lo = _max(r_floor, np.abs(ts) + margin)
+    t_lo = _max(t_floor, (ts - 1.0 + margin) / 2.0)
+    k = per_family
+    # Per T: the centered members, then the pencil members, where there are any.
+    params = np.zeros((n, 2 * k))
+    mask = np.zeros((n, 2 * k), dtype=bool)
+    for family, (lo, stop) in enumerate(((r_lo, 1.0), (t_lo, 0.0))):
+        has = lo < stop
+        params[has, family * k : (family + 1) * k] = np.linspace(lo[has], stop, k, axis=1)
+        mask[has, family * k : (family + 1) * k] = True
+    # One entry per (T, circle) pair, in T order.
+    param = params[mask]
+    pencil = np.nonzero(mask)[1] >= k
+    center = np.where(pencil, param, 0.0).astype(complex)
+    radius = np.where(pencil, param + 1.0, param)
+    counts = mask.sum(axis=1)
+    owner = np.repeat(np.arange(n), counts)
+    bad_circle = np.flatnonzero(~(radius > 0.0) | ~np.isfinite(param))
+    few = np.flatnonzero(counts < 2)
+    if bad_circle.size and (not few.size or owner[bad_circle[0]] <= few[0]):
+        Circle(center[bad_circle[0]], radius[bad_circle[0]])  # raises as the constructor does
+    if few.size:
+        raise ConfigError(f"no surrounding circles available for T = {float(ts[few[0]])} under the given floors")
+    if n < t_values.size:
+        raise DomainError(f"T = {float(t_values[n])} outside the admissible interval ({-1.0 + 2.0 * tau}, 0)")
+    keys: dict = {}  # (center, radius) -> row of the batch, in first-occurrence order
+    rows = [keys.setdefault(key, len(keys)) for key in zip(center.tolist(), radius.tolist())]
     batch = ext.analyze_batch(f, [c for c, _ in keys], [r for _, r in keys], tol, samples)
-    batch.require_extensions(names.__getitem__)
-    values = batch.evaluate(np.array(probes), [row for _, row in pairs])
+
+    def name(row: int) -> str:
+        j = rows.index(row)
+        kind = "pencil" if pencil[j] else "centered"
+        return f"the {kind} circle with parameter {float(param[j])} surrounding T = {float(ts[owner[j]])}"
+
+    batch.require_extensions(name)
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    gap = np.minimum.reduceat(radius - np.abs(ts[owner] - center.real), starts[:-1])
+    delta = np.minimum(0.25 * gap, 0.02)
+    rings = ts[:, None] + delta[:, None] * np.exp(2j * np.pi * np.arange(probe_count) / probe_count)
+    values = batch.evaluate(np.repeat(rings, counts, axis=0), rows)
     residual = 0.0
-    for t in t_values:
-        block = values[[i for i, (s, _) in enumerate(pairs) if s == t]]
+    for start, stop in zip(starts[:-1], starts[1:]):
+        block = values[start:stop]
         residual = max(residual, float(np.abs(block[:, None, :] - block[None, :, :]).max()))
     return residual
+
+
+def _max(a, b):
+    """Python's ``max(a, b)`` elementwise: ``b`` where it is greater, else ``a`` (NaN included)."""
+    return np.where(b > a, b, a)
 
 
 @dataclass(frozen=True)
@@ -546,6 +555,51 @@ def report_document(
     return doc
 
 
+# json.dumps indents with the pure-Python encoder; this is the C one.  Its item
+# separator carries a NUL, which ASCII escaping leaves nowhere else in the text,
+# so the separators can be found and replaced by newlines.
+_ENCODE = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",\x00", ": ")).encode
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
 def dumps_report(doc: dict) -> str:
-    """Deterministic JSON text for a report document."""
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Deterministic JSON text for a report document.
+
+    Byte for byte ``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)``
+    plus a newline; NaN or infinity anywhere raises ``ValueError``.
+    """
+    return _indented(doc, "\n") + "\n"
+
+
+def _indented(obj, newline: str) -> str:
+    """``obj`` indented as ``json.dumps`` does, ``newline`` being a line break plus obj's indent."""
+    if isinstance(obj, str) or not isinstance(obj, (list, tuple, dict)):
+        return _ENCODE(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = newline + "  "
+    is_dict = isinstance(obj, dict)
+    if _all_scalars(obj.values() if is_dict else obj):
+        text = _ENCODE(obj)
+        return text[0] + inner + text[1:-1].replace(",\x00", "," + inner) + newline + text[-1]
+    if is_dict:
+        items = [_key(key) + ": " + _indented(value, inner) for key, value in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if set(map(type, obj)) == {dict} and all(obj) and _all_scalars(chain.from_iterable(map(dict.values, obj))):
+        # Flat records, such as the per-circle results: also one encoder call.
+        deeper = inner + "  "
+        body = _ENCODE(obj)[2:-2].replace("},\x00{", inner + "}," + inner + "{" + deeper)
+        return "[" + inner + "{" + deeper + body.replace(",\x00", "," + deeper) + inner + "}" + newline + "]"
+    return "[" + inner + ("," + inner).join(_indented(item, inner) for item in obj) + newline + "]"
+
+
+def _key(key) -> str:
+    """A dict key as the encoder writes it; a non-str key is converted as ``json.dumps`` converts it."""
+    if isinstance(key, str):
+        return _ENCODE(key)
+    return _ENCODE({key: 0})[1:-4]  # the text of {key: 0} less "{" and ": 0}"
+
+
+def _all_scalars(values) -> bool:
+    """Whether every value is a str, int, float, bool or None (subclasses excluded)."""
+    return set(map(type, values)) <= _SCALAR_TYPES

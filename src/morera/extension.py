@@ -407,7 +407,8 @@ def analyze_batch(
     at 2N, up to ``n_max``, where a still-aliased row is inconclusive.  This
     is the only refinement loop; single circles run through it as one-row
     batches.  Non-finite samples raise :class:`SamplingError` with ``row``
-    set.
+    set; a row whose Fourier energy overflows float64 raises
+    :class:`InconclusiveError` naming its circle.
     """
     centers = np.asarray(centers, dtype=complex).ravel()
     radii = np.asarray(radii, dtype=float).ravel()
@@ -422,12 +423,23 @@ def analyze_batch(
     n = int(n0)
     while active.size:
         try:
-            coeffs = np.fft.fft(_sample_rows(f, centers[active], radii[active], n), axis=1)
+            values = _sample_rows(f, centers[active], radii[active], n)
         except SamplingError as exc:
             exc.row = int(active[exc.row])
             raise
-        coeffs /= n
-        row_negative, row_high, row_total = _energy_bands(coeffs)
+        # Finite samples can still overflow in the FFT or in |c_k|^2; such a
+        # row is caught below, without a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = np.fft.fft(values, axis=1)
+            coeffs /= n
+            row_negative, row_high, row_total = _energy_bands(coeffs)
+        finite = np.isfinite(row_total)
+        if not finite.all():
+            row = int(active[np.argmin(finite)])
+            circle = Circle(complex(centers[row]), float(radii[row]))
+            raise InconclusiveError(
+                f"the Fourier energy of f overflows float64 on {circle} ({n} samples)", circle=circle
+            )
         _, row_aliasing, row_passes = _threshold_rule(row_negative, row_high, row_total, tol)
         samples[active] = n
         negative[active] = row_negative

@@ -28,17 +28,25 @@ _UPSAMPLE = 8
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (temp file + rename)."""
+    """Write ``text`` to ``path`` atomically (temp file + rename).
+
+    An ``OSError`` (a missing directory, no permission, ``path`` a
+    directory) becomes a :class:`ConfigError` naming ``path``; no temp file
+    is left behind.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".morera-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".morera-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def write_polar_grid(
@@ -196,19 +204,28 @@ def _distinct(x: np.ndarray) -> np.ndarray:
 
 
 def read_polar_grid(path: str) -> GridFunction:
-    """Load a polar-grid CSV file into an interpolating oracle."""
-    with open(path) as handle:
-        first = _next_row(handle)
-        if first is None:
-            raise ConfigError(f"grid file {path} is empty")
-        if [c.strip() for c in first.split(",")] == HEADER:
+    """Load a polar-grid CSV file into an interpolating oracle.
+
+    A file that cannot be opened or decoded raises :class:`ConfigError`
+    naming ``path``, as does any defect of its contents.
+    """
+    try:
+        with open(path) as handle:
             first = _next_row(handle)
             if first is None:
-                raise ConfigError(f"grid file {path} has a header but no data rows")
-        try:
-            data = np.loadtxt(itertools.chain([first], handle), delimiter=",", comments="#", ndmin=2)
-        except ValueError as exc:
-            raise ConfigError(f"grid file {path} is malformed: {exc}") from None
+                raise ConfigError(f"grid file {path} is empty")
+            if [c.strip() for c in first.split(",")] == HEADER:
+                first = _next_row(handle)
+                if first is None:
+                    raise ConfigError(f"grid file {path} has a header but no data rows")
+            try:
+                data = np.loadtxt(itertools.chain([first], handle), delimiter=",", comments="#", ndmin=2)
+            except ValueError as exc:
+                raise ConfigError(f"grid file {path} is malformed: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read grid file {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"grid file {path} is not text") from None
     if data.shape[1] != 4:
         raise ConfigError(f"grid file {path} must have 4 columns {HEADER}")
     if not np.isfinite(data).all():

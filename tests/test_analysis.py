@@ -1,6 +1,12 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from morera import extension as ext
 from morera.analysis import (
     CLASS_CONSISTENT,
     CLASS_INCONCLUSIVE,
@@ -24,7 +30,8 @@ from morera.errors import (
     InconclusiveError,
     SamplingError,
 )
-from morera.funczoo import builtin, holomorphic_members
+from morera.funczoo import builtin, builtin_names, holomorphic_members
+from morera.geometry import DEFAULT_TAU, Circle
 
 
 class TestFamilyConfig:
@@ -247,8 +254,6 @@ class TestReports:
         assert docs[0] == docs[1]
 
     def test_schema_keys(self):
-        import json
-
         f = builtin("expz").oracle
         config = PipelineConfig(circles_per_family=8, t_count=3)
         doc = json.loads(dumps_report(report_document(verdict(f, config), config, {"source": "builtin", "name": "expz"})))
@@ -256,3 +261,162 @@ class TestReports:
         assert {"family", "parameter", "negative_energy", "passes"} <= set(doc["families"][0]["circles"][0])
         assert doc["families"][0]["family"] == "centered"
         assert doc["families"][1]["family"] == "pencil"
+
+
+def reference_surrounding_circles(T, tau, r_floor, t_floor, margin, per_family):
+    """The circles of both families around one ``T``, built one T at a time."""
+    t_floor = (-1.0 + tau) if t_floor is None else t_floor
+    out = []
+    r_lo = max(r_floor, abs(T) + margin)
+    if r_lo < 1.0:
+        for R in np.linspace(r_lo, 1.0, per_family):
+            out.append(("centered", float(R), Circle(0.0, float(R))))
+    t_lo = max(t_floor, (T - 1.0 + margin) / 2.0)
+    if t_lo < 0.0:
+        for t in np.linspace(t_lo, 0.0, per_family):
+            out.append(("pencil", float(t), Circle(complex(t), float(t) + 1.0)))
+    return out
+
+
+def reference_cross_consistency(
+    f, T, probe_count=8, tau=DEFAULT_TAU, tol=ext.DEFAULT_MORERA_TOL, samples=ext.DEFAULT_SAMPLES,
+    r_floor=0.0, t_floor=None, margin=0.05, per_family=3,
+):
+    """Cross-consistency with a loop over T: the reference for the array version."""
+    t_values = [float(t) for t in np.atleast_1d(T)]
+    keys = {}
+    names = {}
+    pairs = []
+    probes = []
+    for t in t_values:
+        if not (-1.0 + 2.0 * tau < t < 0.0):
+            raise DomainError(f"T = {t} outside the admissible interval ({-1.0 + 2.0 * tau}, 0)")
+        chosen = reference_surrounding_circles(t, tau, r_floor, t_floor, margin, per_family)
+        if len(chosen) < 2:
+            raise ConfigError(f"no surrounding circles available for T = {t} under the given floors")
+        delta = min(0.25 * min(c.radius - abs(t - c.center) for _, _, c in chosen), 0.02)
+        ring = t + delta * np.exp(2j * np.pi * np.arange(probe_count) / probe_count)
+        for kind, param, circle in chosen:
+            row = keys.setdefault((circle.center, circle.radius), len(keys))
+            names.setdefault(row, f"the {kind} circle with parameter {param} surrounding T = {t}")
+            pairs.append((t, row))
+            probes.append(ring)
+    batch = ext.analyze_batch(f, [c for c, _ in keys], [r for _, r in keys], tol, samples)
+    batch.require_extensions(names.__getitem__)
+    values = batch.evaluate(np.array(probes), [row for _, row in pairs])
+    residual = 0.0
+    for t in t_values:
+        block = values[[i for i, (s, _) in enumerate(pairs) if s == t]]
+        residual = max(residual, float(np.abs(block[:, None, :] - block[None, :, :]).max()))
+    return residual
+
+
+def _exp(c):
+    return lambda z: np.exp(c * np.asarray(z, dtype=complex))
+
+
+def _pipeline_arguments(config):
+    return (config.t_values(),), dict(
+        probe_count=config.probe_count, tau=config.tau, tol=config.morera_tol, samples=config.samples,
+        r_floor=config.r_min, t_floor=config.pencil_floor,
+    )
+
+
+CROSS_FUNCTIONS = {name: builtin(name).oracle for name in builtin_names()}
+CROSS_FUNCTIONS.update({f"exp({c}z)": _exp(c) for c in (1, 10, 20, 25, 40)})
+CROSS_FUNCTIONS["pole-at-1.0001"] = lambda z: 1.0 / (np.asarray(z, dtype=complex) - 1.0001)
+T8 = PipelineConfig().t_values()
+CROSS_SETTINGS = {
+    "default-config": _pipeline_arguments(PipelineConfig()),
+    "sharpness-config": _pipeline_arguments(PipelineConfig(r_min=0.6, t_min=-0.4)),
+    "wide-config": _pipeline_arguments(PipelineConfig(tau=0.1, r_min=0.2, t_count=5, probe_count=6, samples=128)),
+    "floors-0.6": ((T8,), dict(r_floor=0.6, t_floor=-0.4)),
+    "floor-0.3": ((T8,), dict(r_floor=0.3)),
+    "two-per-family": ((T8,), dict(per_family=2, margin=0.1)),
+    "single-T": ((-0.3,), {}),
+    "repeated-T": (([-0.3, -0.1, -0.3],), {}),
+    "no-T": (([],), {}),
+    "T-out-of-range": (([-0.3, -0.9],), {}),
+    "too-few-circles": (([-0.3, -0.1],), dict(r_floor=1.0, per_family=1)),
+    "zero-radius": (([-0.3],), dict(margin=-2.0)),
+    "pencil-beyond-point": (([-0.3],), dict(r_floor=1.0, t_floor=-1.5, margin=-2.0)),
+    "one-circle-beyond-point": (([-0.3],), dict(r_floor=1.0, t_floor=-1.5, margin=-2.0, per_family=1)),
+}
+
+
+def _outcome(fn, f, args, kwargs):
+    try:
+        return "value", fn(f, *args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return type(exc), str(exc), getattr(exc, "circle", None)
+
+
+class TestCrossConsistencyOracle:
+    @pytest.mark.parametrize("setting", list(CROSS_SETTINGS))
+    @pytest.mark.parametrize("function", list(CROSS_FUNCTIONS))
+    def test_matches_the_per_t_loop(self, function, setting):
+        f = CROSS_FUNCTIONS[function]
+        args, kwargs = CROSS_SETTINGS[setting]
+        expected = _outcome(reference_cross_consistency, f, args, kwargs)
+        assert _outcome(cross_consistency, f, args, kwargs) == expected
+
+
+# JSON documents of the kinds reports hold: nested dicts with string keys,
+# lists, tuples, empty containers, and flat records whose strings contain NUL,
+# quotes, brackets, "}," and non-ASCII text.
+_json_text = st.text(alphabet=st.sampled_from(list('ab"\\\x00\n{}[],: \u00e9\u4e2d\U0001f600')), max_size=8)
+_json_scalars = (
+    st.none() | st.booleans() | st.integers(-(10**20), 10**20)
+    | st.floats(allow_nan=False, allow_infinity=False) | _json_text
+)
+_json_records = st.lists(st.dictionaries(_json_text, _json_scalars, min_size=1, max_size=5), min_size=1, max_size=4)
+_json_docs = st.recursive(
+    _json_scalars | _json_records,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(_json_text, children, max_size=4)
+    ),
+    max_leaves=25,
+)
+
+
+def _with_leaf(doc, leaf, path):
+    """``doc`` with the first scalar found along ``path`` (a list of choices) replaced by ``leaf``."""
+    if isinstance(doc, dict) and doc:
+        key = sorted(doc)[path[0] % len(doc)]
+        return {**doc, key: _with_leaf(doc[key], leaf, path[1:] or [0])}
+    if isinstance(doc, (list, tuple)) and doc:
+        i = path[0] % len(doc)
+        return [*doc[:i], _with_leaf(doc[i], leaf, path[1:] or [0]), *doc[i + 1 :]]
+    return leaf
+
+
+class TestDumpsReport:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(doc=_json_docs)
+    def test_same_text_as_json_dumps(self, doc):
+        assert dumps_report(doc) == json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        doc=_json_docs,
+        leaf=st.sampled_from([math.nan, math.inf, -math.inf]),
+        path=st.lists(st.integers(0, 10), min_size=1, max_size=6),
+    )
+    def test_non_finite_values_raise_at_any_depth(self, doc, leaf, path):
+        doc = _with_leaf(doc, leaf, path)
+        with pytest.raises(ValueError):
+            json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+        with pytest.raises(ValueError):
+            dumps_report(doc)
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_verdict_reports_match_json_dumps(self, name):
+        config = PipelineConfig(circles_per_family=8, t_count=3)
+        doc = report_document(verdict(builtin(name).oracle, config), config, {"source": "builtin", "name": name})
+        assert dumps_report(doc) == json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+    def test_non_string_keys_are_converted_as_json_dumps_converts_them(self):
+        doc = {"a": {10: [1.5, {2.5: None, -1e300: "x"}], 2: {True: (), False: 0}}, "b": {None: [{1: 2}]}}
+        assert dumps_report(doc) == json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"

@@ -318,6 +318,77 @@ class TestGridInflation:
         assert err == f"error: --grid-inflation must be positive and finite, got {shown}\n"
 
 
+# A quick command line per command; "SOURCE" stands for its function source.
+QUICK_COMMANDS = {
+    "test-circle": ["SOURCE", "--radius", "0.5"],
+    "sweep": ["SOURCE", "--circles", "8"],
+    "fiber": ["SOURCE", "--z", "0.5i"],
+    "theta": ["SOURCE", "--z", "0.5i", "--w-count", "3", "--nodes", "128"],
+    "verdict": ["SOURCE", "--circles", "8"],
+    "demo-sharpness": ["--circles", "8"],
+}
+
+
+def commands_taking(option: str) -> list[str]:
+    names = []
+    for name, (_, add_flags, _) in cli._COMMANDS.items():
+        table = cli._FlagTable()
+        add_flags(table)
+        if option in table.options:
+            names.append(name)
+    return names
+
+
+def quick_argv(name: str, *source: str) -> list[str]:
+    """The quick command line of ``name``, with ``source`` for its function source if it takes one."""
+    return [name] + [token for arg in QUICK_COMMANDS[name] for token in (source if arg == "SOURCE" else [arg])]
+
+
+class TestUnusableFiles:
+    @pytest.mark.parametrize("what", ["missing", "directory"])
+    @pytest.mark.parametrize("name", commands_taking("--grid"))
+    def test_unreadable_grid_is_config_error(self, capsys, tmp_path, name, what):
+        path = tmp_path / "missing.csv" if what == "missing" else tmp_path
+        code, out, err = run(quick_argv(name, "--grid", str(path)), capsys)
+        if name == "fiber":  # accepts a source but only draws the curve
+            assert code == 0 and out.startswith("piece,index")
+            return
+        reason = "No such file or directory" if what == "missing" else "Is a directory"
+        assert (code, out, err) == (2, "", f"error: cannot read grid file {path}: {reason}\n")
+
+    def test_binary_grid_is_config_error(self, capsys, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_bytes(bytes(range(128, 256)))
+        code, out, err = run(quick_argv("verdict", "--grid", str(path)), capsys)
+        assert (code, out, err) == (2, "", f"error: grid file {path} is not text\n")
+
+    @pytest.mark.parametrize("what", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("name", commands_taking("-o"))
+    def test_unwritable_output_is_config_error(self, capsys, tmp_path, name, what):
+        path = tmp_path / "missing" / "out.txt" if what == "missing-directory" else tmp_path / "out"
+        if what == "directory":
+            path.mkdir()  # the temp file is made beside it, in tmp_path, and must be removed
+        code, _, err = run(quick_argv(name, "--builtin", "poly3") + ["-o", str(path)], capsys)
+        reason = "No such file or directory" if what == "missing-directory" else "Is a directory"
+        assert (code, err) == (2, f"error: cannot write {path}: {reason}\n")
+        assert not list(tmp_path.rglob(".morera-*"))
+
+
+class TestOverflowingEnergy:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["test-circle", "--expr", "exp(400*z)", "--radius", "1"],
+            ["sweep", "--expr", "exp(400*z)", "--circles", "8"],
+            ["verdict", "--expr", "exp(400*z)", "--circles", "8"],
+        ],
+    )
+    def test_is_inconclusive(self, capsys, argv):
+        code, out, err = run(argv, capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: the Fourier energy of f overflows float64 on Circle(")
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

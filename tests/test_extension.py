@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morera import extension
-from morera.analysis import FamilyConfig, dumps_report
+from morera.analysis import FamilyConfig, dumps_report, verdict
 from morera.analysis import test_family as sweep_family
 from morera.cli import main, parse_point
 from morera.errors import (
     DomainError,
+    InconclusiveError,
     InvalidStateError,
     ParameterDomainError,
     SamplingError,
@@ -309,6 +310,19 @@ class TestAnalyzeBatch:
             analyze_batch(lambda z: 1.0 / (z - 0.5), [0, 0, 0], [0.25, 0.5, 0.75])
         assert err.value.row == 1
         assert err.value.theta == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("c", [400, 709])
+    def test_overflowing_energy_is_inconclusive_naming_its_row(self, c):
+        # Every sample is finite; |c_k|^2 (at c = 709 the FFT as well)
+        # overflows on the second circle only.  No RuntimeWarning is emitted.
+        with pytest.raises(InconclusiveError) as err:
+            analyze_batch(lambda z: np.exp(c * z), [0, 0, 0], [0.1, 1.0, 0.5])
+        assert err.value.circle == Circle(0, 1.0)
+        assert str(err.value) == "the Fourier energy of f overflows float64 on Circle(center=0j, radius=1.0) (256 samples)"
+
+    def test_overflowing_energy_makes_the_library_verdict_raise(self):
+        with pytest.raises(InconclusiveError):
+            verdict(lambda z: np.exp(400 * np.asarray(z, dtype=complex)))
 
     def test_invalid_parameters(self):
         with pytest.raises(ParameterDomainError):
