@@ -421,12 +421,11 @@ def cmd_fiber(args) -> int:
     rows = ["piece,index,param,re_w,im_w"] if len(zs) == 1 else ["z_re,z_im,piece,index,param,re_w,im_w"]
     for z in zs:
         curve = fiber.fiber_curve(z, tau=args.tau)
+        prefix = f"{float(z.real)!r},{float(z.imag)!r}," if len(zs) > 1 else ""
         for name, params, points in curve.polyline(args.points_per_piece):
-            for index, (param, w) in enumerate(zip(params, points)):
-                cells = [name, str(index), repr(float(param)), repr(float(w.real)), repr(float(w.imag))]
-                if len(zs) > 1:
-                    cells = [repr(float(z.real)), repr(float(z.imag))] + cells
-                rows.append(",".join(cells))
+            # One format call per row, fed whole columns as Python floats.
+            fmt = prefix + name + ",{},{!r},{!r},{!r}"
+            rows += map(fmt.format, range(params.size), params.tolist(), points.real.tolist(), points.imag.tolist())
     _emit("\n".join(rows) + "\n", args.output)
     return EXIT_OK
 

@@ -195,7 +195,8 @@ def _energy_bands(coeffs: np.ndarray) -> tuple:
     k < 0, the aliasing band |k| >= N/4.
     """
     n = coeffs.shape[-1]
-    energy = np.abs(coeffs) ** 2
+    energy = np.abs(coeffs)
+    np.square(energy, out=energy)
     negative = energy[..., n // 2 :].sum(axis=-1)
     high = energy[..., n // 4 : n - n // 4 + 1].sum(axis=-1)
     return negative, high, energy.sum(axis=-1)
@@ -302,13 +303,14 @@ def _horner(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     ``coeffs`` has one row per entry of the first axis of ``u``, whose shape
     is (m,) or (m, probes); the sum runs over every column, highest degree
-    first.
+    first.  The coefficients are reshaped once, to (degree, rows, 1...), so
+    each step adds one view's row.
     """
-    shape = (-1,) + (1,) * (u.ndim - 1)
+    columns = coeffs.T.reshape(coeffs.shape[::-1] + (1,) * (u.ndim - 1))
     acc = np.zeros_like(u)
-    for k in range(coeffs.shape[1] - 1, -1, -1):
+    for column in columns[::-1]:
         acc *= u
-        acc += coeffs[:, k].reshape(shape)
+        acc += column
     return acc
 
 
@@ -342,19 +344,23 @@ class BatchAnalysis:
     def circle(self, row: int) -> Circle:
         return Circle(complex(self.centers[row]), float(self.radii[row]))
 
-    def require_extensions(self, name: Callable[[int], str]) -> None:
+    def require_extensions(self, name: Callable[[int], str], rows: slice = slice(None)) -> None:
         """Raise unless every row passes, naming the row by ``name(row)``.
+
+        ``rows``, a slice of consecutive rows, limits the check to those.
 
         The first failing row raises :class:`ExtensionFailureError`; when
         none fails, the first row still aliased at the sample cap raises
         :class:`InconclusiveError`.
         """
+        start = rows.indices(self.samples.size)[0]
         for flags, error, what in (
             (~self.passes & ~self.inconclusive, ExtensionFailureError, "does not extend holomorphically"),
             (self.inconclusive, InconclusiveError, "is undecided (aliased at the sample cap)"),
         ):
+            flags = flags[rows]
             if flags.any():
-                row = int(np.argmax(flags))
+                row = start + int(np.argmax(flags))
                 raise error(
                     f"f {what} from {name(row)} (negative energy "
                     f"{self.negative_energy[row]:.3e}, {self.samples[row]} samples)",
@@ -431,6 +437,9 @@ def analyze_batch(
         # row is caught below, without a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             coeffs = np.fft.fft(values, axis=1)
+            # Free the samples now, so the energy bands can reuse their
+            # memory: a fresh process pays a page fault for every new page.
+            del values
             coeffs /= n
             row_negative, row_high, row_total = _energy_bands(coeffs)
         finite = np.isfinite(row_total)

@@ -21,9 +21,10 @@ t on the arc), and a constant one for holomorphic f.  It is represented per
 piece by a Chebyshev series: the extension is computed from the circles of
 nested Chebyshev-Lobatto parameters (17, 33, ... up to 257 points) until the
 series' tail coefficients stop mattering, so only those circles are tested
-and sampled.  Quadrature is composite Gauss-Legendre per piece in the same
-parameters, with node counts doubled until two successive refinements
-agree; every level reads its node values from the series.  The Cauchy
+and sampled; both pieces' first grids share one kernel pass.  Quadrature is
+composite Gauss-Legendre per piece in the same parameters, with node counts
+doubled until two successive refinements agree, starting from the curve's
+own nodes; every level reads its node values from the series.  The Cauchy
 transform subtracts a constant c (F at the node nearest W) from the
 integrand and adds c * ind(W) back, so the near-singular part of the kernel
 only ever meets F - c.  A table of many W classifies them in one array pass
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -91,10 +92,17 @@ _BLOCK_ELEMENTS = 1 << 14
 Oracle = Callable[[complex], complex]
 
 
+def _panel_count(n_nodes: int) -> int:
+    """Gauss panels of a composite rule asked for ``n_nodes`` nodes: enough for them, at least one."""
+    return max(1, int(math.ceil(n_nodes / _PANEL_ORDER)))
+
+
 def _composite_gauss(a: float, b: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes/weights on the oriented interval [a, b]."""
-    panels = max(1, int(math.ceil(n_nodes / _PANEL_ORDER)))
-    edges = np.linspace(a, b, panels + 1)
+    panels = _panel_count(n_nodes)
+    # np.linspace's own arithmetic, bit for bit, without its Python overhead.
+    edges = np.arange(panels + 1.0) * ((b - a) / panels) + a
+    edges[-1] = b
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mids[:, None] + half[:, None] * _PANEL_X[None, :]).ravel()
@@ -340,22 +348,60 @@ def eval_F(
     return eval_on_arc_leaf(f, z, t, samples, tol)
 
 
+def _circle_values(f: Oracle, z: complex, pieces: list, samples: int, tol: float) -> list[Callable[[], tuple]]:
+    """Extensions of ``f`` at ``z`` from the circles of several pieces, in one kernel pass.
+
+    ``pieces`` holds one (centers, radii, kind) triple per piece, ``kind``
+    naming its circles (``centered`` or ``pencil``).  One
+    :func:`extension.analyze_batch` call takes every circle, in the order
+    given, and one Horner pass evaluates those that pass; non-finite samples
+    raise from that call.  Returns one callable per piece.  Calling it
+    checks the piece's circles (the first that fails the test, or stays
+    aliased at the sample cap, raises naming the circle) and gives their
+    extensions and the root-mean-square of ``f`` on each, the scale of the
+    round-off in its extension.  A piece calls its own only when it needs
+    the values, so test failures come in piece order.
+    """
+    batch = ext.analyze_batch(
+        f, np.concatenate([c for c, _, _ in pieces]), np.concatenate([r for _, r, _ in pieces]), tol, samples
+    )
+    good = np.flatnonzero(batch.passes)
+    values = np.empty(batch.samples.shape, dtype=complex)
+    values[good] = batch.evaluate(np.full(good.shape, z), good)
+    rms = np.sqrt(batch.total_energy)
+
+    def checked(rows: slice, kind: str) -> tuple[np.ndarray, np.ndarray]:
+        batch.require_extensions(
+            lambda i: f"the {kind} circle (center {batch.centers[i]}, radius {batch.radii[i]}) "
+            "met along the fiber curve",
+            rows,
+        )
+        return values[rows], rms[rows]
+
+    levels, start = [], 0
+    for centers, _, kind in pieces:
+        levels.append(partial(checked, slice(start, start + centers.size), kind))
+        start += centers.size
+    return levels
+
+
 def _piece_values(
     f: Oracle, z: complex, centers: np.ndarray, radii: np.ndarray, samples: int, tol: float, kind: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Extensions of ``f`` from the given circles of one piece, all at ``z``.
+    """Extensions of ``f`` from the given circles of one piece, all at ``z`` (see :func:`_circle_values`)."""
+    (level,) = _circle_values(f, z, [(centers, radii, kind)], samples, tol)
+    return level()
 
-    One :func:`extension.analyze_batch` call; a circle that fails the test
-    (or stays aliased at the sample cap) aborts the piece, naming the circle.
-    Also returns the root-mean-square of ``f`` on each circle, the scale of
-    the round-off in its extension.
+
+def _piece_circles(name: str, params: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
+    """The circles owning a piece's parameters, with their kind.
+
+    Centered circles of radius R on the segment, pencil circles of
+    parameter t on the arc.
     """
-    batch = ext.analyze_batch(f, centers, radii, tol, samples)
-    batch.require_extensions(
-        lambda i: f"the {kind} circle (center {batch.centers[i]}, radius {batch.radii[i]}) "
-        "met along the fiber curve"
-    )
-    return batch.evaluate(np.full(centers.shape, z)), np.sqrt(batch.total_energy)
+    if name == "segment":
+        return np.zeros(params.shape, dtype=complex), params, "centered"
+    return params.astype(complex), params + 1.0, "pencil"
 
 
 def _lobatto(lo: float, hi: float, n: int) -> np.ndarray:
@@ -409,23 +455,32 @@ class _PieceSeries:
 
 
 def _piece_series(
-    f: Oracle, z: complex, name: str, lo: float, hi: float, samples: int, tol: float
+    f: Oracle,
+    z: complex,
+    name: str,
+    lo: float,
+    hi: float,
+    samples: int,
+    tol: float,
+    first: Callable[[], tuple] | None = None,
 ) -> _PieceSeries:
     """Sample F on nested Lobatto grids of the piece until its series chops.
 
     The segment's circles are centered with radius R, the arc's are the
-    pencil circles of parameter t.  Each doubling analyses only the new
-    (odd-index) circles.  Stops once the last quarter of the coefficients is
-    at most ``_CHEB_CHOP`` times the scale, or at ``_CHEB_MAX`` points.
+    pencil circles of parameter t.  ``first``, when given, is the
+    :func:`_circle_values` callable of the first grid's circles, analysed
+    together with another piece's; without it the piece analyses them
+    itself.  Each doubling analyses only the new (odd-index) circles.  Stops
+    once the last quarter of the coefficients is at most ``_CHEB_CHOP``
+    times the scale, or at ``_CHEB_MAX`` points.
     """
 
     def values_at(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if name == "segment":
-            return _piece_values(f, z, np.zeros(params.shape, dtype=complex), params, samples, tol, "centered")
-        return _piece_values(f, z, params.astype(complex), params + 1.0, samples, tol, "pencil")
+        centers, radii, kind = _piece_circles(name, params)
+        return _piece_values(f, z, centers, radii, samples, tol, kind)
 
     n = _CHEB_START - 1
-    values, rms = values_at(_lobatto(lo, hi, n))
+    values, rms = first() if first is not None else values_at(_lobatto(lo, hi, n))
     scale = max(float(np.abs(values).max()), _CHEB_FLOOR * float(rms.max()))
     while True:
         coefficients = _chebyshev_coefficients(values)
@@ -446,25 +501,36 @@ class _FiberField:
 
     Built once per (f, z, samples, tol, tau): every quadrature level reads its
     node values from the series, so refining the quadrature costs no oracle
-    call.  A circle that fails the extendability test raises
-    :class:`ExtensionFailureError` from whichever piece meets it; only when
-    none does, a piece whose series did not resolve raises
-    :class:`InconclusiveError` naming the piece and its parameter range.
+    call.  Both pieces' first Lobatto grids are analysed in one kernel pass;
+    their doublings are per piece.  A circle that fails the extendability
+    test raises :class:`ExtensionFailureError` from whichever piece meets
+    it, the segment's first; only when none does, a piece whose series did
+    not resolve raises :class:`InconclusiveError` naming the piece and its
+    parameter range.
     """
 
     def __init__(self, f: Oracle, curve: FiberCurve, samples: int, tol: float):
         self.curve = curve
         z = curve.z
-        self.pieces = (
-            _piece_series(f, z, "segment", abs(z), 1.0, samples, tol),
-            _piece_series(f, z, "arc", curve.t_min, 0.0, samples, tol),
+        spans = (("segment", abs(z), 1.0), ("arc", curve.t_min, 0.0))
+        grids = [_piece_circles(name, _lobatto(lo, hi, _CHEB_START - 1)) for name, lo, hi in spans]
+        firsts = _circle_values(f, z, grids, samples, tol)
+        self.pieces = tuple(
+            _piece_series(f, z, name, lo, hi, samples, tol, first) for (name, lo, hi), first in zip(spans, firsts)
         )
         for piece in self.pieces:
             piece.require_resolved(z)
 
     def level(self, per_piece: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nodes, weights and F values of the composite Gauss rule with ``per_piece`` nodes a piece."""
-        w, dw, piece, param = _quadrature(self.curve.z, self.curve.t_min, per_piece)
+        """Nodes, weights and F values of the composite Gauss rule with ``per_piece`` nodes a piece.
+
+        At the curve's own panel count these are the curve's nodes.
+        """
+        curve = self.curve
+        if 2 * _panel_count(per_piece) * _PANEL_ORDER == curve.nodes_w.size:
+            w, dw, piece, param = curve.nodes_w, curve.nodes_dw, curve.nodes_piece, curve.nodes_param
+        else:
+            w, dw, piece, param = _quadrature(curve.z, curve.t_min, per_piece)
         values = np.empty_like(w)
         for index, series in enumerate(self.pieces):
             mask = piece == index

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morera import cli
+from morera import cli, fiber
 from morera.cli import main, parse_point
 from morera.errors import ConfigError
 from morera.funczoo import builtin
@@ -126,6 +126,27 @@ class TestFiberCommand:
         assert abs(seg[0] - (-0.5j)) < 1e-12 and abs(seg[-1] - (-2j)) < 1e-12
         # arc samples on the circle center (-1, -1.25) radius 1.25
         assert np.abs(np.abs(arc - (-1 - 1.25j)) - 1.25).max() < 1e-12
+
+    @pytest.mark.parametrize("zs", [["0.5i"], ["-0.3-0.4i"], ["0.5i", "-0.3-0.4i", "0.2+0.6i"]])
+    @pytest.mark.parametrize("per_piece", ["1", "256"])
+    def test_rows_match_cell_by_cell_formatting(self, zs, per_piece, capsys):
+        # The rows are formatted a column at a time; each must read as if
+        # every cell were repr'd on its own and joined.
+        rows = ["piece,index,param,re_w,im_w"] if len(zs) == 1 else ["z_re,z_im,piece,index,param,re_w,im_w"]
+        for text in zs:
+            z = parse_point(text)
+            for name, params, points in fiber.fiber_curve(z).polyline(int(per_piece)):
+                for index, (param, w) in enumerate(zip(params, points)):
+                    cells = [name, str(index), repr(float(param)), repr(float(w.real)), repr(float(w.imag))]
+                    if len(zs) > 1:
+                        cells = [repr(float(z.real)), repr(float(z.imag))] + cells
+                    rows.append(",".join(cells))
+        argv = ["fiber", "--points-per-piece", per_piece]
+        for text in zs:
+            argv += ["--z", text]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert out == "\n".join(rows) + "\n"
 
     def test_degenerate_z_is_config_class_error(self, capsys):
         code, _, err = run(["fiber", "--expr", "z", "--z", "0.2"], capsys)

@@ -59,6 +59,17 @@ def reference_horner(data, zeta):
     return complex(acc)
 
 
+def reshape_horner(coeffs, u):
+    """Horner's rule with one reshape of a coefficient column per step: the
+    loop :func:`extension._horner` must match bit for bit."""
+    shape = (-1,) + (1,) * (u.ndim - 1)
+    acc = np.zeros_like(u)
+    for k in range(coeffs.shape[1] - 1, -1, -1):
+        acc *= u
+        acc += coeffs[:, k].reshape(shape)
+    return acc
+
+
 def direct_dft(values):
     """O(N^2) Fourier sum, the independent oracle for analyze_circle."""
     n = len(values)
@@ -235,6 +246,21 @@ class TestEvaluateExtension:
                 2j * math.pi * rng.uniform(0, 1)
             )
             assert abs(evaluate_extension(data, zeta)) <= bound
+
+
+class TestHorner:
+    @pytest.mark.parametrize("degree", [1, 2, 128, 2048])
+    @pytest.mark.parametrize("probes", [None, 3])
+    def test_matches_reshape_loop_bit_for_bit(self, degree, probes):
+        rng = np.random.default_rng(degree)
+        rows = 5
+        coeffs = rng.normal(size=(rows, degree)) + 1j * rng.normal(size=(rows, degree))
+        shape = (rows,) if probes is None else (rows, probes)
+        u = 0.99 * np.exp(2j * np.pi * rng.uniform(size=shape)) * rng.uniform(size=shape)
+        assert np.array_equal(extension._horner(coeffs, u), reshape_horner(coeffs, u))
+        # The leading half of wider rows, as BatchAnalysis.evaluate passes them.
+        wide = np.concatenate([coeffs, coeffs], axis=1)[:, :degree]
+        assert np.array_equal(extension._horner(wide, u), reshape_horner(coeffs, u))
 
 
 def _power100(z):

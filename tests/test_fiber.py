@@ -16,6 +16,7 @@ from morera.errors import (
     ExtensionFailureError,
     InconclusiveError,
     MoreraError,
+    SamplingError,
 )
 from morera.fiber import (
     RegionD,
@@ -369,9 +370,10 @@ class TestCauchyTransform:
     @pytest.mark.parametrize("name", ["poly3", "expz", "rational"])
     def test_holomorphic_table_stops_at_first_refinement(self, name, capsys, monkeypatch):
         # F(z, .) is constant, so each piece's series chops at the first
-        # Lobatto grid: one oracle call per piece, however many W the table
-        # has.  Every W converges at the first refinement, so the table
-        # builds the curve's nodes and two quadrature levels.
+        # Lobatto grid, and both pieces' grids share one oracle call, however
+        # many W the table has.  Every W converges at the first refinement,
+        # so the table builds the curve's nodes, reads its first quadrature
+        # level from them and builds only the second.
         calls = []
         levels = []
         oracle_values = extension.oracle_values
@@ -394,9 +396,9 @@ class TestCauchyTransform:
                 levels.clear()
                 assert main(["theta", "--builtin", name, "--z", z, "--w-count", w_count]) == 0
                 capsys.readouterr()
-                assert len(calls) == 2, (z, w_count)
+                assert len(calls) == 1, (z, w_count)
                 assert sum(calls) <= 2 * 33 * 256, (z, w_count)
-                assert levels == [256, 256, 512], (z, w_count)
+                assert levels == [256, 512], (z, w_count)
                 counts.append(list(calls))
             assert counts[0] == counts[1], z
 
@@ -614,6 +616,69 @@ class TestFiberSeries:
             _, _, values = _FiberField(grid, curve, 256, 1e-7).level(256)
             expected = reference_node_values(grid, curve, tol=1e-7)
             assert np.abs(values - expected).max() <= 1e-9 * np.abs(expected).max(), z
+
+    @pytest.mark.parametrize("name", ["poly3", "expz", "rational", "counterexample"])
+    def test_shared_first_grid_matches_standalone_series(self, name):
+        # Both pieces' first Lobatto grids go through one kernel pass; every
+        # bit of each series must be what the piece gives on its own.
+        f = builtin(name).oracle
+        for z in (0.5j, -0.2 + 0.5j, 0.3 - 0.4j, -0.35j):
+            curve = fiber_curve(z)
+            field = _FiberField(f, curve, 256, 1e-8)
+            spans = (("segment", abs(z), 1.0), ("arc", curve.t_min, 0.0))
+            for piece, (piece_name, lo, hi) in zip(field.pieces, spans):
+                alone = _piece_series(f, z, piece_name, lo, hi, 256, 1e-8)
+                assert piece.name == piece_name and (piece.lo, piece.hi) == (lo, hi)
+                assert np.array_equal(piece.coefficients, alone.coefficients), (z, piece_name)
+                assert piece.tail == alone.tail and piece.scale == alone.scale, (z, piece_name)
+
+    def test_first_level_is_the_curves_nodes(self):
+        curve = fiber_curve(-0.2 + 0.5j)
+        field = _FiberField(builtin("poly3").oracle, curve, 256, 1e-8)
+        # 250 nodes a piece need the same 16 panels as the curve's 256.
+        for per_piece in (256, 250):
+            w, dw, _ = field.level(per_piece)
+            assert w is curve.nodes_w and dw is curve.nodes_dw
+        w, _, _ = field.level(512)
+        assert w.size == 1024 and np.array_equal(w, fiber_curve(-0.2 + 0.5j, 512).nodes_w)
+
+    @pytest.mark.parametrize(
+        "name, z, message",
+        [
+            (
+                "conjugate",
+                "0.5i",
+                "error: f does not extend holomorphically from the centered circle (center 0j, radius 1.0) "
+                "met along the fiber curve (negative energy 1.000e+00, 256 samples)\n",
+            ),
+            (
+                "absq",
+                "-0.2+0.5i",
+                "error: f does not extend holomorphically from the pencil circle "
+                "(center (-0.004263265910533248+0j), radius 0.9957367340894667) "
+                "met along the fiber curve (negative energy 1.802e-05, 256 samples)\n",
+            ),
+        ],
+    )
+    def test_failing_circle_is_named_by_its_piece(self, name, z, message, capsys):
+        # conj fails on both pieces and the segment's centered circle is
+        # named; |z|^2 passes the centered circles and a pencil one is named.
+        assert main(["theta", "--builtin", name, "--z", z]) == 2
+        assert capsys.readouterr().err == message
+
+    def test_segment_errors_come_before_arc_errors(self):
+        def conjugate(w):
+            return np.conj(w)
+
+        with pytest.raises(ExtensionFailureError, match="the centered circle") as failure:
+            fiber_integral(conjugate, 0.3 - 0.4j)
+        assert "pencil" not in str(failure.value)
+
+        def undefined(w):
+            return np.full(np.shape(w), np.nan + 0j)
+
+        with pytest.raises(SamplingError, match=r"on Circle\(center=0j, radius=1\.0\)"):
+            fiber_integral(undefined, 0.5j)
 
     def test_holomorphic_series_chops_at_first_grid(self):
         for name in ("poly3", "expz", "rational"):
