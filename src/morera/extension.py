@@ -344,23 +344,20 @@ class BatchAnalysis:
     def circle(self, row: int) -> Circle:
         return Circle(complex(self.centers[row]), float(self.radii[row]))
 
-    def require_extensions(self, name: Callable[[int], str], rows: slice = slice(None)) -> None:
+    def require_extensions(self, name: Callable[[int], str]) -> None:
         """Raise unless every row passes, naming the row by ``name(row)``.
-
-        ``rows``, a slice of consecutive rows, limits the check to those.
 
         The first failing row raises :class:`ExtensionFailureError`; when
         none fails, the first row still aliased at the sample cap raises
-        :class:`InconclusiveError`.
+        :class:`InconclusiveError`.  So a failure in any row comes before an
+        undecided row earlier in the batch.
         """
-        start = rows.indices(self.samples.size)[0]
         for flags, error, what in (
             (~self.passes & ~self.inconclusive, ExtensionFailureError, "does not extend holomorphically"),
             (self.inconclusive, InconclusiveError, "is undecided (aliased at the sample cap)"),
         ):
-            flags = flags[rows]
             if flags.any():
-                row = start + int(np.argmax(flags))
+                row = int(np.argmax(flags))
                 raise error(
                     f"f {what} from {name(row)} (negative energy "
                     f"{self.negative_energy[row]:.3e}, {self.samples[row]} samples)",

@@ -21,22 +21,23 @@ t on the arc), and a constant one for holomorphic f.  It is represented per
 piece by a Chebyshev series: the extension is computed from the circles of
 nested Chebyshev-Lobatto parameters (17, 33, ... up to 257 points) until the
 series' tail coefficients stop mattering, so only those circles are tested
-and sampled; both pieces' first grids share one kernel pass.  Quadrature is
-composite Gauss-Legendre per piece in the same parameters, with node counts
-doubled until two successive refinements agree, starting from the curve's
-own nodes; every level reads its node values from the series.  The Cauchy
-transform subtracts a constant c (F at the node nearest W) from the
-integrand and adds c * ind(W) back, so the near-singular part of the kernel
-only ever meets F - c.  A table of many W classifies them in one array pass
-(distances and winding numbers) and forms their kernels block by block in
-buffers allocated once per table, never kept between calls.
+and sampled; both pieces are refined in lockstep, one kernel pass a level.
+Quadrature is composite Gauss-Legendre per piece in the same parameters,
+with node counts doubled until two successive refinements agree, starting
+from the curve's own nodes; every level reads its node values from the
+series.  The Cauchy transform subtracts a constant c (F at the node nearest
+W) from the integrand and adds c * ind(W) back, so the near-singular part
+of the kernel only ever meets F - c.  A table of many W classifies them in
+one array pass (distances and winding numbers) and forms their kernels
+block by block in buffers allocated once per table, never kept between
+calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -175,15 +176,11 @@ class FiberCurve:
 
     def polyline(self, per_piece: int = 256) -> list[tuple[str, np.ndarray, np.ndarray]]:
         """Dense samples per piece, in traversal order: (name, params, points)."""
-        a, b = (abs(self.z), 1.0) if self.z.imag > 0 else (1.0, abs(self.z))
-        rs = np.linspace(a, b, per_piece)
-        seg = rs**2 / self.z
-        t_lo, t_hi = (0.0, self.t_min) if self.z.imag > 0 else (self.t_min, 0.0)
-        ts = np.linspace(t_lo, t_hi, per_piece)
-        arc = ((self.z + 2.0) * ts + 1.0) / (self.z - ts)
-        if self.z.imag > 0:
-            return [("segment", rs, seg), ("arc", ts, arc)]
-        return [("arc", ts, arc), ("segment", rs, seg)]
+        pieces = []
+        for name, start, end in _traversal(self.z, self.t_min):
+            params = np.linspace(start, end, per_piece)
+            pieces.append((name, params, _piece_map(name, self.z, params)[0]))
+        return pieces
 
 
 def _modulus(u: np.ndarray) -> np.ndarray:
@@ -197,31 +194,39 @@ def _modulus(u: np.ndarray) -> np.ndarray:
     return np.hypot(u.real, u.imag)
 
 
+def _traversal(z: complex, t_min: float) -> tuple:
+    """The curve's pieces in traversal order: (name, start, end) in each piece's parameter.
+
+    With Im z > 0 the segment runs in R from |z| to 1, then the arc in t from
+    0 to t_min; with Im z < 0 the arc comes first and both run backwards.
+    """
+    if z.imag > 0:
+        return (("segment", abs(z), 1.0), ("arc", 0.0, t_min))
+    return (("arc", t_min, 0.0), ("segment", 1.0, abs(z)))
+
+
+def _piece_map(name: str, z: complex, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points of a piece at its parameters, and their derivatives dw/dparam.
+
+    w = R^2/z on the segment and w = ((z + 2) t + 1)/(z - t) on the arc.
+    """
+    if name == "segment":
+        return params**2 / z, 2.0 * params / z
+    return ((z + 2.0) * params + 1.0) / (z - params), (z + 1.0) ** 2 / (z - params) ** 2
+
+
 def _quadrature(z: complex, t_min: float, per_piece: int) -> tuple:
     """Composite Gauss nodes of both pieces in traversal order.
 
     Returns (w, dw, piece, param): positions, complex weights, piece index
     (0 segment, 1 arc) and owning-circle parameter of every node.
     """
-    if z.imag > 0:
-        r_lo, r_hi = abs(z), 1.0
-        t_lo, t_hi = 0.0, t_min
-    else:
-        r_lo, r_hi = 1.0, abs(z)
-        t_lo, t_hi = t_min, 0.0
-
-    rs, wr = _composite_gauss(r_lo, r_hi, per_piece)
-    seg_w = rs**2 / z
-    seg_dw = (2.0 * rs / z) * wr
-
-    ts, wt = _composite_gauss(t_lo, t_hi, per_piece)
-    arc_w = ((z + 2.0) * ts + 1.0) / (z - ts)
-    arc_dw = ((z + 1.0) ** 2 / (z - ts) ** 2) * wt
-
-    seg = (seg_w, seg_dw, np.zeros(rs.shape, dtype=int), rs)
-    arc = (arc_w, arc_dw, np.ones(ts.shape, dtype=int), ts)
-    first, second = (seg, arc) if z.imag > 0 else (arc, seg)
-    return tuple(np.concatenate([a, b]) for a, b in zip(first, second))
+    parts = []
+    for name, start, end in _traversal(z, t_min):
+        params, weights = _composite_gauss(start, end, per_piece)
+        w, speed = _piece_map(name, z, params)
+        parts.append((w, speed * weights, np.full(params.shape, 0 if name == "segment" else 1), params))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def fiber_curve(z: complex, nodes_per_piece: int = DEFAULT_NODES // 2, tau: float = DEFAULT_TAU) -> FiberCurve:
@@ -301,7 +306,7 @@ def eval_on_segment_leaf(
 ) -> complex:
     """Extension of ``f`` from the centered circle of radius R, evaluated at z."""
     circle = Circle(0.0, R)
-    values, _ = _piece_values(f, z, np.array([circle.center]), np.array([circle.radius]), samples, tol, "centered")
+    values, _ = _circle_values(f, z, [(np.array([circle.center]), np.array([circle.radius]), "centered")], samples, tol)
     return complex(values[0])
 
 
@@ -310,7 +315,7 @@ def eval_on_arc_leaf(
 ) -> complex:
     """Extension of ``f`` from the pencil circle of parameter t, evaluated at z."""
     circle = pencil_circle(t)
-    values, _ = _piece_values(f, z, np.array([circle.center]), np.array([circle.radius]), samples, tol, "pencil")
+    values, _ = _circle_values(f, z, [(np.array([circle.center]), np.array([circle.radius]), "pencil")], samples, tol)
     return complex(values[0])
 
 
@@ -348,49 +353,26 @@ def eval_F(
     return eval_on_arc_leaf(f, z, t, samples, tol)
 
 
-def _circle_values(f: Oracle, z: complex, pieces: list, samples: int, tol: float) -> list[Callable[[], tuple]]:
-    """Extensions of ``f`` at ``z`` from the circles of several pieces, in one kernel pass.
+def _circle_values(f: Oracle, z: complex, groups: list, samples: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Extensions of ``f`` at ``z`` from the circles of several groups, in one kernel pass.
 
-    ``pieces`` holds one (centers, radii, kind) triple per piece, ``kind``
-    naming its circles (``centered`` or ``pencil``).  One
-    :func:`extension.analyze_batch` call takes every circle, in the order
-    given, and one Horner pass evaluates those that pass; non-finite samples
-    raise from that call.  Returns one callable per piece.  Calling it
-    checks the piece's circles (the first that fails the test, or stays
-    aliased at the sample cap, raises naming the circle) and gives their
-    extensions and the root-mean-square of ``f`` on each, the scale of the
-    round-off in its extension.  A piece calls its own only when it needs
-    the values, so test failures come in piece order.
+    ``groups`` holds (centers, radii, kind) triples, ``kind`` naming their
+    circles (``centered`` or ``pencil``).  One :func:`extension.analyze_batch`
+    call takes every circle, in the order given: non-finite samples raise
+    from it, then the first circle that fails the test, else the first still
+    aliased at the sample cap, raises naming the circle.  Returns the
+    extensions and the root-mean-square of ``f`` on each circle, the scale of
+    the round-off in its extension.
     """
+    kinds = [kind for centers, _, kind in groups for _ in range(centers.size)]
     batch = ext.analyze_batch(
-        f, np.concatenate([c for c, _, _ in pieces]), np.concatenate([r for _, r, _ in pieces]), tol, samples
+        f, np.concatenate([c for c, _, _ in groups]), np.concatenate([r for _, r, _ in groups]), tol, samples
     )
-    good = np.flatnonzero(batch.passes)
-    values = np.empty(batch.samples.shape, dtype=complex)
-    values[good] = batch.evaluate(np.full(good.shape, z), good)
-    rms = np.sqrt(batch.total_energy)
-
-    def checked(rows: slice, kind: str) -> tuple[np.ndarray, np.ndarray]:
-        batch.require_extensions(
-            lambda i: f"the {kind} circle (center {batch.centers[i]}, radius {batch.radii[i]}) "
-            "met along the fiber curve",
-            rows,
-        )
-        return values[rows], rms[rows]
-
-    levels, start = [], 0
-    for centers, _, kind in pieces:
-        levels.append(partial(checked, slice(start, start + centers.size), kind))
-        start += centers.size
-    return levels
-
-
-def _piece_values(
-    f: Oracle, z: complex, centers: np.ndarray, radii: np.ndarray, samples: int, tol: float, kind: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Extensions of ``f`` from the given circles of one piece, all at ``z`` (see :func:`_circle_values`)."""
-    (level,) = _circle_values(f, z, [(centers, radii, kind)], samples, tol)
-    return level()
+    batch.require_extensions(
+        lambda i: f"the {kinds[i]} circle (center {batch.centers[i]}, radius {batch.radii[i]}) "
+        "met along the fiber curve"
+    )
+    return batch.evaluate(np.full(batch.samples.shape, z)), np.sqrt(batch.total_energy)
 
 
 def _piece_circles(name: str, params: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
@@ -454,46 +436,46 @@ class _PieceSeries:
             )
 
 
-def _piece_series(
-    f: Oracle,
-    z: complex,
-    name: str,
-    lo: float,
-    hi: float,
-    samples: int,
-    tol: float,
-    first: Callable[[], tuple] | None = None,
-) -> _PieceSeries:
-    """Sample F on nested Lobatto grids of the piece until its series chops.
+def _fiber_series(f: Oracle, z: complex, spans, samples: int, tol: float) -> list[_PieceSeries]:
+    """Chebyshev series of F(z, .) on each span (name, lo, hi), refined in lockstep.
 
     The segment's circles are centered with radius R, the arc's are the
-    pencil circles of parameter t.  ``first``, when given, is the
-    :func:`_circle_values` callable of the first grid's circles, analysed
-    together with another piece's; without it the piece analyses them
-    itself.  Each doubling analyses only the new (odd-index) circles.  Stops
-    once the last quarter of the coefficients is at most ``_CHEB_CHOP``
-    times the scale, or at ``_CHEB_MAX`` points.
+    pencil circles of parameter t.  Each level analyses, in one
+    :func:`_circle_values` pass, the new Lobatto circles of every span not
+    yet resolved, in the order given: all 17 at the first level, then the
+    odd-index circles of 33, 65, ... points.  A span drops out once the last
+    quarter of its coefficients is at most ``_CHEB_CHOP`` times its scale,
+    or at ``_CHEB_MAX`` points.
     """
-
-    def values_at(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        centers, radii, kind = _piece_circles(name, params)
-        return _piece_values(f, z, centers, radii, samples, tol, kind)
-
     n = _CHEB_START - 1
-    values, rms = first() if first is not None else values_at(_lobatto(lo, hi, n))
-    scale = max(float(np.abs(values).max()), _CHEB_FLOOR * float(rms.max()))
-    while True:
-        coefficients = _chebyshev_coefficients(values)
-        tail = float(np.abs(coefficients[-((n + 1) // 4) :]).max())
-        if tail <= _CHEB_CHOP * scale or n + 1 >= _CHEB_MAX:
-            return _PieceSeries(name, lo, hi, coefficients, tail, scale)
+    new_points = slice(None)
+    values = [None] * len(spans)
+    scales = [0.0] * len(spans)
+    series = [None] * len(spans)
+    pending = list(range(len(spans)))
+    while pending:
+        grids = [_lobatto(spans[i][1], spans[i][2], n)[new_points] for i in pending]
+        circles = [_piece_circles(spans[i][0], grid) for i, grid in zip(pending, grids)]
+        new, rms = _circle_values(f, z, circles, samples, tol)
+        start = 0
+        for i, grid in zip(pending, grids):
+            rows = slice(start, start + grid.size)
+            start = rows.stop
+            scales[i] = max(scales[i], float(np.abs(new[rows]).max()), _CHEB_FLOOR * float(rms[rows].max()))
+            if values[i] is None:
+                values[i] = new[rows]
+            else:
+                merged = np.empty(n + 1, dtype=complex)
+                merged[0::2], merged[1::2] = values[i], new[rows]
+                values[i] = merged
+            coefficients = _chebyshev_coefficients(values[i])
+            tail = float(np.abs(coefficients[-((n + 1) // 4) :]).max())
+            if tail <= _CHEB_CHOP * scales[i] or n + 1 >= _CHEB_MAX:
+                series[i] = _PieceSeries(*spans[i], coefficients, tail, scales[i])
+        pending = [i for i in pending if series[i] is None]
         n *= 2
-        new, rms = values_at(_lobatto(lo, hi, n)[1::2])
-        scale = max(scale, float(np.abs(new).max()), _CHEB_FLOOR * float(rms.max()))
-        merged = np.empty(n + 1, dtype=complex)
-        merged[0::2] = values
-        merged[1::2] = new
-        values = merged
+        new_points = slice(1, None, 2)
+    return series
 
 
 class _FiberField:
@@ -501,23 +483,20 @@ class _FiberField:
 
     Built once per (f, z, samples, tol, tau): every quadrature level reads its
     node values from the series, so refining the quadrature costs no oracle
-    call.  Both pieces' first Lobatto grids are analysed in one kernel pass;
-    their doublings are per piece.  A circle that fails the extendability
-    test raises :class:`ExtensionFailureError` from whichever piece meets
-    it, the segment's first; only when none does, a piece whose series did
-    not resolve raises :class:`InconclusiveError` naming the piece and its
-    parameter range.
+    call.  Both pieces' series are refined in lockstep (see
+    :func:`_fiber_series`), so errors come by level, then by piece, the
+    segment first: within a level a non-finite sample raises first, then a
+    circle that fails the extendability test
+    (:class:`ExtensionFailureError`), then one aliased at the sample cap.
+    Only when no circle raises does a piece whose series did not resolve
+    raise :class:`InconclusiveError` naming the piece and its parameter
+    range.
     """
 
     def __init__(self, f: Oracle, curve: FiberCurve, samples: int, tol: float):
         self.curve = curve
         z = curve.z
-        spans = (("segment", abs(z), 1.0), ("arc", curve.t_min, 0.0))
-        grids = [_piece_circles(name, _lobatto(lo, hi, _CHEB_START - 1)) for name, lo, hi in spans]
-        firsts = _circle_values(f, z, grids, samples, tol)
-        self.pieces = tuple(
-            _piece_series(f, z, name, lo, hi, samples, tol, first) for (name, lo, hi), first in zip(spans, firsts)
-        )
+        self.pieces = tuple(_fiber_series(f, z, (("segment", abs(z), 1.0), ("arc", curve.t_min, 0.0)), samples, tol))
         for piece in self.pieces:
             piece.require_resolved(z)
 

@@ -20,9 +20,9 @@ from morera.errors import (
 )
 from morera.fiber import (
     RegionD,
+    _circle_values,
     _FiberField,
-    _piece_series,
-    _piece_values,
+    _fiber_series,
     cauchy_transform,
     eval_F,
     eval_on_arc_leaf,
@@ -131,10 +131,10 @@ def reference_node_values(f, curve, samples=256, tol=1e-8):
     values = np.empty_like(curve.nodes_w)
     seg = curve.nodes_piece == 0
     rs = curve.nodes_param[seg]
-    values[seg] = _piece_values(f, z, np.zeros(rs.shape, dtype=complex), rs, samples, tol, "centered")[0]
+    values[seg] = _circle_values(f, z, [(np.zeros(rs.shape, dtype=complex), rs, "centered")], samples, tol)[0]
     arc = curve.nodes_piece == 1
     ts = curve.nodes_param[arc]
-    values[arc] = _piece_values(f, z, ts.astype(complex), ts + 1.0, samples, tol, "pencil")[0]
+    values[arc] = _circle_values(f, z, [(ts.astype(complex), ts + 1.0, "pencil")], samples, tol)[0]
     return values
 
 
@@ -618,19 +618,20 @@ class TestFiberSeries:
             assert np.abs(values - expected).max() <= 1e-9 * np.abs(expected).max(), z
 
     @pytest.mark.parametrize("name", ["poly3", "expz", "rational", "counterexample"])
-    def test_shared_first_grid_matches_standalone_series(self, name):
-        # Both pieces' first Lobatto grids go through one kernel pass; every
-        # bit of each series must be what the piece gives on its own.
+    def test_lockstep_series_match_standalone_series(self, name):
+        # Both pieces are refined in one kernel pass a level; every bit of
+        # each series must be what the piece gives on its own.  The
+        # counterexample's pieces double, so the doublings are covered too.
         f = builtin(name).oracle
         for z in (0.5j, -0.2 + 0.5j, 0.3 - 0.4j, -0.35j):
             curve = fiber_curve(z)
             field = _FiberField(f, curve, 256, 1e-8)
             spans = (("segment", abs(z), 1.0), ("arc", curve.t_min, 0.0))
-            for piece, (piece_name, lo, hi) in zip(field.pieces, spans):
-                alone = _piece_series(f, z, piece_name, lo, hi, 256, 1e-8)
-                assert piece.name == piece_name and (piece.lo, piece.hi) == (lo, hi)
-                assert np.array_equal(piece.coefficients, alone.coefficients), (z, piece_name)
-                assert piece.tail == alone.tail and piece.scale == alone.scale, (z, piece_name)
+            for piece, span in zip(field.pieces, spans):
+                (alone,) = _fiber_series(f, z, [span], 256, 1e-8)
+                assert piece.name == span[0] and (piece.lo, piece.hi) == span[1:]
+                assert np.array_equal(piece.coefficients, alone.coefficients), (z, span[0])
+                assert piece.tail == alone.tail and piece.scale == alone.scale, (z, span[0])
 
     def test_first_level_is_the_curves_nodes(self):
         curve = fiber_curve(-0.2 + 0.5j)
@@ -690,13 +691,77 @@ class TestFiberSeries:
         # decays only algebraically and is still far above tolerance at the
         # 257-point cap.
         f = lambda p: np.abs(np.abs(p) - 0.7)
-        series = _piece_series(f, 0.5j, "segment", 0.5, 1.0, 256, 1e-8)
+        (series,) = _fiber_series(f, 0.5j, [("segment", 0.5, 1.0)], 256, 1e-8)
         assert series.coefficients.size == 257
         with pytest.raises(InconclusiveError, match=r"along the segment .*\(R from 0\.5 to 1\.0\) is unresolved"):
             series.require_resolved(0.5j)
         # The pencil circles of the arc fail the extendability test, which
         # takes precedence over the unresolved segment.
         with pytest.raises(ExtensionFailureError):
+            fiber_integral(f, 0.5j)
+
+    @pytest.mark.parametrize(
+        "name, z, calls",
+        [
+            ("poly3", 0.5j, 1),
+            ("expz", -0.2 + 0.5j, 1),
+            ("rational", 0.3 - 0.4j, 1),
+            # Both pieces double once, in one pass.
+            ("counterexample", 0.5j, 2),
+            # The arc's pencil circles fail at the first level, before the
+            # segment's series (which alone would need three more) doubles.
+            ("radial-smooth", 0.5j, 1),
+        ],
+    )
+    def test_one_oracle_call_per_level(self, name, z, calls):
+        oracle = builtin(name).oracle
+        count = [0]
+
+        def f(w):
+            count[0] += 1
+            return oracle(w)
+
+        try:
+            fiber_integral(f, z)
+        except ExtensionFailureError as exc:
+            assert name == "radial-smooth"
+            assert str(exc) == (
+                "f does not extend holomorphically from the pencil circle "
+                "(center (-0.01427258765413375+0j), radius 0.9857274123458662) "
+                "met along the fiber curve (negative energy 1.404e-17, 256 samples)"
+            )
+        assert count[0] == calls
+
+    def test_errors_come_by_level_before_piece(self):
+        # On the first level's centered circles f is |R - 0.7|, which
+        # extends but kinks in R, so the segment's series doubles; on every
+        # other circle f is conj(w).  The pencil circles of the first level
+        # fail, and they are named before the centered circles of the
+        # segment's first doubling.  The oracle gets one circle a row.
+        first_radii = 0.75 + 0.25 * np.cos(np.pi * np.arange(17) / 16)
+
+        def f(w):
+            w = np.asarray(w, dtype=complex)
+            r = np.abs(w)
+            centered = np.abs(w.mean(axis=-1, keepdims=True)) < 1e-12
+            first = centered & (np.abs(r[..., :1, None] - first_radii) < 1e-12).any(axis=-1)
+            return np.where(first, np.abs(r - 0.7), np.conj(w))
+
+        with pytest.raises(ExtensionFailureError, match="from the pencil circle") as failure:
+            fiber_integral(f, 0.5j)
+        assert failure.value.circle.center != 0.0
+
+    def test_failure_beats_an_earlier_piece_aliased_at_the_cap(self):
+        # On centered circles f is exp(i (N/4 + 1) theta) at N samples, which
+        # trips the aliasing guard at every N up to the cap; on pencil
+        # circles f is conj(w), which fails at the first N.  Within the first
+        # level the arc's failure comes before the segment's undecided rows.
+        def f(w):
+            w = np.asarray(w, dtype=complex)
+            centered = np.abs(w.mean(axis=-1, keepdims=True)) < 1e-12
+            return np.where(centered, (w / np.abs(w)) ** (w.shape[-1] // 4 + 1), np.conj(w))
+
+        with pytest.raises(ExtensionFailureError, match="from the pencil circle .* 256 samples"):
             fiber_integral(f, 0.5j)
 
 
