@@ -11,12 +11,14 @@ function is analytic, regardless of any circle tests.  The *verdict* combines
 the three: extendability from both full families together with
 cross-consistency forces analyticity, while configurations whose smallest
 circles overlap admit non-analytic functions that pass every per-circle test.
+The two-point configuration (the pencils through two boundary points in place
+of centered + pencil) runs the same verdict without cross-consistency.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Callable, Optional, Sequence, Union
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import extension as ext
 from .errors import ConfigError, DomainError, ExtensionFailureError, InconclusiveError, SamplingError
-from .geometry import DEFAULT_TAU, Circle, PencilFrame
+from .geometry import DEFAULT_TAU, Circle, PencilFrame, require_boundary_point
 
 DEFAULT_CROSS_TOL = 1e-6
 DEFAULT_DBAR_TOL = 1e-4
@@ -48,7 +50,9 @@ class FamilyConfig:
 
     ``kind`` is "centered" (parameter = radius R in [lo, hi] with hi <= 1) or
     "pencil" (parameter = t in [-1 + tau, 0]; the member has center -p*t and
-    radius t + 1 in user coordinates).
+    radius t + 1 in user coordinates).  A pencil's ``p`` must lie on the unit
+    circle, as :class:`~morera.geometry.PencilConfig` requires; it is kept as
+    given, not normalized.
     """
 
     kind: str
@@ -70,6 +74,7 @@ class FamilyConfig:
         else:
             if not (-1.0 < self.lo and self.hi <= 0.0):
                 raise ConfigError(f"pencil parameters must lie in (-1, 0], got [{self.lo}, {self.hi}]")
+            require_boundary_point(self.p)
 
     @classmethod
     def centered(cls, r_min: float, r_max: float = 1.0, count: int = DEFAULT_CIRCLES) -> "FamilyConfig":
@@ -381,11 +386,14 @@ class PipelineConfig:
     through p = -1 with radius floor tau = 1/4, 32 circles per family.
     Raising ``r_min``/``t_min`` shrinks the families (the sharpness demo
     floors both at radius 0.6, violating the disjoint-smallest-circles
-    hypothesis).
+    hypothesis).  Setting ``p2`` selects the two-point configuration: the
+    pencils through ``p`` and ``p2`` take the place of centered + pencil.
+    Both points must lie on the unit circle.
     """
 
     tau: float = DEFAULT_TAU
     p: complex = -1.0 + 0.0j
+    p2: Optional[complex] = None
     circles_per_family: int = DEFAULT_CIRCLES
     r_min: float = 0.05
     r_max: float = 1.0
@@ -410,13 +418,24 @@ class PipelineConfig:
     def pencil_floor(self) -> float:
         return (-1.0 + self.tau) if self.t_min is None else self.t_min
 
-    def centered_family(self) -> FamilyConfig:
-        return FamilyConfig.centered(self.r_min, self.r_max, self.circles_per_family)
+    def families(self, kind: str = "both") -> tuple[FamilyConfig, ...]:
+        """The swept families, built in order, so the first one's errors come first.
 
-    def pencil_family(self) -> FamilyConfig:
-        return FamilyConfig(
-            "pencil", self.pencil_floor, self.t_max, self.circles_per_family, complex(self.p)
-        )
+        (centered, pencil through ``p``), or only the ``kind`` ("centered" or
+        "pencil") of them; with ``p2`` set, always the pencils through ``p``
+        and ``p2``.
+        """
+        if self.p2 is not None:
+            return self._pencil(self.p), self._pencil(self.p2)
+        families: tuple[FamilyConfig, ...] = ()
+        if kind in ("both", "centered"):
+            families += (FamilyConfig.centered(self.r_min, self.r_max, self.circles_per_family),)
+        if kind in ("both", "pencil"):
+            families += (self._pencil(self.p),)
+        return families
+
+    def _pencil(self, p: complex) -> FamilyConfig:
+        return FamilyConfig("pencil", self.pencil_floor, self.t_max, self.circles_per_family, complex(p))
 
     def t_values(self) -> np.ndarray:
         lo = -1.0 + 2.0 * self.tau
@@ -452,6 +471,16 @@ class Verdict:
         }
 
 
+def sweep_classification(reports: Sequence[Report]) -> Optional[str]:
+    """morera-failure if some circle of ``reports`` fails outright, else
+    inconclusive if some stayed aliased at the sample cap, else None."""
+    if any(r.failing for r in reports):
+        return CLASS_MORERA_FAILURE
+    if any(r.inconclusive for r in reports):
+        return CLASS_INCONCLUSIVE
+    return None
+
+
 def verdict(f: Oracle, config: PipelineConfig = PipelineConfig()) -> Verdict:
     """Run the full pipeline on ``f`` and classify the outcome.
 
@@ -461,37 +490,40 @@ def verdict(f: Oracle, config: PipelineConfig = PipelineConfig()) -> Verdict:
     families pass and the verdict is holomorphic-consistent when
     cross-consistency and the Wirtinger residual are both below tolerance,
     else inconsistent (possible only when the families' smallest circles
-    overlap).
+    overlap).  The two-point configuration (``config.p2`` set) runs the same
+    pipeline without cross-consistency, so the Wirtinger residual alone
+    decides once both pencils pass.  A Wirtinger grid that cannot be sampled
+    gives ``dbar_value`` None, which is never consistent, and does not abort
+    the run.
     """
-    centered_cfg = config.centered_family()
-    pencil_cfg = config.pencil_family()
-    hypotheses_valid = validate_families(centered_cfg, pencil_cfg)
-    families = (
-        test_family(f, centered_cfg, config.morera_tol, config.samples),
-        test_family(f, pencil_cfg, config.morera_tol, config.samples),
-    )
+    families = config.families()
+    reports = tuple(test_family(f, fam, config.morera_tol, config.samples) for fam in families)
     try:
-        _, dbar_extrap, dbar_err = dbar_residual_detail(f, config.dbar_grid)
+        _, dbar_extrap, dbar_error = dbar_residual_detail(f, config.dbar_grid)
         dbar_value: Optional[float] = float(np.max(np.abs(dbar_extrap)))
-        dbar_error: Optional[float] = dbar_err
     except (SamplingError, DomainError):
         dbar_value = dbar_error = None
-
-    hard_fail = any(r.failing for r in families)
-    inconclusive = any(r.inconclusive for r in families)
-    if hard_fail:
-        return Verdict(CLASS_MORERA_FAILURE, families, hypotheses_valid, dbar_value=dbar_value, dbar_error=dbar_error)
-    if inconclusive:
-        return Verdict(CLASS_INCONCLUSIVE, families, hypotheses_valid, dbar_value=dbar_value, dbar_error=dbar_error)
+    dbar_ok = dbar_value is not None and dbar_value <= config.dbar_tol
+    # The classification stays None until one of the steps below decides it.
+    result = Verdict(
+        sweep_classification(reports),
+        reports,
+        validate_families(*families),
+        dbar_value=dbar_value,
+        dbar_error=dbar_error,
+    )
+    if result.classification is not None:
+        return result
+    if config.p2 is not None:
+        return replace(result, classification=CLASS_CONSISTENT if dbar_ok else CLASS_INCONSISTENT)
 
     # Both families pass on the grid; measure cross-consistency near the real
     # segment every surrounding circle sees.  Work in normalized coordinates
     # (pencil point rotated to -1).
-    frame = pencil_cfg.frame
     if abs(config.p - (-1.0)) < 1e-15:
         f_norm = f
     else:
-        rot = frame.rotation
+        rot = families[1].frame.rotation
 
         def f_norm(zeta, _f=f, _rot=rot):
             return _f(np.asarray(zeta, dtype=complex) / _rot) if isinstance(zeta, np.ndarray) else _f(zeta / _rot)
@@ -512,25 +544,16 @@ def verdict(f: Oracle, config: PipelineConfig = PipelineConfig()) -> Verdict:
         # An off-grid circle inside the configured ranges failed (a Morera
         # failure the finite grid missed) or stayed aliased at the cap.
         failed = isinstance(exc, ExtensionFailureError)
-        return Verdict(
-            CLASS_MORERA_FAILURE if failed else CLASS_INCONCLUSIVE,
-            families,
-            hypotheses_valid,
-            cross_note=str(exc),
-            dbar_value=dbar_value,
-            dbar_error=dbar_error,
+        return replace(
+            result, classification=CLASS_MORERA_FAILURE if failed else CLASS_INCONCLUSIVE, cross_note=str(exc)
         )
 
-    consistent = cross <= config.cross_tol and dbar_value is not None and dbar_value <= config.dbar_tol
-    classification = CLASS_CONSISTENT if consistent else CLASS_INCONSISTENT
-    return Verdict(
-        classification,
-        families,
-        hypotheses_valid,
+    consistent = cross <= config.cross_tol and dbar_ok
+    return replace(
+        result,
+        classification=CLASS_CONSISTENT if consistent else CLASS_INCONSISTENT,
         cross_residual=cross,
         cross_t_values=tuple(float(T) for T in t_values),
-        dbar_value=dbar_value,
-        dbar_error=dbar_error,
     )
 
 

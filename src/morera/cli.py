@@ -280,28 +280,31 @@ def parse_args(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
 
 
 def resolve_function(args) -> tuple:
-    """Resolve the (oracle, description, warnings, tol_inflation) of a run."""
+    """Resolve the (oracle, description, warnings, extendability tolerance) of a run.
+
+    The tolerance is ``--morera-tol``, inflated by ``--grid-inflation`` for a
+    grid-file source.
+    """
     sources = [s for s in ("builtin", "expr", "grid") if getattr(args, s, None)]
     if len(sources) != 1:
         raise ConfigError("exactly one of --builtin, --expr, --grid is required")
     warnings: list[str] = []
-    inflation = 1.0
     if args.builtin:
         entry = funczoo.builtin(args.builtin)
-        return entry.oracle, {"source": "builtin", "name": entry.name}, warnings, inflation
+        return entry.oracle, {"source": "builtin", "name": entry.name}, warnings, args.morera_tol
     if args.expr:
         node = exprparser.parse(args.expr)
         warnings.extend(exprparser.noninteger_power_warnings(node))
         oracle = exprparser.compile_function(node)
-        return oracle, {"source": "expr", "text": exprparser.to_source(node)}, warnings, inflation
-    inflation = float(args.grid_inflation) if hasattr(args, "grid_inflation") else DEFAULT_GRID_INFLATION
+        return oracle, {"source": "expr", "text": exprparser.to_source(node)}, warnings, args.morera_tol
+    inflation = float(args.grid_inflation)
     if not 0.0 < inflation < math.inf:
         raise ConfigError(f"--grid-inflation must be positive and finite, got {inflation}")
     oracle = gridio.read_polar_grid(args.grid)
     warnings.append(
         f"function interpolated from grid file; extendability threshold inflated x{inflation}"
     )
-    return oracle, {"source": "grid", "path": args.grid}, warnings, inflation
+    return oracle, {"source": "grid", "path": args.grid}, warnings, args.morera_tol * inflation
 
 
 def _require_positive(flag: str, value: int) -> None:
@@ -316,29 +319,31 @@ def _emit(text: str, output: Optional[str]) -> None:
         gridio.write_text_atomic(output, text)
 
 
-def _pipeline_config(args) -> analysis.PipelineConfig:
+def _pipeline_config(args, morera_tol: float) -> analysis.PipelineConfig:
     t_min = None
     if args.rho is not None:
         if not 0.0 < args.rho < 1.0:
             raise ConfigError(f"--rho must lie in (0, 1), got {args.rho}")
         t_min = args.rho - 1.0
-    return analysis.PipelineConfig(
+    config = analysis.PipelineConfig(
         tau=args.tau,
         p=parse_point(args.p),
         circles_per_family=args.circles,
         r_min=args.r_min,
         t_min=t_min,
-        morera_tol=args.morera_tol,
+        morera_tol=morera_tol,
         cross_tol=args.cross_tol,
         dbar_tol=args.dbar_tol,
         samples=args.samples,
     )
+    # The second point is read after the configuration is checked, so a bad
+    # --tau or tolerance is reported before a bad --two-point literal.
+    return config if args.two_point is None else replace(config, p2=parse_point(args.two_point))
 
 
 def cmd_test_circle(args) -> int:
-    f, desc, warnings, inflation = resolve_function(args)
+    f, desc, warnings, tol = resolve_function(args)
     circle = Circle(parse_point(args.center), args.radius)
-    tol = args.morera_tol * inflation
     data, result, inconclusive = extension.analyze_with_refinement(f, circle, tol, args.samples)
     total = data.total_energy
     doc = {
@@ -362,55 +367,34 @@ def cmd_test_circle(args) -> int:
     return EXIT_OK if result.passes else EXIT_FAILED_VERDICT
 
 
-def _sweep_families(args, config: analysis.PipelineConfig) -> list[analysis.FamilyConfig]:
-    if args.two_point is not None:
-        p2 = parse_point(args.two_point)
-        first = config.pencil_family()
-        second = analysis.FamilyConfig(
-            "pencil", config.pencil_floor, config.t_max, config.circles_per_family, p2
-        )
-        return [first, second]
-    which = getattr(args, "family", "both")
-    families = []
-    if which in ("both", "centered"):
-        families.append(config.centered_family())
-    if which in ("both", "pencil"):
-        families.append(config.pencil_family())
-    return families
+_EXIT_BY_CLASS = {
+    None: EXIT_OK,  # a sweep that passes
+    analysis.CLASS_CONSISTENT: EXIT_OK,
+    analysis.CLASS_MORERA_FAILURE: EXIT_FAILED_VERDICT,
+    analysis.CLASS_INCONSISTENT: EXIT_FAILED_VERDICT,
+    analysis.CLASS_INCONCLUSIVE: EXIT_INCONCLUSIVE,
+}
 
 
 def cmd_sweep(args) -> int:
-    f, desc, warnings, inflation = resolve_function(args)
-    config = _pipeline_config(args)
-    tol = config.morera_tol * inflation
-    families = _sweep_families(args, config)
-    reports = [analysis.test_family(f, fam, tol, config.samples) for fam in families]
-    if len(families) == 2:
-        hypotheses_valid = analysis.validate_families(families[0], families[1])
-    else:
-        hypotheses_valid = None
-    hard_fail = any(r.failing for r in reports)
-    inconclusive = any(r.inconclusive for r in reports)
-    verdict = "morera-failure" if hard_fail else ("inconclusive" if inconclusive else "pass")
-    if args.two_point is not None:
-        warnings = warnings + [
-            "two-point pencil configuration: extension sweeps only (partial coverage)"
-        ]
+    f, desc, warnings, tol = resolve_function(args)
+    config = _pipeline_config(args, tol)
+    families = config.families(args.family)
+    reports = [analysis.test_family(f, fam, config.morera_tol, config.samples) for fam in families]
+    classification = analysis.sweep_classification(reports)
+    if config.p2 is not None:
+        warnings = warnings + ["two-point pencil configuration: extension sweeps only (partial coverage)"]
     doc = {
         "schema_version": 1,
         "function": desc,
         "tau": config.tau,
-        "hypotheses_valid": hypotheses_valid,
+        "hypotheses_valid": analysis.validate_families(*families) if len(families) == 2 else None,
         "families": [r.to_dict() for r in reports],
-        "verdict": verdict,
+        "verdict": classification or "pass",
         "warnings": warnings,
     }
     _emit(analysis.dumps_report(doc), args.output)
-    if hard_fail:
-        return EXIT_FAILED_VERDICT
-    if inconclusive:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return _EXIT_BY_CLASS[classification]
 
 
 def cmd_fiber(args) -> int:
@@ -433,11 +417,11 @@ def cmd_fiber(args) -> int:
 def cmd_theta(args) -> int:
     _require_positive("--w-count", args.w_count)
     _require_positive("--nodes", args.nodes)
-    f, desc, warnings, inflation = resolve_function(args)
-    del desc
+    if not math.isfinite(args.w_pad):
+        raise ConfigError(f"--w-pad must be finite, got {args.w_pad}")
+    f, _, _, tol = resolve_function(args)
     z = parse_point(args.z)
     curve = fiber.fiber_curve(z, tau=args.tau)
-    tol = args.morera_tol * inflation
     re = curve.nodes_w.real
     im = curve.nodes_w.imag
     pad = args.w_pad * curve.diameter
@@ -466,57 +450,27 @@ def cmd_theta(args) -> int:
     return EXIT_OK
 
 
-_EXIT_BY_CLASS = {
-    analysis.CLASS_CONSISTENT: EXIT_OK,
-    analysis.CLASS_MORERA_FAILURE: EXIT_FAILED_VERDICT,
-    analysis.CLASS_INCONSISTENT: EXIT_FAILED_VERDICT,
-    analysis.CLASS_INCONCLUSIVE: EXIT_INCONCLUSIVE,
-}
-
-
 def cmd_verdict(args) -> int:
-    f, desc, warnings, inflation = resolve_function(args)
-    config = _pipeline_config(args)
-    if inflation != 1.0:
-        config = replace(config, morera_tol=config.morera_tol * inflation)
-    if args.two_point is not None:
-        return _verdict_two_point(args, f, desc, warnings, config)
+    f, desc, warnings, tol = resolve_function(args)
+    config = _pipeline_config(args, tol)
     result = analysis.verdict(f, config)
-    doc = analysis.report_document(result, config, desc, warnings)
+    if config.p2 is None:
+        doc = analysis.report_document(result, config, desc, warnings)
+    else:
+        doc = {
+            "schema_version": 1,
+            "function": desc,
+            "tau": config.tau,
+            "hypotheses_valid": result.hypotheses_valid,
+            "families": [r.to_dict() for r in result.families],
+            "dbar": {"residual": result.dbar_value},
+            "cross_consistency": None,
+            "verdict": result.classification,
+            "warnings": warnings
+            + ["two-point pencil configuration: cross-consistency not evaluated (partial coverage)"],
+        }
     _emit(analysis.dumps_report(doc), args.output)
     return _EXIT_BY_CLASS[result.classification]
-
-
-def _verdict_two_point(args, f, desc, warnings, config: analysis.PipelineConfig) -> int:
-    """Two-pencil configuration: sweeps, validation and the Wirtinger oracle only."""
-    families = _sweep_families(args, config)
-    reports = [analysis.test_family(f, fam, config.morera_tol, config.samples) for fam in families]
-    hypotheses_valid = analysis.validate_families(families[0], families[1])
-    hard_fail = any(r.failing for r in reports)
-    inconclusive = any(r.inconclusive for r in reports)
-    dbar_value = analysis.dbar_residual(f, config.dbar_grid)
-    if hard_fail:
-        classification = analysis.CLASS_MORERA_FAILURE
-    elif inconclusive:
-        classification = analysis.CLASS_INCONCLUSIVE
-    elif dbar_value <= config.dbar_tol:
-        classification = analysis.CLASS_CONSISTENT
-    else:
-        classification = analysis.CLASS_INCONSISTENT
-    doc = {
-        "schema_version": 1,
-        "function": desc,
-        "tau": config.tau,
-        "hypotheses_valid": hypotheses_valid,
-        "families": [r.to_dict() for r in reports],
-        "dbar": {"residual": dbar_value},
-        "cross_consistency": None,
-        "verdict": classification,
-        "warnings": warnings
-        + ["two-point pencil configuration: cross-consistency not evaluated (partial coverage)"],
-    }
-    _emit(analysis.dumps_report(doc), args.output)
-    return _EXIT_BY_CLASS[classification]
 
 
 def cmd_demo_sharpness(args) -> int:

@@ -31,6 +31,14 @@ def _require_finite(z: complex, what: str) -> complex:
     return z
 
 
+def require_boundary_point(p: complex) -> complex:
+    """``p`` as a complex number, checked to be finite and within 1e-12 of the unit circle."""
+    p = _require_finite(p, "boundary point")
+    if abs(abs(p) - 1.0) > 1e-12:
+        raise ConfigError(f"pencil boundary point must lie on the unit circle, got |p| = {abs(p)}")
+    return p
+
+
 @dataclass(frozen=True)
 class Circle:
     """A circle in the plane: ``center`` plus a strictly positive ``radius``."""
@@ -106,9 +114,7 @@ class PencilConfig:
     tau: float
 
     def __post_init__(self):
-        p = _require_finite(self.p, "boundary point")
-        if abs(abs(p) - 1.0) > 1e-12:
-            raise ConfigError(f"pencil boundary point must lie on the unit circle, got |p| = {abs(p)}")
+        p = require_boundary_point(self.p)
         object.__setattr__(self, "p", p / abs(p))
         object.__setattr__(self, "tau", float(self.tau))
         if not 0.0 < self.tau:

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from morera.analysis import (
     dbar_residual,
     dumps_report,
     report_document,
+    sweep_classification,
     validate_families,
     verdict,
 )
@@ -58,6 +60,53 @@ class TestFamilyConfig:
             FamilyConfig.centered(0.9, 0.5)
         with pytest.raises(ConfigError):
             FamilyConfig.centered(0.0, 1.0)
+
+    @pytest.mark.parametrize("p", [2.0, 0.5, 0.0, 0.6 + 0.9j])
+    def test_pencil_point_off_the_unit_circle(self, p):
+        with pytest.raises(ConfigError) as info:
+            FamilyConfig.pencil(0.25, p=p)
+        assert str(info.value) == f"pencil boundary point must lie on the unit circle, got |p| = {abs(p)}"
+
+    def test_pencil_point_is_kept_as_given(self):
+        p = 1j * (1.0 + 5e-13)
+        assert FamilyConfig.pencil(0.25, p=p).p == p
+
+
+class TestPipelineFamilies:
+    def test_centered_then_pencil(self):
+        centered, pencil = PipelineConfig(p=1j, circles_per_family=8).families()
+        assert (centered.kind, centered.lo, centered.count) == ("centered", 0.05, 8)
+        assert (pencil.kind, pencil.lo, pencil.p) == ("pencil", -0.75, 1j)
+
+    @pytest.mark.parametrize("kind", ["centered", "pencil"])
+    def test_one_kind(self, kind):
+        (family,) = PipelineConfig().families(kind)
+        assert family.kind == kind
+
+    def test_two_point_is_two_pencils_whatever_the_kind(self):
+        for kind in ("both", "centered", "pencil"):
+            first, second = PipelineConfig(p2=1.0, t_min=-0.6).families(kind)
+            assert (first.kind, first.p, first.lo) == ("pencil", -1.0, -0.6)
+            assert (second.kind, second.p, second.lo) == ("pencil", 1.0, -0.6)
+
+    def test_centered_error_comes_first(self):
+        with pytest.raises(ConfigError, match="empty parameter range"):
+            PipelineConfig(r_min=2.0, p=2.0).families()
+        with pytest.raises(ConfigError, match="unit circle"):
+            PipelineConfig(p=2.0).families()
+        assert PipelineConfig(p=2.0).families("centered")[0].kind == "centered"
+
+
+class TestSweepClassification:
+    def test_failure_before_inconclusive(self):
+        passing = sweep_family(builtin("expz").oracle, FamilyConfig.centered(0.05, 1.0, 8))
+        failing = sweep_family(builtin("counterexample").oracle, FamilyConfig.pencil(0.25, count=8))
+        aliased = replace(passing.circles[0], passes=False, inconclusive=True)
+        capped = replace(passing, circles=(aliased,) + passing.circles[1:], passes=False, inconclusive=True)
+        assert failing.failing and not capped.failing
+        assert sweep_classification([passing]) is None
+        assert sweep_classification([passing, capped]) == CLASS_INCONCLUSIVE
+        assert sweep_classification([capped, failing]) == CLASS_MORERA_FAILURE
 
 
 class TestTestFamily:
@@ -241,6 +290,32 @@ class TestVerdict:
     def test_invalid_tau(self):
         with pytest.raises(ConfigError):
             PipelineConfig(tau=0.7)
+
+    def test_two_point_classifies_on_the_wirtinger_residual(self):
+        config = PipelineConfig(p2=1.0, circles_per_family=8)
+        v = verdict(builtin("expz").oracle, config)
+        assert v.classification == CLASS_CONSISTENT
+        assert [r.config.p for r in v.families] == [-1.0, 1.0]
+        assert v.cross_residual is None and v.cross_t_values == ()
+        v = verdict(builtin("counterexample").oracle, replace(config, t_min=-0.4))
+        assert v.classification == CLASS_INCONSISTENT
+        assert all(r.passes for r in v.families)
+
+    @pytest.mark.parametrize("p2", [None, 1.0])
+    def test_unsampleable_wirtinger_grid_gives_no_residual(self, p2):
+        # exp(z), except NaN at one finite-difference stencil point of the
+        # Wirtinger grid: every circle passes, the residual cannot be taken.
+        grid = DbarGrid()
+        bad = grid.points()[0] + grid.h
+
+        def f(z):
+            z = np.asarray(z, dtype=complex)
+            return np.where(z == bad, np.nan, np.exp(z))
+
+        v = verdict(f, PipelineConfig(p2=p2, circles_per_family=8))
+        assert all(r.passes for r in v.families)
+        assert v.dbar_value is None and v.dbar_error is None
+        assert v.classification == CLASS_INCONSISTENT
 
 
 class TestReports:

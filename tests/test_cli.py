@@ -88,6 +88,48 @@ class TestVerdictCommand:
         assert any("partial coverage" in w for w in doc["warnings"])
         assert doc["cross_consistency"] is None
 
+    @pytest.mark.parametrize("extra", [[], ["--two-point", "1"]])
+    def test_unsampleable_wirtinger_grid_reports_null(self, capsys, extra):
+        # The pole at 0.501 lies on a finite-difference stencil of the
+        # Wirtinger grid; the run reports no residual instead of aborting.
+        code, out, err = run(["verdict", "--expr", "1/(z-0.501)", "--circles", "8", *extra], capsys)
+        assert code == 1 and err == ""
+        doc = json.loads(out)
+        assert doc["dbar"]["residual"] is None
+        assert doc["verdict"] == "morera-failure"
+
+
+class TestPencilPointFlags:
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            (["verdict", "--p", "2"], "2.0"),
+            (["verdict", "--p", "0.5"], "0.5"),
+            (["verdict", "--p", "0"], "0.0"),
+            (["verdict", "--two-point", "0.5"], "0.5"),
+            (["sweep", "--p", "0.6+0.9i"], str(abs(0.6 + 0.9j))),
+            (["sweep", "--family", "pencil", "--p", "2"], "2.0"),
+            (["sweep", "--family", "centered", "--two-point", "0.5"], "0.5"),
+        ],
+    )
+    def test_off_the_unit_circle_is_config_error(self, capsys, argv, shown):
+        code, out, err = run(argv + ["--builtin", "expz", "--circles", "8"], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: pencil boundary point must lie on the unit circle, got |p| = {shown}\n"
+
+    def test_centered_sweep_builds_no_pencil(self, capsys):
+        code, out, _ = run(["sweep", "--builtin", "expz", "--family", "centered", "--p", "2", "--circles", "8"], capsys)
+        assert code == 0
+        assert [fam["family"] for fam in json.loads(out)["families"]] == ["centered"]
+
+
+class TestWPadFlag:
+    @pytest.mark.parametrize("argv, shown", [(["--w-pad", "nan"], "nan"), (["--w-pad=inf"], "inf"), (["--w-pad=-inf"], "-inf")])
+    def test_non_finite_is_config_error(self, capsys, argv, shown):
+        code, out, err = run(["theta", "--builtin", "poly3", "--z", "0.5i", "--w-count", "3", *argv], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: --w-pad must be finite, got {shown}\n"
+
 
 class TestSweepCommand:
     def test_schema_and_determinism(self, capsys, tmp_path):
@@ -111,6 +153,19 @@ class TestSweepCommand:
             ["sweep", "--builtin", "absq", "--family", "pencil", "--circles", "8"], capsys
         )
         assert code == 1
+
+    def test_two_point_sweeps_both_pencils_whatever_the_family(self, capsys):
+        code, out, _ = run(
+            ["sweep", "--builtin", "expz", "--two-point", "1", "--family", "centered", "--circles", "8"], capsys
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert [fam["family"] for fam in doc["families"]] == ["pencil", "pencil"]
+        # Members have center -p*t with t < 0: left of 0 through p = -1, right of it through p = 1.
+        first, second = ([c["center_re"] for c in fam["circles"]] for fam in doc["families"])
+        assert max(first) < 0.0 < min(second)
+        assert doc["hypotheses_valid"] is True and doc["verdict"] == "pass"
+        assert any("partial coverage" in w for w in doc["warnings"])
 
 
 class TestFiberCommand:
