@@ -422,11 +422,17 @@ class PipelineConfig:
         """The swept families, built in order, so the first one's errors come first.
 
         (centered, pencil through ``p``), or only the ``kind`` ("centered" or
-        "pencil") of them; with ``p2`` set, always the pencils through ``p``
-        and ``p2``.
+        "pencil") of them; with ``p2`` set, the pencils through ``p`` and
+        ``p2``, and any ``kind`` but "both" is a :class:`ConfigError` (after
+        the pencils' own errors).
         """
         if self.p2 is not None:
-            return self._pencil(self.p), self._pencil(self.p2)
+            pencils = self._pencil(self.p), self._pencil(self.p2)
+            if kind != "both":
+                raise ConfigError(
+                    f"the two-point configuration always sweeps both pencils; family {kind!r} does not apply"
+                )
+            return pencils
         families: tuple[FamilyConfig, ...] = ()
         if kind in ("both", "centered"):
             families += (FamilyConfig.centered(self.r_min, self.r_max, self.circles_per_family),)

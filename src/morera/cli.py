@@ -62,19 +62,7 @@ def parse_point(text: str) -> complex:
         node = exprparser.parse(text)
     except ParseError as exc:
         raise ConfigError(f"invalid complex literal {text!r}: {exc}") from None
-
-    def has_var(n) -> bool:
-        if isinstance(n, exprparser.Var):
-            return True
-        if isinstance(n, exprparser.Unary):
-            return has_var(n.operand)
-        if isinstance(n, exprparser.BinOp):
-            return has_var(n.left) or has_var(n.right)
-        if isinstance(n, exprparser.Call):
-            return has_var(n.arg)
-        return False
-
-    if has_var(node):
+    if any(isinstance(n, exprparser.Var) for n in exprparser.nodes(node)):
         raise ConfigError(f"complex literal {text!r} must not mention z")
     return exprparser.evaluate(node, 0.0)
 
@@ -414,6 +402,10 @@ def cmd_fiber(args) -> int:
     return EXIT_OK
 
 
+# The CSV names of cauchy_table's locations; near-curve rows carry no value.
+_LOCATIONS = {1: "inside", 0: "outside", -1: "near-curve"}
+
+
 def cmd_theta(args) -> int:
     _require_positive("--w-count", args.w_count)
     _require_positive("--nodes", args.nodes)
@@ -428,24 +420,11 @@ def cmd_theta(args) -> int:
     xs = np.linspace(re.min() - pad, re.max() + pad, args.w_count)
     ys = np.linspace(im.min() - pad, im.max() + pad, args.w_count)
     grid = [complex(x, y) for y in ys for x in xs]
-    Ws = np.array(grid, dtype=complex)
-    near = curve.distances(Ws) < curve.proximity_guard
-    far = Ws[~near]
-    # One winding number per W serves both the location and the transform.
-    windings = fiber.winding_numbers(curve, far)
-    values = []
-    if far.size:
-        values = fiber.cauchy_table(f, curve, far, windings, args.nodes, args.samples, tol).tolist()
-    results = zip(windings.tolist(), values)
+    locations, values = fiber.cauchy_table(f, curve, grid, args.nodes, args.samples, tol)
     rows = ["re_w,im_w,location,re_theta,im_theta,abs_theta"]
-    for W, skip in zip(grid, near.tolist()):
-        head = f"{W.real!r},{W.imag!r}"
-        if skip:
-            rows.append(f"{head},near-curve,,,")
-            continue
-        winding, value = next(results)
-        location = "inside" if winding else "outside"
-        rows.append(f"{head},{location},{value.real!r},{value.imag!r},{abs(value)!r}")
+    for W, location, value in zip(grid, locations.tolist(), values.tolist()):
+        cells = f"{value.real!r},{value.imag!r},{abs(value)!r}" if location >= 0 else ",,"
+        rows.append(f"{W.real!r},{W.imag!r},{_LOCATIONS[location]},{cells}")
     _emit("\n".join(rows) + "\n", args.output)
     return EXIT_OK
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re as _re
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -259,6 +259,20 @@ def _is_integer(value: complex) -> bool:
     return value.imag == 0.0 and float(value.real).is_integer()
 
 
+def nodes(node: Expr) -> Iterator[Expr]:
+    """Every node of the AST, each parent before its children and left before right."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        yield n
+        if isinstance(n, BinOp):
+            stack += (n.right, n.left)
+        elif isinstance(n, Unary):
+            stack.append(n.operand)
+        elif isinstance(n, Call):
+            stack.append(n.arg)
+
+
 def noninteger_power_warnings(node: Expr) -> list[str]:
     """Warnings for '^' with a non-integer exponent (principal branch in use)."""
     warnings = []
@@ -271,23 +285,14 @@ def noninteger_power_warnings(node: Expr) -> list[str]:
             return None if inner is None else -inner
         return None
 
-    def walk(n: Expr):
-        if isinstance(n, BinOp):
-            if n.op == "^":
-                value = literal(n.right)
-                if value is None or not _is_integer(value):
-                    warnings.append(
-                        f"power '{to_source(n)}' has a non-integer exponent; the principal "
-                        "branch is used and continuity on the disc is not guaranteed"
-                    )
-            walk(n.left)
-            walk(n.right)
-        elif isinstance(n, Unary):
-            walk(n.operand)
-        elif isinstance(n, Call):
-            walk(n.arg)
-
-    walk(node)
+    for n in nodes(node):
+        if isinstance(n, BinOp) and n.op == "^":
+            value = literal(n.right)
+            if value is None or not _is_integer(value):
+                warnings.append(
+                    f"power '{to_source(n)}' has a non-integer exponent; the principal "
+                    "branch is used and continuity on the disc is not guaranteed"
+                )
     return warnings
 
 

@@ -41,8 +41,6 @@ DEFAULT_MORERA_TOL = 1e-8
 # analysis is then reported as inconclusive by the sweep layer.
 DEFAULT_SAMPLES = 256
 MAX_SAMPLES = 4096
-# Absolute energy floor so that the zero function trivially passes.
-ENERGY_FLOOR = 1e-30
 
 Oracle = Callable[[complex], complex]
 
@@ -206,12 +204,14 @@ def _threshold_rule(negative, high, total, tol: float) -> tuple:
     """Threshold, aliasing flag and pass flag of the extendability test.
 
     Works elementwise on scalars or arrays: a trace passes iff its negative
-    energy is at most ``tol`` times its total energy (plus a tiny absolute
-    floor) and the aliasing band stays below the same threshold.
+    energy is at most ``tol`` times its total energy and the aliasing band
+    stays below the same threshold.  The threshold is purely relative, so a
+    trace is judged by its shape however small it is; the zero function
+    passes (0 <= 0).
     """
     if not tol > 0.0:
         raise ParameterDomainError(f"tolerance must be positive, got {tol}")
-    threshold = tol * (total + ENERGY_FLOOR)
+    threshold = tol * total
     aliasing = np.greater(high, threshold)
     passes = np.logical_and(np.less_equal(negative, threshold), np.logical_not(aliasing))
     return threshold, aliasing, passes
@@ -244,8 +244,8 @@ def extension_test(data: FourierData, tol: float = DEFAULT_MORERA_TOL) -> Extens
     """Decide extendability from the negative-tail energy of ``data``.
 
     Passes iff the negative-frequency energy is at most ``tol`` times the
-    total energy (plus a tiny absolute floor) and the high-frequency aliasing
-    guard stays below the same threshold.
+    total energy and the high-frequency aliasing guard stays below the same
+    threshold; there is no absolute floor (see :func:`_threshold_rule`).
     """
     threshold, aliasing, passes = _threshold_rule(
         data.tail_energy_negative, data.tail_energy_high, data.total_energy, tol

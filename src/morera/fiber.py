@@ -27,10 +27,11 @@ with node counts doubled until two successive refinements agree, starting
 from the curve's own nodes; every level reads its node values from the
 series.  The Cauchy transform subtracts a constant c (F at the node nearest
 W) from the integrand and adds c * ind(W) back, so the near-singular part
-of the kernel only ever meets F - c.  A table of many W classifies them in
-one array pass (distances and winding numbers) and forms their kernels
-block by block in buffers allocated once per table, never kept between
-calls.
+of the kernel only ever meets F - c.  A table of many W locates each of
+them once, in one array pass (inside D_z, outside, or within the proximity
+guard of the curve), integrates only those beyond the guard, and forms
+their kernels block by block in buffers allocated once per table, never
+kept between calls; a single transform is the table of one W.
 """
 
 from __future__ import annotations
@@ -55,10 +56,8 @@ from .geometry import (
     DEFAULT_TAU,
     EPS_GEOM,
     Arc,
-    Circle,
     arc_lambda,
     in_admissible_region,
-    pencil_circle,
     pencil_param,
 )
 from .semiquadric import invert_pencil_fiber
@@ -256,21 +255,15 @@ def fiber_curve(z: complex, nodes_per_piece: int = DEFAULT_NODES // 2, tau: floa
     return curve
 
 
-def winding_numbers(curve: FiberCurve, Ws: np.ndarray) -> np.ndarray:
-    """Winding numbers of the curve about the points ``Ws``: 1 inside D_z, 0 outside.
+def _locations(curve: FiberCurve, Ws: np.ndarray) -> np.ndarray:
+    """Where the points ``Ws`` lie: 1 inside D_z, 0 outside, -1 within the proximity guard.
 
     The segment is a chord of the arc's circle, so D_z is that disc cut by
     the chord's line: ``W`` is inside iff it lies in the open disc and on the
-    same side of the chord as the arc's midpoint.  The first ``W`` within the
-    proximity guard of the curve raises :class:`CurveProximityError`.
+    same side of the chord as the arc's midpoint.  A ``W`` closer to the
+    curve than its proximity guard cannot be classified and gets -1.
     """
     Ws = np.asarray(Ws, dtype=complex)
-    near = np.flatnonzero(curve.distances(Ws) < curve.proximity_guard)
-    if near.size:
-        raise CurveProximityError(
-            f"W = {complex(Ws[near[0]])} is within {curve.proximity_guard:.3e} of the fiber curve; "
-            "membership ambiguous"
-        )
     circle = curve.arc.circle
     a, b = curve.segment
     chord = (b - a).conjugate()
@@ -278,7 +271,24 @@ def winding_numbers(curve: FiberCurve, Ws: np.ndarray) -> np.ndarray:
     side = chord.real * u.imag + chord.imag * u.real  # Im(chord * (W - a))
     arc_side = (chord * (curve.arc.point(0.5) - a)).imag
     inside = (_modulus(Ws - circle.center) < circle.radius) & ((side > 0.0) == (arc_side > 0.0))
-    return np.where(inside, curve.orientation, 0)
+    return np.where(curve.distances(Ws) < curve.proximity_guard, -1, np.where(inside, curve.orientation, 0))
+
+
+def winding_numbers(curve: FiberCurve, Ws: np.ndarray) -> np.ndarray:
+    """Winding numbers of the curve about the points ``Ws``: 1 inside D_z, 0 outside.
+
+    The points are located by :func:`_locations`; the first ``W`` within the
+    proximity guard of the curve raises :class:`CurveProximityError`.
+    """
+    Ws = np.asarray(Ws, dtype=complex)
+    locations = _locations(curve, Ws)
+    near = np.flatnonzero(locations < 0)
+    if near.size:
+        raise CurveProximityError(
+            f"W = {complex(Ws[near[0]])} is within {curve.proximity_guard:.3e} of the fiber curve; "
+            "membership ambiguous"
+        )
+    return locations
 
 
 def winding_number(curve: FiberCurve, W: complex) -> int:
@@ -301,21 +311,9 @@ class RegionD:
         return region_contains(self.curve, W)
 
 
-def eval_on_segment_leaf(
-    f: Oracle, z: complex, R: float, samples: int = ext.DEFAULT_SAMPLES, tol: float = ext.DEFAULT_MORERA_TOL
-) -> complex:
-    """Extension of ``f`` from the centered circle of radius R, evaluated at z."""
-    circle = Circle(0.0, R)
-    values, _ = _circle_values(f, z, [(np.array([circle.center]), np.array([circle.radius]), "centered")], samples, tol)
-    return complex(values[0])
-
-
-def eval_on_arc_leaf(
-    f: Oracle, z: complex, t: float, samples: int = ext.DEFAULT_SAMPLES, tol: float = ext.DEFAULT_MORERA_TOL
-) -> complex:
-    """Extension of ``f`` from the pencil circle of parameter t, evaluated at z."""
-    circle = pencil_circle(t)
-    values, _ = _circle_values(f, z, [(np.array([circle.center]), np.array([circle.radius]), "pencil")], samples, tol)
+def _leaf_value(f: Oracle, z: complex, name: str, param: float, samples: int, tol: float) -> complex:
+    """Extension of ``f`` at z from the circle owning ``param`` on piece ``name`` (see :func:`_piece_circles`)."""
+    values, _ = _circle_values(f, z, [_piece_circles(name, np.array([param]))], samples, tol)
     return complex(values[0])
 
 
@@ -341,7 +339,7 @@ def eval_F(
         slack = 1e-7
         if abs(z) * (1.0 - slack) <= R <= 1.0 + slack:
             R = min(1.0, max(abs(z), R))
-            return eval_on_segment_leaf(f, z, R, samples, tol)
+            return _leaf_value(f, z, "segment", R, samples, tol)
     t = invert_pencil_fiber(z, w)  # raises NotOnPencilError for w off the curve
     t_min = pencil_param(z)
     slack = 1e-7
@@ -350,7 +348,7 @@ def eval_F(
             f"w = {w} is on no piece of the fiber curve of z = {z} (recovered t = {t})"
         )
     t = min(0.0, max(t_min, t))
-    return eval_on_arc_leaf(f, z, t, samples, tol)
+    return _leaf_value(f, z, "arc", t, samples, tol)
 
 
 def _circle_values(f: Oracle, z: complex, groups: list, samples: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -623,38 +621,41 @@ def cauchy_transform(
     For admissible functions this vanishes when ``W`` is outside the closed
     region bounded by the curve and reproduces the fiberwise holomorphic
     extension at ``W`` inside.  ``nodes`` is the total initial node count
-    across both pieces; it is doubled until two refinements agree.
+    across both pieces; it is doubled until two refinements agree.  This is
+    :func:`cauchy_table` at one point, except that a ``W`` within the
+    proximity guard raises :class:`CurveProximityError` (see
+    :func:`winding_numbers`).
     """
-    z = complex(z)
-    W = complex(W)
-    curve = fiber_curve(z, tau=tau)
-    guard = curve.proximity_guard
-    if curve.distance(W) < guard:
-        raise CurveProximityError(
-            f"W = {W} is within {guard:.3e} of the fiber curve of z = {z}; "
-            "move W or refine the curve"
-        )
-    return complex(cauchy_table(f, curve, [W], [winding_number(curve, W)], nodes, samples, tol)[0])
+    curve = fiber_curve(complex(z), tau=tau)
+    Ws = [complex(W)]
+    winding_numbers(curve, Ws)
+    return complex(cauchy_table(f, curve, Ws, nodes, samples, tol)[1][0])
 
 
 def cauchy_table(
     f: Oracle,
     curve: FiberCurve,
     Ws,
-    windings,
     nodes: int = DEFAULT_NODES,
     samples: int = ext.DEFAULT_SAMPLES,
     tol: float = ext.DEFAULT_MORERA_TOL,
-) -> np.ndarray:
-    """Cauchy transforms along ``curve`` at many points ``Ws``, sampling F once.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Locations and Cauchy transforms along ``curve`` at many points ``Ws``, sampling F once.
 
-    Every W must lie beyond the proximity guard and come with its winding
-    number.  Equals :func:`cauchy_transform` at each W; a W whose quadrature
-    does not converge raises, the first in the order given.
+    Each W is located once (:func:`_locations`: 1 inside D_z, 0 outside, -1
+    within the proximity guard).  A near-curve W is never integrated and
+    gets NaN; every other W gets :func:`cauchy_transform`'s value.  When no
+    W lies beyond the guard, F is not sampled.  A W whose quadrature does
+    not converge raises, the first in the order given.
     """
     _require_nodes(nodes)
-    field = _FiberField(f, curve, samples, tol)
-    return field.transforms(np.asarray(Ws, dtype=complex), np.asarray(windings), nodes)
+    Ws = np.asarray(Ws, dtype=complex)
+    locations = _locations(curve, Ws)
+    values = np.full(Ws.shape, np.nan, dtype=complex)
+    far = locations >= 0
+    if far.any():
+        values[far] = _FiberField(f, curve, samples, tol).transforms(Ws[far], locations[far], nodes)
+    return locations, values
 
 
 def fiber_integral(

@@ -83,11 +83,17 @@ class TestPipelineFamilies:
         (family,) = PipelineConfig().families(kind)
         assert family.kind == kind
 
-    def test_two_point_is_two_pencils_whatever_the_kind(self):
-        for kind in ("both", "centered", "pencil"):
-            first, second = PipelineConfig(p2=1.0, t_min=-0.6).families(kind)
-            assert (first.kind, first.p, first.lo) == ("pencil", -1.0, -0.6)
-            assert (second.kind, second.p, second.lo) == ("pencil", 1.0, -0.6)
+    def test_two_point_is_two_pencils(self):
+        first, second = PipelineConfig(p2=1.0, t_min=-0.6).families("both")
+        assert (first.kind, first.p, first.lo) == ("pencil", -1.0, -0.6)
+        assert (second.kind, second.p, second.lo) == ("pencil", 1.0, -0.6)
+
+    @pytest.mark.parametrize("kind", ["centered", "pencil"])
+    def test_two_point_refuses_one_family(self, kind):
+        message = f"the two-point configuration always sweeps both pencils; family '{kind}' does not apply"
+        with pytest.raises(ConfigError) as err:
+            PipelineConfig(p2=1.0, t_min=-0.6).families(kind)
+        assert str(err.value) == message
 
     def test_centered_error_comes_first(self):
         with pytest.raises(ConfigError, match="empty parameter range"):
@@ -286,6 +292,20 @@ class TestVerdict:
         assert all(r.passes for r in v.families)
         assert v.classification == CLASS_INCONCLUSIVE
         assert "centered circle with parameter 1.0" in v.cross_note
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_small_scale_keeps_the_classification(self, name):
+        # The extendability test is relative: a trace is judged by its shape
+        # however small the function is.
+        f = builtin(name).oracle
+        expected = verdict(f).classification
+        for k in (-24, -20, -16, -8):
+            scaled = verdict(lambda z, s=10.0**k: s * f(z)).classification
+            assert scaled == expected, k
+
+    def test_zero_function_is_consistent(self):
+        zero = lambda z: np.zeros(np.shape(z), dtype=complex)
+        assert verdict(zero).classification == CLASS_CONSISTENT
 
     def test_invalid_tau(self):
         with pytest.raises(ConfigError):

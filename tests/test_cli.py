@@ -154,9 +154,9 @@ class TestSweepCommand:
         )
         assert code == 1
 
-    def test_two_point_sweeps_both_pencils_whatever_the_family(self, capsys):
+    def test_two_point_sweeps_both_pencils(self, capsys):
         code, out, _ = run(
-            ["sweep", "--builtin", "expz", "--two-point", "1", "--family", "centered", "--circles", "8"], capsys
+            ["sweep", "--builtin", "expz", "--two-point", "1", "--family", "both", "--circles", "8"], capsys
         )
         assert code == 0
         doc = json.loads(out)
@@ -166,6 +166,16 @@ class TestSweepCommand:
         assert max(first) < 0.0 < min(second)
         assert doc["hypotheses_valid"] is True and doc["verdict"] == "pass"
         assert any("partial coverage" in w for w in doc["warnings"])
+
+    @pytest.mark.parametrize("family", ["centered", "pencil"])
+    def test_two_point_refuses_one_family(self, capsys, family):
+        code, out, err = run(
+            ["sweep", "--builtin", "expz", "--two-point", "1", "--family", family, "--circles", "8"], capsys
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: the two-point configuration always sweeps both pencils; family '{family}' does not apply\n"
+        )
 
 
 class TestFiberCommand:

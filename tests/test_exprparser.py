@@ -15,6 +15,7 @@ from morera.exprparser import (
     _is_integer,
     compile_function,
     evaluate,
+    nodes,
     noninteger_power_warnings,
     parse,
     to_source,
@@ -199,6 +200,17 @@ class TestEvaluate:
         assert len(warnings) == 1 and "principal" in warnings[0]
         assert len(noninteger_power_warnings(parse("z^z"))) == 1
         assert noninteger_power_warnings(parse("z^-3")) == []
+
+    def test_nodes_parents_first_left_before_right(self):
+        node = parse("-exp(z)*zbar + 2")
+        # (-exp(z)) * conj(z), then + 2
+        assert [type(n) for n in nodes(node)] == [BinOp, BinOp, Unary, Call, Var, Call, Var, Num]
+        assert [to_source(n) for n in nodes(node)][2:] == ["-exp(z)", "exp(z)", "z", "conj(z)", "z", "2"]
+
+    def test_power_warnings_outer_and_left_first(self):
+        warnings = noninteger_power_warnings(parse("(z^0.5)^0.25 + z^1.5"))
+        powers = [w.split("'")[1] for w in warnings]
+        assert powers == ["(z^0.5)^0.25", "z^0.5", "z^1.5"]
 
 
 # --- Hypothesis: random parser-producible ASTs round-trip through printing ---

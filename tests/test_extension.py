@@ -309,13 +309,18 @@ class TestAnalyzeBatch:
                 assert value == pytest.approx(reference_horner(data, zeta), rel=1e-12, abs=1e-12)
 
     def test_refines_and_caps(self):
-        # z^100 aliases at 256 samples on the unit circle and passes at 512;
-        # capped at 256 it is inconclusive.
-        refined = analyze_batch(_power100, [0, 0], [0.1, 1.0])
+        # z^100 aliases at 256 samples on every centered circle (the trace's
+        # shape does not depend on the radius) and passes at 512; capped at
+        # 256 it is inconclusive.  On the circle of radius 0.1 about 0.5 its
+        # spectrum decays well below N/4, so that row stops at 256.
+        for radius in (0.1, 1.0):
+            centered = analyze_batch(_power100, [0], [radius])
+            assert list(centered.samples) == [512] and centered.passes.all(), radius
+        refined = analyze_batch(_power100, [0.5, 0], [0.1, 1.0])
         assert list(refined.samples) == [256, 512]
         assert refined.passes.all() and not refined.inconclusive.any()
         assert [len(rows) for rows, _ in refined.groups] == [1, 1]
-        capped = analyze_batch(_power100, [0, 0], [0.1, 1.0], n_max=256)
+        capped = analyze_batch(_power100, [0.5, 0], [0.1, 1.0], n_max=256)
         assert list(capped.inconclusive) == [False, True]
         assert list(capped.passes) == [True, False]
 
