@@ -26,7 +26,7 @@ import numpy as np
 
 from . import extension as ext
 from .errors import ConfigError, DomainError, ExtensionFailureError, InconclusiveError, SamplingError
-from .geometry import DEFAULT_TAU, Circle, PencilFrame, require_boundary_point
+from .geometry import DEFAULT_TAU, Circle, PencilFrame, require_boundary_point, require_tau
 
 DEFAULT_CROSS_TOL = 1e-6
 DEFAULT_DBAR_TOL = 1e-4
@@ -221,6 +221,12 @@ def test_family(
     return Report(config, tuple(results), passes, inconclusive, worst)
 
 
+def require_count(name: str, value: int) -> None:
+    """Raise :class:`ConfigError` naming ``name`` unless the count ``value`` is at least 1."""
+    if value < 1:
+        raise ConfigError(f"{name} must be at least 1, got {value}")
+
+
 def cross_consistency(
     f: Oracle,
     T: Union[float, Sequence[float]],
@@ -242,68 +248,51 @@ def cross_consistency(
     |T| < R, a pencil member of parameter t iff T < 2t + 1; each family
     contributes ``per_family`` evenly spaced members, from ``margin`` inside
     that bound (and the floors ``r_floor``, ``t_floor``) to the unit circle.
-    Each distinct circle is analyzed once, with the same refinement as a
-    sweep circle.  A circle that fails the extendability test raises
-    :class:`ExtensionFailureError`; failing that, one still aliased at the
-    sample cap raises :class:`InconclusiveError`.
+    The T are taken in order: one outside (-1 + 2 tau, 0) raises
+    :class:`DomainError`, one with fewer than two surrounding circles
+    :class:`ConfigError`.  Each distinct circle is then analyzed once, with
+    the same refinement as a sweep circle.  A circle that fails the
+    extendability test raises :class:`ExtensionFailureError`; failing that,
+    one still aliased at the sample cap raises :class:`InconclusiveError`.
     """
-    t_values = np.array([float(t) for t in np.atleast_1d(T)])
-    admissible = (-1.0 + 2.0 * tau < t_values) & (t_values < 0.0)
-    # Errors are raised in T order; circles are built only for the T before
-    # the first inadmissible one.
-    n = int(np.argmin(admissible)) if not admissible.all() else t_values.size
-    ts = t_values[:n]
+    require_count("probe_count", probe_count)
     t_floor = (-1.0 + tau) if t_floor is None else t_floor
-    r_lo = _max(r_floor, np.abs(ts) + margin)
-    t_lo = _max(t_floor, (ts - 1.0 + margin) / 2.0)
-    k = per_family
-    # Per T: the centered members, then the pencil members, where there are any.
-    params = np.zeros((n, 2 * k))
-    mask = np.zeros((n, 2 * k), dtype=bool)
-    for family, (lo, stop) in enumerate(((r_lo, 1.0), (t_lo, 0.0))):
-        has = lo < stop
-        params[has, family * k : (family + 1) * k] = np.linspace(lo[has], stop, k, axis=1)
-        mask[has, family * k : (family + 1) * k] = True
-    # One entry per (T, circle) pair, in T order.
-    param = params[mask]
-    pencil = np.nonzero(mask)[1] >= k
-    center = np.where(pencil, param, 0.0).astype(complex)
-    radius = np.where(pencil, param + 1.0, param)
-    counts = mask.sum(axis=1)
-    owner = np.repeat(np.arange(n), counts)
-    bad_circle = np.flatnonzero(~(radius > 0.0) | ~np.isfinite(param))
-    few = np.flatnonzero(counts < 2)
-    if bad_circle.size and (not few.size or owner[bad_circle[0]] <= few[0]):
-        Circle(center[bad_circle[0]], radius[bad_circle[0]])  # raises as the constructor does
-    if few.size:
-        raise ConfigError(f"no surrounding circles available for T = {float(ts[few[0]])} under the given floors")
-    if n < t_values.size:
-        raise DomainError(f"T = {float(t_values[n])} outside the admissible interval ({-1.0 + 2.0 * tau}, 0)")
     keys: dict = {}  # (center, radius) -> row of the batch, in first-occurrence order
-    rows = [keys.setdefault(key, len(keys)) for key in zip(center.tolist(), radius.tolist())]
+    names: list[str] = []  # per row, its first (T, circle) pair
+    rows: list[int] = []  # per (T, circle) pair, in T order
+    probes: list[np.ndarray] = []  # per (T, circle) pair, the probe ring of its T
+    blocks: list[int] = []  # per T, its number of circles
+    unit_ring = np.exp(2j * np.pi * np.arange(probe_count) / probe_count)
+    for t in [float(t) for t in np.atleast_1d(T)]:
+        if not -1.0 + 2.0 * tau < t < 0.0:
+            raise DomainError(f"T = {t} outside the admissible interval ({-1.0 + 2.0 * tau}, 0)")
+        r_lo = max(r_floor, abs(t) + margin)
+        t_lo = max(t_floor, (t - 1.0 + margin) / 2.0)
+        chosen = []
+        if r_lo < 1.0:
+            chosen += [("centered", R, Circle(0.0, R)) for R in np.linspace(r_lo, 1.0, per_family).tolist()]
+        if t_lo < 0.0:
+            chosen += [("pencil", s, Circle(s, s + 1.0)) for s in np.linspace(t_lo, 0.0, per_family).tolist()]
+        if len(chosen) < 2:
+            raise ConfigError(f"no surrounding circles available for T = {t} under the given floors")
+        for kind, param, circle in chosen:
+            row = keys.setdefault((circle.center, circle.radius), len(keys))
+            if row == len(names):
+                names.append(f"the {kind} circle with parameter {param} surrounding T = {t}")
+            rows.append(row)
+        delta = min(0.25 * min(c.radius - abs(t - c.center) for _, _, c in chosen), 0.02)
+        probes += [t + delta * unit_ring] * len(chosen)
+        blocks.append(len(chosen))
     batch = ext.analyze_batch(f, [c for c, _ in keys], [r for _, r in keys], tol, samples)
-
-    def name(row: int) -> str:
-        j = rows.index(row)
-        kind = "pencil" if pencil[j] else "centered"
-        return f"the {kind} circle with parameter {float(param[j])} surrounding T = {float(ts[owner[j]])}"
-
-    batch.require_extensions(name)
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    gap = np.minimum.reduceat(radius - np.abs(ts[owner] - center.real), starts[:-1])
-    delta = np.minimum(0.25 * gap, 0.02)
-    rings = ts[:, None] + delta[:, None] * np.exp(2j * np.pi * np.arange(probe_count) / probe_count)
-    values = batch.evaluate(np.repeat(rings, counts, axis=0), rows)
+    batch.require_extensions(names.__getitem__)
+    values = batch.evaluate(np.array(probes), rows)
     residual = 0.0
-    for start, stop in zip(starts[:-1], starts[1:]):
-        block = values[start:stop]
+    start = 0
+    for count in blocks:
+        block = values[start : start + count]
+        start += count
         residual = max(residual, float(np.abs(block[:, None, :] - block[None, :, :]).max()))
     return residual
-
-
-def _max(a, b):
-    """Python's ``max(a, b)`` elementwise: ``b`` where it is greater, else ``a`` (NaN included)."""
-    return np.where(b > a, b, a)
 
 
 @dataclass(frozen=True)
@@ -321,6 +310,8 @@ class DbarGrid:
             raise ConfigError(f"invalid radial range [{self.r_min}, {self.r_max}]")
         if not self.h > 0.0:
             raise ConfigError(f"step must be positive, got {self.h}")
+        require_count("n_r", self.n_r)
+        require_count("n_theta", self.n_theta)
         if self.r_max + self.h > 1.0:
             raise DomainError(
                 f"grid touches the boundary: r_max + h = {self.r_max + self.h} > 1"
@@ -408,8 +399,9 @@ class PipelineConfig:
     dbar_grid: DbarGrid = DbarGrid()
 
     def __post_init__(self):
-        if not 0.0 < self.tau < 0.5:
-            raise ConfigError(f"tau must lie in (0, 1/2), got {self.tau}")
+        require_tau(self.tau)
+        require_count("t_count", self.t_count)
+        require_count("probe_count", self.probe_count)
         for name in ("morera_tol", "cross_tol", "dbar_tol"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be positive")
@@ -584,7 +576,7 @@ def report_document(
     return doc
 
 
-# json.dumps indents with the pure-Python encoder; this is the C one.  Its item
+# json.dumps indents with the pure-Python encoder, slower than this C one.  Its item
 # separator carries a NUL, which ASCII escaping leaves nowhere else in the text,
 # so the separators can be found and replaced by newlines.
 _ENCODE = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",\x00", ": ")).encode

@@ -17,9 +17,9 @@ atomically.
 Each command declares its flags once, in the ``add_flags`` function of
 ``_COMMANDS``.  A plain command line (exact option strings, each with its
 value) is scanned against the flags that function records in a
-:class:`_FlagTable`; every other line, and every request for help, goes to
-an argparse parser built from the same function, so argparse alone prints
-help, usage and errors and is imported only then.
+:class:`_FlagTable`; every other line, help included, goes to the full
+argparse parser, which alone prints help, usage and errors and is imported
+only then.
 """
 
 from __future__ import annotations
@@ -247,22 +247,13 @@ def parse_args(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
     """Parse a command line as :func:`build_parser` does, with argparse only where needed.
 
     A plain command line is scanned against its command's flag table
-    (:func:`_scan`) and gives the namespace the full parser would.  A line
-    the scan does not take goes to the invoked command's argparse parser,
-    which is the full parser's subparser for it (same prog, same flags), so
-    its help and its errors read the same.  Anything that parser does not
-    take whole either (no command, an unknown one, the top-level ``-h``,
-    arguments left over) goes to the full parser, whose help, usage and
-    errors are then the ones printed.
+    (:func:`_scan`) and gives the namespace the full parser would; any other
+    line goes to the full parser.
     """
+    # Importing argparse and building the parser costs a cold process more than the scan.
     if argv and argv[0] in _COMMANDS:
         args = _scan(argv[0], argv[1:])
         if args is not None:
-            return args
-        parser = _parser(prog=f"morera {argv[0]}")
-        _COMMANDS[argv[0]][1](parser)
-        args, extras = parser.parse_known_args(argv[1:], SimpleNamespace(command=argv[0]))
-        if not extras:
             return args
     return build_parser().parse_args(argv)
 
@@ -293,11 +284,6 @@ def resolve_function(args) -> tuple:
         f"function interpolated from grid file; extendability threshold inflated x{inflation}"
     )
     return oracle, {"source": "grid", "path": args.grid}, warnings, args.morera_tol * inflation
-
-
-def _require_positive(flag: str, value: int) -> None:
-    if value < 1:
-        raise ConfigError(f"{flag} must be at least 1, got {value}")
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -388,7 +374,7 @@ def cmd_sweep(args) -> int:
 def cmd_fiber(args) -> int:
     # The function source is accepted for interface uniformity but the curve
     # is pure geometry; it is not evaluated here.
-    _require_positive("--points-per-piece", args.points_per_piece)
+    analysis.require_count("--points-per-piece", args.points_per_piece)
     zs = [parse_point(text) for text in args.z]
     rows = ["piece,index,param,re_w,im_w"] if len(zs) == 1 else ["z_re,z_im,piece,index,param,re_w,im_w"]
     for z in zs:
@@ -407,8 +393,8 @@ _LOCATIONS = {1: "inside", 0: "outside", -1: "near-curve"}
 
 
 def cmd_theta(args) -> int:
-    _require_positive("--w-count", args.w_count)
-    _require_positive("--nodes", args.nodes)
+    analysis.require_count("--w-count", args.w_count)
+    analysis.require_count("--nodes", args.nodes)
     if not math.isfinite(args.w_pad):
         raise ConfigError(f"--w-pad must be finite, got {args.w_pad}")
     f, _, _, tol = resolve_function(args)

@@ -59,6 +59,7 @@ from .geometry import (
     arc_lambda,
     in_admissible_region,
     pencil_param,
+    require_tau,
 )
 from .semiquadric import invert_pencil_fiber
 
@@ -170,9 +171,6 @@ class FiberCurve:
         ends = np.minimum(_modulus(Ws - arc.start), _modulus(Ws - arc.end))
         return np.minimum(segment, np.where(within, np.abs(_modulus(v) - arc.circle.radius), ends))
 
-    def winding(self, W: complex) -> int:
-        return winding_number(self, W)
-
     def polyline(self, per_piece: int = 256) -> list[tuple[str, np.ndarray, np.ndarray]]:
         """Dense samples per piece, in traversal order: (name, params, points)."""
         pieces = []
@@ -231,10 +229,12 @@ def _quadrature(z: complex, t_min: float, per_piece: int) -> tuple:
 def fiber_curve(z: complex, nodes_per_piece: int = DEFAULT_NODES // 2, tau: float = DEFAULT_TAU) -> FiberCurve:
     """Build the positively oriented fiber curve of ``z``.
 
-    ``z`` must be admissible (open unit disc, outside the closed disc of the
-    smallest pencil member, off [0, 1]) and non-real; for real base points the
-    fiber is the extended real line and has no bounded representation.
+    ``tau`` must lie in (0, 1/2), and ``z`` must be admissible (open unit
+    disc, outside the closed disc of the smallest pencil member, off [0, 1])
+    and non-real; for real base points the fiber is the extended real line
+    and has no bounded representation.
     """
+    require_tau(tau)
     z = complex(z)
     if abs(z.imag) < EPS_GEOM:
         raise DegenerateInputError(
@@ -504,6 +504,7 @@ class _FiberField:
         At the curve's own panel count these are the curve's nodes.
         """
         curve = self.curve
+        # A fresh level's arrays cost page faults in a cold process; the curve's are already touched.
         if 2 * _panel_count(per_piece) * _PANEL_ORDER == curve.nodes_w.size:
             w, dw, piece, param = curve.nodes_w, curve.nodes_dw, curve.nodes_piece, curve.nodes_param
         else:
@@ -556,6 +557,7 @@ class _FiberField:
         per_piece = max(_PANEL_ORDER, nodes // 2)
         first = self.level(per_piece)
         w0, _, values0 = first
+        # Fresh kernel temporaries per block and level would each cost an allocation and page faults.
         # Doubling the nodes per piece at most doubles each level's size.
         size = max(_BLOCK_ELEMENTS, w0.size << MAX_REFINEMENTS)
         kernel = np.empty(size, dtype=complex)

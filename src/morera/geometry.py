@@ -39,6 +39,12 @@ def require_boundary_point(p: complex) -> complex:
     return p
 
 
+def require_tau(tau: float) -> None:
+    """Raise :class:`ConfigError` unless the pencil radius floor ``tau`` lies in (0, 1/2)."""
+    if not 0.0 < tau < 0.5:
+        raise ConfigError(f"tau must lie in (0, 1/2), got {tau}")
+
+
 @dataclass(frozen=True)
 class Circle:
     """A circle in the plane: ``center`` plus a strictly positive ``radius``."""

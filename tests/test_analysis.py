@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,6 +314,24 @@ class TestVerdict:
         with pytest.raises(ConfigError):
             PipelineConfig(tau=0.7)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: PipelineConfig(t_count=0), "t_count must be at least 1, got 0"),
+            (lambda: PipelineConfig(t_count=-1), "t_count must be at least 1, got -1"),
+            (lambda: PipelineConfig(probe_count=0), "probe_count must be at least 1, got 0"),
+            (lambda: DbarGrid(n_r=0), "n_r must be at least 1, got 0"),
+            (lambda: DbarGrid(n_theta=0), "n_theta must be at least 1, got 0"),
+            (lambda: cross_consistency(builtin("expz").oracle, -0.3, probe_count=0),
+             "probe_count must be at least 1, got 0"),
+        ],
+        ids=["t_count=0", "t_count=-1", "probe_count=0", "n_r=0", "n_theta=0", "cross_consistency-probe_count=0"],
+    )
+    def test_counts_below_one_rejected(self, build, message):
+        with pytest.raises(ConfigError) as info:
+            build()
+        assert str(info.value) == message
+
     def test_two_point_classifies_on_the_wirtinger_residual(self):
         config = PipelineConfig(p2=1.0, circles_per_family=8)
         v = verdict(builtin("expz").oracle, config)
@@ -515,3 +536,20 @@ class TestDumpsReport:
     def test_non_string_keys_are_converted_as_json_dumps_converts_them(self):
         doc = {"a": {10: [1.5, {2.5: None, -1e300: "x"}], 2: {True: (), False: 0}}, "b": {None: [{1: 2}]}}
         assert dumps_report(doc) == json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_quick_start_prints_what_its_comments_say():
+    code = README.read_text().split("## Library quick start\n\n```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    consistent, failure, worst, floored = out.getvalue().splitlines()
+    assert consistent == CLASS_CONSISTENT
+    assert failure == CLASS_MORERA_FAILURE
+    assert float(worst) < -0.5
+    classification, dbar = floored.split()
+    assert classification == CLASS_INCONSISTENT
+    assert abs(float(dbar) - 1.0) < 1e-6

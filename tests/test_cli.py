@@ -393,6 +393,23 @@ class TestCountFlags:
         assert err == f"error: {argv[-2]} must be at least 1, got {argv[-1]}\n"
 
 
+class TestTauRange:
+    @pytest.mark.parametrize("tau", ["0", "0.6", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fiber", "--z", "0.5i"],
+            ["fiber", "--z", "-0.9+0.05i"],
+            ["theta", "--builtin", "poly3", "--z", "0.5i", "--w-count", "3"],
+        ],
+        ids=" ".join,
+    )
+    def test_outside_range_is_config_error(self, capsys, argv, tau):
+        code, out, err = run(argv + ["--tau", tau], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: tau must lie in (0, 1/2), got {float(tau)}\n"
+
+
 class TestGridInflation:
     @pytest.mark.parametrize("command", [["test-circle", "--radius", "0.5"], ["verdict", "--circles", "8"]])
     @pytest.mark.parametrize("value, shown", [("0", "0.0"), ("-2", "-2.0"), ("nan", "nan"), ("inf", "inf")])
@@ -484,6 +501,23 @@ def readme_examples() -> list[list[str]]:
     lines = re.findall(r"^morera .*?(?=\s+#|$)", text.split("Examples:", 1)[1], re.MULTILINE)
     lines += re.findall(r"`(morera [^`]+)`", text)
     return [shlex.split(line)[1:] for line in lines]
+
+
+def readme_example_block() -> list[tuple[list[str], int]]:
+    """The command lines of the README's ``Examples:`` block, each with the exit code its comment gives (else 0)."""
+    block = README.read_text().split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        code = re.match(r"\s*exit (\d+)", comment)
+        examples.append((shlex.split(command)[1:], int(code.group(1)) if code else 0))
+    return examples
+
+
+@pytest.mark.parametrize("argv, code", readme_example_block(), ids=lambda x: " ".join(x) if isinstance(x, list) else f"exit {x}")
+def test_readme_example_exits_as_documented(argv, code, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv, capsys)[0] == code
 
 
 def readme_synopsis() -> dict[str, set[str]]:

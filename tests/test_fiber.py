@@ -158,6 +158,21 @@ class TestFiberCurve:
         with pytest.raises(DegenerateInputError):
             fiber_curve(-0.3)
 
+    @pytest.mark.parametrize("tau", [0.0, 0.6, -3.0])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda tau: fiber_curve(0.5j, tau=tau),
+            lambda tau: cauchy_transform(builtin("poly3").oracle, 0.5j, 0.0, tau=tau),
+            lambda tau: fiber_integral(builtin("poly3").oracle, 0.5j, tau=tau),
+        ],
+        ids=["fiber_curve", "cauchy_transform", "fiber_integral"],
+    )
+    def test_tau_outside_range_rejected(self, build, tau):
+        with pytest.raises(ConfigError) as info:
+            build(tau)
+        assert str(info.value) == f"tau must lie in (0, 1/2), got {tau}"
+
     def test_outside_admissible_region(self):
         with pytest.raises(DomainError):
             fiber_curve(-0.75 + 0.1j, tau=0.25)  # inside the excluded disc
