@@ -18,13 +18,14 @@ of centered + pencil) runs the same verdict without cross-consistency.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import chain
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import extension as ext
+from ._record import Record, record
 from .errors import ConfigError, DomainError, ExtensionFailureError, InconclusiveError, SamplingError
 from .geometry import DEFAULT_TAU, Circle, PencilFrame, require_boundary_point, require_tau
 
@@ -44,8 +45,8 @@ CLASS_INCONSISTENT = "inconsistent"
 CLASS_INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class FamilyConfig:
+@record
+class FamilyConfig(Record):
     """A finite grid over one circle family.
 
     ``kind`` is "centered" (parameter = radius R in [lo, hi] with hi <= 1) or
@@ -119,8 +120,8 @@ class FamilyConfig:
         return PencilFrame(self.p)
 
 
-@dataclass(frozen=True)
-class CircleResult:
+@record
+class CircleResult(Record):
     """Per-circle outcome of a family sweep."""
 
     family: str
@@ -149,8 +150,8 @@ class CircleResult:
         }
 
 
-@dataclass(frozen=True)
-class Report:
+@record
+class Report(Record):
     """Sweep report for one family: per-circle results plus aggregates."""
 
     config: FamilyConfig
@@ -202,17 +203,12 @@ def test_family(
     for i, (t, circle) in enumerate(zip(params, circles)):
         negative = float(batch.negative_energy[i])
         total = float(batch.total_energy[i])
+        relative = negative / total if total > 0 else 0.0
+        # Positional: a record built from keywords pays for a dict of them.
         results.append(
             CircleResult(
-                family=config.kind,
-                parameter=float(t),
-                circle=circle,
-                samples=int(batch.samples[i]),
-                negative_energy=negative,
-                relative_negative_energy=negative / total if total > 0 else 0.0,
-                passes=bool(batch.passes[i]),
-                aliasing=bool(batch.aliasing[i]),
-                inconclusive=bool(batch.inconclusive[i]),
+                config.kind, float(t), circle, int(batch.samples[i]), negative, relative,
+                bool(batch.passes[i]), bool(batch.aliasing[i]), bool(batch.inconclusive[i]),
             )
         )
     passes = all(r.passes for r in results)
@@ -295,8 +291,8 @@ def cross_consistency(
     return residual
 
 
-@dataclass(frozen=True)
-class DbarGrid:
+@record
+class DbarGrid(Record):
     """Polar evaluation grid for the finite-difference Wirtinger residual."""
 
     r_min: float = 0.2
@@ -369,8 +365,8 @@ def validate_families(config_a: FamilyConfig, config_b: FamilyConfig) -> bool:
     return abs(c1 - c2) > r1 + r2
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+@record
+class PipelineConfig(Record):
     """Everything the full verdict pipeline needs.
 
     The defaults describe the reference setup: full centered family, pencil
@@ -442,8 +438,8 @@ class PipelineConfig:
         return np.linspace(lo + inset, hi - inset, self.t_count)
 
 
-@dataclass(frozen=True)
-class Verdict:
+@record
+class Verdict(Record):
     """Combined outcome of family sweeps, cross-consistency, and the Wirtinger oracle."""
 
     classification: str

@@ -25,11 +25,11 @@ angle.
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
 from typing import Iterator, Union
 
 import numpy as np
 
+from ._record import Record, record
 from .errors import EvalError, ParseError
 
 # Dispatch tables of the evaluator; abs/re/im are real-valued, and their
@@ -56,31 +56,41 @@ _TOKEN_RE = _re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Num:
+@record
+class Num(Record):
+    """A complex literal."""
+
     value: complex
 
 
-@dataclass(frozen=True)
-class Var:
+@record
+class Var(Record):
+    """The variable z."""
+
     name: str  # always "z"
 
 
-@dataclass(frozen=True)
-class Unary:
+@record
+class Unary(Record):
+    """Negation of an operand."""
+
     op: str  # "-"
     operand: "Expr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+@record
+class BinOp(Record):
+    """A binary operation on two operands."""
+
     op: str  # + - * / ^
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Call:
+@record
+class Call(Record):
+    """A named function applied to one argument."""
+
     func: str
     arg: "Expr"
 
@@ -88,8 +98,10 @@ class Call:
 Expr = Union[Num, Var, Unary, BinOp, Call]
 
 
-@dataclass(frozen=True)
-class _Token:
+@record
+class _Token(Record):
+    """One token of the source text, at character ``offset``."""
+
     kind: str  # number | name | op | end
     text: str
     offset: int

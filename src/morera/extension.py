@@ -16,7 +16,6 @@ trace at a fixed N.  Every extension is summed by one vectorized Horner loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,6 +23,7 @@ import numpy as np
 # start-up, not inside the first command that samples a circle.
 import numpy.fft  # noqa: F401
 
+from ._record import Record, record
 from .errors import (
     DomainError,
     ExtensionFailureError,
@@ -45,8 +45,8 @@ MAX_SAMPLES = 4096
 Oracle = Callable[[complex], complex]
 
 
-@dataclass(frozen=True)
-class CircleTrace:
+@record
+class CircleTrace(Record):
     """Samples of a function at N equispaced points of a circle.
 
     ``values[k]`` is the function at ``circle.center + circle.radius *
@@ -73,8 +73,8 @@ class CircleTrace:
         return 2.0 * np.pi * np.arange(n) / n
 
 
-@dataclass(frozen=True)
-class FourierData:
+@record
+class FourierData(Record):
     """DFT of a circle trace, indexed k in [-N/2, N/2).
 
     ``coefficients[j]`` is the coefficient of frequency ``k_values[j]``;
@@ -108,8 +108,8 @@ class FourierData:
         return float(np.sum(np.abs(self.coefficients) ** 2))
 
 
-@dataclass(frozen=True)
-class ExtensionResult:
+@record
+class ExtensionResult(Record):
     """Outcome of the extendability test for one circle."""
 
     passes: bool
@@ -314,8 +314,8 @@ def _horner(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return acc
 
 
-@dataclass(frozen=True)
-class BatchAnalysis:
+@record
+class BatchAnalysis(Record):
     """Per-row outcome of :func:`analyze_batch`, one row per circle.
 
     ``samples`` is the sample count at which each row stopped, and

@@ -37,13 +37,13 @@ kept between calls; a single transform is the table of one W.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from . import extension as ext
+from ._record import Record, record
 from .errors import (
     ConfigError,
     CurveProximityError,
@@ -74,8 +74,20 @@ SEGMENT_IMAG_TOL = 1e-9
 # Default quadrature size (total nodes over both pieces) and per-panel order.
 DEFAULT_NODES = 512
 _PANEL_ORDER = 16
-# Gauss-Legendre nodes and weights of one panel on [-1, 1].
-_PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(_PANEL_ORDER)
+# Gauss-Legendre nodes and weights of one panel on [-1, 1], ascending: the
+# values numpy.polynomial.legendre.leggauss(16) returns, bit for bit, which
+# are exactly symmetric about 0.  Literals spare every import of morera the
+# load of numpy.polynomial.
+_GAUSS_X = (
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+)
+_GAUSS_W = (
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+)
+_PANEL_X = np.array([-x for x in reversed(_GAUSS_X)] + list(_GAUSS_X))
+_PANEL_W = np.array(list(reversed(_GAUSS_W)) + list(_GAUSS_W))
 # F(z, .) is sampled per piece on nested Chebyshev-Lobatto grids of 17, 33,
 # ... up to 257 points, doubled until the last quarter of the series'
 # coefficients falls below _CHEB_CHOP times the piece's scale.  The scale is
@@ -111,8 +123,8 @@ def _composite_gauss(a: float, b: float, n_nodes: int) -> tuple[np.ndarray, np.n
     return nodes, weights
 
 
-@dataclass(frozen=True)
-class FiberCurve:
+@record
+class FiberCurve(Record):
     """Oriented closed curve M_z with its quadrature nodes.
 
     ``nodes_w`` are positions on the curve, ``nodes_dw`` the complex
@@ -301,8 +313,8 @@ def region_contains(curve: FiberCurve, W: complex) -> bool:
     return abs(winding_number(curve, W)) == 1
 
 
-@dataclass(frozen=True)
-class RegionD:
+@record
+class RegionD(Record):
     """The bounded region enclosed by a fiber curve, queried by winding number."""
 
     curve: FiberCurve
@@ -398,8 +410,25 @@ def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
     return coefficients
 
 
-@dataclass(frozen=True)
-class _PieceSeries:
+def _chebval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Sum of ``c[k] * T_k(x)`` by Clenshaw's recurrence.
+
+    The operations, operand shapes and order are those of
+    ``numpy.polynomial.chebyshev.chebval`` for a 1-D ``c``, so the result
+    matches it bit for bit.
+    """
+    c = c.reshape(c.shape + (1,) * x.ndim)
+    if len(c) == 1:
+        return c[0] + 0 * x
+    x2 = 2 * x
+    c0, c1 = c[-2], c[-1]
+    for ck in c[-3::-1]:
+        c0, c1 = ck - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
+@record
+class _PieceSeries(Record):
     """Chebyshev series of F(z, .) in one piece's parameter over [lo, hi].
 
     ``tail`` is the largest coefficient in the last quarter and ``scale``
@@ -421,7 +450,7 @@ class _PieceSeries:
 
     def __call__(self, params: np.ndarray) -> np.ndarray:
         x = (2.0 * params - (self.lo + self.hi)) / (self.hi - self.lo)
-        return np.polynomial.chebyshev.chebval(x, self.coefficients)
+        return _chebval(x, self.coefficients)
 
     def require_resolved(self, z: complex) -> None:
         """Raise :class:`InconclusiveError` naming the piece unless its tail is within tolerance."""

@@ -11,11 +11,11 @@ the origin, yet is nowhere holomorphic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from ._record import Record, record
 from .errors import UnknownFunctionError
 from .geometry import Circle
 
@@ -80,16 +80,18 @@ def _radial_smooth(z):
     return np.where(r2 >= 1.0, 0.0 + 0.0j, raw.astype(complex))
 
 
-@dataclass(frozen=True)
-class ClosedFormExtension:
+@record
+class ClosedFormExtension(Record):
     """A known holomorphic extension from one circle, with a sensitivity note."""
 
     fn: Callable[[complex], complex]
     boundary_case: bool = False  # circle passes through the origin
 
 
-@dataclass(frozen=True)
-class ZooEntry:
+@record
+class ZooEntry(Record):
+    """A builtin test function: its oracle and its known classification."""
+
     name: str
     oracle: Callable[[complex], complex]
     classification: str  # holomorphic | counterexample | non-extendable | radial

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
+from ._record import Record, record
 from .errors import ConfigError, DegenerateInputError, DomainError, ParameterDomainError
 
 # Inputs closer than this to the real axis are rejected by tangent-circle
@@ -45,8 +45,8 @@ def require_tau(tau: float) -> None:
         raise ConfigError(f"tau must lie in (0, 1/2), got {tau}")
 
 
-@dataclass(frozen=True)
-class Circle:
+@record
+class Circle(Record):
     """A circle in the plane: ``center`` plus a strictly positive ``radius``."""
 
     center: complex
@@ -72,8 +72,8 @@ class Circle:
         return abs(abs(z - self.center) - self.radius)
 
 
-@dataclass(frozen=True)
-class Arc:
+@record
+class Arc(Record):
     """Circular arc, parametrized by angle from the circle's center.
 
     The arc runs from ``angle_start`` to ``angle_end`` sweeping in the sense
@@ -112,8 +112,8 @@ class Arc:
         return self.circle.point(self.angle_start + s * (self.angle_end - self.angle_start))
 
 
-@dataclass(frozen=True)
-class PencilConfig:
+@record
+class PencilConfig(Record):
     """Pencil family through boundary point ``p`` with radius floor ``tau``."""
 
     p: complex
@@ -123,16 +123,15 @@ class PencilConfig:
         p = require_boundary_point(self.p)
         object.__setattr__(self, "p", p / abs(p))
         object.__setattr__(self, "tau", float(self.tau))
-        if not 0.0 < self.tau:
-            raise ConfigError(f"pencil radius floor must be positive, got {self.tau}")
+        require_tau(self.tau)
 
     @property
     def frame(self) -> "PencilFrame":
         return PencilFrame(self.p)
 
 
-@dataclass(frozen=True)
-class PencilFrame:
+@record
+class PencilFrame(Record):
     """Rotation between user coordinates and the p = -1 normal form.
 
     The rotation z -> u * z with u = -conj(p) sends p to -1; its inverse sends
@@ -220,9 +219,12 @@ def arc_lambda(z: complex, tau: float | None = None) -> Arc:
     Im z > 0 and from conj(z) to 1/z when Im z < 0; traversed that way it is
     the curved portion of the positively oriented fiber curve of ``z``.
 
-    Passing ``tau`` additionally validates that ``z`` is admissible for that
-    pencil floor (see :func:`in_admissible_region`).
+    Passing ``tau`` additionally checks it with :func:`require_tau` and
+    validates that ``z`` is admissible for that pencil floor (see
+    :func:`in_admissible_region`).
     """
+    if tau is not None:
+        require_tau(tau)
     z = _require_finite(z, "z")
     if abs(z) >= 1.0:
         raise DegenerateInputError(

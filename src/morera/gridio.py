@@ -81,6 +81,8 @@ class GridFunction:
             raise ConfigError("polar grid needs at least 4 radii and 4 angles for cubic interpolation")
         if not (np.diff(radii) > 0).all():
             raise ConfigError("grid radii must be strictly increasing")
+        if radii[0] < 0.0:
+            raise ConfigError(f"grid radii must be at least 0, got {float(radii[0])!r}")
         self.radii = radii
         self.thetas = thetas
         self.r_max = float(radii[-1])

@@ -18,11 +18,11 @@ the single intersection point has real positive coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
+from ._record import Record, record
 from .errors import (
     DomainError,
     NoIntersectionError,
@@ -62,8 +62,8 @@ def is_infinity(w: FiberValue) -> bool:
     return w is INFINITY
 
 
-@dataclass(frozen=True)
-class Semiquadric:
+@record
+class Semiquadric(Record):
     """Parameters (a, r) of the graph attached to circle bD(a, r)."""
 
     a: complex
@@ -88,8 +88,8 @@ class Semiquadric:
         return cls(complex(t, 0.0), t + 1.0)
 
 
-@dataclass(frozen=True)
-class QuadricPoint:
+@record
+class QuadricPoint(Record):
     """A point (z, w) of a semiquadric; ``w`` may be the infinity marker."""
 
     z: complex

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 from unittest import mock
 
@@ -727,8 +728,31 @@ class TestModuleEntryPoint:
 
 
 def test_bench_tracing_installs():
-    """Every program function the bench wraps by name still exists."""
+    """Every program function the bench wraps by name still exists, and a wrapped builtin evaluates.
+
+    The tracer rebuilds each builtin with ``dataclasses.replace`` on its
+    ``ZooEntry`` to count the oracle's points.
+    """
     root = Path(cli.__file__).resolve().parents[2]
-    script = 'import sys; sys.path[:0] = ["src", "bench"]; import tracing; tracing.install(tracing.Recorder())'
+    script = textwrap.dedent(
+        """
+        import sys
+        sys.path[:0] = ["src", "bench"]
+        import numpy as np
+        import tracing
+        from morera import funczoo
+
+        plain = funczoo.builtin("expz")
+        recorder = tracing.Recorder()
+        tracing.install(recorder)
+        entry = funczoo.builtin("expz")
+        assert entry is funczoo.builtin("expz") and type(entry) is type(plain)
+        assert (entry.name, entry.classification) == (plain.name, plain.classification)
+        assert entry.oracle is not plain.oracle and entry != plain
+        z = np.array([0.5, 0.25j, -0.3 + 0.1j])
+        assert np.array_equal(entry.oracle(z), plain.oracle(z))
+        assert recorder.counters["funczoo.eval.points"] == 3
+        """
+    )
     done = subprocess.run([sys.executable, "-c", script], cwd=root, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

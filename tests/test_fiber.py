@@ -643,6 +643,24 @@ class TestKernelBlocking:
         assert np.array_equal(tables[0], expected)
 
 
+class TestNumericalRules:
+    """fiber's in-house rules equal the numpy.polynomial ones they replace, bit for bit."""
+
+    def test_gauss_rule_is_leggauss_16(self):
+        x, w = np.polynomial.legendre.leggauss(16)
+        assert fiber._PANEL_X.tobytes() == x.tobytes() and fiber._PANEL_W.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 17, 257])
+    def test_clenshaw_is_chebval(self, length):
+        rng = np.random.default_rng(length)
+        c = rng.standard_normal(length) * 1e3 + 1j * rng.standard_normal(length)
+        for x in (rng.uniform(-1.0, 1.0, 300), np.array([-1.0, -0.0, 0.0, 1.0]), rng.uniform(-1.0, 1.0, 1)):
+            expected = np.polynomial.chebyshev.chebval(x, c)
+            got = fiber._chebval(x, c)
+            assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+            assert got.tobytes() == expected.tobytes()
+
+
 class TestFiberSeries:
     @pytest.mark.parametrize("name", ["poly3", "expz", "rational", "counterexample"])
     def test_matches_per_node_values(self, name):

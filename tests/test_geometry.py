@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from morera.errors import DegenerateInputError, DomainError, ParameterDomainError
+from morera.errors import ConfigError, DegenerateInputError, DomainError, ParameterDomainError
 from morera.geometry import (
     Arc,
     Circle,
@@ -176,6 +176,17 @@ class TestArcLambda:
         pts = arc.circle.center + arc.circle.radius * np.exp(1j * thetas)
         assert np.abs(pts + 1.0).min() > 1e-12
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, 0.5, 0.9])
+    def test_tau_outside_open_half_interval_rejected(self, tau):
+        # For tau = 0 and -1 this z is admissible: only the check on tau rejects it.
+        with pytest.raises(ConfigError, match="tau must lie in"):
+            arc_lambda(-0.9 + 0.05j, tau=tau)
+
+    def test_tau_checks_admissibility(self):
+        assert arc_lambda(0.5j, tau=0.25) == arc_lambda(0.5j)
+        with pytest.raises(DomainError):
+            arc_lambda(-0.9 + 0.05j, tau=0.25)
+
     @given(nonreal_disc_points)
     def test_arc_is_counterclockwise(self, z):
         arc = arc_lambda(z)
@@ -230,10 +241,16 @@ class TestAdmissibleRegion:
 
 class TestPencilConfigAndFrame:
     def test_rejects_off_circle_point(self):
-        from morera.errors import ConfigError
-
         with pytest.raises(ConfigError):
             PencilConfig(0.5 + 0.1j, 0.25)
+
+    @pytest.mark.parametrize("tau", [-1.0, 0.0, 0.5, 0.9])
+    def test_rejects_tau_outside_open_half_interval(self, tau):
+        with pytest.raises(ConfigError, match="tau must lie in"):
+            PencilConfig(-1.0, tau)
+
+    def test_accepts_tau_inside(self):
+        assert PencilConfig(-1.0, 0.25).tau == 0.25
 
     def test_rotation_roundtrip(self):
         p = cmath.exp(2.3j)

@@ -125,6 +125,17 @@ class TestInterpolant:
         with pytest.raises(ConfigError, match="increasing"):
             GridFunction(np.array([0.0, 0.5, 0.5, 1.0, 1.5]), thetas, np.zeros((5, 8), dtype=complex))
 
+    def test_negative_radii_rejected(self, tmp_path):
+        # The spline across rows would mix the r < 0 rows into values at r >= 0.
+        thetas = 2 * np.pi * np.arange(8) / 8
+        with pytest.raises(ConfigError, match="at least 0"):
+            GridFunction(np.linspace(-1.0, 1.0, 9), thetas, np.ones((9, 8), dtype=complex))
+        path = tmp_path / "grid.csv"
+        rows = [f"{r!r},{t!r},1.0,0.0" for r in np.linspace(-0.5, 1.0, 4).tolist() for t in thetas[::2].tolist()]
+        path.write_text("\n".join(["r,theta,re,im"] + rows) + "\n")
+        with pytest.raises(ConfigError, match="at least 0"):
+            read_polar_grid(str(path))
+
 
 class TestLoader:
     def test_headerless_and_commented_files_load_the_same_grid(self, tmp_path):
@@ -181,6 +192,7 @@ def test_cli_import_loads_no_scipy_and_commands_import_nothing(tmp_path):
             "scipy": sorted(m for m in loaded if m == "scipy" or m.startswith("scipy.")),
             "numpy.ma": "numpy.ma" in loaded,
             "numpy.fft": "numpy.fft" in loaded,
+            "numpy.polynomial": "numpy.polynomial" in loaded,
             "argparse": sorted(m for m in ("argparse", "gettext", "locale") if m in loaded),
             "new": sorted(set(sys.modules) - loaded),
         }}))
@@ -192,5 +204,6 @@ def test_cli_import_loads_no_scipy_and_commands_import_nothing(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result == {
-        "codes": [0, 0], "scipy": [], "numpy.ma": False, "numpy.fft": True, "argparse": [], "new": [],
+        "codes": [0, 0], "scipy": [], "numpy.ma": False, "numpy.fft": True, "numpy.polynomial": False,
+        "argparse": [], "new": [],
     }
