@@ -1,6 +1,7 @@
 """Polar-grid CSV ingestion: black-box functions supplied as sampled data.
 
-File format: an optional header line ``r,theta,re,im`` followed by one row per
+File format: UTF-8 text (an optional byte-order mark, LF or CRLF line ends),
+an optional header line ``r,theta,re,im`` followed by one row per
 sample, covering a full tensor grid of radii (ascending, last row of radii
 should reach 1 to cover the closed disc) and equispaced angles in [0, 2*pi);
 blank lines and ``#`` comments are skipped.  The function is reconstructed by
@@ -11,6 +12,8 @@ folded into the extendability threshold by a caller-chosen inflation factor.
 
 from __future__ import annotations
 
+# The codec grid files are read with, loaded here rather than inside a command.
+import encodings.utf_8_sig  # noqa: F401
 import itertools
 import os
 import tempfile
@@ -52,7 +55,17 @@ def write_text_atomic(path: str, text: str) -> None:
 def write_polar_grid(
     path: str, f: Callable[[complex], complex], n_r: int = 64, n_theta: int = 128, r_max: float = 1.0
 ) -> None:
-    """Sample ``f`` on a polar tensor grid and write the CSV file."""
+    """Sample ``f`` on a polar tensor grid and write the CSV file.
+
+    ``n_r`` and ``n_theta`` must be at least 4 and ``r_max`` positive and
+    finite, as :func:`read_polar_grid` requires; otherwise
+    :class:`ConfigError` is raised before ``f`` is called.
+    """
+    for name, count in (("n_r", n_r), ("n_theta", n_theta)):
+        if count < 4:
+            raise ConfigError(f"{name} must be at least 4 for cubic interpolation, got {count!r}")
+    if not (r_max > 0.0 and np.isfinite(r_max)):
+        raise ConfigError(f"r_max must be positive and finite, got {r_max!r}")
     radii = np.linspace(0.0, r_max, n_r)
     thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
     points = radii[:, None] * np.exp(1j * thetas)[None, :]
@@ -212,7 +225,7 @@ def read_polar_grid(path: str) -> GridFunction:
     naming ``path``, as does any defect of its contents.
     """
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             first = _next_row(handle)
             if first is None:
                 raise ConfigError(f"grid file {path} is empty")
@@ -222,6 +235,8 @@ def read_polar_grid(path: str) -> GridFunction:
                     raise ConfigError(f"grid file {path} has a header but no data rows")
             try:
                 data = np.loadtxt(itertools.chain([first], handle), delimiter=",", comments="#", ndmin=2)
+            except UnicodeDecodeError:
+                raise  # a ValueError too, but reported below as not text
             except ValueError as exc:
                 raise ConfigError(f"grid file {path} is malformed: {exc}") from None
     except OSError as exc:

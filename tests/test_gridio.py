@@ -165,11 +165,73 @@ class TestLoader:
             with pytest.raises(ConfigError, match=message):
                 read_polar_grid(str(path))
 
+    def test_byte_order_mark_and_crlf_load_the_same_grid(self, tmp_path):
+        # Excel's "CSV UTF-8" export and PowerShell 5's Export-Csv start the
+        # file with a UTF-8 byte-order mark; Windows tools end lines with CRLF.
+        path = tmp_path / "grid.csv"
+        write_polar_grid(str(path), builtin("rational").oracle, n_r=8, n_theta=16)
+        text = path.read_bytes()
+        bare = text.split(b"\n", 1)[1]
+        variants = {
+            "bom.csv": b"\xef\xbb\xbf" + text,
+            "bom-bare.csv": b"\xef\xbb\xbf" + bare,
+            "crlf.csv": text.replace(b"\n", b"\r\n"),
+            "bom-crlf.csv": b"\xef\xbb\xbf" + text.replace(b"\n", b"\r\n"),
+        }
+        z = 0.8 * np.exp(1j * np.linspace(0.0, 6.0, 40))
+        expected = read_polar_grid(str(path))(z)
+        for name, data in variants.items():
+            other = tmp_path / name
+            other.write_bytes(data)
+            assert np.array_equal(read_polar_grid(str(other))(z), expected), name
+
+    @pytest.mark.parametrize("where", ["start", "end"])
+    def test_non_utf8_bytes_are_not_text(self, tmp_path, where):
+        # Bytes past the first decoded buffer fail inside np.loadtxt, where a
+        # UnicodeDecodeError is a ValueError like a malformed number.
+        path = tmp_path / "grid.csv"
+        write_polar_grid(str(path), builtin("expz").oracle, n_r=16, n_theta=64)
+        text = path.read_bytes()
+        assert len(text) > 4 * 8192
+        path.write_bytes(b"\xff\xfe" + text if where == "start" else text[:-100] + b"\xff" + text[-100:])
+        with pytest.raises(ConfigError, match="is not text"):
+            read_polar_grid(str(path))
+
     def test_three_columns_rejected(self, tmp_path):
         path = tmp_path / "grid.csv"
         path.write_text("r,theta,re,im\n0,0,1\n1,0,1\n")
         with pytest.raises(ConfigError, match="4 columns"):
             read_polar_grid(str(path))
+
+
+
+class TestWriter:
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"n_r": 3}, "n_r"),
+            ({"n_r": 0}, "n_r"),
+            ({"n_theta": 2}, "n_theta"),
+            ({"r_max": 0.0}, "r_max"),
+            ({"r_max": -1.0}, "r_max"),
+            ({"r_max": float("nan")}, "r_max"),
+            ({"r_max": float("inf")}, "r_max"),
+        ],
+    )
+    def test_grid_the_reader_rejects_is_not_written(self, tmp_path, kwargs, name):
+        def oracle(z):
+            raise AssertionError("sampled before the arguments were checked")
+
+        path = tmp_path / "grid.csv"
+        with pytest.raises(ConfigError, match=f"^{name} must be"):
+            write_polar_grid(str(path), oracle, **kwargs)
+        assert not path.exists()
+
+    def test_smallest_grid_round_trips(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        write_polar_grid(str(path), builtin("poly3").oracle, n_r=4, n_theta=4, r_max=0.5)
+        g = read_polar_grid(str(path))
+        assert g.r_max == 0.5 and g.radii.size == 4 and g.thetas.size == 4
 
 
 def test_cli_import_loads_no_scipy_and_commands_import_nothing(tmp_path):
