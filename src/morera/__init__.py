@@ -13,10 +13,10 @@ import sys as _sys
 
 # numpy's bundled OpenBLAS starts a pool of worker threads when it loads, and
 # they spin while the rest of the import runs (about 70 ms of a cold start on
-# 2 cores).  morera makes no BLAS call (tests/test_openblas_guard.py checks
-# the sources), so numpy is loaded here with one BLAS thread, unless numpy is
-# already loaded or the user chose a thread count.  The variable is removed
-# again, so subprocesses inherit the environment as it was.
+# 2 cores).  morera makes no BLAS or LAPACK call (tests/test_openblas_guard.py
+# checks the sources), so numpy is loaded here with one BLAS thread, unless
+# numpy is already loaded or the user chose a thread count.  The variable is
+# removed again, so subprocesses inherit the environment as it was.
 if "numpy" not in _sys.modules and not any(
     name in _os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 ):

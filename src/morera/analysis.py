@@ -27,7 +27,7 @@ import numpy as np
 from . import extension as ext
 from ._record import Record, record
 from .errors import ConfigError, DomainError, ExtensionFailureError, InconclusiveError, SamplingError
-from .geometry import DEFAULT_TAU, Circle, PencilFrame, require_boundary_point, require_tau
+from .geometry import DEFAULT_TAU, Circle, require_boundary_point, require_tau
 
 DEFAULT_CROSS_TOL = 1e-6
 DEFAULT_DBAR_TOL = 1e-4
@@ -93,12 +93,12 @@ class FamilyConfig(Record):
         lo = -1.0 + tau if t_min is None else t_min
         return cls("pencil", lo, t_max, count, complex(p))
 
-    def parameters(self, inset: float = GRID_INSET) -> np.ndarray:
-        """Chebyshev-spaced grid over the (inset) parameter interval, ascending."""
-        lo = self.lo + inset
-        hi = self.hi - inset
+    def parameters(self) -> np.ndarray:
+        """Chebyshev-spaced grid over the parameter interval less :data:`GRID_INSET` at each end, ascending."""
+        lo = self.lo + GRID_INSET
+        hi = self.hi - GRID_INSET
         if not lo < hi:
-            raise ConfigError(f"parameter range [{self.lo}, {self.hi}] too small for inset {inset}")
+            raise ConfigError(f"parameter range [{self.lo}, {self.hi}] too small for inset {GRID_INSET}")
         j = np.arange(self.count)
         nodes = np.cos((2.0 * j + 1.0) * np.pi / (2.0 * self.count))  # (-1, 1)
         return np.sort(0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes)
@@ -114,10 +114,6 @@ class FamilyConfig(Record):
         if self.kind == "centered":
             return 0.0 + 0.0j, self.lo
         return -self.p * self.lo, self.lo + 1.0
-
-    @property
-    def frame(self) -> PencilFrame:
-        return PencilFrame(self.p)
 
 
 @record
@@ -327,10 +323,10 @@ def dbar_values(f: Oracle, points: np.ndarray, h: float) -> np.ndarray:
     return ((fx[0] - fx[1]) + 1j * (fy[0] - fy[1])) / (4.0 * h)
 
 
-def dbar_residual_detail(f: Oracle, grid: DbarGrid) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-point Richardson-extrapolated Wirtinger estimates.
+def dbar_residual_detail(f: Oracle, grid: DbarGrid) -> tuple[np.ndarray, float]:
+    """Per-point Richardson-extrapolated Wirtinger estimates on ``grid.points()``.
 
-    Returns (points, extrapolated values, error estimate): central differences
+    Returns (extrapolated values, error estimate): central differences
     at steps h and h/2 combined as D(h/2) + (D(h/2) - D(h))/3, with the
     correction magnitude as the step-halving error control.
     """
@@ -339,7 +335,7 @@ def dbar_residual_detail(f: Oracle, grid: DbarGrid) -> tuple[np.ndarray, np.ndar
     fine = dbar_values(f, points, grid.h / 2.0)
     extrapolated = fine + (fine - coarse) / 3.0
     error = float(np.max(np.abs(fine - coarse)) / 3.0)
-    return points, extrapolated, error
+    return extrapolated, error
 
 
 def dbar_residual(f: Oracle, grid: DbarGrid = DbarGrid()) -> float:
@@ -348,7 +344,7 @@ def dbar_residual(f: Oracle, grid: DbarGrid = DbarGrid()) -> float:
     Zero (up to discretization error) exactly for holomorphic functions; an
     independent non-analyticity oracle that never looks at circles.
     """
-    _, extrapolated, _ = dbar_residual_detail(f, grid)
+    extrapolated, _ = dbar_residual_detail(f, grid)
     return float(np.max(np.abs(extrapolated)))
 
 
@@ -375,7 +371,7 @@ class PipelineConfig(Record):
     floors both at radius 0.6, violating the disjoint-smallest-circles
     hypothesis).  Setting ``p2`` selects the two-point configuration: the
     pencils through ``p`` and ``p2`` take the place of centered + pencil.
-    Both points must lie on the unit circle.
+    Both points must lie on the unit circle, and differ.
     """
 
     tau: float = DEFAULT_TAU
@@ -411,11 +407,15 @@ class PipelineConfig(Record):
 
         (centered, pencil through ``p``), or only the ``kind`` ("centered" or
         "pencil") of them; with ``p2`` set, the pencils through ``p`` and
-        ``p2``, and any ``kind`` but "both" is a :class:`ConfigError` (after
-        the pencils' own errors).
+        ``p2``.  After the pencils' own errors, a ``p2`` within 1e-12 of ``p``
+        and then any ``kind`` but "both" are a :class:`ConfigError`.
         """
         if self.p2 is not None:
             pencils = self._pencil(self.p), self._pencil(self.p2)
+            if abs(self.p2 - self.p) <= 1e-12:
+                raise ConfigError(
+                    f"the two-point configuration needs p2 != p, got |p2 - p| = {abs(self.p2 - self.p)}"
+                )
             if kind != "both":
                 raise ConfigError(
                     f"the two-point configuration always sweeps both pencils; family {kind!r} does not apply"
@@ -493,7 +493,7 @@ def verdict(f: Oracle, config: PipelineConfig = PipelineConfig()) -> Verdict:
     families = config.families()
     reports = tuple(test_family(f, fam, config.morera_tol, config.samples) for fam in families)
     try:
-        _, dbar_extrap, dbar_error = dbar_residual_detail(f, config.dbar_grid)
+        dbar_extrap, dbar_error = dbar_residual_detail(f, config.dbar_grid)
         dbar_value: Optional[float] = float(np.max(np.abs(dbar_extrap)))
     except (SamplingError, DomainError):
         dbar_value = dbar_error = None
@@ -517,7 +517,7 @@ def verdict(f: Oracle, config: PipelineConfig = PipelineConfig()) -> Verdict:
     if abs(config.p - (-1.0)) < 1e-15:
         f_norm = f
     else:
-        rot = families[1].frame.rotation
+        rot = -families[1].p.conjugate()  # sends p to -1
 
         def f_norm(zeta, _f=f, _rot=rot):
             return _f(np.asarray(zeta, dtype=complex) / _rot) if isinstance(zeta, np.ndarray) else _f(zeta / _rot)

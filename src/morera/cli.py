@@ -39,7 +39,6 @@ from .errors import (
     InconclusiveError,
     MoreraError,
     ParseError,
-    SamplingError,
 )
 from .geometry import DEFAULT_TAU, Circle
 
@@ -84,13 +83,12 @@ def _add_family_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--circles", type=int, default=analysis.DEFAULT_CIRCLES, help="circles per family (default %(default)s)")
 
 
-def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
+def _add_tolerance_flags(parser: argparse.ArgumentParser) -> argparse._ArgumentGroup:
     group = parser.add_argument_group("tolerances")
     group.add_argument("--morera-tol", type=float, default=extension.DEFAULT_MORERA_TOL)
-    group.add_argument("--cross-tol", type=float, default=analysis.DEFAULT_CROSS_TOL)
-    group.add_argument("--dbar-tol", type=float, default=analysis.DEFAULT_DBAR_TOL)
     group.add_argument("--samples", type=int, default=extension.DEFAULT_SAMPLES, help="circle sample count (default %(default)s)")
     group.add_argument("--grid-inflation", type=float, default=DEFAULT_GRID_INFLATION, help="extendability-threshold inflation for --grid sources (default %(default)s)")
+    return group
 
 
 # Complex literals like -0.2+0.5i may open with a minus; widen argparse's
@@ -220,7 +218,10 @@ def _theta_flags(parser: argparse.ArgumentParser) -> None:
 def _verdict_flags(parser: argparse.ArgumentParser) -> None:
     _add_function_flags(parser)
     _add_family_flags(parser)
-    _add_tolerance_flags(parser)
+    # Only the verdict computes the cross-consistency and Wirtinger residuals.
+    group = _add_tolerance_flags(parser)
+    group.add_argument("--cross-tol", type=float, default=analysis.DEFAULT_CROSS_TOL)
+    group.add_argument("--dbar-tol", type=float, default=analysis.DEFAULT_DBAR_TOL)
     parser.add_argument("-o", "--output", default=None)
 
 
@@ -293,7 +294,9 @@ def _emit(text: str, output: Optional[str]) -> None:
         gridio.write_text_atomic(output, text)
 
 
-def _pipeline_config(args, morera_tol: float) -> analysis.PipelineConfig:
+def _pipeline_config(args, morera_tol: float, **residual_tols: float) -> analysis.PipelineConfig:
+    """The configuration of a ``sweep`` or ``verdict`` line; ``residual_tols`` are
+    ``verdict``'s ``cross_tol`` and ``dbar_tol``, which a sweep leaves at their defaults."""
     t_min = None
     if args.rho is not None:
         if not 0.0 < args.rho < 1.0:
@@ -306,9 +309,8 @@ def _pipeline_config(args, morera_tol: float) -> analysis.PipelineConfig:
         r_min=args.r_min,
         t_min=t_min,
         morera_tol=morera_tol,
-        cross_tol=args.cross_tol,
-        dbar_tol=args.dbar_tol,
         samples=args.samples,
+        **residual_tols,
     )
     # The second point is read after the configuration is checked, so a bad
     # --tau or tolerance is reported before a bad --two-point literal.
@@ -417,7 +419,7 @@ def cmd_theta(args) -> int:
 
 def cmd_verdict(args) -> int:
     f, desc, warnings, tol = resolve_function(args)
-    config = _pipeline_config(args, tol)
+    config = _pipeline_config(args, tol, cross_tol=args.cross_tol, dbar_tol=args.dbar_tol)
     result = analysis.verdict(f, config)
     if config.p2 is None:
         doc = analysis.report_document(result, config, desc, warnings)
@@ -447,6 +449,11 @@ def cmd_demo_sharpness(args) -> int:
         r_min=args.floor,
         t_min=args.floor - 1.0,
     )
+    if analysis.validate_families(*violating_cfg.families()):
+        raise ConfigError(
+            f"--floor {args.floor} gives disjoint smallest circles, which meets the hypothesis; "
+            "the violating configuration needs a floor of at least 1/3"
+        )
     valid = analysis.verdict(f, valid_cfg)
     violating = analysis.verdict(f, violating_cfg)
 
@@ -465,14 +472,19 @@ def cmd_demo_sharpness(args) -> int:
         lines.append(f"  verdict: {v.classification}")
         return lines
 
+    reproduced = (
+        valid.classification == analysis.CLASS_MORERA_FAILURE
+        and violating.classification == analysis.CLASS_INCONSISTENT
+    )
     out = ["function: z^2 / conj(z) (0 at the origin)"]
     out += describe("valid configuration", valid_cfg, valid)
     out += describe("violating configuration", violating_cfg, violating)
-    out.append(
-        "contrast: with overlapping smallest circles every per-circle test passes "
-        "while the function is plainly non-analytic; the disjointness hypothesis "
-        "cannot be dropped."
-    )
+    if reproduced:
+        out.append(
+            "contrast: with overlapping smallest circles every per-circle test passes "
+            "while the function is plainly non-analytic; the disjointness hypothesis "
+            "cannot be dropped."
+        )
     print("\n".join(out))
     if args.output:
         doc = {
@@ -484,10 +496,6 @@ def cmd_demo_sharpness(args) -> int:
             ),
         }
         gridio.write_text_atomic(args.output, analysis.dumps_report(doc))
-    reproduced = (
-        valid.classification == analysis.CLASS_MORERA_FAILURE
-        and violating.classification == analysis.CLASS_INCONSISTENT
-    )
     return EXIT_OK if reproduced else EXIT_FAILED_VERDICT
 
 
@@ -507,9 +515,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     _, _, handler = _COMMANDS[args.command]
     try:
         return handler(args)
-    except (ConfigError, ParseError, SamplingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except InconclusiveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE

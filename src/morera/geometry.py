@@ -3,8 +3,8 @@
 All points are complex numbers.  The pencil is normalized so that its common
 boundary point is -1: its members are the circles with center t on the real
 axis and radius t + 1, for t in [-1 + tau, 0].  Every member passes through
--1 and is contained in the closed unit disc.  General boundary points are
-handled by :class:`PencilFrame`, which rotates to and from this normal form.
+-1 and is contained in the closed unit disc.  The pencil through a general
+boundary point p is its image under the rotation z -> -p z, which sends -1 to p.
 """
 
 from __future__ import annotations
@@ -61,11 +61,6 @@ class Circle(Record):
     def point(self, theta: float) -> complex:
         """Point at angle ``theta`` (radians) measured from the center."""
         return self.center + self.radius * cmath.exp(1j * theta)
-
-    def contains(self, z: complex, *, closed: bool = True) -> bool:
-        """Whether ``z`` lies in the disc bounded by this circle."""
-        d = abs(z - self.center)
-        return d <= self.radius if closed else d < self.radius
 
     def boundary_distance(self, z: complex) -> float:
         """Unsigned distance from ``z`` to the circle itself."""
@@ -124,35 +119,6 @@ class PencilConfig(Record):
         object.__setattr__(self, "p", p / abs(p))
         object.__setattr__(self, "tau", float(self.tau))
         require_tau(self.tau)
-
-    @property
-    def frame(self) -> "PencilFrame":
-        return PencilFrame(self.p)
-
-
-@record
-class PencilFrame(Record):
-    """Rotation between user coordinates and the p = -1 normal form.
-
-    The rotation z -> u * z with u = -conj(p) sends p to -1; its inverse sends
-    normalized results back, so callers see their own coordinates.  The second
-    (conjugate) coordinate of graph points rotates by conj(u).
-    """
-
-    p: complex
-
-    @property
-    def rotation(self) -> complex:
-        return -self.p.conjugate()
-
-    def to_normalized(self, z: complex) -> complex:
-        return self.rotation * z
-
-    def from_normalized(self, z: complex) -> complex:
-        return z / self.rotation
-
-    def to_normalized_conj(self, w: complex) -> complex:
-        return self.rotation.conjugate() * w
 
 
 def pencil_circle(t: float, tau: float = 0.0) -> Circle:

@@ -17,10 +17,9 @@ the single intersection point has real positive coordinates.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Union
-
-import numpy as np
 
 from ._record import Record, record
 from .errors import (
@@ -152,10 +151,12 @@ def family_intersection_point(R: float, t: float) -> QuadricPoint:
         # Both circles are centered at the origin; distinct concentric
         # circles never surround each other in the strict sense used here.
         raise NoIntersectionError("pencil parameter t = 0 gives a graph concentric with the centered family")
-    roots = np.roots([t, 2.0 * t + 1.0 - R**2, t * R**2])
+    # Both roots in closed form, the smaller one as c/q so that it does not
+    # cancel; np.roots would call LAPACK for them.
+    a, b, c = t, 2.0 * t + 1.0 - R**2, t * R**2
+    q = -0.5 * (b + math.copysign(1.0, b) * cmath.sqrt(b * b - 4.0 * a * c))
     admissible = []
-    for z in roots:
-        z = complex(z)
+    for z in (q / a, c / q):
         if not 0.0 < abs(z) < R:
             continue
         if not 0.0 < abs(z - t) < t + 1.0:

@@ -1,3 +1,4 @@
+import cmath
 import contextlib
 import io
 import json
@@ -97,6 +98,15 @@ class TestPipelineFamilies:
         with pytest.raises(ConfigError) as err:
             PipelineConfig(p2=1.0, t_min=-0.6).families(kind)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("p2", [-1.0, -1.0 + 1e-13j, cmath.exp(1e-13j) * -1.0])
+    def test_two_point_refuses_p2_equal_to_p(self, p2):
+        with pytest.raises(ConfigError) as err:
+            PipelineConfig(p2=p2).families()
+        assert str(err.value) == f"the two-point configuration needs p2 != p, got |p2 - p| = {abs(p2 + 1.0)}"
+        with pytest.raises(ConfigError, match="unit circle"):  # each pencil's own check comes first
+            PipelineConfig(p=2.0, p2=2.0).families()
+        assert len(PipelineConfig(p2=cmath.exp(1e-9j) * -1.0).families()) == 2
 
     def test_centered_error_comes_first(self):
         with pytest.raises(ConfigError, match="empty parameter range"):

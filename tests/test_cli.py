@@ -124,6 +124,23 @@ class TestPencilPointFlags:
         assert [fam["family"] for fam in json.loads(out)["families"]] == ["centered"]
 
 
+class TestResidualToleranceFlags:
+    @pytest.mark.parametrize("flag", ["--cross-tol", "--dbar-tol"])
+    @pytest.mark.parametrize("name", ["test-circle", "sweep", "theta"])
+    def test_only_verdict_takes_them(self, capsys, name, flag):
+        with pytest.raises(SystemExit) as exit_:
+            main(quick_argv(name, "--builtin", "expz") + [flag, "1e-3"])
+        _, err = capsys.readouterr()
+        assert exit_.value.code == 2
+        assert err.startswith("usage: morera [-h]")
+        assert err.endswith(f"morera: error: unrecognized arguments: {flag} 1e-3\n")
+
+    def test_verdict_reports_them(self, capsys):
+        code, out, _ = run(["verdict", "--builtin", "expz", "--circles", "8", "--cross-tol", "1e-3", "--dbar-tol=2e-3"], capsys)
+        assert code == 0
+        assert json.loads(out)["tolerances"] == {"morera": 1e-8, "cross": 1e-3, "dbar": 2e-3}
+
+
 class TestWPadFlag:
     @pytest.mark.parametrize("argv, shown", [(["--w-pad", "nan"], "nan"), (["--w-pad=inf"], "inf"), (["--w-pad=-inf"], "-inf")])
     def test_non_finite_is_config_error(self, capsys, argv, shown):
@@ -167,6 +184,11 @@ class TestSweepCommand:
         assert max(first) < 0.0 < min(second)
         assert doc["hypotheses_valid"] is True and doc["verdict"] == "pass"
         assert any("partial coverage" in w for w in doc["warnings"])
+
+    @pytest.mark.parametrize("command", ["sweep", "verdict"])
+    def test_two_point_equal_to_p_is_config_error(self, capsys, command):
+        code, out, err = run([command, "--builtin", "counterexample", "--two-point=-1", "--circles", "4"], capsys)
+        assert (code, out, err) == (2, "", "error: the two-point configuration needs p2 != p, got |p2 - p| = 0.0\n")
 
     @pytest.mark.parametrize("family", ["centered", "pencil"])
     def test_two_point_refuses_one_family(self, capsys, family):
@@ -281,6 +303,24 @@ class TestDemoSharpness:
         assert code == 0
         assert "verdict: morera-failure" in out
         assert "verdict: inconsistent" in out
+
+    def test_contrast_line_only_when_reproduced(self, capsys):
+        code, out, _ = run(["demo-sharpness", "--circles", "12"], capsys)
+        assert code == 0 and out.splitlines()[-1].startswith("contrast: ")
+        # Both smallest circles of radius 0.45 reach past the origin: the
+        # configuration violates the hypothesis, but z^2/conj(z) still fails there.
+        code, out, _ = run(["demo-sharpness", "--floor", "0.45", "--circles", "12"], capsys)
+        assert code == 1 and "contrast" not in out
+        assert out.splitlines()[-1] == "  verdict: morera-failure"
+
+    @pytest.mark.parametrize("floor", ["0.3", "0.33", "0.0001"])
+    def test_floor_meeting_the_hypothesis_is_config_error(self, capsys, floor):
+        code, out, err = run(["demo-sharpness", "--floor", floor], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --floor {float(floor)} gives disjoint smallest circles, which meets the hypothesis; "
+            "the violating configuration needs a floor of at least 1/3\n"
+        )
 
     @pytest.mark.parametrize("floor", ["0.51", "0.52"])
     def test_floor_just_above_half(self, capsys, floor):
@@ -704,6 +744,99 @@ class TestScanMatchesArgparse:
         with mock.patch.dict(cli._COMMANDS, recording):
             assert self.outcome(via_main, argv) == expected
         assert not seen
+
+
+# Values to set each flag to, in place of its default or of its value in the
+# quick command line; the flag is read if one of them changes the outcome.
+# "GRID" and "OUT" stand for a grid file and an output path.
+FLAG_VALUES = {
+    "--builtin": ["poly3"],
+    "--expr": ["z^2"],
+    "--grid": ["GRID"],
+    "--morera-tol": ["1e-300", "0.9"],
+    "--samples": ["64", "512"],
+    "--grid-inflation": ["1e-290", "1e6"],
+    "--cross-tol": ["1e-12"],
+    "--dbar-tol": ["1e-12"],
+    "--center": ["0.1"],
+    "--radius": ["0.25"],
+    "--output": ["OUT"],
+    "--tau": ["0.3"],
+    "--p": ["1i"],
+    "--r-min": ["0.1"],
+    "--rho": ["0.8"],
+    "--two-point": ["1"],
+    "--circles": ["5"],
+    "--family": ["centered"],
+    "--z": ["-0.2+0.5i"],
+    "--points-per-piece": ["4"],
+    "--nodes": ["32"],
+    "--w-count": ["2"],
+    "--w-pad": ["0.5"],
+    "--floor": ["0.7"],
+}
+# Flags that only act in some setting, which their lines set up: --grid-inflation
+# applies to a grid source, and fiber and theta read --tau only to check that
+# --z is admissible (the curve itself does not depend on it), so theirs use a z
+# that tau = 0.25 admits and tau = 0.3 excludes.
+FLAG_SETTING = {
+    **{(name, "--grid-inflation"): ("--grid", "GRID") for name in ("test-circle", "sweep", "theta", "verdict")},
+    ("fiber", "--tau"): ("--z", "-0.45+0.05i"),
+    ("theta", "--tau"): ("--z", "-0.45+0.05i"),
+}
+# fiber only draws the curve: the README documents its source flags as accepted
+# and ignored, and the bench's fiber operations pass them.
+UNREAD_FLAGS = {("fiber", "--builtin"), ("fiber", "--expr"), ("fiber", "--grid")}
+SOURCE_FLAGS = ("--builtin", "--expr", "--grid")
+
+
+def declared_flags() -> list[tuple[str, str]]:
+    """(command, long option) for every flag of every command's table."""
+    pairs = []
+    for name, (_, add_flags, _) in cli._COMMANDS.items():
+        table = cli._FlagTable()
+        add_flags(table)
+        pairs += [(name, next(s for s in flag.option_strings if s.startswith("--"))) for flag in table.flags]
+    return pairs
+
+
+def with_flag(argv: list[str], option: str, value: str) -> list[str]:
+    """``argv`` with ``option`` set to ``value``: its value replaced (for a source
+    flag, the source replaced), or the pair appended."""
+    for i, token in enumerate(argv):
+        if token == option or option in SOURCE_FLAGS and token in SOURCE_FLAGS:
+            return argv[:i] + [option, value] + argv[i + 2 :]
+    return argv + [option, value]
+
+
+class TestEveryFlagIsRead:
+    @pytest.fixture(scope="class")
+    def grid(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("grid") / "grid.csv"
+        write_polar_grid(str(path), builtin("expz").oracle, n_r=16, n_theta=32)
+        return str(path)
+
+    @pytest.mark.parametrize("name, option", declared_flags())
+    def test_some_value_changes_the_outcome(self, name, option, grid, tmp_path, capsys):
+        out_path = tmp_path / "out"
+
+        def outcome(argv):
+            argv = [{"GRID": grid, "OUT": str(out_path)}.get(token, token) for token in argv]
+            code, out, err = run(argv, capsys)
+            written = out_path.read_text() if out_path.exists() else None
+            if written is not None:
+                out_path.unlink()
+            return code, out, err, written
+
+        base = quick_argv(name, "--builtin", "expz")
+        if (name, option) in FLAG_SETTING:
+            base = with_flag(base, *FLAG_SETTING[name, option])
+        default = outcome(base)
+        changed = [value for value in FLAG_VALUES[option] if outcome(with_flag(base, option, value)) != default]
+        assert bool(changed) is ((name, option) not in UNREAD_FLAGS), (name, option, changed)
+
+    def test_six_commands_take_61_flags(self):
+        assert len(declared_flags()) == 61
 
 
 class TestModuleEntryPoint:

@@ -11,7 +11,6 @@ from morera.geometry import (
     Arc,
     Circle,
     PencilConfig,
-    PencilFrame,
     arc_lambda,
     in_admissible_region,
     pencil_circle,
@@ -251,21 +250,6 @@ class TestPencilConfigAndFrame:
 
     def test_accepts_tau_inside(self):
         assert PencilConfig(-1.0, 0.25).tau == 0.25
-
-    def test_rotation_roundtrip(self):
-        p = cmath.exp(2.3j)
-        frame = PencilFrame(p)
-        assert frame.to_normalized(p) == pytest.approx(-1.0)
-        z = 0.3 + 0.4j
-        assert frame.from_normalized(frame.to_normalized(z)) == pytest.approx(z)
-        # conjugate-plane rotation is compatible: conj of rotated = rotated conj
-        assert frame.to_normalized_conj(z.conjugate()) == pytest.approx(
-            frame.to_normalized(z).conjugate()
-        )
-
-    def test_identity_at_minus_one(self):
-        frame = PencilFrame(-1.0 + 0.0j)
-        assert frame.rotation == 1.0
 
 
 class TestArcType:

@@ -18,8 +18,12 @@ import morera
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 SRC = pathlib.Path(morera.__file__).resolve().parent
-# numpy names that run a BLAS or LAPACK routine, or reach them.
-BLAS_NAMES = {"linalg", "dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
+# numpy names that run a BLAS or LAPACK routine, or reach them (np.roots and
+# np.polyfit through linalg, the rest as numpy.linalg functions).
+BLAS_NAMES = {
+    "linalg", "dot", "vdot", "inner", "matmul", "tensordot", "einsum",
+    "roots", "eigvals", "eig", "solve", "lstsq", "inv", "pinv", "det", "svd", "qr", "cholesky", "polyfit",
+}
 
 
 def _threads_after(imports: str, **variables: str) -> dict:
@@ -109,6 +113,9 @@ def test_the_premise_check_sees_each_form():
         "from numpy import einsum",
         "import numpy.linalg",
         "getattr(np, 'tensordot')",
+        "np.roots([1.0, 2.0, 1.0])",
+        "from numpy.linalg import eigvals",
+        "np.polyfit(x, y, 2)",
     ]
     for sample in samples:
         assert _blas_uses(ast.parse(sample)), sample

@@ -50,7 +50,6 @@ def _samples() -> dict:
         circle,
         geometry.arc_lambda(0.5j),
         geometry.PencilConfig(-1.0, 0.25),
-        geometry.PencilFrame(1j),
         extension.sample_circle(poly3.oracle, circle, 16),
         data,
         extension.extension_test(data),

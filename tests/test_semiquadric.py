@@ -139,6 +139,16 @@ class TestFamilyIntersectionPoint:
         assert p.z.real > 0 and p.w.real > 0
         assert abs(p.z.imag) < 1e-10 and abs(p.w.imag) < 1e-10
 
+    @given(st.floats(-0.49, -0.01), st.floats(0.01, 0.99))
+    @settings(max_examples=300)
+    def test_closed_form_root_matches_np_roots(self, t, frac):
+        R = frac * (2 * t + 1)
+        if R <= 1e-6:
+            return
+        roots = [complex(z) for z in np.roots([t, 2 * t + 1 - R**2, t * R**2])]
+        (expected,) = [z for z in roots if 0 < abs(z) < R and 0 < abs(z - t) < t + 1]
+        assert abs(family_intersection_point(R, t).z - expected) <= 1e-13 * abs(expected)
+
 
 class TestInvertPencilFiber:
     def test_named_values(self):
