@@ -486,7 +486,7 @@ def verdict(f: Oracle, config: PipelineConfig = PipelineConfig()) -> Verdict:
     else inconsistent (possible only when the families' smallest circles
     overlap).  The two-point configuration (``config.p2`` set) runs the same
     pipeline without cross-consistency, so the Wirtinger residual alone
-    decides once both pencils pass.  A Wirtinger grid that cannot be sampled
+    decides once both pencils pass.  A Wirtinger grid with a non-finite sample
     gives ``dbar_value`` None, which is never consistent, and does not abort
     the run.
     """
@@ -495,7 +495,7 @@ def verdict(f: Oracle, config: PipelineConfig = PipelineConfig()) -> Verdict:
     try:
         dbar_extrap, dbar_error = dbar_residual_detail(f, config.dbar_grid)
         dbar_value: Optional[float] = float(np.max(np.abs(dbar_extrap)))
-    except (SamplingError, DomainError):
+    except SamplingError:
         dbar_value = dbar_error = None
     dbar_ok = dbar_value is not None and dbar_value <= config.dbar_tol
     # The classification stays None until one of the steps below decides it.

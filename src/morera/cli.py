@@ -34,12 +34,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from . import analysis, exprparser, extension, fiber, funczoo, gridio
-from .errors import (
-    ConfigError,
-    InconclusiveError,
-    MoreraError,
-    ParseError,
-)
+from .errors import ConfigError, EvalError, InconclusiveError, MoreraError, ParseError
 from .geometry import DEFAULT_TAU, Circle
 
 if TYPE_CHECKING:
@@ -59,11 +54,13 @@ def parse_point(text: str) -> complex:
     """Parse a constant complex literal like ``-1``, ``0.5i``, ``-0.2+0.5i``."""
     try:
         node = exprparser.parse(text)
+        if any(isinstance(n, exprparser.Var) for n in exprparser.nodes(node)):
+            raise ConfigError(f"complex literal {text!r} must not mention z")
+        return exprparser.evaluate(node, 0.0)
     except ParseError as exc:
         raise ConfigError(f"invalid complex literal {text!r}: {exc}") from None
-    if any(isinstance(n, exprparser.Var) for n in exprparser.nodes(node)):
-        raise ConfigError(f"complex literal {text!r} must not mention z")
-    return exprparser.evaluate(node, 0.0)
+    except EvalError:
+        raise ConfigError(f"invalid complex literal {text!r}: its value is undefined (non-finite)") from None
 
 
 def _add_function_flags(parser: argparse.ArgumentParser) -> None:
@@ -443,12 +440,7 @@ def cmd_verdict(args) -> int:
 def cmd_demo_sharpness(args) -> int:
     f = funczoo.builtin("counterexample").oracle
     valid_cfg = analysis.PipelineConfig(tau=args.tau, circles_per_family=args.circles)
-    violating_cfg = analysis.PipelineConfig(
-        tau=args.tau,
-        circles_per_family=args.circles,
-        r_min=args.floor,
-        t_min=args.floor - 1.0,
-    )
+    violating_cfg = replace(valid_cfg, r_min=args.floor, t_min=args.floor - 1.0)
     if analysis.validate_families(*violating_cfg.families()):
         raise ConfigError(
             f"--floor {args.floor} gives disjoint smallest circles, which meets the hypothesis; "
@@ -487,13 +479,12 @@ def cmd_demo_sharpness(args) -> int:
         )
     print("\n".join(out))
     if args.output:
+        desc = {"source": "builtin", "name": "counterexample"}
         doc = {
             "schema_version": 1,
             "demo": "sharpness",
-            "valid": analysis.report_document(valid, valid_cfg, {"source": "builtin", "name": "counterexample"}),
-            "violating": analysis.report_document(
-                violating, violating_cfg, {"source": "builtin", "name": "counterexample"}
-            ),
+            "valid": analysis.report_document(valid, valid_cfg, desc),
+            "violating": analysis.report_document(violating, violating_cfg, desc),
         }
         gridio.write_text_atomic(args.output, analysis.dumps_report(doc))
     return EXIT_OK if reproduced else EXIT_FAILED_VERDICT

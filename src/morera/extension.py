@@ -9,9 +9,10 @@ the extension itself, evaluated as a power series in (zeta - center)/radius.
 
 :func:`analyze_batch` is the one kernel: it tests many circles at once, with
 one oracle call and one FFT per doubling level, resampling only the rows
-whose aliasing guard trips.  :func:`analyze_with_refinement` runs it on a
-single circle; :func:`analyze_circle` and :func:`analyze_trace` analyse one
-trace at a fixed N.  Every extension is summed by one vectorized Horner loop.
+whose aliasing guard trips.  Every single-circle function reads one row of
+it: :func:`analyze_with_refinement` refines that row, :func:`analyze_circle`
+and :func:`analyze_trace` hold it at a fixed N.  Every extension is summed
+by one vectorized Horner loop.
 """
 
 from __future__ import annotations
@@ -59,9 +60,7 @@ class CircleTrace(Record):
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "values", values)
-        n = values.shape[0]
-        if values.ndim != 1 or n < 8 or n & (n - 1):
-            raise ParameterDomainError(f"sample count must be a power of two >= 8, got shape {values.shape}")
+        _require_sample_count(values.shape[0] if values.ndim == 1 else 0, f"shape {values.shape}")
 
     @property
     def sample_count(self) -> int:
@@ -118,6 +117,12 @@ class ExtensionResult(Record):
     aliasing_flag: bool
 
 
+def _require_sample_count(n: int, got) -> None:
+    """The one sample-count rule: N is a power of two, at least 8."""
+    if n < 8 or n & (n - 1):
+        raise ParameterDomainError(f"sample count must be a power of two >= 8, got {got}")
+
+
 def oracle_values(f: Oracle, points: np.ndarray, check: bool = True) -> np.ndarray:
     """Evaluate an oracle on an arbitrary-shape point array.
 
@@ -158,8 +163,7 @@ def _sample_rows(f: Oracle, centers: np.ndarray, radii: np.ndarray, n: int) -> n
     Non-finite samples raise :class:`SamplingError` carrying the angle and
     the row of the first offending sample.
     """
-    if n < 8 or n & (n - 1):
-        raise ParameterDomainError(f"sample count must be a power of two >= 8, got {n}")
+    _require_sample_count(n, n)
     theta = 2.0 * np.pi * np.arange(n) / n
     points = centers[:, None] + radii[:, None] * np.exp(1j * theta)[None, :]
     values = oracle_values(f, points, check=False)
@@ -217,22 +221,16 @@ def _threshold_rule(negative, high, total, tol: float) -> tuple:
     return threshold, aliasing, passes
 
 
-def _fourier_data(circle: Circle, c: np.ndarray) -> FourierData:
-    """:class:`FourierData` of one circle from its FFT-order DFT [0..N/2-1, -N/2..-1]."""
-    n = c.shape[0]
-    negative, high, _ = _energy_bands(c)
-    # reorder from [0..N/2-1, -N/2..-1] to [-N/2 .. N/2-1]
-    return FourierData(circle, np.concatenate([c[n // 2 :], c[: n // 2]]), float(negative), float(high))
-
-
 def analyze_trace(trace: CircleTrace) -> FourierData:
-    """Fourier coefficients c_k = (1/N) sum_j values_j exp(-i k theta_j)."""
-    return _fourier_data(trace.circle, np.fft.fft(trace.values) / trace.sample_count)
+    """Fourier coefficients c_k = (1/N) sum_j values_j exp(-i k theta_j):
+    :func:`analyze_circle` on an oracle that returns the trace's own samples."""
+    return analyze_circle(lambda points: trace.values.reshape(points.shape), trace.circle, trace.sample_count)
 
 
 def analyze_circle(f: Oracle, circle: Circle, n: int = DEFAULT_SAMPLES) -> FourierData:
-    """Sample ``f`` on ``circle`` and Fourier-analyze the trace."""
-    return analyze_trace(sample_circle(f, circle, n))
+    """Sample ``f`` on ``circle`` and Fourier-analyze the trace: the row of
+    :func:`analyze_batch` held at ``n`` samples, raising what a batch raises."""
+    return analyze_with_refinement(f, circle, n0=n, n_max=n)[0]
 
 
 # No cache: an alias kept only because bench/tracing.py wraps this name.  The
@@ -267,7 +265,9 @@ def analyze_with_refinement(
     ``n_max`` samples.
     """
     batch = analyze_batch(f, [circle.center], [circle.radius], tol, n0, n_max)
-    data = _fourier_data(circle, batch.groups[0][1][0])
+    c = batch.groups[0][1][0]
+    negative, high, _ = _energy_bands(c)
+    data = FourierData(circle, np.fft.fftshift(c), float(negative), float(high))
     return data, extension_test(data, tol), bool(batch.inconclusive[0])
 
 
@@ -287,15 +287,20 @@ def evaluate_extension(
     if result is None:
         result = extension_test(data, tol)
     if not result.passes:
-        raise InvalidStateError(
-            f"extension evaluated on data that fails the extendability test "
-            f"(negative energy {data.tail_energy_negative:.3e}) on {data.circle}"
-        )
+        raise _refusal(data.tail_energy_negative, data.circle)
     circle = data.circle
     u = (complex(zeta) - circle.center) / circle.radius
     if abs(u) > 1.0 + 1e-12:
         raise DomainError(f"zeta = {zeta} outside the closed disc of {circle}")
     return complex(_horner(data.coefficients[None, data.sample_count // 2 :], np.array([u]))[0])
+
+
+def _refusal(negative_energy: float, circle: Circle) -> InvalidStateError:
+    """The error for evaluating the extension from a circle that fails the test."""
+    return InvalidStateError(
+        f"extension evaluated on data that fails the extendability test "
+        f"(negative energy {negative_energy:.3e}) on {circle}"
+    )
 
 
 def _horner(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -376,10 +381,7 @@ class BatchAnalysis(Record):
         failing = np.flatnonzero(~self.passes[rows])
         if failing.size:
             row = int(rows[failing[0]])
-            raise InvalidStateError(
-                f"extension evaluated on data that fails the extendability test "
-                f"(negative energy {self.negative_energy[row]:.3e}) on {self.circle(row)}"
-            )
+            raise _refusal(self.negative_energy[row], self.circle(row))
         points = np.asarray(points, dtype=complex)
         out = np.empty(points.shape, dtype=complex)
         shape = (-1,) + (1,) * (points.ndim - 1)

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 # The codec grid files are read with, loaded here rather than inside a command.
 import encodings.utf_8_sig  # noqa: F401
+import contextlib
 import itertools
 import os
-import tempfile
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -33,15 +33,19 @@ _UPSAMPLE = 8
 def write_text_atomic(path: str, text: str) -> None:
     """Write ``text`` to ``path`` atomically (temp file + rename).
 
-    An ``OSError`` (a missing directory, no permission, ``path`` a
-    directory) becomes a :class:`ConfigError` naming ``path``; no temp file
-    is left behind.
+    The file gets the mode ``open(path, "w")`` would leave: an existing
+    file's own, else 0o666 less the umask.  An ``OSError`` (a missing
+    directory, no permission, ``path`` a directory) becomes a
+    :class:`ConfigError` naming ``path``; no temp file is left behind.
     """
     directory = os.path.dirname(os.path.abspath(path))
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".morera-", suffix=".tmp")
+        tmp = os.path.join(directory, f".morera-{os.urandom(8).hex()}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as handle:
+                with contextlib.suppress(FileNotFoundError):
+                    os.fchmod(fd, os.stat(path).st_mode & 0o777)
                 handle.write(text)
             os.replace(tmp, path)
         except BaseException:

@@ -368,6 +368,23 @@ class TestVerdict:
         assert v.dbar_value is None and v.dbar_error is None
         assert v.classification == CLASS_INCONSISTENT
 
+    @pytest.mark.parametrize("p2", [None, 1.0])
+    def test_oracle_domain_error_on_the_wirtinger_grid_reaches_the_caller(self, p2):
+        # exp(z), except that the oracle refuses one finite-difference
+        # stencil point of the Wirtinger grid with its own DomainError: only
+        # a non-finite sample means "no residual".
+        grid = DbarGrid()
+        bad = grid.points()[0] + grid.h
+
+        def f(z):
+            z = np.asarray(z, dtype=complex)
+            if (z == bad).any():
+                raise DomainError("refused by the oracle")
+            return np.exp(z)
+
+        with pytest.raises(DomainError, match="refused by the oracle"):
+            verdict(f, PipelineConfig(p2=p2, circles_per_family=8))
+
 
 class TestReports:
     def test_byte_identical_documents(self):

@@ -40,6 +40,19 @@ class TestParsePoint:
         with pytest.raises(ConfigError):
             parse_point("z")
 
+    @pytest.mark.parametrize(
+        "text, argv",
+        [
+            ("1/0", ["test-circle", "--builtin", "expz", "--radius", "0.5", "--center", "1/0"]),
+            ("0.5i/0", ["theta", "--builtin", "expz", "--z", "0.5i/0"]),
+        ],
+    )
+    def test_undefined_literal_is_named(self, capsys, text, argv):
+        message = f"invalid complex literal {text!r}: its value is undefined (non-finite)"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_point(text)
+        assert run(argv, capsys) == (2, "", f"error: {message}\n")
+
 
 class TestVerdictCommand:
     def test_entire_function_exit_zero(self, capsys, tmp_path):

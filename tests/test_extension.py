@@ -1,6 +1,8 @@
+import ast
 import cmath
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from morera.errors import (
 from morera.exprparser import compile_function, parse
 from morera.extension import (
     MAX_SAMPLES,
+    CircleTrace,
     analyze_batch,
     analyze_circle,
     analyze_trace,
@@ -38,8 +41,10 @@ RNG = np.random.default_rng(20240811)
 def reference_refinement(f, circle, tol=1e-8, n0=256, n_max=MAX_SAMPLES):
     """Scalar refinement loop: analyse one circle at N, 2N, ... while it aliases.
 
-    The independent oracle for :func:`analyze_batch` and its one-row wrapper
-    :func:`analyze_with_refinement`.
+    The independent oracle for the refinement rule of :func:`analyze_batch`
+    and its one-row wrapper :func:`analyze_with_refinement`.  Each level is
+    :func:`analyze_circle`, itself a one-row batch held at N, so the FFT is
+    checked against :func:`direct_dft` instead.
     """
     n = n0
     while True:
@@ -395,6 +400,59 @@ class TestSingleCircle:
     def test_no_module_cache(self):
         cached = [name for name, value in vars(extension).items() if hasattr(value, "cache_info")]
         assert cached == []
+
+    @pytest.mark.parametrize("n", [8, 64, 256, 1024])
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_single_circle_functions_are_one_batch_row(self, name, n):
+        # analyze_circle, analyze_trace and evaluate_extension read the row of
+        # a one-row analyze_batch held at n samples, bit for bit.
+        f = builtin(name).oracle
+        for circle in (Circle(0.1 + 0.2j, 0.6), pencil_circle(-0.3)):
+            batch = analyze_batch(f, [circle.center], [circle.radius], n0=n, n_max=n)
+            (rows, coeffs), = batch.groups
+            row = coeffs[0]
+            for data in (analyze_circle(f, circle, n), analyze_trace(sample_circle(f, circle, n))):
+                assert data.circle == circle
+                assert np.array_equal(data.coefficients, np.concatenate([row[n // 2 :], row[: n // 2]]))
+                assert data.tail_energy_negative == batch.negative_energy[0]
+                assert extension_test(data).passes == batch.passes[0]
+                zeta = circle.center + 0.7 * circle.radius * cmath.exp(0.4j)
+                if batch.passes[0]:
+                    assert evaluate_extension(data, zeta) == batch.evaluate(np.array([zeta]))[0]
+                    continue
+                with pytest.raises(InvalidStateError) as single:
+                    evaluate_extension(data, zeta)
+                with pytest.raises(InvalidStateError) as batched:
+                    batch.evaluate(np.array([zeta]))
+                assert str(single.value) == str(batched.value)
+
+    def test_overflowing_energy_is_inconclusive_like_a_batch(self, recwarn):
+        with pytest.raises(InconclusiveError) as err:
+            analyze_circle(lambda z: np.exp(400 * z), Circle(0, 1.0))
+        assert err.value.circle == Circle(0, 1.0)
+        assert str(err.value) == "the Fourier energy of f overflows float64 on Circle(center=0j, radius=1.0) (256 samples)"
+        assert not recwarn.list
+
+    def test_non_finite_trace_sample_raises_sampling_error(self):
+        circle = Circle(0.1, 0.5)
+        values = sample_circle(np.exp, circle, 16).values.copy()
+        values[5] = np.nan
+        with pytest.raises(SamplingError) as err:
+            analyze_trace(CircleTrace(circle, values))
+        assert err.value.theta == 2.0 * np.pi * 5 / 16
+        assert f"on {circle}" in str(err.value)
+
+    def test_one_fft_call_site(self):
+        # One kernel: every circle reaches the FFT through analyze_batch.
+        tree = ast.parse(Path(extension.__file__).read_text(encoding="utf-8"))
+        calls = [
+            function.name
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.fft.fft", "numpy.fft.fft")
+        ]
+        assert calls == ["analyze_batch"]
 
 
 # test-circle cases: (source flags, oracle, center text, radius, samples flags).

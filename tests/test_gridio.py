@@ -227,6 +227,30 @@ class TestWriter:
             write_polar_grid(str(path), oracle, **kwargs)
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "umask, existing, mode",
+        [(0o022, None, 0o644), (0o077, None, 0o600), (0o022, 0o640, 0o640), (0o077, 0o644, 0o644)],
+        ids=["umask-022-new", "umask-077-new", "umask-022-existing-640", "umask-077-existing-644"],
+    )
+    def test_file_gets_the_mode_open_would_give(self, tmp_path, umask, existing, mode):
+        # The umask is per process, so each case writes from a child.
+        path = tmp_path / "out.txt"
+        if existing is not None:
+            path.write_text("old\n")
+            path.chmod(existing)
+        script = (
+            f"import os; os.umask({umask:#o})\n"
+            "from morera.gridio import write_text_atomic\n"
+            f"write_text_atomic({str(path)!r}, 'new\\n')\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(morera.__file__)))
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert path.read_text() == "new\n"
+        assert path.stat().st_mode & 0o777 == mode
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
     def test_smallest_grid_round_trips(self, tmp_path):
         path = tmp_path / "grid.csv"
         write_polar_grid(str(path), builtin("poly3").oracle, n_r=4, n_theta=4, r_max=0.5)
