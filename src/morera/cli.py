@@ -440,7 +440,12 @@ def cmd_verdict(args) -> int:
 def cmd_demo_sharpness(args) -> int:
     f = funczoo.builtin("counterexample").oracle
     valid_cfg = analysis.PipelineConfig(tau=args.tau, circles_per_family=args.circles)
-    violating_cfg = replace(valid_cfg, r_min=args.floor, t_min=args.floor - 1.0)
+    violating_cfg = analysis.PipelineConfig(
+        tau=args.tau,
+        circles_per_family=args.circles,
+        r_min=args.floor,
+        t_min=args.floor - 1.0,
+    )
     if analysis.validate_families(*violating_cfg.families()):
         raise ConfigError(
             f"--floor {args.floor} gives disjoint smallest circles, which meets the hypothesis; "
@@ -479,12 +484,13 @@ def cmd_demo_sharpness(args) -> int:
         )
     print("\n".join(out))
     if args.output:
-        desc = {"source": "builtin", "name": "counterexample"}
         doc = {
             "schema_version": 1,
             "demo": "sharpness",
-            "valid": analysis.report_document(valid, valid_cfg, desc),
-            "violating": analysis.report_document(violating, violating_cfg, desc),
+            "valid": analysis.report_document(valid, valid_cfg, {"source": "builtin", "name": "counterexample"}),
+            "violating": analysis.report_document(
+                violating, violating_cfg, {"source": "builtin", "name": "counterexample"}
+            ),
         }
         gridio.write_text_atomic(args.output, analysis.dumps_report(doc))
     return EXIT_OK if reproduced else EXIT_FAILED_VERDICT

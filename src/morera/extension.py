@@ -10,9 +10,8 @@ the extension itself, evaluated as a power series in (zeta - center)/radius.
 :func:`analyze_batch` is the one kernel: it tests many circles at once, with
 one oracle call and one FFT per doubling level, resampling only the rows
 whose aliasing guard trips.  Every single-circle function reads one row of
-it: :func:`analyze_with_refinement` refines that row, :func:`analyze_circle`
-and :func:`analyze_trace` hold it at a fixed N.  Every extension is summed
-by one vectorized Horner loop.
+it (:func:`analyze_trace` feeds it a stored trace instead of an oracle).
+Every extension is summed by one vectorized Horner loop.
 """
 
 from __future__ import annotations
@@ -42,6 +41,8 @@ DEFAULT_MORERA_TOL = 1e-8
 # analysis is then reported as inconclusive by the sweep layer.
 DEFAULT_SAMPLES = 256
 MAX_SAMPLES = 4096
+# The refusal to evaluate the extension of a circle that fails the test.
+_REFUSAL = "extension evaluated on data that fails the extendability test (negative energy {:.3e}) on {}"
 
 Oracle = Callable[[complex], complex]
 
@@ -157,37 +158,31 @@ def oracle_values(f: Oracle, points: np.ndarray, check: bool = True) -> np.ndarr
     return values
 
 
-def _sample_rows(f: Oracle, centers: np.ndarray, radii: np.ndarray, n: int) -> np.ndarray:
-    """Samples of ``f`` at ``n`` equispaced points of each circle, one row each.
-
-    Non-finite samples raise :class:`SamplingError` carrying the angle and
-    the row of the first offending sample.
-    """
-    _require_sample_count(n, n)
-    theta = 2.0 * np.pi * np.arange(n) / n
-    points = centers[:, None] + radii[:, None] * np.exp(1j * theta)[None, :]
-    values = oracle_values(f, points, check=False)
+def _finite_rows(values: np.ndarray, centers: np.ndarray, radii: np.ndarray, source: str) -> np.ndarray:
+    """``values``, one row of N samples per circle, unless one is non-finite:
+    the first such raises :class:`SamplingError` carrying its angle and row."""
     bad = ~np.isfinite(values.real) | ~np.isfinite(values.imag)
     if bad.any():
         row, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        theta = 2.0 * np.pi * j / values.shape[1]
         circle = Circle(complex(centers[row]), float(radii[row]))
-        raise SamplingError(
-            f"oracle returned non-finite value {values[row, j]} at theta = {theta[j]} on {circle}",
-            theta=float(theta[j]),
-            value=complex(values[row, j]),
-            row=int(row),
-        )
+        message = f"{source} non-finite value {values[row, j]} at theta = {theta} on {circle}"
+        raise SamplingError(message, theta=float(theta), value=complex(values[row, j]), row=int(row))
     return values
 
 
-def sample_circle(f: Oracle, circle: Circle, n: int) -> CircleTrace:
-    """Sample ``f`` at ``n`` equispaced points of ``circle``.
+def _sample_rows(f: Oracle, centers: np.ndarray, radii: np.ndarray, n: int) -> np.ndarray:
+    """Samples of ``f`` at ``n`` equispaced points of each circle, one row each."""
+    _require_sample_count(n, n)
+    theta = 2.0 * np.pi * np.arange(n) / n
+    points = centers[:, None] + radii[:, None] * np.exp(1j * theta)[None, :]
+    return _finite_rows(oracle_values(f, points, check=False), centers, radii, "oracle returned")
 
-    Non-finite samples raise :class:`SamplingError` carrying the offending
-    angle.
-    """
-    values = _sample_rows(f, np.array([circle.center]), np.array([circle.radius]), int(n))
-    return CircleTrace(circle, values[0])
+
+def sample_circle(f: Oracle, circle: Circle, n: int) -> CircleTrace:
+    """Sample ``f`` at ``n`` equispaced points of ``circle``; a non-finite
+    sample raises :class:`SamplingError` carrying its angle."""
+    return CircleTrace(circle, _sample_rows(f, np.array([circle.center]), np.array([circle.radius]), int(n))[0])
 
 
 def _energy_bands(coeffs: np.ndarray) -> tuple:
@@ -222,9 +217,10 @@ def _threshold_rule(negative, high, total, tol: float) -> tuple:
 
 
 def analyze_trace(trace: CircleTrace) -> FourierData:
-    """Fourier coefficients c_k = (1/N) sum_j values_j exp(-i k theta_j):
-    :func:`analyze_circle` on an oracle that returns the trace's own samples."""
-    return analyze_circle(lambda points: trace.values.reshape(points.shape), trace.circle, trace.sample_count)
+    """Fourier coefficients c_k = (1/N) sum_j values_j exp(-i k theta_j): the
+    batch kernel's row on the trace's own samples, raising what a batch raises."""
+    replay = lambda centers, radii, n: _finite_rows(trace.values[None, :], centers, radii, "trace holds")
+    return _one_row(replay, trace.circle, DEFAULT_MORERA_TOL, trace.sample_count, trace.sample_count)[0]
 
 
 def analyze_circle(f: Oracle, circle: Circle, n: int = DEFAULT_SAMPLES) -> FourierData:
@@ -239,12 +235,9 @@ cached_analyze = analyze_circle
 
 
 def extension_test(data: FourierData, tol: float = DEFAULT_MORERA_TOL) -> ExtensionResult:
-    """Decide extendability from the negative-tail energy of ``data``.
-
-    Passes iff the negative-frequency energy is at most ``tol`` times the
-    total energy and the high-frequency aliasing guard stays below the same
-    threshold; there is no absolute floor (see :func:`_threshold_rule`).
-    """
+    """Decide extendability from the energies of ``data``: it passes iff the
+    negative energy and the aliasing band are both at most ``tol`` times the
+    total energy, with no absolute floor (see :func:`_threshold_rule`)."""
     threshold, aliasing, passes = _threshold_rule(
         data.tail_energy_negative, data.tail_energy_high, data.total_energy, tol
     )
@@ -264,10 +257,17 @@ def analyze_with_refinement(
     plus an ``inconclusive`` flag that is set when the guard still trips at
     ``n_max`` samples.
     """
-    batch = analyze_batch(f, [circle.center], [circle.radius], tol, n0, n_max)
+    return _one_row(lambda c, r, n: _sample_rows(f, c, r, n), circle, tol, n0, n_max)
+
+
+def _one_row(sample, circle: Circle, tol: float, n0: int, n_max: int) -> tuple:
+    """:func:`analyze_with_refinement` on the samples ``sample`` gives."""
+    batch = _analyze_rows(sample, circle.center, circle.radius, tol, n0, n_max)
     c = batch.groups[0][1][0]
+    n = c.shape[0]
     negative, high, _ = _energy_bands(c)
-    data = FourierData(circle, np.fft.fftshift(c), float(negative), float(high))
+    # reorder from [0..N/2-1, -N/2..-1] to [-N/2 .. N/2-1]
+    data = FourierData(circle, np.concatenate([c[n // 2 :], c[: n // 2]]), float(negative), float(high))
     return data, extension_test(data, tol), bool(batch.inconclusive[0])
 
 
@@ -287,20 +287,12 @@ def evaluate_extension(
     if result is None:
         result = extension_test(data, tol)
     if not result.passes:
-        raise _refusal(data.tail_energy_negative, data.circle)
+        raise InvalidStateError(_REFUSAL.format(data.tail_energy_negative, data.circle))
     circle = data.circle
     u = (complex(zeta) - circle.center) / circle.radius
     if abs(u) > 1.0 + 1e-12:
         raise DomainError(f"zeta = {zeta} outside the closed disc of {circle}")
     return complex(_horner(data.coefficients[None, data.sample_count // 2 :], np.array([u]))[0])
-
-
-def _refusal(negative_energy: float, circle: Circle) -> InvalidStateError:
-    """The error for evaluating the extension from a circle that fails the test."""
-    return InvalidStateError(
-        f"extension evaluated on data that fails the extendability test "
-        f"(negative energy {negative_energy:.3e}) on {circle}"
-    )
 
 
 def _horner(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -381,7 +373,7 @@ class BatchAnalysis(Record):
         failing = np.flatnonzero(~self.passes[rows])
         if failing.size:
             row = int(rows[failing[0]])
-            raise _refusal(self.negative_energy[row], self.circle(row))
+            raise InvalidStateError(_REFUSAL.format(self.negative_energy[row], self.circle(row)))
         points = np.asarray(points, dtype=complex)
         out = np.empty(points.shape, dtype=complex)
         shape = (-1,) + (1,) * (points.ndim - 1)
@@ -415,6 +407,11 @@ def analyze_batch(
     set; a row whose Fourier energy overflows float64 raises
     :class:`InconclusiveError` naming its circle.
     """
+    return _analyze_rows(lambda c, r, n: _sample_rows(f, c, r, n), centers, radii, tol, n0, n_max)
+
+
+def _analyze_rows(sample, centers, radii, tol: float, n0: int, n_max: int) -> BatchAnalysis:
+    """:func:`analyze_batch` on the (rows x N) samples ``sample(centers, radii, n)`` gives."""
     centers = np.asarray(centers, dtype=complex).ravel()
     radii = np.asarray(radii, dtype=float).ravel()
     m = centers.size
@@ -428,7 +425,7 @@ def analyze_batch(
     n = int(n0)
     while active.size:
         try:
-            values = _sample_rows(f, centers[active], radii[active], n)
+            values = sample(centers[active], radii[active], n)
         except SamplingError as exc:
             exc.row = int(active[exc.row])
             raise

@@ -33,10 +33,10 @@ _UPSAMPLE = 8
 def write_text_atomic(path: str, text: str) -> None:
     """Write ``text`` to ``path`` atomically (temp file + rename).
 
-    The file gets the mode ``open(path, "w")`` would leave: an existing
-    file's own, else 0o666 less the umask.  An ``OSError`` (a missing
-    directory, no permission, ``path`` a directory) becomes a
-    :class:`ConfigError` naming ``path``; no temp file is left behind.
+    A new file gets mode 0o666 less the umask; a replaced one keeps its
+    permission bits where the filesystem allows, read-only included.  An
+    ``OSError`` (a missing directory, no permission, ``path`` a directory)
+    becomes a :class:`ConfigError` naming ``path``; no temp file is left.
     """
     directory = os.path.dirname(os.path.abspath(path))
     try:
@@ -44,7 +44,7 @@ def write_text_atomic(path: str, text: str) -> None:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as handle:
-                with contextlib.suppress(FileNotFoundError):
+                with contextlib.suppress(OSError):
                     os.fchmod(fd, os.stat(path).st_mode & 0o777)
                 handle.write(text)
             os.replace(tmp, path)

@@ -24,6 +24,7 @@ from morera.exprparser import compile_function, parse
 from morera.extension import (
     MAX_SAMPLES,
     CircleTrace,
+    FourierData,
     analyze_batch,
     analyze_circle,
     analyze_trace,
@@ -38,17 +39,29 @@ from morera.geometry import Circle, pencil_circle
 RNG = np.random.default_rng(20240811)
 
 
+def reference_level(f, circle, n):
+    """One circle at N samples by a 1-D FFT of :func:`sample_circle`'s trace.
+
+    Independent of the batch kernel: the energies are summed here, each band
+    chosen by frequency, in the FFT order [0..N/2-1, -N/2..-1] that the
+    kernel sums in, so they agree bit for bit.
+    """
+    c = np.fft.fft(sample_circle(f, circle, n).values) / n
+    k = np.fft.fftfreq(n, 1.0 / n)
+    power = np.abs(c) ** 2
+    negative, high = power[k < 0].sum(), power[np.abs(k) >= n // 4].sum()
+    return FourierData(circle, np.fft.fftshift(c), float(negative), float(high))
+
+
 def reference_refinement(f, circle, tol=1e-8, n0=256, n_max=MAX_SAMPLES):
     """Scalar refinement loop: analyse one circle at N, 2N, ... while it aliases.
 
-    The independent oracle for the refinement rule of :func:`analyze_batch`
-    and its one-row wrapper :func:`analyze_with_refinement`.  Each level is
-    :func:`analyze_circle`, itself a one-row batch held at N, so the FFT is
-    checked against :func:`direct_dft` instead.
+    The independent oracle for :func:`analyze_batch` and its one-row wrapper
+    :func:`analyze_with_refinement`.
     """
     n = n0
     while True:
-        data = analyze_circle(f, circle, n)
+        data = reference_level(f, circle, n)
         result = extension_test(data, tol)
         if not result.aliasing_flag or n >= n_max:
             return data, result, result.aliasing_flag
@@ -440,10 +453,24 @@ class TestSingleCircle:
         with pytest.raises(SamplingError) as err:
             analyze_trace(CircleTrace(circle, values))
         assert err.value.theta == 2.0 * np.pi * 5 / 16
-        assert f"on {circle}" in str(err.value)
+        assert str(err.value) == f"trace holds non-finite value (nan+0j) at theta = {err.value.theta} on {circle}"
+
+    def test_trace_is_analysed_without_an_oracle_call(self, monkeypatch):
+        # A stored trace goes to the kernel as it is: nothing is sampled again.
+        trace = sample_circle(np.exp, Circle(0.1, 0.5), 64)
+        want = analyze_circle(np.exp, trace.circle, 64)
+
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("oracle_values called")
+
+        monkeypatch.setattr(extension, "oracle_values", no_oracle)
+        data = analyze_trace(trace)
+        assert np.array_equal(data.coefficients, want.coefficients)
+        assert (data.tail_energy_negative, data.tail_energy_high) == (want.tail_energy_negative, want.tail_energy_high)
 
     def test_one_fft_call_site(self):
-        # One kernel: every circle reaches the FFT through analyze_batch.
+        # One kernel: every circle reaches the FFT through _analyze_rows,
+        # the body of analyze_batch.
         tree = ast.parse(Path(extension.__file__).read_text(encoding="utf-8"))
         calls = [
             function.name
@@ -452,7 +479,7 @@ class TestSingleCircle:
             for node in ast.walk(function)
             if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.fft.fft", "numpy.fft.fft")
         ]
-        assert calls == ["analyze_batch"]
+        assert calls == ["_analyze_rows"]
 
 
 # test-circle cases: (source flags, oracle, center text, radius, samples flags).

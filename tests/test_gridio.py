@@ -11,7 +11,7 @@ import pytest
 import morera
 from morera.errors import ConfigError
 from morera.funczoo import builtin, builtin_names
-from morera.gridio import GridFunction, read_polar_grid, write_polar_grid
+from morera.gridio import GridFunction, read_polar_grid, write_polar_grid, write_text_atomic
 
 # Maximum error against the closed form of the scipy RectBivariateSpline
 # interpolant (cubic in r and theta, theta wrap-padded by 3 columns) that
@@ -229,10 +229,24 @@ class TestWriter:
 
     @pytest.mark.parametrize(
         "umask, existing, mode",
-        [(0o022, None, 0o644), (0o077, None, 0o600), (0o022, 0o640, 0o640), (0o077, 0o644, 0o644)],
-        ids=["umask-022-new", "umask-077-new", "umask-022-existing-640", "umask-077-existing-644"],
+        [
+            (0o022, None, 0o644),
+            (0o077, None, 0o600),
+            (0o022, 0o640, 0o640),
+            (0o077, 0o644, 0o644),
+            (0o022, 0o444, 0o444),
+        ],
+        ids=[
+            "umask-022-new",
+            "umask-077-new",
+            "umask-022-existing-640",
+            "umask-077-existing-644",
+            "umask-022-existing-444",
+        ],
     )
-    def test_file_gets_the_mode_open_would_give(self, tmp_path, umask, existing, mode):
+    def test_file_mode(self, tmp_path, umask, existing, mode):
+        # A new file gets 0o666 less the umask; a replaced one keeps its
+        # permission bits, read-only included.
         # The umask is per process, so each case writes from a child.
         path = tmp_path / "out.txt"
         if existing is not None:
@@ -249,6 +263,19 @@ class TestWriter:
         assert proc.returncode == 0, proc.stderr
         assert path.read_text() == "new\n"
         assert path.stat().st_mode & 0o777 == mode
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_refused_chmod_still_writes(self, tmp_path, monkeypatch):
+        # Some filesystems refuse chmod; the file is written all the same.
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+
+        def refuse(fd, mode):
+            raise PermissionError(1, "Operation not permitted")
+
+        monkeypatch.setattr(os, "fchmod", refuse)
+        write_text_atomic(str(path), "new\n")
+        assert path.read_text() == "new\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
     def test_smallest_grid_round_trips(self, tmp_path):
