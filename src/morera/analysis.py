@@ -32,6 +32,10 @@ from .geometry import DEFAULT_TAU, Circle, require_boundary_point, require_tau
 DEFAULT_CROSS_TOL = 1e-6
 DEFAULT_DBAR_TOL = 1e-4
 DEFAULT_CIRCLES = 32
+# Cross-consistency takes this many circles of each family around a point T,
+# the smallest this far inside the bound for surrounding T.
+CROSS_PER_FAMILY = 3
+CROSS_MARGIN = 0.05
 # Family grids stay this far away from the ends of the parameter interval
 # (near t = 0 the pencil circle hugs the unit circle, where sampling a merely
 # continuous function is ill-conditioned).
@@ -76,22 +80,6 @@ class FamilyConfig(Record):
             if not (-1.0 < self.lo and self.hi <= 0.0):
                 raise ConfigError(f"pencil parameters must lie in (-1, 0], got [{self.lo}, {self.hi}]")
             require_boundary_point(self.p)
-
-    @classmethod
-    def centered(cls, r_min: float, r_max: float = 1.0, count: int = DEFAULT_CIRCLES) -> "FamilyConfig":
-        return cls("centered", r_min, r_max, count)
-
-    @classmethod
-    def pencil(
-        cls,
-        tau: float = DEFAULT_TAU,
-        p: complex = -1.0,
-        t_max: float = 0.0,
-        count: int = DEFAULT_CIRCLES,
-        t_min: Optional[float] = None,
-    ) -> "FamilyConfig":
-        lo = -1.0 + tau if t_min is None else t_min
-        return cls("pencil", lo, t_max, count, complex(p))
 
     def parameters(self) -> np.ndarray:
         """Chebyshev-spaced grid over the parameter interval less :data:`GRID_INSET` at each end, ascending."""
@@ -219,74 +207,6 @@ def require_count(name: str, value: int) -> None:
         raise ConfigError(f"{name} must be at least 1, got {value}")
 
 
-def cross_consistency(
-    f: Oracle,
-    T: Union[float, Sequence[float]],
-    probe_count: int = 8,
-    tau: float = DEFAULT_TAU,
-    tol: float = ext.DEFAULT_MORERA_TOL,
-    samples: int = ext.DEFAULT_SAMPLES,
-    r_floor: float = 0.0,
-    t_floor: Optional[float] = None,
-    margin: float = 0.05,
-    per_family: int = 3,
-) -> float:
-    """Largest disagreement between extensions from circles surrounding ``T``.
-
-    For each real point T (one, or a sequence) evaluates the holomorphic
-    extension of ``f`` from a sample of surrounding circles of both families
-    at ``probe_count`` probe points near T, and returns the maximum pairwise
-    difference over all T.  A centered circle of radius R surrounds T iff
-    |T| < R, a pencil member of parameter t iff T < 2t + 1; each family
-    contributes ``per_family`` evenly spaced members, from ``margin`` inside
-    that bound (and the floors ``r_floor``, ``t_floor``) to the unit circle.
-    The T are taken in order: one outside (-1 + 2 tau, 0) raises
-    :class:`DomainError`, one with fewer than two surrounding circles
-    :class:`ConfigError`.  Each distinct circle is then analyzed once, with
-    the same refinement as a sweep circle.  A circle that fails the
-    extendability test raises :class:`ExtensionFailureError`; failing that,
-    one still aliased at the sample cap raises :class:`InconclusiveError`.
-    """
-    require_count("probe_count", probe_count)
-    t_floor = (-1.0 + tau) if t_floor is None else t_floor
-    keys: dict = {}  # (center, radius) -> row of the batch, in first-occurrence order
-    names: list[str] = []  # per row, its first (T, circle) pair
-    rows: list[int] = []  # per (T, circle) pair, in T order
-    probes: list[np.ndarray] = []  # per (T, circle) pair, the probe ring of its T
-    blocks: list[int] = []  # per T, its number of circles
-    unit_ring = np.exp(2j * np.pi * np.arange(probe_count) / probe_count)
-    for t in [float(t) for t in np.atleast_1d(T)]:
-        if not -1.0 + 2.0 * tau < t < 0.0:
-            raise DomainError(f"T = {t} outside the admissible interval ({-1.0 + 2.0 * tau}, 0)")
-        r_lo = max(r_floor, abs(t) + margin)
-        t_lo = max(t_floor, (t - 1.0 + margin) / 2.0)
-        chosen = []
-        if r_lo < 1.0:
-            chosen += [("centered", R, Circle(0.0, R)) for R in np.linspace(r_lo, 1.0, per_family).tolist()]
-        if t_lo < 0.0:
-            chosen += [("pencil", s, Circle(s, s + 1.0)) for s in np.linspace(t_lo, 0.0, per_family).tolist()]
-        if len(chosen) < 2:
-            raise ConfigError(f"no surrounding circles available for T = {t} under the given floors")
-        for kind, param, circle in chosen:
-            row = keys.setdefault((circle.center, circle.radius), len(keys))
-            if row == len(names):
-                names.append(f"the {kind} circle with parameter {param} surrounding T = {t}")
-            rows.append(row)
-        delta = min(0.25 * min(c.radius - abs(t - c.center) for _, _, c in chosen), 0.02)
-        probes += [t + delta * unit_ring] * len(chosen)
-        blocks.append(len(chosen))
-    batch = ext.analyze_batch(f, [c for c, _ in keys], [r for _, r in keys], tol, samples)
-    batch.require_extensions(names.__getitem__)
-    values = batch.evaluate(np.array(probes), rows)
-    residual = 0.0
-    start = 0
-    for count in blocks:
-        block = values[start : start + count]
-        start += count
-        residual = max(residual, float(np.abs(block[:, None, :] - block[None, :, :]).max()))
-    return residual
-
-
 @record
 class DbarGrid(Record):
     """Polar evaluation grid for the finite-difference Wirtinger residual."""
@@ -396,7 +316,7 @@ class PipelineConfig(Record):
         require_count("probe_count", self.probe_count)
         for name in ("morera_tol", "cross_tol", "dbar_tol"):
             if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be positive")
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
 
     @property
     def pencil_floor(self) -> float:
@@ -423,7 +343,7 @@ class PipelineConfig(Record):
             return pencils
         families: tuple[FamilyConfig, ...] = ()
         if kind in ("both", "centered"):
-            families += (FamilyConfig.centered(self.r_min, self.r_max, self.circles_per_family),)
+            families += (FamilyConfig("centered", self.r_min, self.r_max, self.circles_per_family),)
         if kind in ("both", "pencil"):
             families += (self._pencil(self.p),)
         return families
@@ -436,6 +356,67 @@ class PipelineConfig(Record):
         hi = 0.0
         inset = 0.05 * (hi - lo)
         return np.linspace(lo + inset, hi - inset, self.t_count)
+
+
+def cross_consistency(
+    f: Oracle, T: Union[float, Sequence[float]], config: PipelineConfig = PipelineConfig()
+) -> float:
+    """Largest disagreement between extensions from circles surrounding ``T``.
+
+    For each real point T (one, or a sequence) evaluates the holomorphic
+    extension of ``f`` from a sample of surrounding circles of both families
+    at ``config.probe_count`` probe points near T, and returns the maximum
+    pairwise difference over all T.  ``f`` is taken in normalized coordinates,
+    where the pencil point is -1 (:func:`verdict` rotates it there), so
+    ``config.p`` is not read.  A centered circle of radius R surrounds T iff
+    |T| < R, a pencil member of parameter t iff T < 2t + 1; each family
+    contributes :data:`CROSS_PER_FAMILY` evenly spaced members, from
+    :data:`CROSS_MARGIN` inside that bound, and no lower than ``config.r_min``
+    or ``config.pencil_floor``, to the unit circle.  The T are taken in order:
+    one outside (-1 + 2 tau, 0) raises :class:`DomainError`, one with fewer
+    than two surrounding circles :class:`ConfigError`.  Each distinct circle
+    is then analyzed once at ``config.samples`` and ``config.morera_tol``,
+    with the same refinement as a sweep circle.  A circle that fails the
+    extendability test raises :class:`ExtensionFailureError`; failing that,
+    one still aliased at the sample cap raises :class:`InconclusiveError`.
+    """
+    tau = config.tau
+    keys: dict = {}  # (center, radius) -> row of the batch, in first-occurrence order
+    names: list[str] = []  # per row, its first (T, circle) pair
+    rows: list[int] = []  # per (T, circle) pair, in T order
+    probes: list[np.ndarray] = []  # per (T, circle) pair, the probe ring of its T
+    blocks: list[int] = []  # per T, its number of circles
+    unit_ring = np.exp(2j * np.pi * np.arange(config.probe_count) / config.probe_count)
+    for t in [float(t) for t in np.atleast_1d(T)]:
+        if not -1.0 + 2.0 * tau < t < 0.0:
+            raise DomainError(f"T = {t} outside the admissible interval ({-1.0 + 2.0 * tau}, 0)")
+        r_lo = max(config.r_min, abs(t) + CROSS_MARGIN)
+        t_lo = max(config.pencil_floor, (t - 1.0 + CROSS_MARGIN) / 2.0)
+        chosen = []
+        if r_lo < 1.0:
+            chosen += [("centered", R, Circle(0.0, R)) for R in np.linspace(r_lo, 1.0, CROSS_PER_FAMILY).tolist()]
+        if t_lo < 0.0:
+            chosen += [("pencil", s, Circle(s, s + 1.0)) for s in np.linspace(t_lo, 0.0, CROSS_PER_FAMILY).tolist()]
+        if len(chosen) < 2:
+            raise ConfigError(f"no surrounding circles available for T = {t} under the given floors")
+        for kind, param, circle in chosen:
+            row = keys.setdefault((circle.center, circle.radius), len(keys))
+            if row == len(names):
+                names.append(f"the {kind} circle with parameter {param} surrounding T = {t}")
+            rows.append(row)
+        delta = min(0.25 * min(c.radius - abs(t - c.center) for _, _, c in chosen), 0.02)
+        probes += [t + delta * unit_ring] * len(chosen)
+        blocks.append(len(chosen))
+    batch = ext.analyze_batch(f, [c for c, _ in keys], [r for _, r in keys], config.morera_tol, config.samples)
+    batch.require_extensions(names.__getitem__)
+    values = batch.evaluate(np.array(probes), rows)
+    residual = 0.0
+    start = 0
+    for count in blocks:
+        block = values[start : start + count]
+        start += count
+        residual = max(residual, float(np.abs(block[:, None, :] - block[None, :, :]).max()))
+    return residual
 
 
 @record
@@ -519,21 +500,12 @@ def verdict(f: Oracle, config: PipelineConfig = PipelineConfig()) -> Verdict:
     else:
         rot = -families[1].p.conjugate()  # sends p to -1
 
-        def f_norm(zeta, _f=f, _rot=rot):
-            return _f(np.asarray(zeta, dtype=complex) / _rot) if isinstance(zeta, np.ndarray) else _f(zeta / _rot)
+        def f_norm(zeta):
+            return f(zeta / rot)
 
     t_values = config.t_values()
     try:
-        cross = cross_consistency(
-            f_norm,
-            t_values,
-            config.probe_count,
-            config.tau,
-            config.morera_tol,
-            config.samples,
-            r_floor=config.r_min,
-            t_floor=config.pencil_floor,
-        )
+        cross = cross_consistency(f_norm, t_values, config)
     except (ExtensionFailureError, InconclusiveError) as exc:
         # An off-grid circle inside the configured ranges failed (a Morera
         # failure the finite grid missed) or stayed aliased at the cap.
@@ -554,21 +526,22 @@ def verdict(f: Oracle, config: PipelineConfig = PipelineConfig()) -> Verdict:
 def report_document(
     result: Verdict, config: PipelineConfig, function_desc: dict, warnings: Optional[list[str]] = None
 ) -> dict:
-    """Assemble the serializable report for a verdict run."""
-    doc = {
-        "schema_version": 1,
-        "function": function_desc,
-        "tau": config.tau,
-        "p_re": config.p.real,
-        "p_im": config.p.imag,
-        "tolerances": {
-            "morera": config.morera_tol,
-            "cross": config.cross_tol,
-            "dbar": config.dbar_tol,
-        },
-        "warnings": list(warnings or []),
-    }
+    """Assemble the serializable report for a verdict run.
+
+    A two-point run (``config.p2`` set) has no cross-consistency step, and its
+    report says so with a shorter layout: no pencil point or tolerances,
+    ``dbar`` holding only the residual, and ``cross_consistency`` None.
+    """
+    doc = {"schema_version": 1, "function": function_desc, "tau": config.tau, "warnings": list(warnings or [])}
     doc.update(result.to_dict())
+    if config.p2 is not None:
+        doc.update(dbar={"residual": result.dbar_value}, cross_consistency=None)
+        return doc
+    doc.update(
+        p_re=config.p.real,
+        p_im=config.p.imag,
+        tolerances={"morera": config.morera_tol, "cross": config.cross_tol, "dbar": config.dbar_tol},
+    )
     return doc
 
 

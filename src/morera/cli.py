@@ -418,21 +418,9 @@ def cmd_verdict(args) -> int:
     f, desc, warnings, tol = resolve_function(args)
     config = _pipeline_config(args, tol, cross_tol=args.cross_tol, dbar_tol=args.dbar_tol)
     result = analysis.verdict(f, config)
-    if config.p2 is None:
-        doc = analysis.report_document(result, config, desc, warnings)
-    else:
-        doc = {
-            "schema_version": 1,
-            "function": desc,
-            "tau": config.tau,
-            "hypotheses_valid": result.hypotheses_valid,
-            "families": [r.to_dict() for r in result.families],
-            "dbar": {"residual": result.dbar_value},
-            "cross_consistency": None,
-            "verdict": result.classification,
-            "warnings": warnings
-            + ["two-point pencil configuration: cross-consistency not evaluated (partial coverage)"],
-        }
+    if config.p2 is not None:
+        warnings = warnings + ["two-point pencil configuration: cross-consistency not evaluated (partial coverage)"]
+    doc = analysis.report_document(result, config, desc, warnings)
     _emit(analysis.dumps_report(doc), args.output)
     return _EXIT_BY_CLASS[result.classification]
 

@@ -29,6 +29,7 @@ from .errors import (
     ExtensionFailureError,
     InconclusiveError,
     InvalidStateError,
+    MoreraError,
     ParameterDomainError,
     SamplingError,
 )
@@ -131,7 +132,8 @@ def oracle_values(f: Oracle, points: np.ndarray, check: bool = True) -> np.ndarr
     raises ``TypeError`` or ``ValueError`` (what ``complex(array)``,
     ``math.*`` or ``if z == 0:`` raise on an array) or returns a value of
     another shape does it fall back to a scalar loop, for oracles that only
-    accept single points; any other exception reaches the caller.  With
+    accept single points; any other exception, a :class:`MoreraError` among
+    them though most are ``ValueError`` too, reaches the caller.  With
     ``check`` set, non-finite samples raise :class:`SamplingError`.
     """
     points = np.asarray(points, dtype=complex)
@@ -142,6 +144,8 @@ def oracle_values(f: Oracle, points: np.ndarray, check: bool = True) -> np.ndarr
             values = raw
         elif raw.shape == ():
             values = np.full(points.shape, complex(raw))
+    except MoreraError:
+        raise
     except (TypeError, ValueError):
         values = None
     if values is None:

@@ -250,7 +250,7 @@ def test_criterion_9_family_validation(criterion):
                 if abs(r - (1.0 - 2.0 * rho)) < 1e-9:
                     continue
                 ok = validate_families(
-                    FamilyConfig.centered(r), FamilyConfig("pencil", rho - 1.0, 0.0, 8)
+                    FamilyConfig("centered", r, 1.0), FamilyConfig("pencil", rho - 1.0, 0.0, 8)
                 )
                 assert ok == (r < 1.0 - 2.0 * rho), (r, rho)
         # two pencils at -1 and +1: valid iff rho1 + rho2 < 1

@@ -37,19 +37,19 @@ from morera.errors import (
     SamplingError,
 )
 from morera.funczoo import builtin, builtin_names, holomorphic_members
-from morera.geometry import DEFAULT_TAU, Circle
+from morera.geometry import Circle
 
 
 class TestFamilyConfig:
     def test_grid_is_sorted_and_inside_range(self):
-        config = FamilyConfig.pencil(0.25, count=32)
+        config = FamilyConfig("pencil", -0.75, 0.0, 32)
         params = config.parameters()
         assert len(params) == 32
         assert np.all(np.diff(params) > 0)
         assert params[0] > -0.75 and params[-1] < 0.0
 
     def test_pencil_circle_coordinates(self):
-        config = FamilyConfig.pencil(0.25)
+        config = FamilyConfig("pencil", -0.75, 0.0)
         c = config.circle(-0.7)
         assert c.center == pytest.approx(-0.7) and c.radius == pytest.approx(0.3)
         rotated = FamilyConfig("pencil", -0.75, 0.0, 8, p=1j)
@@ -61,19 +61,40 @@ class TestFamilyConfig:
         with pytest.raises(ConfigError):
             FamilyConfig("weird", 0.1, 1.0)
         with pytest.raises(ConfigError):
-            FamilyConfig.centered(0.9, 0.5)
+            FamilyConfig("centered", 0.9, 0.5)
         with pytest.raises(ConfigError):
-            FamilyConfig.centered(0.0, 1.0)
+            FamilyConfig("centered", 0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: FamilyConfig("centered", 0.1, 1.0, 1), "family grid needs at least 2 circles, got 1"),
+            (lambda: FamilyConfig("pencil", -1.0, 0.0), "pencil parameters must lie in (-1, 0], got [-1.0, 0.0]"),
+            (lambda: FamilyConfig("pencil", -0.5, 0.25), "pencil parameters must lie in (-1, 0], got [-0.5, 0.25]"),
+            (lambda: PipelineConfig(t_max=0.5).families("pencil"),
+             "pencil parameters must lie in (-1, 0], got [-0.75, 0.5]"),
+            (lambda: FamilyConfig("centered", 0.5, 0.501).parameters(),
+             "parameter range [0.5, 0.501] too small for inset 0.001"),
+            (lambda: FamilyConfig("pencil", -0.3, -0.2985).parameters(),
+             "parameter range [-0.3, -0.2985] too small for inset 0.001"),
+        ],
+        ids=["one-circle", "pencil-at-minus-one", "pencil-above-zero", "pipeline-t-max", "centered-inset",
+             "pencil-inset"],
+    )
+    def test_rejection_names_the_values(self, build, message):
+        with pytest.raises(ConfigError) as info:
+            build()
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("p", [2.0, 0.5, 0.0, 0.6 + 0.9j])
     def test_pencil_point_off_the_unit_circle(self, p):
         with pytest.raises(ConfigError) as info:
-            FamilyConfig.pencil(0.25, p=p)
+            FamilyConfig("pencil", -0.75, 0.0, p=p)
         assert str(info.value) == f"pencil boundary point must lie on the unit circle, got |p| = {abs(p)}"
 
     def test_pencil_point_is_kept_as_given(self):
         p = 1j * (1.0 + 5e-13)
-        assert FamilyConfig.pencil(0.25, p=p).p == p
+        assert FamilyConfig("pencil", -0.75, 0.0, p=p).p == p
 
 
 class TestPipelineFamilies:
@@ -118,8 +139,8 @@ class TestPipelineFamilies:
 
 class TestSweepClassification:
     def test_failure_before_inconclusive(self):
-        passing = sweep_family(builtin("expz").oracle, FamilyConfig.centered(0.05, 1.0, 8))
-        failing = sweep_family(builtin("counterexample").oracle, FamilyConfig.pencil(0.25, count=8))
+        passing = sweep_family(builtin("expz").oracle, FamilyConfig("centered", 0.05, 1.0, 8))
+        failing = sweep_family(builtin("counterexample").oracle, FamilyConfig("pencil", -0.75, 0.0, 8))
         aliased = replace(passing.circles[0], passes=False, inconclusive=True)
         capped = replace(passing, circles=(aliased,) + passing.circles[1:], passes=False, inconclusive=True)
         assert failing.failing and not capped.failing
@@ -130,12 +151,12 @@ class TestSweepClassification:
 
 class TestTestFamily:
     def test_entire_function_passes_everywhere(self):
-        report = sweep_family(builtin("expz").oracle, FamilyConfig.centered(0.05, 1.0, 32))
+        report = sweep_family(builtin("expz").oracle, FamilyConfig("centered", 0.05, 1.0, 32))
         assert report.passes and not report.inconclusive
         assert all(c.passes for c in report.circles)
 
     def test_counterexample_fails_small_pencil_circles(self):
-        report = sweep_family(builtin("counterexample").oracle, FamilyConfig.pencil(0.25, count=32))
+        report = sweep_family(builtin("counterexample").oracle, FamilyConfig("pencil", -0.75, 0.0, 32))
         assert not report.passes
         assert report.failing
         # failures exactly where the closed disc misses the origin: t < -1/2
@@ -151,12 +172,12 @@ class TestTestFamily:
     def test_monotonicity_denser_grid_never_unfails(self):
         f = builtin("counterexample").oracle
         for count in (8, 16, 32, 64):
-            report = sweep_family(f, FamilyConfig.pencil(0.25, count=count))
+            report = sweep_family(f, FamilyConfig("pencil", -0.75, 0.0, count))
             assert not report.passes
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_pole_on_a_circle_names_parameter_and_theta(self):
-        config = FamilyConfig.centered(0.1, 1.0, 8)
+        config = FamilyConfig("centered", 0.1, 1.0, 8)
         pole = config.parameters()[3]
         with pytest.raises(SamplingError) as err:
             sweep_family(lambda z: 1.0 / (np.asarray(z, dtype=complex) - pole), config)
@@ -166,7 +187,7 @@ class TestTestFamily:
 
 class TestCrossConsistency:
     def test_holomorphic_agrees(self):
-        residual = cross_consistency(builtin("poly3").oracle, -0.3, probe_count=8)
+        residual = cross_consistency(builtin("poly3").oracle, -0.3, PipelineConfig(probe_count=8))
         assert residual < 1e-8
 
     def test_constant_agrees_exactly(self):
@@ -188,9 +209,9 @@ class TestCrossConsistency:
 
     def test_sequence_of_t_is_max_over_t(self):
         f = builtin("counterexample").oracle
-        kwargs = dict(r_floor=0.6, t_floor=-0.4)
-        single = [cross_consistency(f, T, **kwargs) for T in (-0.3, -0.1)]
-        assert cross_consistency(f, [-0.3, -0.1], **kwargs) == pytest.approx(max(single), rel=1e-12)
+        config = PipelineConfig(r_min=0.6, t_min=-0.4)
+        single = [cross_consistency(f, T, config) for T in (-0.3, -0.1)]
+        assert cross_consistency(f, [-0.3, -0.1], config) == pytest.approx(max(single), rel=1e-12)
 
     def test_capped_circle_is_inconclusive(self):
         # A pole just outside the unit circle: the surrounding circle of
@@ -202,9 +223,7 @@ class TestCrossConsistency:
 
     def test_counterexample_disagrees_under_floors(self):
         # With both families floored the extensions exist but differ by circle.
-        residual = cross_consistency(
-            builtin("counterexample").oracle, -0.3, r_floor=0.6, t_floor=-0.4
-        )
+        residual = cross_consistency(builtin("counterexample").oracle, -0.3, PipelineConfig(r_min=0.6, t_min=-0.4))
         assert residual > 1e-2
 
 
@@ -227,15 +246,21 @@ class TestDbarResidual:
         with pytest.raises(ConfigError):
             DbarGrid(r_min=0.5, r_max=0.2)
 
+    @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan])
+    def test_step_must_be_positive(self, h):
+        with pytest.raises(ConfigError) as info:
+            DbarGrid(h=h)
+        assert str(info.value) == f"step must be positive, got {h}"
+
 
 class TestValidateFamilies:
     def test_centered_vs_pencil_inequality(self):
         # r < 1 - 2*rho with rho = 0.3: smallest pencil circle center -0.7
         assert validate_families(
-            FamilyConfig.centered(0.2), FamilyConfig("pencil", -0.7, 0.0, 8)
+            FamilyConfig("centered", 0.2, 1.0), FamilyConfig("pencil", -0.7, 0.0, 8)
         )
         assert not validate_families(
-            FamilyConfig.centered(0.5), FamilyConfig("pencil", -0.7, 0.0, 8)
+            FamilyConfig("centered", 0.5, 1.0), FamilyConfig("pencil", -0.7, 0.0, 8)
         )
 
     def test_two_pencils(self):
@@ -258,7 +283,7 @@ class TestValidateFamilies:
                 rho = 0.05 + 0.05 * j
                 if abs(r - (1.0 - 2.0 * rho)) < 1e-9:
                     continue
-                centered = FamilyConfig.centered(r)
+                centered = FamilyConfig("centered", r, 1.0)
                 pencil = FamilyConfig("pencil", rho - 1.0, 0.0, 8)
                 assert validate_families(centered, pencil) == (1.0 - rho > r + rho), (r, rho)
 
@@ -332,15 +357,20 @@ class TestVerdict:
             (lambda: PipelineConfig(probe_count=0), "probe_count must be at least 1, got 0"),
             (lambda: DbarGrid(n_r=0), "n_r must be at least 1, got 0"),
             (lambda: DbarGrid(n_theta=0), "n_theta must be at least 1, got 0"),
-            (lambda: cross_consistency(builtin("expz").oracle, -0.3, probe_count=0),
-             "probe_count must be at least 1, got 0"),
         ],
-        ids=["t_count=0", "t_count=-1", "probe_count=0", "n_r=0", "n_theta=0", "cross_consistency-probe_count=0"],
+        ids=["t_count=0", "t_count=-1", "probe_count=0", "n_r=0", "n_theta=0"],
     )
     def test_counts_below_one_rejected(self, build, message):
         with pytest.raises(ConfigError) as info:
             build()
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("value", [0.0, -1e-9, math.nan])
+    @pytest.mark.parametrize("name", ["morera_tol", "cross_tol", "dbar_tol"])
+    def test_tolerances_must_be_positive(self, name, value):
+        with pytest.raises(ConfigError) as info:
+            PipelineConfig(**{name: value})
+        assert str(info.value) == f"{name} must be positive, got {value}"
 
     def test_two_point_classifies_on_the_wirtinger_residual(self):
         config = PipelineConfig(p2=1.0, circles_per_family=8)
@@ -405,10 +435,27 @@ class TestReports:
         assert doc["families"][0]["family"] == "centered"
         assert doc["families"][1]["family"] == "pencil"
 
+    def test_two_point_layout(self):
+        f = builtin("expz").oracle
+        config = PipelineConfig(p2=1.0, circles_per_family=8)
+        v = verdict(f, config)
+        doc = report_document(v, config, {"source": "builtin", "name": "expz"}, ["note"])
+        assert doc == {
+            "schema_version": 1,
+            "function": {"source": "builtin", "name": "expz"},
+            "tau": config.tau,
+            "hypotheses_valid": v.hypotheses_valid,
+            "families": [r.to_dict() for r in v.families],
+            "dbar": {"residual": v.dbar_value},
+            "cross_consistency": None,
+            "verdict": CLASS_CONSISTENT,
+            "warnings": ["note"],
+        }
 
-def reference_surrounding_circles(T, tau, r_floor, t_floor, margin, per_family):
+
+def reference_surrounding_circles(T, r_floor, t_floor):
     """The circles of both families around one ``T``, built one T at a time."""
-    t_floor = (-1.0 + tau) if t_floor is None else t_floor
+    margin, per_family = 0.05, 3
     out = []
     r_lo = max(r_floor, abs(T) + margin)
     if r_lo < 1.0:
@@ -421,30 +468,29 @@ def reference_surrounding_circles(T, tau, r_floor, t_floor, margin, per_family):
     return out
 
 
-def reference_cross_consistency(
-    f, T, probe_count=8, tau=DEFAULT_TAU, tol=ext.DEFAULT_MORERA_TOL, samples=ext.DEFAULT_SAMPLES,
-    r_floor=0.0, t_floor=None, margin=0.05, per_family=3,
-):
+def reference_cross_consistency(f, T, config=PipelineConfig()):
     """Cross-consistency with a loop over T: the reference for the array version."""
     t_values = [float(t) for t in np.atleast_1d(T)]
+    t_floor = (-1.0 + config.tau) if config.t_min is None else config.t_min
     keys = {}
     names = {}
     pairs = []
     probes = []
     for t in t_values:
-        if not (-1.0 + 2.0 * tau < t < 0.0):
-            raise DomainError(f"T = {t} outside the admissible interval ({-1.0 + 2.0 * tau}, 0)")
-        chosen = reference_surrounding_circles(t, tau, r_floor, t_floor, margin, per_family)
+        if not (-1.0 + 2.0 * config.tau < t < 0.0):
+            raise DomainError(f"T = {t} outside the admissible interval ({-1.0 + 2.0 * config.tau}, 0)")
+        chosen = reference_surrounding_circles(t, config.r_min, t_floor)
         if len(chosen) < 2:
             raise ConfigError(f"no surrounding circles available for T = {t} under the given floors")
         delta = min(0.25 * min(c.radius - abs(t - c.center) for _, _, c in chosen), 0.02)
-        ring = t + delta * np.exp(2j * np.pi * np.arange(probe_count) / probe_count)
+        n = config.probe_count
+        ring = t + delta * np.exp(2j * np.pi * np.arange(n) / n)
         for kind, param, circle in chosen:
             row = keys.setdefault((circle.center, circle.radius), len(keys))
             names.setdefault(row, f"the {kind} circle with parameter {param} surrounding T = {t}")
             pairs.append((t, row))
             probes.append(ring)
-    batch = ext.analyze_batch(f, [c for c, _ in keys], [r for _, r in keys], tol, samples)
+    batch = ext.analyze_batch(f, [c for c, _ in keys], [r for _, r in keys], config.morera_tol, config.samples)
     batch.require_extensions(names.__getitem__)
     values = batch.evaluate(np.array(probes), [row for _, row in pairs])
     residual = 0.0
@@ -458,38 +504,34 @@ def _exp(c):
     return lambda z: np.exp(c * np.asarray(z, dtype=complex))
 
 
-def _pipeline_arguments(config):
-    return (config.t_values(),), dict(
-        probe_count=config.probe_count, tau=config.tau, tol=config.morera_tol, samples=config.samples,
-        r_floor=config.r_min, t_floor=config.pencil_floor,
-    )
-
-
 CROSS_FUNCTIONS = {name: builtin(name).oracle for name in builtin_names()}
 CROSS_FUNCTIONS.update({f"exp({c}z)": _exp(c) for c in (1, 10, 20, 25, 40)})
 CROSS_FUNCTIONS["pole-at-1.0001"] = lambda z: 1.0 / (np.asarray(z, dtype=complex) - 1.0001)
+SHARPNESS = PipelineConfig(r_min=0.6, t_min=-0.4)
+WIDE = PipelineConfig(tau=0.1, r_min=0.2, t_count=5, probe_count=6, samples=128)
+NARROW = PipelineConfig(tau=0.4, probe_count=3)
 T8 = PipelineConfig().t_values()
+# Each setting is (T, config); a config that is not given is the default.
 CROSS_SETTINGS = {
-    "default-config": _pipeline_arguments(PipelineConfig()),
-    "sharpness-config": _pipeline_arguments(PipelineConfig(r_min=0.6, t_min=-0.4)),
-    "wide-config": _pipeline_arguments(PipelineConfig(tau=0.1, r_min=0.2, t_count=5, probe_count=6, samples=128)),
-    "floors-0.6": ((T8,), dict(r_floor=0.6, t_floor=-0.4)),
-    "floor-0.3": ((T8,), dict(r_floor=0.3)),
-    "two-per-family": ((T8,), dict(per_family=2, margin=0.1)),
-    "single-T": ((-0.3,), {}),
-    "repeated-T": (([-0.3, -0.1, -0.3],), {}),
-    "no-T": (([],), {}),
-    "T-out-of-range": (([-0.3, -0.9],), {}),
-    "too-few-circles": (([-0.3, -0.1],), dict(r_floor=1.0, per_family=1)),
-    "zero-radius": (([-0.3],), dict(margin=-2.0)),
-    "pencil-beyond-point": (([-0.3],), dict(r_floor=1.0, t_floor=-1.5, margin=-2.0)),
-    "one-circle-beyond-point": (([-0.3],), dict(r_floor=1.0, t_floor=-1.5, margin=-2.0, per_family=1)),
+    "default-config": (T8, PipelineConfig()),
+    "sharpness-config": (T8, SHARPNESS),
+    "wide-config": (WIDE.t_values(), WIDE),
+    "narrow-config": (NARROW.t_values(), NARROW),
+    "floor-0.3": (T8, PipelineConfig(r_min=0.3)),
+    "single-T": (-0.3, None),
+    "repeated-T": ([-0.3, -0.1, -0.3], None),
+    "no-T": ([], None),
+    "T-out-of-range": ([-0.3, -0.9], None),
+    "too-few-circles": ([-0.3, -0.1], PipelineConfig(r_min=1.0, t_min=0.0)),
+    "one-family": ([-0.3, -0.1], PipelineConfig(r_min=1.0)),
+    "one-probe": (T8, PipelineConfig(probe_count=1)),
+    "loose-tolerance": (T8, PipelineConfig(morera_tol=1e-3, samples=64)),
 }
 
 
-def _outcome(fn, f, args, kwargs):
+def _outcome(fn, f, T, config):
     try:
-        return "value", fn(f, *args, **kwargs)
+        return "value", (fn(f, T) if config is None else fn(f, T, config))
     except Exception as exc:  # noqa: BLE001 - the exception itself is compared
         return type(exc), str(exc), getattr(exc, "circle", None)
 
@@ -499,9 +541,9 @@ class TestCrossConsistencyOracle:
     @pytest.mark.parametrize("function", list(CROSS_FUNCTIONS))
     def test_matches_the_per_t_loop(self, function, setting):
         f = CROSS_FUNCTIONS[function]
-        args, kwargs = CROSS_SETTINGS[setting]
-        expected = _outcome(reference_cross_consistency, f, args, kwargs)
-        assert _outcome(cross_consistency, f, args, kwargs) == expected
+        T, config = CROSS_SETTINGS[setting]
+        expected = _outcome(reference_cross_consistency, f, T, config)
+        assert _outcome(cross_consistency, f, T, config) == expected
 
 
 # JSON documents of the kinds reports hold: nested dicts with string keys,

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morera import cli, fiber
+from morera import analysis, cli, fiber
 from morera.cli import main, parse_point
 from morera.errors import ConfigError
 from morera.funczoo import builtin
@@ -102,6 +102,17 @@ class TestVerdictCommand:
         assert any("partial coverage" in w for w in doc["warnings"])
         assert doc["cross_consistency"] is None
 
+    @pytest.mark.parametrize("p2", ["1", "0.6+0.8i"])
+    def test_two_point_report_is_the_library_document(self, capsys, p2):
+        argv = ["verdict", "--builtin", "counterexample", "--two-point", p2, "--rho", "0.6", "--circles", "8"]
+        code, out, _ = run(argv, capsys)
+        config = analysis.PipelineConfig(p2=parse_point(p2), t_min=-0.4, circles_per_family=8)
+        result = analysis.verdict(builtin("counterexample").oracle, config)
+        warning = "two-point pencil configuration: cross-consistency not evaluated (partial coverage)"
+        doc = analysis.report_document(result, config, {"source": "builtin", "name": "counterexample"}, [warning])
+        assert code == 1
+        assert out == analysis.dumps_report(doc)
+
     @pytest.mark.parametrize("extra", [[], ["--two-point", "1"]])
     def test_unsampleable_wirtinger_grid_reports_null(self, capsys, extra):
         # The pole at 0.501 lies on a finite-difference stencil of the
@@ -111,6 +122,28 @@ class TestVerdictCommand:
         doc = json.loads(out)
         assert doc["dbar"]["residual"] is None
         assert doc["verdict"] == "morera-failure"
+
+
+# Flag values refused by a configuration check, with the message that names them.
+REJECTED_FLAG_VALUES = [
+    (["verdict", "--circles", "1"], "family grid needs at least 2 circles, got 1"),
+    (["sweep", "--circles", "1"], "family grid needs at least 2 circles, got 1"),
+    (["verdict", "--cross-tol", "0"], "cross_tol must be positive, got 0.0"),
+    (["verdict", "--dbar-tol", "-1e-3"], "dbar_tol must be positive, got -0.001"),
+    (["verdict", "--morera-tol", "0"], "morera_tol must be positive, got 0.0"),
+    (["sweep", "--morera-tol", "nan"], "morera_tol must be positive, got nan"),
+    (["verdict", "--p", "1+"],
+     "invalid complex literal '1+': parse error at offset 2: expected a number, variable, function call, or '('"),
+    (["verdict", "--rho", "0"], "--rho must lie in (0, 1), got 0.0"),
+    (["sweep", "--rho", "1.5"], "--rho must lie in (0, 1), got 1.5"),
+    (["sweep", "--family", "centered", "--r-min", "0.9995"], "parameter range [0.9995, 1.0] too small for inset 0.001"),
+]
+
+
+class TestRejectedFlagValues:
+    @pytest.mark.parametrize("argv, message", REJECTED_FLAG_VALUES, ids=[" ".join(a) for a, _ in REJECTED_FLAG_VALUES])
+    def test_is_config_error_naming_the_value(self, capsys, argv, message):
+        assert run(argv + ["--builtin", "expz"], capsys) == (2, "", f"error: {message}\n")
 
 
 class TestPencilPointFlags:
@@ -395,6 +428,32 @@ class TestGridRoundTrip:
         path.write_text("\n".join([header] + rows) + "\n")
         code, _, err = run(["sweep", "--grid", str(path), "--circles", "8"], capsys)
         assert code == 2 and "missing" in err
+
+    def test_extra_duplicated_row_rejected(self, capsys, tmp_path):
+        path = tmp_path / "grid.csv"
+        write_polar_grid(str(path), builtin("poly3").oracle, n_r=8, n_theta=16)
+        path.write_text(path.read_text() + path.read_text().splitlines()[3] + "\n")
+        code, out, err = run(["sweep", "--grid", str(path), "--circles", "8"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: grid file {path} is not a full (r, theta) tensor grid\n"
+
+    @pytest.mark.parametrize(
+        "radii, thetas, message",
+        [
+            ((0.0, 0.5, 1.0), (0.0, 1.5, 3.0, 4.5), "polar grid needs at least 4 radii and 4 angles for cubic interpolation"),
+            ((0.0, 0.3, 0.6, 1.0), (0.0, 1.0, 2.0, 4.0), "grid angles must be equispaced starting at 0"),
+            ((0.0, 0.3, 0.6, 1.0), (0.5, 2.0, 3.5, 5.0), "grid angles must be equispaced starting at 0"),
+        ],
+        ids=["three-radii", "uneven-angles", "angles-not-from-zero"],
+    )
+    def test_unusable_tensor_grid_rejected(self, capsys, tmp_path, radii, thetas, message):
+        path = tmp_path / "grid.csv"
+        rows = [f"{r!r},{t!r},1.0,0.0" for r in radii for t in thetas]
+        path.write_text("\n".join(["r,theta,re,im"] + rows) + "\n")
+        with pytest.raises(ConfigError) as err:
+            read_polar_grid(str(path))
+        assert str(err.value) == message
+        assert run(["verdict", "--grid", str(path), "--circles", "8"], capsys) == (2, "", f"error: {message}\n")
 
     def test_malformed_grid_rejected(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -14,6 +14,7 @@ from morera.analysis import FamilyConfig, dumps_report, verdict
 from morera.analysis import test_family as sweep_family
 from morera.cli import main, parse_point
 from morera.errors import (
+    ConfigError,
     DomainError,
     InconclusiveError,
     InvalidStateError,
@@ -107,6 +108,13 @@ class TestAnalyzeCircle:
         data = analyze_circle(np.conj, Circle(0, 1.0), 16)
         assert data.coefficient(-1) == pytest.approx(1.0, abs=1e-14)
         assert data.tail_energy_negative == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("k", [-9, 8, 100])
+    def test_coefficient_outside_the_band_rejected(self, k):
+        data = analyze_circle(lambda z: z**2, Circle(0, 1.0), 16)
+        with pytest.raises(ParameterDomainError) as err:
+            data.coefficient(k)
+        assert str(err.value) == f"frequency {k} outside [-8, 8)"
 
     def test_counterexample_small_circle(self):
         f = builtin("counterexample").oracle
@@ -551,8 +559,22 @@ class TestOracleErrors:
             raise RuntimeError("broken oracle")
 
         with pytest.raises(RuntimeError, match="broken oracle"):
-            sweep_family(f, FamilyConfig.centered(0.2, count=4))
+            sweep_family(f, FamilyConfig("centered", 0.2, 1.0, 4))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("error", [DomainError, ConfigError, ParameterDomainError])
+    def test_morera_error_is_raised_not_retried(self, error):
+        # These are ValueErrors too, but an oracle raising one means it, not
+        # that it takes single points only.
+        calls = []
+
+        def f(z):
+            calls.append(z)
+            raise error("refused by the oracle")
+
+        with pytest.raises(error, match="refused by the oracle"):
+            verdict(f)
+        assert len(calls) == 1 and isinstance(calls[0], np.ndarray)
 
     def test_scalar_only_oracle_falls_back(self):
         def f(z):

@@ -57,8 +57,8 @@ class TestGroundTruthAgainstMoreraTest:
     @pytest.mark.parametrize("name", ["poly3", "expz", "rational", "counterexample", "conjugate", "absq", "radial-smooth"])
     def test_extension_test_matches_closed_form_predicate(self, name):
         entry = builtin(name)
-        centered = FamilyConfig.centered(0.05, 1.0, 8)
-        pencil = FamilyConfig.pencil(0.25, count=8)
+        centered = FamilyConfig("centered", 0.05, 1.0, 8)
+        pencil = FamilyConfig("pencil", -0.75, 0.0, 8)
         for config in (centered, pencil):
             for param in config.parameters():
                 circle = config.circle(param)
