@@ -32,10 +32,12 @@ from .geometry import DEFAULT_TAU, Circle, require_boundary_point, require_tau
 DEFAULT_CROSS_TOL = 1e-6
 DEFAULT_DBAR_TOL = 1e-4
 DEFAULT_CIRCLES = 32
-# Cross-consistency takes this many circles of each family around a point T,
-# the smallest this far inside the bound for surrounding T.
+# Cross-consistency compares the extensions from this many circles of each family around a point T,
+# the smallest this far inside the bound for surrounding T, at this many probe points, for this many T.
 CROSS_PER_FAMILY = 3
 CROSS_MARGIN = 0.05
+CROSS_PROBES = 8
+CROSS_T_COUNT = 8
 # Family grids stay this far away from the ends of the parameter interval
 # (near t = 0 the pencil circle hugs the unit circle, where sampling a merely
 # continuous function is ill-conditioned).
@@ -286,8 +288,9 @@ class PipelineConfig(Record):
     """Everything the full verdict pipeline needs.
 
     The defaults describe the reference setup: full centered family, pencil
-    through p = -1 with radius floor tau = 1/4, 32 circles per family.
-    Raising ``r_min``/``t_min`` shrinks the families (the sharpness demo
+    through p = -1 with radius floor tau = 1/4, 32 circles per family.  Each
+    family runs from its floor to the unit circle; raising
+    ``r_min``/``t_min`` shrinks the families (the sharpness demo
     floors both at radius 0.6, violating the disjoint-smallest-circles
     hypothesis).  Setting ``p2`` selects the two-point configuration: the
     pencils through ``p`` and ``p2`` take the place of centered + pencil.
@@ -299,24 +302,18 @@ class PipelineConfig(Record):
     p2: Optional[complex] = None
     circles_per_family: int = DEFAULT_CIRCLES
     r_min: float = 0.05
-    r_max: float = 1.0
     t_min: Optional[float] = None  # default -1 + tau
-    t_max: float = 0.0
     morera_tol: float = ext.DEFAULT_MORERA_TOL
     cross_tol: float = DEFAULT_CROSS_TOL
     dbar_tol: float = DEFAULT_DBAR_TOL
     samples: int = ext.DEFAULT_SAMPLES
-    t_count: int = 8
-    probe_count: int = 8
-    dbar_grid: DbarGrid = DbarGrid()
 
     def __post_init__(self):
         require_tau(self.tau)
-        require_count("t_count", self.t_count)
-        require_count("probe_count", self.probe_count)
         for name in ("morera_tol", "cross_tol", "dbar_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ConfigError(f"{name} must be {'finite' if value > 0.0 else 'positive'}, got {value}")
 
     @property
     def pencil_floor(self) -> float:
@@ -343,19 +340,18 @@ class PipelineConfig(Record):
             return pencils
         families: tuple[FamilyConfig, ...] = ()
         if kind in ("both", "centered"):
-            families += (FamilyConfig("centered", self.r_min, self.r_max, self.circles_per_family),)
+            families += (FamilyConfig("centered", self.r_min, 1.0, self.circles_per_family),)
         if kind in ("both", "pencil"):
             families += (self._pencil(self.p),)
         return families
 
     def _pencil(self, p: complex) -> FamilyConfig:
-        return FamilyConfig("pencil", self.pencil_floor, self.t_max, self.circles_per_family, complex(p))
+        return FamilyConfig("pencil", self.pencil_floor, 0.0, self.circles_per_family, complex(p))
 
     def t_values(self) -> np.ndarray:
         lo = -1.0 + 2.0 * self.tau
-        hi = 0.0
-        inset = 0.05 * (hi - lo)
-        return np.linspace(lo + inset, hi - inset, self.t_count)
+        inset = 0.05 * (0.0 - lo)
+        return np.linspace(lo + inset, 0.0 - inset, CROSS_T_COUNT)
 
 
 def cross_consistency(
@@ -365,14 +361,14 @@ def cross_consistency(
 
     For each real point T (one, or a sequence) evaluates the holomorphic
     extension of ``f`` from a sample of surrounding circles of both families
-    at ``config.probe_count`` probe points near T, and returns the maximum
-    pairwise difference over all T.  ``f`` is taken in normalized coordinates,
-    where the pencil point is -1 (:func:`verdict` rotates it there), so
-    ``config.p`` is not read.  A centered circle of radius R surrounds T iff
-    |T| < R, a pencil member of parameter t iff T < 2t + 1; each family
-    contributes :data:`CROSS_PER_FAMILY` evenly spaced members, from
-    :data:`CROSS_MARGIN` inside that bound, and no lower than ``config.r_min``
-    or ``config.pencil_floor``, to the unit circle.  The T are taken in order:
+    at :data:`CROSS_PROBES` probe points near T, and returns the maximum
+    pairwise difference over all T.  ``f`` is first rotated to send
+    ``config.p`` to -1; T, the circles and any circle named in an error are
+    in that frame.  A centered circle of radius R surrounds T iff |T| < R, a
+    pencil member of parameter t iff T < 2t + 1; each family contributes
+    :data:`CROSS_PER_FAMILY` evenly spaced members, from :data:`CROSS_MARGIN`
+    inside that bound, and no lower than ``config.r_min`` or
+    ``config.pencil_floor``, to the unit circle.  The T are taken in order:
     one outside (-1 + 2 tau, 0) raises :class:`DomainError`, one with fewer
     than two surrounding circles :class:`ConfigError`.  Each distinct circle
     is then analyzed once at ``config.samples`` and ``config.morera_tol``,
@@ -380,16 +376,19 @@ def cross_consistency(
     extendability test raises :class:`ExtensionFailureError`; failing that,
     one still aliased at the sample cap raises :class:`InconclusiveError`.
     """
-    tau = config.tau
+    p = require_boundary_point(config.p)
+    if abs(p - (-1.0)) >= 1e-15:
+        rot = -p.conjugate()  # sends p to -1
+        f = lambda zeta, f=f: f(zeta / rot)
     keys: dict = {}  # (center, radius) -> row of the batch, in first-occurrence order
     names: list[str] = []  # per row, its first (T, circle) pair
     rows: list[int] = []  # per (T, circle) pair, in T order
     probes: list[np.ndarray] = []  # per (T, circle) pair, the probe ring of its T
     blocks: list[int] = []  # per T, its number of circles
-    unit_ring = np.exp(2j * np.pi * np.arange(config.probe_count) / config.probe_count)
+    unit_ring = np.exp(2j * np.pi * np.arange(CROSS_PROBES) / CROSS_PROBES)
     for t in [float(t) for t in np.atleast_1d(T)]:
-        if not -1.0 + 2.0 * tau < t < 0.0:
-            raise DomainError(f"T = {t} outside the admissible interval ({-1.0 + 2.0 * tau}, 0)")
+        if not -1.0 + 2.0 * config.tau < t < 0.0:
+            raise DomainError(f"T = {t} outside the admissible interval ({-1.0 + 2.0 * config.tau}, 0)")
         r_lo = max(config.r_min, abs(t) + CROSS_MARGIN)
         t_lo = max(config.pencil_floor, (t - 1.0 + CROSS_MARGIN) / 2.0)
         chosen = []
@@ -474,7 +473,7 @@ def verdict(f: Oracle, config: PipelineConfig = PipelineConfig()) -> Verdict:
     families = config.families()
     reports = tuple(test_family(f, fam, config.morera_tol, config.samples) for fam in families)
     try:
-        dbar_extrap, dbar_error = dbar_residual_detail(f, config.dbar_grid)
+        dbar_extrap, dbar_error = dbar_residual_detail(f, DbarGrid())
         dbar_value: Optional[float] = float(np.max(np.abs(dbar_extrap)))
     except SamplingError:
         dbar_value = dbar_error = None
@@ -493,19 +492,10 @@ def verdict(f: Oracle, config: PipelineConfig = PipelineConfig()) -> Verdict:
         return replace(result, classification=CLASS_CONSISTENT if dbar_ok else CLASS_INCONSISTENT)
 
     # Both families pass on the grid; measure cross-consistency near the real
-    # segment every surrounding circle sees.  Work in normalized coordinates
-    # (pencil point rotated to -1).
-    if abs(config.p - (-1.0)) < 1e-15:
-        f_norm = f
-    else:
-        rot = -families[1].p.conjugate()  # sends p to -1
-
-        def f_norm(zeta):
-            return f(zeta / rot)
-
+    # segment every surrounding circle sees.
     t_values = config.t_values()
     try:
-        cross = cross_consistency(f_norm, t_values, config)
+        cross = cross_consistency(f, t_values, config)
     except (ExtensionFailureError, InconclusiveError) as exc:
         # An off-grid circle inside the configured ranges failed (a Morera
         # failure the finite grid missed) or stayed aliased at the cap.

@@ -260,7 +260,7 @@ def resolve_function(args) -> tuple:
     """Resolve the (oracle, description, warnings, extendability tolerance) of a run.
 
     The tolerance is ``--morera-tol``, inflated by ``--grid-inflation`` for a
-    grid-file source.
+    grid-file source, where it must stay finite.
     """
     sources = [s for s in ("builtin", "expr", "grid") if getattr(args, s, None)]
     if len(sources) != 1:
@@ -277,11 +277,14 @@ def resolve_function(args) -> tuple:
     inflation = float(args.grid_inflation)
     if not 0.0 < inflation < math.inf:
         raise ConfigError(f"--grid-inflation must be positive and finite, got {inflation}")
+    tol = args.morera_tol * inflation
+    if tol == math.inf:
+        raise ConfigError(f"--morera-tol {args.morera_tol} inflated x{inflation} must stay finite, got {tol}")
     oracle = gridio.read_polar_grid(args.grid)
     warnings.append(
         f"function interpolated from grid file; extendability threshold inflated x{inflation}"
     )
-    return oracle, {"source": "grid", "path": args.grid}, warnings, args.morera_tol * inflation
+    return oracle, {"source": "grid", "path": args.grid}, warnings, tol
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -399,11 +402,12 @@ def cmd_theta(args) -> int:
     f, _, _, tol = resolve_function(args)
     z = parse_point(args.z)
     curve = fiber.fiber_curve(z, tau=args.tau)
-    re = curve.nodes_w.real
-    im = curve.nodes_w.imag
     pad = args.w_pad * curve.diameter
-    xs = np.linspace(re.min() - pad, re.max() + pad, args.w_count)
-    ys = np.linspace(im.min() - pad, im.max() + pad, args.w_count)
+    # Python floats, which overflow to inf silently, so an overflowing grid is caught before numpy sees it.
+    bounds = [(float(x.min()) - pad, float(x.max()) + pad) for x in (curve.nodes_w.real, curve.nodes_w.imag)]
+    if not all(math.isfinite(hi - lo) for lo, hi in bounds):
+        raise ConfigError(f"--w-pad {args.w_pad} overflows the W grid of a curve of diameter {curve.diameter}")
+    xs, ys = (np.linspace(lo, hi, args.w_count) for lo, hi in bounds)
     grid = [complex(x, y) for y in ys for x in xs]
     locations, values = fiber.cauchy_table(f, curve, grid, args.nodes, args.samples, tol)
     rows = ["re_w,im_w,location,re_theta,im_theta,abs_theta"]

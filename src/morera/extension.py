@@ -210,10 +210,10 @@ def _threshold_rule(negative, high, total, tol: float) -> tuple:
     energy is at most ``tol`` times its total energy and the aliasing band
     stays below the same threshold.  The threshold is purely relative, so a
     trace is judged by its shape however small it is; the zero function
-    passes (0 <= 0).
+    passes (0 <= 0).  ``tol`` must be positive and finite.
     """
-    if not tol > 0.0:
-        raise ParameterDomainError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ParameterDomainError(f"tolerance must be {'finite' if tol > 0.0 else 'positive'}, got {tol}")
     threshold = tol * total
     aliasing = np.greater(high, threshold)
     passes = np.logical_and(np.less_equal(negative, threshold), np.logical_not(aliasing))

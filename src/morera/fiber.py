@@ -56,6 +56,7 @@ from .geometry import (
     DEFAULT_TAU,
     EPS_GEOM,
     Arc,
+    _require_finite,
     arc_lambda,
     in_admissible_region,
     pencil_param,
@@ -241,13 +242,14 @@ def _quadrature(z: complex, t_min: float, per_piece: int) -> tuple:
 def fiber_curve(z: complex, nodes_per_piece: int = DEFAULT_NODES // 2, tau: float = DEFAULT_TAU) -> FiberCurve:
     """Build the positively oriented fiber curve of ``z``.
 
-    ``tau`` must lie in (0, 1/2), and ``z`` must be admissible (open unit
-    disc, outside the closed disc of the smallest pencil member, off [0, 1])
-    and non-real; for real base points the fiber is the extended real line
-    and has no bounded representation.
+    ``tau`` must lie in (0, 1/2), ``nodes_per_piece`` be at least 1, and ``z``
+    be finite, admissible (open unit disc, outside the closed disc of the
+    smallest pencil member, off [0, 1]) and non-real; for real base points the
+    fiber is the extended real line and has no bounded representation.
     """
     require_tau(tau)
-    z = complex(z)
+    _require_nodes(nodes_per_piece)
+    z = _require_finite(z, "z")
     if abs(z.imag) < EPS_GEOM:
         raise DegenerateInputError(
             "fiber over a real base point is the extended real line, not a closed curve"
@@ -273,9 +275,12 @@ def _locations(curve: FiberCurve, Ws: np.ndarray) -> np.ndarray:
     The segment is a chord of the arc's circle, so D_z is that disc cut by
     the chord's line: ``W`` is inside iff it lies in the open disc and on the
     same side of the chord as the arc's midpoint.  A ``W`` closer to the
-    curve than its proximity guard cannot be classified and gets -1.
+    curve than its proximity guard cannot be classified and gets -1; the
+    first non-finite ``W`` raises :class:`ParameterDomainError`.
     """
     Ws = np.asarray(Ws, dtype=complex)
+    if not np.isfinite(Ws).all():
+        _require_finite(Ws[~np.isfinite(Ws)][0], "W")
     circle = curve.arc.circle
     a, b = curve.segment
     chord = (b - a).conjugate()

@@ -205,7 +205,7 @@ def test_criterion_5_fiber_integral_holomorphy(criterion):
 
 def test_criterion_6_pipeline_positive(criterion):
     with criterion(6, "verdict holomorphic-consistent for holomorphic members", 60.0):
-        config = PipelineConfig(tau=0.25, circles_per_family=32, t_count=8)
+        config = PipelineConfig(tau=0.25, circles_per_family=32)
         for name in ("poly3", "expz", "rational"):
             v = verdict(builtin(name).oracle, config)
             assert v.classification == CLASS_CONSISTENT, name

@@ -17,6 +17,7 @@ from morera.analysis import (
     CLASS_INCONCLUSIVE,
     CLASS_INCONSISTENT,
     CLASS_MORERA_FAILURE,
+    CROSS_PROBES,
     DbarGrid,
     FamilyConfig,
     PipelineConfig,
@@ -71,14 +72,14 @@ class TestFamilyConfig:
             (lambda: FamilyConfig("centered", 0.1, 1.0, 1), "family grid needs at least 2 circles, got 1"),
             (lambda: FamilyConfig("pencil", -1.0, 0.0), "pencil parameters must lie in (-1, 0], got [-1.0, 0.0]"),
             (lambda: FamilyConfig("pencil", -0.5, 0.25), "pencil parameters must lie in (-1, 0], got [-0.5, 0.25]"),
-            (lambda: PipelineConfig(t_max=0.5).families("pencil"),
+            (lambda: FamilyConfig("pencil", PipelineConfig().pencil_floor, 0.5),
              "pencil parameters must lie in (-1, 0], got [-0.75, 0.5]"),
             (lambda: FamilyConfig("centered", 0.5, 0.501).parameters(),
              "parameter range [0.5, 0.501] too small for inset 0.001"),
             (lambda: FamilyConfig("pencil", -0.3, -0.2985).parameters(),
              "parameter range [-0.3, -0.2985] too small for inset 0.001"),
         ],
-        ids=["one-circle", "pencil-at-minus-one", "pencil-above-zero", "pipeline-t-max", "centered-inset",
+        ids=["one-circle", "pencil-at-minus-one", "pencil-above-zero", "default-floor-above-zero", "centered-inset",
              "pencil-inset"],
     )
     def test_rejection_names_the_values(self, build, message):
@@ -187,7 +188,7 @@ class TestTestFamily:
 
 class TestCrossConsistency:
     def test_holomorphic_agrees(self):
-        residual = cross_consistency(builtin("poly3").oracle, -0.3, PipelineConfig(probe_count=8))
+        residual = cross_consistency(builtin("poly3").oracle, -0.3, PipelineConfig())
         assert residual < 1e-8
 
     def test_constant_agrees_exactly(self):
@@ -206,6 +207,23 @@ class TestCrossConsistency:
         # z^100 aliases at 256 samples on the outer surrounding circles.
         residual = cross_consistency(lambda z: np.asarray(z, dtype=complex) ** 100, -0.3)
         assert residual < 1e-12
+
+    def test_reads_the_pencil_point(self):
+        # The sharpness counterexample moved to a = 0.5i, seen through the
+        # pencil at p = 1i: a library call measures what the verdict does.
+        def f(z):
+            u = np.asarray(z, dtype=complex) - 0.5j
+            return u**2 / np.conj(u)
+
+        config = PipelineConfig(p=1j, r_min=0.6, t_min=-0.4)
+        v = verdict(f, config)
+        assert v.classification == CLASS_INCONSISTENT
+        assert v.cross_residual == pytest.approx(0.24569194185039, rel=1e-9)
+        assert cross_consistency(f, config.t_values(), config) == v.cross_residual
+
+    def test_pencil_point_off_the_unit_circle_rejected(self):
+        with pytest.raises(ConfigError, match="unit circle"):
+            cross_consistency(builtin("poly3").oracle, -0.3, PipelineConfig(p=2.0))
 
     def test_sequence_of_t_is_max_over_t(self):
         f = builtin("counterexample").oracle
@@ -323,13 +341,14 @@ class TestVerdict:
         assert max(c.samples for r in v.families for c in r.circles) == 512
 
     def test_cross_circle_aliased_at_cap_is_inconclusive(self):
-        # Every sweep circle stays clear of the pole at 1.0001; the radius-1
-        # cross-consistency circle does not.
-        f = lambda z: 1.0 / (np.asarray(z, dtype=complex) - 1.0001)
-        v = verdict(f, PipelineConfig(r_max=0.9, t_max=-0.1))
+        # The branch point at 1 lies on the unit circle: the sweep circles
+        # miss it (the centered radii stop at the grid inset, the pencil
+        # circles reach 2t + 1 < 1) and pass after refinement; the radius-1
+        # cross-consistency circle runs through it.
+        v = verdict(lambda z: (1 - np.asarray(z, dtype=complex)) ** 0.5)
         assert all(r.passes for r in v.families)
         assert v.classification == CLASS_INCONCLUSIVE
-        assert "centered circle with parameter 1.0" in v.cross_note
+        assert "the centered circle with parameter 1.0 surrounding T = -0.475" in v.cross_note
 
     @pytest.mark.parametrize("name", builtin_names())
     def test_small_scale_keeps_the_classification(self, name):
@@ -352,13 +371,10 @@ class TestVerdict:
     @pytest.mark.parametrize(
         "build, message",
         [
-            (lambda: PipelineConfig(t_count=0), "t_count must be at least 1, got 0"),
-            (lambda: PipelineConfig(t_count=-1), "t_count must be at least 1, got -1"),
-            (lambda: PipelineConfig(probe_count=0), "probe_count must be at least 1, got 0"),
             (lambda: DbarGrid(n_r=0), "n_r must be at least 1, got 0"),
             (lambda: DbarGrid(n_theta=0), "n_theta must be at least 1, got 0"),
         ],
-        ids=["t_count=0", "t_count=-1", "probe_count=0", "n_r=0", "n_theta=0"],
+        ids=["n_r=0", "n_theta=0"],
     )
     def test_counts_below_one_rejected(self, build, message):
         with pytest.raises(ConfigError) as info:
@@ -371,6 +387,12 @@ class TestVerdict:
         with pytest.raises(ConfigError) as info:
             PipelineConfig(**{name: value})
         assert str(info.value) == f"{name} must be positive, got {value}"
+
+    @pytest.mark.parametrize("name", ["morera_tol", "cross_tol", "dbar_tol"])
+    def test_tolerances_must_be_finite(self, name):
+        with pytest.raises(ConfigError) as info:
+            PipelineConfig(**{name: math.inf})
+        assert str(info.value) == f"{name} must be finite, got inf"
 
     def test_two_point_classifies_on_the_wirtinger_residual(self):
         config = PipelineConfig(p2=1.0, circles_per_family=8)
@@ -419,7 +441,7 @@ class TestVerdict:
 class TestReports:
     def test_byte_identical_documents(self):
         f = builtin("rational").oracle
-        config = PipelineConfig(circles_per_family=8, t_count=3)
+        config = PipelineConfig(circles_per_family=8)
         docs = []
         for _ in range(2):
             v = verdict(f, config)
@@ -428,7 +450,7 @@ class TestReports:
 
     def test_schema_keys(self):
         f = builtin("expz").oracle
-        config = PipelineConfig(circles_per_family=8, t_count=3)
+        config = PipelineConfig(circles_per_family=8)
         doc = json.loads(dumps_report(report_document(verdict(f, config), config, {"source": "builtin", "name": "expz"})))
         assert doc["verdict"] == CLASS_CONSISTENT
         assert {"family", "parameter", "negative_energy", "passes"} <= set(doc["families"][0]["circles"][0])
@@ -483,7 +505,7 @@ def reference_cross_consistency(f, T, config=PipelineConfig()):
         if len(chosen) < 2:
             raise ConfigError(f"no surrounding circles available for T = {t} under the given floors")
         delta = min(0.25 * min(c.radius - abs(t - c.center) for _, _, c in chosen), 0.02)
-        n = config.probe_count
+        n = CROSS_PROBES
         ring = t + delta * np.exp(2j * np.pi * np.arange(n) / n)
         for kind, param, circle in chosen:
             row = keys.setdefault((circle.center, circle.radius), len(keys))
@@ -508,8 +530,8 @@ CROSS_FUNCTIONS = {name: builtin(name).oracle for name in builtin_names()}
 CROSS_FUNCTIONS.update({f"exp({c}z)": _exp(c) for c in (1, 10, 20, 25, 40)})
 CROSS_FUNCTIONS["pole-at-1.0001"] = lambda z: 1.0 / (np.asarray(z, dtype=complex) - 1.0001)
 SHARPNESS = PipelineConfig(r_min=0.6, t_min=-0.4)
-WIDE = PipelineConfig(tau=0.1, r_min=0.2, t_count=5, probe_count=6, samples=128)
-NARROW = PipelineConfig(tau=0.4, probe_count=3)
+WIDE = PipelineConfig(tau=0.1, r_min=0.2, samples=128)
+NARROW = PipelineConfig(tau=0.4)
 T8 = PipelineConfig().t_values()
 # Each setting is (T, config); a config that is not given is the default.
 CROSS_SETTINGS = {
@@ -524,7 +546,6 @@ CROSS_SETTINGS = {
     "T-out-of-range": ([-0.3, -0.9], None),
     "too-few-circles": ([-0.3, -0.1], PipelineConfig(r_min=1.0, t_min=0.0)),
     "one-family": ([-0.3, -0.1], PipelineConfig(r_min=1.0)),
-    "one-probe": (T8, PipelineConfig(probe_count=1)),
     "loose-tolerance": (T8, PipelineConfig(morera_tol=1e-3, samples=64)),
 }
 
@@ -598,7 +619,7 @@ class TestDumpsReport:
 
     @pytest.mark.parametrize("name", builtin_names())
     def test_verdict_reports_match_json_dumps(self, name):
-        config = PipelineConfig(circles_per_family=8, t_count=3)
+        config = PipelineConfig(circles_per_family=8)
         doc = report_document(verdict(builtin(name).oracle, config), config, {"source": "builtin", "name": name})
         assert dumps_report(doc) == json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 

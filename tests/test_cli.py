@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -132,6 +134,12 @@ REJECTED_FLAG_VALUES = [
     (["verdict", "--dbar-tol", "-1e-3"], "dbar_tol must be positive, got -0.001"),
     (["verdict", "--morera-tol", "0"], "morera_tol must be positive, got 0.0"),
     (["sweep", "--morera-tol", "nan"], "morera_tol must be positive, got nan"),
+    (["verdict", "--morera-tol", "inf"], "morera_tol must be finite, got inf"),
+    (["verdict", "--cross-tol", "inf"], "cross_tol must be finite, got inf"),
+    (["verdict", "--dbar-tol", "inf"], "dbar_tol must be finite, got inf"),
+    (["sweep", "--morera-tol", "inf"], "morera_tol must be finite, got inf"),
+    (["test-circle", "--radius", "0.5", "--morera-tol", "inf"], "tolerance must be finite, got inf"),
+    (["theta", "--z", "0.5i", "--w-count", "3", "--morera-tol", "inf"], "tolerance must be finite, got inf"),
     (["verdict", "--p", "1+"],
      "invalid complex literal '1+': parse error at offset 2: expected a number, variable, function call, or '('"),
     (["verdict", "--rho", "0"], "--rho must lie in (0, 1), got 0.0"),
@@ -193,6 +201,14 @@ class TestWPadFlag:
         code, out, err = run(["theta", "--builtin", "poly3", "--z", "0.5i", "--w-count", "3", *argv], capsys)
         assert code == 2 and out == ""
         assert err == f"error: --w-pad must be finite, got {shown}\n"
+
+    @pytest.mark.parametrize("pad", ["1e308", "-1e308"])
+    def test_overflowing_grid_is_config_error(self, capsys, pad):
+        # The padded bounds are finite but the grid's span is not.
+        code, out, err = run(["theta", "--builtin", "poly3", "--z", "0.5i", "--w-count", "3", "--w-pad", pad], capsys)
+        diameter = fiber.fiber_curve(0.5j).diameter
+        assert (code, out) == (2, "")
+        assert err == f"error: --w-pad {float(pad)} overflows the W grid of a curve of diameter {diameter}\n"
 
 
 class TestSweepCommand:
@@ -532,6 +548,14 @@ class TestGridInflation:
         code, out, err = run(command + ["--grid", str(grid), "--grid-inflation", value], capsys)
         assert code == 2 and out == ""
         assert err == f"error: --grid-inflation must be positive and finite, got {shown}\n"
+
+    @pytest.mark.parametrize("command", [["test-circle", "--radius", "0.5"], ["verdict", "--circles", "8"]])
+    def test_inflated_tolerance_must_stay_finite(self, capsys, tmp_path, command):
+        grid = tmp_path / "grid.csv"
+        write_polar_grid(str(grid), builtin("poly3").oracle, n_r=8, n_theta=16)
+        code, out, err = run(command + ["--grid", str(grid), "--morera-tol", "1e308"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: --morera-tol 1e+308 inflated x10.0 must stay finite, got inf\n"
 
 
 # A quick command line per command; "SOURCE" stands for its function source.
@@ -909,6 +933,20 @@ class TestEveryFlagIsRead:
 
     def test_six_commands_take_61_flags(self):
         assert len(declared_flags()) == 61
+
+
+def test_every_pipeline_config_field_is_set_by_some_command():
+    # A field no command sets is a knob only the tests turn, as a flag no
+    # command reads would be: each one is a keyword of some configuration call.
+    names = {"PipelineConfig", "_pipeline_config", "replace"}
+    keywords = {
+        keyword.arg
+        for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) in names
+        for keyword in node.keywords
+    }
+    unset = [field.name for field in dataclasses.fields(analysis.PipelineConfig) if field.name not in keywords]
+    assert unset == []
 
 
 class TestModuleEntryPoint:

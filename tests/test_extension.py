@@ -388,6 +388,8 @@ class TestAnalyzeBatch:
             analyze_batch(lambda z: z, [0], [1.0], tol=0.0)
         with pytest.raises(ParameterDomainError):
             extension_test(analyze_circle(lambda z: z, Circle(0, 1.0), 16), tol=-1.0)
+        with pytest.raises(ParameterDomainError, match="^tolerance must be finite, got inf$"):
+            analyze_batch(lambda z: z, [0], [1.0], tol=math.inf)
 
 
 class TestSingleCircle:

@@ -16,6 +16,7 @@ from morera.errors import (
     ExtensionFailureError,
     InconclusiveError,
     MoreraError,
+    ParameterDomainError,
     SamplingError,
 )
 from morera.fiber import (
@@ -173,6 +174,18 @@ class TestFiberCurve:
             build(tau)
         assert str(info.value) == f"tau must lie in (0, 1/2), got {tau}"
 
+    @pytest.mark.parametrize("z", [complex("nan"), complex(0.1, math.nan), complex(math.inf, 0.5)])
+    def test_non_finite_base_point_rejected(self, z):
+        with pytest.raises(ParameterDomainError) as info:
+            fiber_curve(z)
+        assert str(info.value) == f"z must have finite components, got {z!r}"
+
+    @pytest.mark.parametrize("nodes", [0, -3])
+    def test_node_count_below_one_rejected(self, nodes):
+        with pytest.raises(ConfigError) as info:
+            fiber_curve(0.5j, nodes_per_piece=nodes)
+        assert str(info.value) == f"quadrature node count must be at least 1, got {nodes}"
+
     def test_outside_admissible_region(self):
         with pytest.raises(DomainError):
             fiber_curve(-0.75 + 0.1j, tau=0.25)  # inside the excluded disc
@@ -242,6 +255,12 @@ class TestRegionMembership:
         c = fiber_curve(0.5j)
         with pytest.raises(CurveProximityError):
             region_contains(c, -1.0j)  # on the segment
+
+    @pytest.mark.parametrize("W", [complex("nan"), complex(0.1, math.inf), complex(-math.inf, 0.0)])
+    def test_non_finite_point_rejected(self, W):
+        with pytest.raises(ParameterDomainError) as info:
+            region_contains(fiber_curve(0.5j), W)
+        assert str(info.value) == f"W must have finite components, got {W!r}"
 
     @given(
         admissible_points,
@@ -342,6 +361,10 @@ class TestCauchyTransform:
         on_curve = complex(curve.nodes_w[len(curve.nodes_w) // 3])
         with pytest.raises(CurveProximityError, match="membership ambiguous"):
             cauchy_transform(f, 0.5j, on_curve)
+
+    def test_non_finite_point_rejected(self):
+        with pytest.raises(ParameterDomainError, match=r"W must have finite components, got \(inf\+0j\)"):
+            cauchy_transform(builtin("poly3").oracle, 0.5j, complex("inf"))
 
     def test_dichotomy_all_holomorphic_members(self):
         rng = np.random.default_rng(2)
@@ -596,6 +619,13 @@ class TestCauchyTable:
         assert locations[-2:].tolist() == [1, 0]
         for W, value in zip(far.tolist(), values[~near].tolist()):
             assert value == cauchy_transform(f, z, W), W
+
+    def test_non_finite_point_rejected_before_sampling(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fiber._FiberField, "__init__", lambda *args: calls.append(args))
+        with pytest.raises(ParameterDomainError) as info:
+            fiber.cauchy_table(builtin("poly3").oracle, fiber_curve(0.5j), [5.0, complex("nan"), complex("inf")])
+        assert str(info.value) == "W must have finite components, got (nan+0j)" and not calls
 
     def test_near_points_are_never_integrated(self, monkeypatch):
         curve = fiber_curve(0.5j)

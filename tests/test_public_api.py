@@ -51,9 +51,8 @@ SIGNATURES = {
     "FourierData.coefficient": "(k)",
     "PencilConfig": "(p, tau)",
     "PipelineConfig": (
-        "(tau=0.25, p=(-1+0j), p2=None, circles_per_family=32, r_min=0.05, r_max=1.0, t_min=None, "
-        "t_max=0.0, morera_tol=1e-08, cross_tol=1e-06, dbar_tol=0.0001, samples=256, t_count=8, "
-        "probe_count=8, dbar_grid=DbarGrid())"
+        "(tau=0.25, p=(-1+0j), p2=None, circles_per_family=32, r_min=0.05, t_min=None, "
+        "morera_tol=1e-08, cross_tol=1e-06, dbar_tol=0.0001, samples=256)"
     ),
     "PipelineConfig.families": "(kind='both')",
     "PipelineConfig.t_values": "()",

@@ -57,7 +57,7 @@ def _samples() -> dict:
         report.config,
         report.circles[0],
         report,
-        config.dbar_grid,
+        analysis.DbarGrid(),
         config,
         result,
         semiquadric.Semiquadric.centered(0.5),
