@@ -284,6 +284,10 @@ def resolve_function(args) -> tuple:
     warnings.append(
         f"function interpolated from grid file; extendability threshold inflated x{inflation}"
     )
+    if oracle.r_max < 1.0:
+        warnings.append(
+            f"grid radii end at {oracle.r_max!r}, below 1; points beyond that radius take its values"
+        )
     return oracle, {"source": "grid", "path": args.grid}, warnings, tol
 
 

@@ -8,6 +8,9 @@ blank lines and ``#`` comments are skipped.  The function is reconstructed by
 trigonometric interpolation in theta, which is spectrally accurate on the
 periodic rows, and a not-a-knot cubic spline in r.  Interpolation error is
 folded into the extendability threshold by a caller-chosen inflation factor.
+Points beyond the last radius take its values; the CLI warns when that
+radius is below 1.  Evaluation runs in fixed blocks of points, so its memory
+does not grow with the query size, and a non-finite point gives NaN.
 """
 
 from __future__ import annotations
@@ -28,6 +31,10 @@ HEADER = ["r", "theta", "re", "im"]
 # Each row's trigonometric interpolant is tabulated on a grid this many times
 # finer, where 4-point cubic weights evaluate it.
 _UPSAMPLE = 8
+# The table is built this many rows at a time.
+_TABLE_ROWS = 16
+# GridFunction evaluates at most this many points at a time.
+_BLOCK = 4096
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -91,6 +98,11 @@ class GridFunction:
     radii.  Both maps are linear, so the spline's second derivatives are taken
     on the coarse rows and upsampled with them.  r is clamped to
     ``[radii[0], r_max]``.
+
+    A call evaluates at most ``_BLOCK`` points at a time into its output, so
+    beyond the table and the output its memory is bounded whatever the
+    query size.  A non-finite point (NaN or infinite in either part) gives
+    NaN, as an expression oracle does, so sampling reports it.
     """
 
     def __init__(self, radii: np.ndarray, thetas: np.ndarray, values: np.ndarray):
@@ -104,13 +116,38 @@ class GridFunction:
         self.thetas = thetas
         self.r_max = float(radii[-1])
         step = 2.0 * np.pi / thetas.size
-        if not np.allclose(np.diff(thetas), step, rtol=0, atol=1e-9) or abs(thetas[0]) > 1e-12:
+        if not (np.abs(np.diff(thetas) - step) <= 1e-9).all() or abs(thetas[0]) > 1e-12:
             raise ConfigError("grid angles must be equispaced starting at 0")
-        table = _upsample_periodic(np.concatenate([values, _spline_second_derivatives(radii, values)]))
+        table = _upsample_periodic([values, _spline_second_derivatives(radii, values)])
         self._values, self._second = table[: radii.size], table[radii.size :]
 
     def __call__(self, z):
         arr = np.asarray(z, dtype=complex)
+        out = np.zeros(arr.shape, dtype=complex)
+        if arr.ndim == 0:
+            # Numpy's scalar arithmetic, which can round differently from its
+            # array loops in the last bit.
+            self._accumulate(arr, out)
+            return out if isinstance(z, np.ndarray) else complex(out)
+        # Blocks of at most _BLOCK points bound the temporaries whatever the
+        # query size.  Not ``self(...)``: a wrapper of ``__call__`` would see
+        # every block as a call of its own.
+        points, values = arr.reshape(-1), out.reshape(-1)
+        for start in range(0, points.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            self._accumulate(points[block], values[block])
+        return out
+
+    def _accumulate(self, arr: np.ndarray, out: np.ndarray) -> None:
+        """Add the interpolant at the points ``arr`` to ``out``, zeros of the same shape.
+
+        A non-finite point gives NaN; it is evaluated as 0, so no NaN reaches
+        the integer casts below.
+        """
+        finite = np.isfinite(arr)
+        all_finite = finite.all()
+        if not all_finite:
+            arr = np.where(finite, arr, 0.0)
         radii = self.radii
         r = np.clip(np.abs(arr), radii[0], self.r_max)
         i = np.clip(np.searchsorted(radii, r, side="right") - 1, 0, radii.size - 2)
@@ -125,9 +162,8 @@ class GridFunction:
         j = np.minimum(u.astype(int), fine - 1)
         # Flat index of the first stencil column in row i; row i + 1 is
         # ``width`` further.  One column at a time keeps temporaries at the
-        # size of the input.
+        # size of the block.
         low = i * width + j
-        out = np.zeros(arr.shape, dtype=complex)
         for k, weight in enumerate(_cubic_weights(u - j)):
             near, far = low + k, low + k + width
             out += weight * (
@@ -136,9 +172,8 @@ class GridFunction:
                 + ca * self._second.take(near)
                 + cb * self._second.take(far)
             )
-        if not isinstance(z, np.ndarray):
-            return complex(out)
-        return out
+        if not all_finite:
+            out[~finite] = np.nan
 
 
 def _spline_second_derivatives(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -173,25 +208,35 @@ def _spline_second_derivatives(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return second
 
 
-def _upsample_periodic(rows: np.ndarray) -> np.ndarray:
-    """Each row's trigonometric interpolant on a grid ``_UPSAMPLE`` times finer, wrap-padded.
+def _upsample_periodic(sources: list) -> np.ndarray:
+    """The rows of ``sources``, stacked, each as its trigonometric interpolant on a grid
+    ``_UPSAMPLE`` times finer, wrap-padded.
 
     The result has one column of padding before the fine grid and two after,
-    so the stencil of fine node j reads columns j .. j + 3.
+    so the stencil of fine node j reads columns j .. j + 3.  It is filled
+    ``_TABLE_ROWS`` rows at a time through one reused zero-padded buffer, so
+    the only full-size array is the result.
     """
-    n = rows.shape[1]
+    n = sources[0].shape[1]
     m = _UPSAMPLE * n
     half = n // 2
-    spectrum = np.fft.fft(rows, axis=1, norm="forward")
-    fine = np.zeros((rows.shape[0], m), dtype=complex)
-    fine[:, : half + 1] = spectrum[:, : half + 1]
-    fine[:, m - n + half + 1 :] = spectrum[:, half + 1 :]
-    if n % 2 == 0:
-        # Split the Nyquist mode evenly between +n/2 and -n/2.
-        fine[:, half] /= 2.0
-        fine[:, m - half] = fine[:, half]
-    table = np.empty((rows.shape[0], m + 3), dtype=complex)
-    np.fft.ifft(fine, axis=1, norm="forward", out=table[:, 1 : m + 1])
+    table = np.empty((sum(rows.shape[0] for rows in sources), m + 3), dtype=complex)
+    fine = np.zeros((_TABLE_ROWS, m), dtype=complex)
+    top = 0
+    for rows in sources:
+        for start in range(0, rows.shape[0], _TABLE_ROWS):
+            spectrum = np.fft.fft(rows[start : start + _TABLE_ROWS], axis=1, norm="forward")
+            count = spectrum.shape[0]
+            block = fine[:count]
+            # Only these two column ranges are written; the rest stays zero.
+            block[:, : half + 1] = spectrum[:, : half + 1]
+            block[:, m - n + half + 1 :] = spectrum[:, half + 1 :]
+            if n % 2 == 0:
+                # Split the Nyquist mode evenly between +n/2 and -n/2.
+                block[:, half] /= 2.0
+                block[:, m - half] = block[:, half]
+            np.fft.ifft(block, axis=1, norm="forward", out=table[top : top + count, 1 : m + 1])
+            top += count
     table[:, 0] = table[:, m]
     table[:, m + 1 :] = table[:, 1:3]
     return table
@@ -258,6 +303,7 @@ def read_polar_grid(path: str) -> GridFunction:
     values = np.full((radii.size, thetas.size), np.nan, dtype=complex)
     index = np.searchsorted(radii, data[:, 0]), np.searchsorted(thetas, data[:, 1])
     values[index] = data[:, 2] + 1j * data[:, 3]
+    del data, index  # not held while the table is built
     if np.isnan(values.real).any():
         raise ConfigError(f"grid file {path} has missing (r, theta) combinations")
     return GridFunction(radii, thetas, values)

@@ -426,6 +426,23 @@ class TestGridRoundTrip:
                 assert cb["parameter"] == cg["parameter"]
                 assert cb["passes"] == cg["passes"], (fam_b["family"], cb["parameter"])
 
+    @pytest.mark.parametrize("r_max", [0.5, 1.0])
+    def test_grid_short_of_the_unit_circle_is_reported(self, capsys, tmp_path, r_max):
+        # Points beyond the last radius take its values, so such a grid can
+        # fail a holomorphic function; the report says so.
+        path = tmp_path / "grid.csv"
+        write_polar_grid(str(path), builtin("expz").oracle, n_r=32, n_theta=64, r_max=r_max)
+        expected = ["function interpolated from grid file; extendability threshold inflated x10.0"]
+        if r_max < 1.0:
+            expected.append("grid radii end at 0.5, below 1; points beyond that radius take its values")
+        for argv in (
+            ["verdict", "--grid", str(path), "--circles", "16"],
+            ["test-circle", "--grid", str(path), "--center", "0.5", "--radius", "0.45"],
+        ):
+            _, out, err = run(argv, capsys)
+            assert err == ""
+            assert json.loads(out)["warnings"] == expected, argv
+
     def test_shuffled_rows_load_the_same_grid(self, tmp_path):
         path = tmp_path / "grid.csv"
         write_polar_grid(str(path), builtin("rational").oracle, n_r=8, n_theta=16)
@@ -974,7 +991,9 @@ def test_bench_tracing_installs():
     """Every program function the bench wraps by name still exists, and a wrapped builtin evaluates.
 
     The tracer rebuilds each builtin with ``dataclasses.replace`` on its
-    ``ZooEntry`` to count the oracle's points.
+    ``ZooEntry`` to count the oracle's points.  It wraps
+    ``GridFunction.__call__``, so a grid evaluation that runs in several
+    blocks must still count each point once.
     """
     root = Path(cli.__file__).resolve().parents[2]
     script = textwrap.dedent(
@@ -983,9 +1002,14 @@ def test_bench_tracing_installs():
         sys.path[:0] = ["src", "bench"]
         import numpy as np
         import tracing
-        from morera import funczoo
+        from morera import funczoo, gridio
 
         plain = funczoo.builtin("expz")
+        radii = np.linspace(0.0, 1.0, 8)
+        thetas = 2 * np.pi * np.arange(16) / 16
+        grid = gridio.GridFunction(radii, thetas, plain.oracle(radii[:, None] * np.exp(1j * thetas)))
+        w = 0.7 * np.exp(1j * np.linspace(0.0, 6.0, 2 * gridio._BLOCK + 5))
+        untraced = grid(w)
         recorder = tracing.Recorder()
         tracing.install(recorder)
         entry = funczoo.builtin("expz")
@@ -995,6 +1019,8 @@ def test_bench_tracing_installs():
         z = np.array([0.5, 0.25j, -0.3 + 0.1j])
         assert np.array_equal(entry.oracle(z), plain.oracle(z))
         assert recorder.counters["funczoo.eval.points"] == 3
+        assert np.array_equal(grid(w), untraced)
+        assert recorder.counters["gridio.eval.points"] == w.size
         """
     )
     done = subprocess.run([sys.executable, "-c", script], cwd=root, capture_output=True, text=True, timeout=120)

@@ -3,15 +3,25 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import morera
-from morera.errors import ConfigError
+from morera.errors import ConfigError, SamplingError
+from morera.extension import oracle_values
 from morera.funczoo import builtin, builtin_names
-from morera.gridio import GridFunction, read_polar_grid, write_polar_grid, write_text_atomic
+from morera.gridio import (
+    _BLOCK,
+    _UPSAMPLE,
+    GridFunction,
+    _spline_second_derivatives,
+    read_polar_grid,
+    write_polar_grid,
+    write_text_atomic,
+)
 
 # Maximum error against the closed form of the scipy RectBivariateSpline
 # interpolant (cubic in r and theta, theta wrap-padded by 3 columns) that
@@ -125,6 +135,13 @@ class TestInterpolant:
         with pytest.raises(ConfigError, match="increasing"):
             GridFunction(np.array([0.0, 0.5, 0.5, 1.0, 1.5]), thetas, np.zeros((5, 8), dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_angles_rejected(self, bad):
+        thetas = 2 * np.pi * np.arange(8) / 8
+        thetas[3] = bad
+        with pytest.raises(ConfigError, match="equispaced"):
+            GridFunction(np.linspace(0.0, 1.0, 5), thetas, np.ones((5, 8), dtype=complex))
+
     def test_negative_radii_rejected(self, tmp_path):
         # The spline across rows would mix the r < 0 rows into values at r >= 0.
         thetas = 2 * np.pi * np.arange(8) / 8
@@ -135,6 +152,108 @@ class TestInterpolant:
         path.write_text("\n".join(["r,theta,re,im"] + rows) + "\n")
         with pytest.raises(ConfigError, match="at least 0"):
             read_polar_grid(str(path))
+
+
+def _reference_table(values, second):
+    """The interpolation table built in one piece: all rows stacked, then one
+    full zero-padded copy of their spectra, then one inverse FFT."""
+    rows = np.concatenate([values, second])
+    n = rows.shape[1]
+    m = _UPSAMPLE * n
+    half = n // 2
+    spectrum = np.fft.fft(rows, axis=1, norm="forward")
+    fine = np.zeros((rows.shape[0], m), dtype=complex)
+    fine[:, : half + 1] = spectrum[:, : half + 1]
+    fine[:, m - n + half + 1 :] = spectrum[:, half + 1 :]
+    if n % 2 == 0:
+        fine[:, half] /= 2.0
+        fine[:, m - half] = fine[:, half]
+    table = np.empty((rows.shape[0], m + 3), dtype=complex)
+    np.fft.ifft(fine, axis=1, norm="forward", out=table[:, 1 : m + 1])
+    table[:, 0] = table[:, m]
+    table[:, m + 1 :] = table[:, 1:3]
+    return table
+
+
+class TestBlocks:
+    """The table is built a few rows at a time and evaluated a block of points
+    at a time; both give what the one-piece computation gives, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(4, 4), (15, 9), (16, 32), (40, 45), (64, 128)])
+    @pytest.mark.parametrize("name", ["counterexample", "rational"])
+    def test_table_matches_the_one_piece_build(self, name, shape):
+        radii = np.linspace(0.0, 1.0, shape[0])
+        g, values = _grid(builtin(name).oracle, radii, shape[1])
+        expected = _reference_table(values, _spline_second_derivatives(radii, values))
+        assert np.array_equal(np.concatenate([g._values, g._second]), expected)
+
+    def test_arrays_larger_than_a_block(self):
+        g, _ = _grid(builtin("counterexample").oracle, np.linspace(0.0, 1.0, 24), 48)
+        rng = np.random.default_rng(26)
+        size = 3 * 2749
+        assert size > 2 * _BLOCK
+        z = rng.uniform(0.0, 1.1, size) * np.exp(1j * rng.uniform(-7.0, 7.0, size))
+        flat = g(z)
+        assert np.array_equal(flat, np.concatenate([g(z[k : k + 1]) for k in range(size)]))
+        assert np.array_equal(flat, np.concatenate([g(z[k : k + _BLOCK]) for k in range(0, size, _BLOCK)]))
+        for grid in (z.reshape(3, 2749), z.reshape(2749, 3).T):
+            out = g(grid)
+            assert out.shape == grid.shape
+            assert np.array_equal(out.ravel(), g(grid.ravel()))
+
+    def test_evaluation_memory_does_not_grow_with_the_query(self):
+        g, _ = _grid(builtin("expz").oracle, np.linspace(0.0, 1.0, 64), 128)
+        rng = np.random.default_rng(27)
+        z = rng.uniform(0.0, 1.0, 10**5) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, 10**5))
+        g(z[:10])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = g(z)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 1.5e6
+
+    def test_loading_holds_little_besides_the_table(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        write_polar_grid(str(path), builtin("expz").oracle, n_r=64, n_theta=128)
+        read_polar_grid(str(path))
+        tracemalloc.start()
+        try:
+            g = read_polar_grid(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (g._values.nbytes + g._second.nbytes)
+
+
+class TestNonFinitePoints:
+    """A non-finite point gives NaN, as an expression oracle does, so sampling
+    reports it instead of crashing or clamping it onto the grid's edge."""
+
+    @pytest.fixture
+    def grid(self):
+        return _grid(builtin("expz").oracle, np.linspace(0.0, 1.0, 16), 32)[0]
+
+    @pytest.mark.parametrize(
+        "point", [np.nan, np.inf, -np.inf, complex(np.nan, 0.5), complex(0.5, np.inf), complex(np.inf, np.nan)]
+    )
+    def test_scalar(self, grid, point):
+        value = grid(point)
+        assert type(value) is complex and np.isnan(value)
+
+    def test_array(self, grid):
+        z = np.array([0.5, np.nan, 0.25j, np.inf, complex(-np.inf, 1.0), -0.5])
+        out = grid(z)
+        finite = np.isfinite(z)
+        assert np.isnan(out[~finite]).all()
+        assert np.array_equal(out[finite], grid(z[finite]))
+        assert np.isnan(grid(np.full((2, 3), np.nan))).all()
+
+    def test_sampling_names_the_point(self, grid):
+        with pytest.raises(SamplingError, match="nan"):
+            oracle_values(grid, np.array([0.5, np.nan]))
 
 
 class TestLoader:
