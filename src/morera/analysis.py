@@ -90,8 +90,9 @@ class FamilyConfig(Record):
         if not lo < hi:
             raise ConfigError(f"parameter range [{self.lo}, {self.hi}] too small for inset {GRID_INSET}")
         j = np.arange(self.count)
-        nodes = np.cos((2.0 * j + 1.0) * np.pi / (2.0 * self.count))  # (-1, 1)
-        return np.sort(0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes)
+        nodes = np.cos((2.0 * j + 1.0) * np.pi / (2.0 * self.count))  # in (-1, 1), falling with j
+        # The scale is positive, so the reversal is the sorted grid.
+        return (0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes)[::-1].copy()
 
     def circle(self, parameter: float) -> Circle:
         if self.kind == "centered":
@@ -173,7 +174,7 @@ def test_family(
     All circles go through one :func:`extension.analyze_batch` call; results
     are in parameter order.
     """
-    params = config.parameters()
+    params = config.parameters().tolist()
     circles = [config.circle(t) for t in params]
     try:
         batch = ext.analyze_batch(
@@ -186,21 +187,15 @@ def test_family(
             value=exc.value,
         ) from None
     results = []
-    for i, (t, circle) in enumerate(zip(params, circles)):
-        negative = float(batch.negative_energy[i])
-        total = float(batch.total_energy[i])
+    for t, circle, n, negative, total, passes, aliasing, inconclusive in zip(
+        params, circles, batch.samples.tolist(), batch.negative_energy.tolist(), batch.total_energy.tolist(),
+        batch.passes.tolist(), batch.aliasing.tolist(), batch.inconclusive.tolist(),
+    ):
         relative = negative / total if total > 0 else 0.0
         # Positional: a record built from keywords pays for a dict of them.
-        results.append(
-            CircleResult(
-                config.kind, float(t), circle, int(batch.samples[i]), negative, relative,
-                bool(batch.passes[i]), bool(batch.aliasing[i]), bool(batch.inconclusive[i]),
-            )
-        )
-    passes = all(r.passes for r in results)
-    inconclusive = any(r.inconclusive for r in results)
+        results.append(CircleResult(config.kind, t, circle, n, negative, relative, passes, aliasing, inconclusive))
     worst = max(results, key=lambda r: r.relative_negative_energy, default=None)
-    return Report(config, tuple(results), passes, inconclusive, worst)
+    return Report(config, tuple(results), bool(batch.passes.all()), bool(batch.inconclusive.any()), worst)
 
 
 def require_count(name: str, value: int) -> None:
@@ -237,24 +232,19 @@ class DbarGrid(Record):
         return (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
 
 
-def dbar_values(f: Oracle, points: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference estimates of (d/dx + i d/dy) f / 2 at ``points``."""
-    points = np.asarray(points, dtype=complex)
-    fx = ext.oracle_values(f, np.stack([points + h, points - h]))
-    fy = ext.oracle_values(f, np.stack([points + 1j * h, points - 1j * h]))
-    return ((fx[0] - fx[1]) + 1j * (fy[0] - fy[1])) / (4.0 * h)
-
-
 def dbar_residual_detail(f: Oracle, grid: DbarGrid) -> tuple[np.ndarray, float]:
     """Per-point Richardson-extrapolated Wirtinger estimates on ``grid.points()``.
 
     Returns (extrapolated values, error estimate): central differences
     at steps h and h/2 combined as D(h/2) + (D(h/2) - D(h))/3, with the
-    correction magnitude as the step-halving error control.
+    correction magnitude as the step-halving error control.  One oracle call
+    samples all eight shifted grids (+h, -h, +ih, -ih, then the same at h/2).
     """
     points = grid.points()
-    coarse = dbar_values(f, points, grid.h)
-    fine = dbar_values(f, points, grid.h / 2.0)
+    steps = (grid.h, grid.h / 2.0)
+    shifted = [q for h in steps for q in (points + h, points - h, points + 1j * h, points - 1j * h)]
+    values = ext.oracle_values(f, np.stack(shifted)).reshape(len(steps), 4, -1)
+    coarse, fine = (((v[0] - v[1]) + 1j * (v[2] - v[3])) / (4.0 * h) for v, h in zip(values, steps))
     extrapolated = fine + (fine - coarse) / 3.0
     error = float(np.max(np.abs(fine - coarse)) / 3.0)
     return extrapolated, error
@@ -463,10 +453,11 @@ def verdict(f: Oracle, config: PipelineConfig = PipelineConfig()) -> Verdict:
     such circle stayed aliased at the sample-count cap.  Otherwise both
     families pass and the verdict is holomorphic-consistent when
     cross-consistency and the Wirtinger residual are both below tolerance,
-    else inconsistent (possible only when the families' smallest circles
-    overlap).  The two-point configuration (``config.p2`` set) runs the same
-    pipeline without cross-consistency, so the Wirtinger residual alone
-    decides once both pencils pass.  A Wirtinger grid with a non-finite sample
+    else inconsistent (the theorem allows it only when the families' smallest
+    circles overlap; ROADMAP item 9 lists the cases where it happens anyway).
+    The two-point configuration (``config.p2`` set) runs the same pipeline
+    without cross-consistency, so the Wirtinger residual alone decides once
+    both pencils pass.  A Wirtinger grid with a non-finite sample
     gives ``dbar_value`` None, which is never consistent, and does not abort
     the run.
     """

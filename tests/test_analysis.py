@@ -23,6 +23,7 @@ from morera.analysis import (
     PipelineConfig,
     cross_consistency,
     dbar_residual,
+    dbar_residual_detail,
     dumps_report,
     report_document,
     sweep_classification,
@@ -37,8 +38,10 @@ from morera.errors import (
     InconclusiveError,
     SamplingError,
 )
+from morera.exprparser import compile_function, parse
 from morera.funczoo import builtin, builtin_names, holomorphic_members
 from morera.geometry import Circle
+from morera.gridio import read_polar_grid, write_polar_grid
 
 
 class TestFamilyConfig:
@@ -48,6 +51,17 @@ class TestFamilyConfig:
         assert len(params) == 32
         assert np.all(np.diff(params) > 0)
         assert params[0] > -0.75 and params[-1] < 0.0
+
+    def test_grid_is_its_own_sort(self):
+        # The reversed Chebyshev nodes are the sorted grid, bit for bit.
+        rng = np.random.default_rng(7)
+        for count in range(2, 201):
+            lo, hi = np.sort(rng.uniform(-0.99, 0.0, 2)).tolist()
+            for config in (FamilyConfig("pencil", lo - 0.01, hi, count), FamilyConfig("centered", hi + 1.0, 1.0, count)):
+                params = config.parameters()
+                assert params.flags.c_contiguous
+                assert np.all(np.diff(params) > 0)
+                assert np.array_equal(params, np.sort(params))
 
     def test_pencil_circle_coordinates(self):
         config = FamilyConfig("pencil", -0.75, 0.0)
@@ -245,6 +259,35 @@ class TestCrossConsistency:
         assert residual > 1e-2
 
 
+def four_call_dbar(f, grid):
+    """The Wirtinger estimates with one oracle call per pair of shifted grids:
+    the reference that :func:`dbar_residual_detail` must match bit for bit."""
+    points = grid.points()
+
+    def central(h):
+        fx = ext.oracle_values(f, np.stack([points + h, points - h]))
+        fy = ext.oracle_values(f, np.stack([points + 1j * h, points - 1j * h]))
+        return ((fx[0] - fx[1]) + 1j * (fy[0] - fy[1])) / (4.0 * h)
+
+    coarse = central(grid.h)
+    fine = central(grid.h / 2.0)
+    return fine + (fine - coarse) / 3.0, float(np.max(np.abs(fine - coarse)) / 3.0)
+
+
+def _grid_oracle(tmp_path):
+    path = tmp_path / "expz.csv"
+    write_polar_grid(str(path), builtin("expz").oracle, n_r=16, n_theta=32)
+    return read_polar_grid(str(path))
+
+
+# Each builds an oracle in a scratch directory: the builtins, one --expr text and one --grid file.
+WIRTINGER_SOURCES = {
+    **{name: (lambda tmp_path, name=name: builtin(name).oracle) for name in builtin_names()},
+    "expr": lambda tmp_path: compile_function(parse("z^3 - 2*z*zbar + exp(z)")),
+    "grid": _grid_oracle,
+}
+
+
 class TestDbarResidual:
     def test_holomorphic(self):
         assert dbar_residual(builtin("poly3").oracle) < 1e-8
@@ -263,6 +306,40 @@ class TestDbarResidual:
     def test_invalid_grid(self):
         with pytest.raises(ConfigError):
             DbarGrid(r_min=0.5, r_max=0.2)
+
+    @pytest.mark.parametrize("source", WIRTINGER_SOURCES)
+    def test_one_oracle_call_matches_four(self, tmp_path, source):
+        f = WIRTINGER_SOURCES[source](tmp_path)
+        shapes = []
+
+        def counted(z):
+            shapes.append(np.shape(z))
+            return f(z)
+
+        grid = DbarGrid()
+        values, error = dbar_residual_detail(counted, grid)
+        assert shapes == [(8, grid.n_r * grid.n_theta)]
+        want, want_error = four_call_dbar(f, grid)
+        assert np.array_equal(values, want)
+        assert error == want_error
+
+    def test_first_bad_sample_is_named_as_by_four_calls(self):
+        # NaN at a point of the last shifted grid (-ih/2) and of the second
+        # (-h): the second comes first, as when each pair had its own call.
+        grid = DbarGrid()
+        points = grid.points()
+        bad = [points[3] - 1j * (grid.h / 2.0), points[40] - grid.h]
+
+        def f(z):
+            z = np.asarray(z, dtype=complex)
+            return np.where(np.isin(z, bad), np.nan, np.exp(z))
+
+        with pytest.raises(SamplingError) as one:
+            dbar_residual_detail(f, grid)
+        with pytest.raises(SamplingError) as four:
+            four_call_dbar(f, grid)
+        assert str(one.value) == str(four.value)
+        assert f"at point {bad[1]}" in str(one.value)
 
     @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan])
     def test_step_must_be_positive(self, h):

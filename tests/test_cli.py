@@ -986,6 +986,13 @@ class TestModuleEntryPoint:
         assert done.stderr.startswith("usage: morera verdict [-h]")
         assert done.stderr.endswith("morera verdict: error: argument --circles: invalid int value: 'many'\n")
 
+    def test_builtin_pole_prints_only_the_error_line(self):
+        done = self.morera("test-circle", "--builtin", "rational", "--center", "1.5", "--radius", "0.5")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            "error: oracle returned non-finite value (inf+nanj) at theta = 0.0 on Circle(center=(1.5+0j), radius=0.5)\n"
+        )
+
 
 def test_bench_tracing_installs():
     """Every program function the bench wraps by name still exists, and a wrapped builtin evaluates.

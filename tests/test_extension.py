@@ -449,6 +449,28 @@ class TestSingleCircle:
                     batch.evaluate(np.array([zeta]))
                 assert str(single.value) == str(batched.value)
 
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("f", BATCH_ORACLES, ids=lambda f: getattr(f, "__name__", "f"))
+    def test_single_circle_reports_its_batch_row(self, monkeypatch, f, n):
+        # One judge: a single circle's result is its batch row's, and
+        # extension_test is not run on it a second time.
+        batch = analyze_batch(f, [c.center for c in BATCH_CIRCLES], [c.radius for c in BATCH_CIRCLES], n0=n)
+
+        def judged_again(*args, **kwargs):
+            raise AssertionError("extension_test called")
+
+        monkeypatch.setattr(extension, "extension_test", judged_again)
+        for i, circle in enumerate(BATCH_CIRCLES):
+            data, result, inconclusive = analyze_with_refinement(f, circle, n0=n)
+            assert (result.passes, result.aliasing_flag, inconclusive) == (
+                batch.passes[i], batch.aliasing[i], batch.inconclusive[i]
+            )
+            assert (data.sample_count, result.negative_energy) == (batch.samples[i], batch.negative_energy[i])
+            assert result.threshold_used == 1e-8 * data.total_energy
+            held = analyze_trace(sample_circle(f, circle, data.sample_count))
+            assert np.array_equal(held.coefficients, data.coefficients)
+            assert (held.tail_energy_negative, held.tail_energy_high) == (data.tail_energy_negative, data.tail_energy_high)
+
     def test_overflowing_energy_is_inconclusive_like_a_batch(self, recwarn):
         with pytest.raises(InconclusiveError) as err:
             analyze_circle(lambda z: np.exp(400 * z), Circle(0, 1.0))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,19 @@ class TestRegistry:
             values = builtin(name).oracle(zs)
             assert values.shape == zs.shape
             assert np.isfinite(values).all()
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_poles_and_overflows_raise_no_warning(self, name):
+        # Each builtin's pole (rational at 2, counterexample and radial-smooth
+        # at 0 and 1) or overflow (exp at 800, a cube at 1e120, a square at 1e200):
+        # inf or NaN, left for the sampling layer to report, and no warning.
+        zs = np.array([0.0, 1.0, 2.0, 800.0, 1e120, 1e200, 1e200j, -1e200])
+        f = builtin(name).oracle
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = f(zs)
+            scalars = [f(complex(z)) for z in zs]
+        assert np.array_equal(values, scalars, equal_nan=True)
 
     def test_radial_smooth_continuous_at_boundary(self):
         f = builtin("radial-smooth").oracle
