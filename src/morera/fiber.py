@@ -27,11 +27,16 @@ with node counts doubled until two successive refinements agree, starting
 from the curve's own nodes; every level reads its node values from the
 series.  The Cauchy transform subtracts a constant c (F at the node nearest
 W) from the integrand and adds c * ind(W) back, so the near-singular part
-of the kernel only ever meets F - c.  A table of many W locates each of
-them once, in one array pass (inside D_z, outside, or within the proximity
-guard of the curve), integrates only those beyond the guard, and forms
-their kernels block by block in buffers allocated once per table, never
-kept between calls; a single transform is the table of one W.
+of the kernel only ever meets F - c.  The series also bound how far F
+strays from any of its values along the whole curve, a priori: a W whose
+bound on the subtracted integral is within the quadrature tolerance gets
+c * ind(W) with no quadrature level, and a fiber integral whose bound is
+within it is 0 (for holomorphic f, where F is constant, both hold almost
+everywhere).  A table of many W locates each of them once, in one array
+pass (inside D_z, outside, or within the proximity guard of the curve),
+integrates only those beyond the guard and not certified, and forms their
+kernels block by block in buffers allocated once per table, never kept
+between calls; a single transform is the table of one W.
 """
 
 from __future__ import annotations
@@ -269,14 +274,15 @@ def fiber_curve(z: complex, nodes_per_piece: int = DEFAULT_NODES // 2, tau: floa
     return curve
 
 
-def _locations(curve: FiberCurve, Ws: np.ndarray) -> np.ndarray:
-    """Where the points ``Ws`` lie: 1 inside D_z, 0 outside, -1 within the proximity guard.
+def _locations(curve: FiberCurve, Ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the points ``Ws`` lie (1 inside D_z, 0 outside, -1 within the proximity guard), and their distances.
 
     The segment is a chord of the arc's circle, so D_z is that disc cut by
     the chord's line: ``W`` is inside iff it lies in the open disc and on the
     same side of the chord as the arc's midpoint.  A ``W`` closer to the
-    curve than its proximity guard cannot be classified and gets -1; the
-    first non-finite ``W`` raises :class:`ParameterDomainError`.
+    curve than its proximity guard (by :meth:`FiberCurve.distances`, which
+    are returned too) cannot be classified and gets -1; the first
+    non-finite ``W`` raises :class:`ParameterDomainError`.
     """
     Ws = np.asarray(Ws, dtype=complex)
     if not np.isfinite(Ws).all():
@@ -288,7 +294,8 @@ def _locations(curve: FiberCurve, Ws: np.ndarray) -> np.ndarray:
     side = chord.real * u.imag + chord.imag * u.real  # Im(chord * (W - a))
     arc_side = (chord * (curve.arc.point(0.5) - a)).imag
     inside = (_modulus(Ws - circle.center) < circle.radius) & ((side > 0.0) == (arc_side > 0.0))
-    return np.where(curve.distances(Ws) < curve.proximity_guard, -1, np.where(inside, curve.orientation, 0))
+    distances = curve.distances(Ws)
+    return np.where(distances < curve.proximity_guard, -1, np.where(inside, curve.orientation, 0)), distances
 
 
 def winding_numbers(curve: FiberCurve, Ws: np.ndarray) -> np.ndarray:
@@ -298,7 +305,7 @@ def winding_numbers(curve: FiberCurve, Ws: np.ndarray) -> np.ndarray:
     proximity guard of the curve raises :class:`CurveProximityError`.
     """
     Ws = np.asarray(Ws, dtype=complex)
-    locations = _locations(curve, Ws)
+    locations = _locations(curve, Ws)[0]
     near = np.flatnonzero(locations < 0)
     if near.size:
         raise CurveProximityError(
@@ -549,17 +556,46 @@ class _FiberField:
             values[mask] = series(param[mask])
         return w, dw, values
 
-    def _refine(self, per_piece: int, first: tuple, count: int, sums: Callable, where: Callable) -> np.ndarray:
-        """``count`` contour sums, node counts doubled until two successive levels agree.
+    @cached_property
+    def variation(self) -> float:
+        """A bound on the contour integral of |F - c| |dw| for every value c of F, rounding included.
+
+        On [-1, 1], where |T_k| <= 1, a piece's series a_0 + sum a_k T_k
+        takes its values in the disc of centre a_0 and radius
+        r = sum_{k >= 1} |a_k|.  Clenshaw's recurrence
+        b_k = a_k + 2x b_{k+1} - b_{k+2}, whose b_k for k >= 1 are at most
+        n r (n the degree, as |U_m| <= m + 1 on [-1, 1]), rounds each step
+        by about eps times its operands, and a step's error reaches the sum
+        at most k + 1 times over: to first order in eps a computed value
+        lies within eps (2 |a_0| + 3 n^3 r) of the series', so each disc is
+        widened by that much.  Any two values of F
+        along the curve, computed or exact, then differ by at most the
+        spread of the two discs, and the curve's length
+        L = |1/z - conj(z)| + rho * sweep bounds the integral of |dw|.
+        """
+        eps = np.finfo(float).eps
+        discs = []
+        for piece in self.pieces:
+            a = piece.coefficients
+            r = float(np.abs(a[1:]).sum())
+            discs.append((complex(a[0]), r + eps * (2.0 * abs(a[0]) + 3.0 * (a.size - 1) ** 3 * r)))
+        (a_segment, r_segment), (a_arc, r_arc) = discs
+        spread = max(2.0 * r_segment, 2.0 * r_arc, abs(a_segment - a_arc) + r_segment + r_arc)
+        start, end = self.curve.segment
+        arc = self.curve.arc
+        return spread * (abs(end - start) + arc.circle.radius * arc.sweep)
+
+    def _refine(
+        self, per_piece: int, first: tuple, result: np.ndarray, rows: np.ndarray, sums: Callable, where: Callable
+    ) -> np.ndarray:
+        """``result`` with the contour sums of ``rows`` set, node counts doubled until two successive levels agree.
 
         ``sums(w, dw, values, rows)`` gives the sums of ``rows`` at one level;
         only rows that have not yet agreed go on to the next level.  The first
-        row still apart after ``MAX_REFINEMENTS`` doublings raises, named by
-        ``where(row)``.
+        row still apart after ``MAX_REFINEMENTS`` doublings, in the order
+        given, raises, named by ``where(row)``.
         """
-        rows = np.arange(count)
         current = sums(*first, rows)
-        result = np.empty(count, dtype=complex)
         for _ in range(MAX_REFINEMENTS):
             per_piece *= 2
             refined = sums(*self.level(per_piece), rows)
@@ -575,13 +611,17 @@ class _FiberField:
             f"the last two sums differ by {change[0]:.3e}"
         )
 
-    def transforms(self, Ws: np.ndarray, windings: np.ndarray, nodes: int) -> np.ndarray:
-        """Cauchy transforms at points ``Ws`` beyond the proximity guard, with their winding numbers.
+    def transforms(self, Ws: np.ndarray, windings: np.ndarray, distances: np.ndarray, nodes: int) -> np.ndarray:
+        """Cauchy transforms at points ``Ws`` beyond the proximity guard, with their winding numbers and distances.
 
         Singularity subtraction: Theta(W) = (1/2 pi i) * integral of
         (F - c)/(w - W) dw + c * ind(W) holds for any constant c.  With c the
         value at the first level's node nearest W the integrand stays small
         where the kernel is large; c is fixed for every level.  The
+        subtracted integral is at most ``variation`` / (2 pi d(W)) in
+        modulus, d(W) the distance from W to the curve, so a W where that is
+        within ``QUAD_REFINE_TOL`` gets c * ind(W), certified, and builds no
+        level.  Every other W has its levels doubled until two agree; the
         (W x nodes) kernels are taken in row blocks of about
         ``_BLOCK_ELEMENTS`` entries, all formed in the same three buffers
         (kernel, denominator, node distances), allocated once per call and
@@ -622,19 +662,31 @@ class _FiberField:
             return out / (2.0j * math.pi) + jump[rows]
 
         def where(row):
-            W = complex(Ws[row])
-            return f"W = {W} ({self.curve.distance(W) / self.curve.diameter:.2e} x diameter from the curve)"
+            return f"W = {complex(Ws[row])} ({distances[row] / self.curve.diameter:.2e} x diameter from the curve)"
 
-        return self._refine(per_piece, first, Ws.size, sums, where)
+        # c * 0 keeps the signs of c's parts; adding 0.0 makes a certified outside W read 0.0, not -0.0.
+        result = jump + 0.0
+        rows = np.flatnonzero(self.variation > 2.0 * math.pi * QUAD_REFINE_TOL * distances)
+        if not rows.size:
+            return result
+        return self._refine(per_piece, first, result, rows, sums, where)
 
     def integral(self, nodes: int) -> complex:
-        """Plain contour integral of F dw."""
+        """Plain contour integral of F dw.
+
+        It equals the integral of (F - c) dw for any constant c, at most
+        ``variation`` in modulus, so it is 0 when that is within
+        ``QUAD_REFINE_TOL``; else levels are doubled until two agree.
+        """
+        if self.variation <= QUAD_REFINE_TOL:
+            return 0j
         per_piece = max(_PANEL_ORDER, nodes // 2)
 
         def sums(w, dw, values, rows):
             return np.full(rows.size, np.sum(values * dw))
 
-        result = self._refine(per_piece, self.level(per_piece), 1, sums, lambda row: "the fiber integral")
+        result = np.empty(1, dtype=complex)
+        self._refine(per_piece, self.level(per_piece), result, np.arange(1), sums, lambda row: "the fiber integral")
         return complex(result[0])
 
 
@@ -657,10 +709,10 @@ def cauchy_transform(
     For admissible functions this vanishes when ``W`` is outside the closed
     region bounded by the curve and reproduces the fiberwise holomorphic
     extension at ``W`` inside.  ``nodes`` is the total initial node count
-    across both pieces; it is doubled until two refinements agree.  This is
-    :func:`cauchy_table` at one point, except that a ``W`` within the
-    proximity guard raises :class:`CurveProximityError` (see
-    :func:`winding_numbers`).
+    across both pieces of a ``W`` not certified a priori; it is doubled
+    until two refinements agree.  This is :func:`cauchy_table` at one point,
+    except that a ``W`` within the proximity guard raises
+    :class:`CurveProximityError` (see :func:`winding_numbers`).
     """
     curve = fiber_curve(complex(z), tau=tau)
     Ws = [complex(W)]
@@ -679,18 +731,20 @@ def cauchy_table(
     """Locations and Cauchy transforms along ``curve`` at many points ``Ws``, sampling F once.
 
     Each W is located once (:func:`_locations`: 1 inside D_z, 0 outside, -1
-    within the proximity guard).  A near-curve W is never integrated and
-    gets NaN; every other W gets :func:`cauchy_transform`'s value.  When no
-    W lies beyond the guard, F is not sampled.  A W whose quadrature does
-    not converge raises, the first in the order given.
+    within the proximity guard, with its distance from the curve).  A
+    near-curve W is never integrated and gets NaN; every other W gets
+    :func:`cauchy_transform`'s value, certified from its distance or
+    integrated (see :meth:`_FiberField.transforms`).  When no W lies beyond
+    the guard, F is not sampled.  A W whose quadrature does not converge
+    raises, the first in the order given.
     """
     _require_nodes(nodes)
     Ws = np.asarray(Ws, dtype=complex)
-    locations = _locations(curve, Ws)
+    locations, distances = _locations(curve, Ws)
     values = np.full(Ws.shape, np.nan, dtype=complex)
     far = locations >= 0
     if far.any():
-        values[far] = _FiberField(f, curve, samples, tol).transforms(Ws[far], locations[far], nodes)
+        values[far] = _FiberField(f, curve, samples, tol).transforms(Ws[far], locations[far], distances[far], nodes)
     return locations, values
 
 
@@ -706,7 +760,9 @@ def fiber_integral(
 
     As a function of ``z`` this is holomorphic wherever ``f`` is admissible;
     for functions extending from every circle met by the curve it is zero up
-    to quadrature error.
+    to quadrature error, and exactly 0 when F's series bound it within
+    ``QUAD_REFINE_TOL`` (see :meth:`_FiberField.integral`), as for every
+    holomorphic ``f``.
     """
     _require_nodes(nodes)
     return _FiberField(f, fiber_curve(complex(z), tau=tau), samples, tol).integral(nodes)

@@ -891,11 +891,15 @@ FLAG_VALUES = {
 # Flags that only act in some setting, which their lines set up: --grid-inflation
 # applies to a grid source, and fiber and theta read --tau only to check that
 # --z is admissible (the curve itself does not depend on it), so theirs use a z
-# that tau = 0.25 admits and tau = 0.3 excludes.
+# that tau = 0.25 admits and tau = 0.3 excludes.  theta's --nodes sets the
+# quadrature of the W whose value is not certified a priori, which for a
+# holomorphic f (a constant F) is none of the grid, so it uses the
+# counterexample, whose F varies along the curve.
 FLAG_SETTING = {
     **{(name, "--grid-inflation"): ("--grid", "GRID") for name in ("test-circle", "sweep", "theta", "verdict")},
     ("fiber", "--tau"): ("--z", "-0.45+0.05i"),
     ("theta", "--tau"): ("--z", "-0.45+0.05i"),
+    ("theta", "--nodes"): ("--builtin", "counterexample"),
 }
 # fiber only draws the curve: the README documents its source flags as accepted
 # and ignored, and the bench's fiber operations pass them.

@@ -404,12 +404,12 @@ class TestCauchyTransform:
                         assert abs(cauchy_transform(f, z, W) - expected) < 1e-6, (z, piece, fraction, side)
 
     @pytest.mark.parametrize("name", ["poly3", "expz", "rational"])
-    def test_holomorphic_table_stops_at_first_refinement(self, name, capsys, monkeypatch):
+    def test_holomorphic_table_builds_only_the_curves_level(self, name, capsys, monkeypatch):
         # F(z, .) is constant, so each piece's series chops at the first
         # Lobatto grid, and both pieces' grids share one oracle call, however
-        # many W the table has.  Every W converges at the first refinement,
-        # so the table builds the curve's nodes, reads its first quadrature
-        # level from them and builds only the second.
+        # many W the table has.  Every W of the default grid is certified,
+        # so the table builds the curve's nodes, reads c from them and
+        # builds no quadrature level beyond them.
         calls = []
         levels = []
         oracle_values = extension.oracle_values
@@ -434,7 +434,7 @@ class TestCauchyTransform:
                 capsys.readouterr()
                 assert len(calls) == 1, (z, w_count)
                 assert sum(calls) <= 2 * 33 * 256, (z, w_count)
-                assert levels == [256, 512], (z, w_count)
+                assert levels == [256], (z, w_count)
                 counts.append(list(calls))
             assert counts[0] == counts[1], z
 
@@ -580,7 +580,7 @@ class TestBatchedClassification:
             -1 if reference_distance(curve, W) < curve.proximity_guard else reference_closed_form_winding(curve, W)
             for W in Ws.tolist()
         ]
-        assert fiber._locations(curve, Ws).tolist() == expected
+        assert fiber._locations(curve, Ws)[0].tolist() == expected
         # The near-curve rows of a theta table.
         grid = theta_grid(curve, count, 0.75)
         near = [reference_distance(curve, W) < curve.proximity_guard for W in grid.tolist()]
@@ -650,18 +650,22 @@ class TestKernelBlocking:
             tables.append(fiber.cauchy_table(f, curve, Ws)[1])
         assert all(np.array_equal(tables[0], table) for table in tables[1:])
 
-        # The same levels with the kernel formed out of place over all W at once.
+        # The same certificate and levels with the kernel formed out of place
+        # over all W at once.  A constant F certifies every W of this grid, a
+        # non-constant one none.
         field = _FiberField(f, curve, extension.DEFAULT_SAMPLES, extension.DEFAULT_MORERA_TOL)
         per_piece = fiber.DEFAULT_NODES // 2
         w, dw, values = field.level(per_piece)
         c = values[np.argmin(np.abs(w - Ws[:, None]), axis=1)]
+        certified = field.variation <= 2.0 * math.pi * fiber.QUAD_REFINE_TOL * curve.distances(Ws)
+        assert certified.all() if name == "poly3" else not certified.any()
 
         def level(w, dw, values):
             return np.sum((values - c[:, None]) / (w - Ws[:, None]) * dw, axis=1) / (2.0j * math.pi) + c * windings
 
         previous = level(w, dw, values)
-        expected = np.empty_like(previous)
-        done = np.zeros(Ws.shape, dtype=bool)
+        expected = np.where(certified, c * windings, previous)
+        done = certified.copy()
         for _ in range(fiber.MAX_REFINEMENTS):
             per_piece *= 2
             current = level(*field.level(per_piece))
@@ -671,6 +675,129 @@ class TestKernelBlocking:
             previous = current
         assert done.all()
         assert np.array_equal(tables[0], expected)
+
+
+CERTIFICATE_BASE_POINTS = [-0.2 + 0.5j, 0.5j, 0.3 - 0.4j, -0.05 - 0.3j]
+
+
+def certificate_probes(curve):
+    """W from 1e-5 to 1e-1 diameters off both sides of each piece, and a 15 x 15 theta grid."""
+    probes = [
+        off_curve(curve, piece, s, side * fraction * curve.diameter)
+        for piece in ("segment", "arc")
+        for s in (0.25, 0.5, 0.75)
+        for fraction in (1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
+        for side in (1.0, -1.0)
+    ]
+    return np.concatenate([probes, theta_grid(curve, 15, 0.75)])
+
+
+def uncertified(monkeypatch, call, *args):
+    """``call(*args)`` with no W and no fiber integral certified: every one runs the quadrature levels."""
+    with monkeypatch.context() as patch:
+        patch.setattr(fiber._FiberField, "variation", math.inf)
+        return call(*args)
+
+
+def outcome(call, *args):
+    """What ``call(*args)`` gives, bit for bit: the bytes of its arrays and the repr of its
+    numbers, or the type and message of the error it raises."""
+    try:
+        result = call(*args)
+    except MoreraError as err:
+        return type(err).__name__, str(err)
+    parts = result if isinstance(result, tuple) else (result,)
+    return tuple(part.tobytes() if isinstance(part, np.ndarray) else repr(part) for part in parts)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("name", ["poly3", "expz", "rational"])
+    @pytest.mark.parametrize("z", CERTIFICATE_BASE_POINTS)
+    def test_certified_values_are_within_tolerance(self, name, z, monkeypatch):
+        # F is constant, so every W beyond the proximity guard is certified
+        # and gets c * ind(W); the quadrature levels give the same to 1e-8.
+        f = builtin(name).oracle
+        curve = fiber_curve(z)
+        Ws = certificate_probes(curve)
+        locations, values = fiber.cauchy_table(f, curve, Ws)
+        far = locations >= 0
+        field = _FiberField(f, curve, extension.DEFAULT_SAMPLES, extension.DEFAULT_MORERA_TOL)
+        assert (field.variation <= 2.0 * math.pi * fiber.QUAD_REFINE_TOL * curve.distances(Ws[far])).all()
+        reference = uncertified(monkeypatch, fiber.cauchy_table, f, curve, Ws)[1]
+        assert np.abs(values[far] - reference[far]).max() <= fiber.QUAD_REFINE_TOL
+        assert np.abs(values[far] - np.where(locations[far] > 0, f(z), 0.0)).max() < 1e-10
+
+    @pytest.mark.parametrize("name", ["counterexample", "absq"])
+    @pytest.mark.parametrize("z", CERTIFICATE_BASE_POINTS)
+    def test_non_constant_F_is_never_certified(self, name, z, monkeypatch):
+        # The counterexample's F varies by order 1 along the curve, and absq
+        # fails on a Lobatto circle: tables and fiber integrals, errors
+        # included, are the quadrature's bit for bit.
+        f = builtin(name).oracle
+        curve = fiber_curve(z)
+        Ws = certificate_probes(curve)
+        for call, args in ((fiber.cauchy_table, (f, curve, Ws)), (fiber_integral, (f, z))):
+            assert outcome(call, *args) == uncertified(monkeypatch, outcome, call, *args), call
+        if name == "absq":
+            return
+        # W by W, since a table stops at its first unconverged W.
+        field, reference = (
+            _FiberField(f, curve, extension.DEFAULT_SAMPLES, extension.DEFAULT_MORERA_TOL) for _ in range(2)
+        )
+        reference.variation = math.inf
+        locations, distances = fiber._locations(curve, Ws)
+        assert field.variation > 2.0 * math.pi * fiber.QUAD_REFINE_TOL * distances.max()
+        for i in np.flatnonzero(locations >= 0).tolist():
+            args = (Ws[i : i + 1], locations[i : i + 1], distances[i : i + 1], fiber.DEFAULT_NODES)
+            assert outcome(field.transforms, *args) == outcome(reference.transforms, *args), Ws[i]
+
+    def test_holomorphic_W_beyond_the_bound_still_integrates(self, monkeypatch):
+        # A large constant F has a larger rounding bound: W within about
+        # 1e-3 diameters of the curve are not certified, and integrate.
+        f = lambda z: 1e4 * builtin("poly3").oracle(z)
+        z = -0.2 + 0.5j
+        curve = fiber_curve(z)
+        Ws = np.array(
+            [
+                off_curve(curve, piece, 0.5, side * fraction * curve.diameter)
+                for piece in ("segment", "arc")
+                for fraction in (1e-5, 1e-4)
+                for side in (1.0, -1.0)
+            ]
+        )
+        field = _FiberField(f, curve, extension.DEFAULT_SAMPLES, extension.DEFAULT_MORERA_TOL)
+        assert (field.variation > 2.0 * math.pi * fiber.QUAD_REFINE_TOL * curve.distances(Ws)).all()
+        locations, values = fiber.cauchy_table(f, curve, Ws)
+        assert np.array_equal(values, uncertified(monkeypatch, fiber.cauchy_table, f, curve, Ws)[1])
+        assert np.abs(values - np.where(locations > 0, f(z), 0.0)).max() < 1e-8
+
+    def test_no_theta_cell_reads_negative_zero(self, capsys):
+        # c * 0 keeps the signs of c's parts: a certified outside W must
+        # still print 0.0.  Some inside values here have a negative part.
+        negative = False
+        for name in ("poly3", "expz", "rational"):
+            for z in ("-0.2+0.5i", "0.5i", "0.3-0.4i"):
+                assert main(["theta", "--builtin", name, "--z", z, "--w-count", "7"]) == 0
+                rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+                assert not [cell for row in rows for cell in row if cell == "-0.0"], (name, z)
+                negative |= any(float(row[3]) < 0.0 or float(row[4]) < 0.0 for row in rows if row[2] == "inside")
+        assert negative
+
+    @pytest.mark.parametrize("entry", holomorphic_members(), ids=lambda entry: entry.name)
+    def test_holomorphic_fiber_integral_is_zero_without_levels(self, entry, monkeypatch):
+        levels = []
+        quadrature = fiber._quadrature
+
+        def counted_levels(z, t_min, per_piece):
+            levels.append(per_piece)
+            return quadrature(z, t_min, per_piece)
+
+        monkeypatch.setattr(fiber, "_quadrature", counted_levels)
+        for z in CERTIFICATE_BASE_POINTS:
+            levels.clear()
+            value = fiber_integral(entry.oracle, z)
+            assert type(value) is complex and repr(value) == "0j", z
+            assert levels == [fiber.DEFAULT_NODES // 2], z
 
 
 class TestNumericalRules:
