@@ -18,6 +18,8 @@ of centered + pencil) runs the same verdict without cross-consistency.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import replace
 from itertools import chain
 from typing import Callable, Optional, Sequence, Union
@@ -29,9 +31,13 @@ from ._record import Record, record
 from .errors import ConfigError, DomainError, ExtensionFailureError, InconclusiveError, SamplingError
 from .geometry import DEFAULT_TAU, Circle, require_boundary_point, require_tau
 
-DEFAULT_CROSS_TOL = 1e-6
-DEFAULT_DBAR_TOL = 1e-4
 DEFAULT_CIRCLES = 32
+# The verdict accepts a cross-consistency or Wirtinger residual up to this
+# multiple of sqrt(morera_tol) times the largest RMS of f on a swept circle:
+# a passing circle lets through a non-holomorphic part of relative amplitude
+# up to sqrt(morera_tol), so each extension lies within about that much of
+# f, and two of them differ by at most twice that.
+RESIDUAL_SLACK = 2.0
 # Cross-consistency compares the extensions from this many circles of each family around a point T,
 # the smallest this far inside the bound for surrounding T, at this many probe points, for this many T.
 CROSS_PER_FAMILY = 3
@@ -139,13 +145,19 @@ class CircleResult(Record):
 
 @record
 class Report(Record):
-    """Sweep report for one family: per-circle results plus aggregates."""
+    """Sweep report for one family: per-circle results plus aggregates.
+
+    ``scale`` is the largest root-mean-square of f on a swept circle, the
+    size against which the verdict judges its residuals; it is not part of
+    the JSON report.
+    """
 
     config: FamilyConfig
     circles: tuple[CircleResult, ...]
     passes: bool
     inconclusive: bool
     worst: Optional[CircleResult]
+    scale: float
 
     @property
     def failing(self) -> tuple[CircleResult, ...]:
@@ -195,7 +207,8 @@ def test_family(
         # Positional: a record built from keywords pays for a dict of them.
         results.append(CircleResult(config.kind, t, circle, n, negative, relative, passes, aliasing, inconclusive))
     worst = max(results, key=lambda r: r.relative_negative_energy, default=None)
-    return Report(config, tuple(results), bool(batch.passes.all()), bool(batch.inconclusive.any()), worst)
+    scale = math.sqrt(float(batch.total_energy.max()))
+    return Report(config, tuple(results), bool(batch.passes.all()), bool(batch.inconclusive.any()), worst, scale)
 
 
 def require_count(name: str, value: int) -> None:
@@ -294,16 +307,13 @@ class PipelineConfig(Record):
     r_min: float = 0.05
     t_min: Optional[float] = None  # default -1 + tau
     morera_tol: float = ext.DEFAULT_MORERA_TOL
-    cross_tol: float = DEFAULT_CROSS_TOL
-    dbar_tol: float = DEFAULT_DBAR_TOL
     samples: int = ext.DEFAULT_SAMPLES
 
     def __post_init__(self):
         require_tau(self.tau)
-        for name in ("morera_tol", "cross_tol", "dbar_tol"):
-            value = getattr(self, name)
-            if not 0.0 < value < np.inf:
-                raise ConfigError(f"{name} must be {'finite' if value > 0.0 else 'positive'}, got {value}")
+        value = self.morera_tol
+        if not 0.0 < value < np.inf:
+            raise ConfigError(f"morera_tol must be {'finite' if value > 0.0 else 'positive'}, got {value}")
 
     @property
     def pencil_floor(self) -> float:
@@ -452,9 +462,11 @@ def verdict(f: Oracle, config: PipelineConfig = PipelineConfig()) -> Verdict:
     check, hardly fails the test.  inconclusive: no hard failure, but some
     such circle stayed aliased at the sample-count cap.  Otherwise both
     families pass and the verdict is holomorphic-consistent when
-    cross-consistency and the Wirtinger residual are both below tolerance,
+    cross-consistency and the Wirtinger residual are both within
+    :data:`RESIDUAL_SLACK` * sqrt(``config.morera_tol``) times the largest
+    ``scale`` of the families, the accuracy the circle test itself promises,
     else inconsistent (the theorem allows it only when the families' smallest
-    circles overlap; ROADMAP item 9 lists the cases where it happens anyway).
+    circles overlap).
     The two-point configuration (``config.p2`` set) runs the same pipeline
     without cross-consistency, so the Wirtinger residual alone decides once
     both pencils pass.  A Wirtinger grid with a non-finite sample
@@ -468,7 +480,8 @@ def verdict(f: Oracle, config: PipelineConfig = PipelineConfig()) -> Verdict:
         dbar_value: Optional[float] = float(np.max(np.abs(dbar_extrap)))
     except SamplingError:
         dbar_value = dbar_error = None
-    dbar_ok = dbar_value is not None and dbar_value <= config.dbar_tol
+    residual_tol = _residual_tol(reports, config.morera_tol)
+    dbar_ok = dbar_value is not None and dbar_value <= residual_tol
     # The classification stays None until one of the steps below decides it.
     result = Verdict(
         sweep_classification(reports),
@@ -495,13 +508,22 @@ def verdict(f: Oracle, config: PipelineConfig = PipelineConfig()) -> Verdict:
             result, classification=CLASS_MORERA_FAILURE if failed else CLASS_INCONCLUSIVE, cross_note=str(exc)
         )
 
-    consistent = cross <= config.cross_tol and dbar_ok
+    consistent = cross <= residual_tol and dbar_ok
     return replace(
         result,
         classification=CLASS_CONSISTENT if consistent else CLASS_INCONSISTENT,
         cross_residual=cross,
         cross_t_values=tuple(float(T) for T in t_values),
     )
+
+
+def _residual_tol(reports: Sequence[Report], morera_tol: float) -> float:
+    """The largest cross-consistency or Wirtinger residual a verdict on ``reports`` accepts.
+
+    Capped at the largest float, which the JSON report can hold: a
+    ``morera_tol`` near it on an f near 1e154 would overflow.
+    """
+    return min(RESIDUAL_SLACK * math.sqrt(morera_tol) * max(r.scale for r in reports), sys.float_info.max)
 
 
 def report_document(
@@ -512,16 +534,19 @@ def report_document(
     A two-point run (``config.p2`` set) has no cross-consistency step, and its
     report says so with a shorter layout: no pencil point or tolerances,
     ``dbar`` holding only the residual, and ``cross_consistency`` None.
+    Otherwise ``tolerances`` holds ``config.morera_tol`` and the residual
+    threshold the verdict applied, under both "cross" and "dbar".
     """
     doc = {"schema_version": 1, "function": function_desc, "tau": config.tau, "warnings": list(warnings or [])}
     doc.update(result.to_dict())
     if config.p2 is not None:
         doc.update(dbar={"residual": result.dbar_value}, cross_consistency=None)
         return doc
+    residual_tol = _residual_tol(result.families, config.morera_tol)
     doc.update(
         p_re=config.p.real,
         p_im=config.p.imag,
-        tolerances={"morera": config.morera_tol, "cross": config.cross_tol, "dbar": config.dbar_tol},
+        tolerances={"morera": config.morera_tol, "cross": residual_tol, "dbar": residual_tol},
     )
     return doc
 

@@ -80,12 +80,11 @@ def _add_family_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--circles", type=int, default=analysis.DEFAULT_CIRCLES, help="circles per family (default %(default)s)")
 
 
-def _add_tolerance_flags(parser: argparse.ArgumentParser) -> argparse._ArgumentGroup:
+def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("tolerances")
     group.add_argument("--morera-tol", type=float, default=extension.DEFAULT_MORERA_TOL)
     group.add_argument("--samples", type=int, default=extension.DEFAULT_SAMPLES, help="circle sample count (default %(default)s)")
     group.add_argument("--grid-inflation", type=float, default=DEFAULT_GRID_INFLATION, help="extendability-threshold inflation for --grid sources (default %(default)s)")
-    return group
 
 
 # Complex literals like -0.2+0.5i may open with a minus; widen argparse's
@@ -215,10 +214,7 @@ def _theta_flags(parser: argparse.ArgumentParser) -> None:
 def _verdict_flags(parser: argparse.ArgumentParser) -> None:
     _add_function_flags(parser)
     _add_family_flags(parser)
-    # Only the verdict computes the cross-consistency and Wirtinger residuals.
-    group = _add_tolerance_flags(parser)
-    group.add_argument("--cross-tol", type=float, default=analysis.DEFAULT_CROSS_TOL)
-    group.add_argument("--dbar-tol", type=float, default=analysis.DEFAULT_DBAR_TOL)
+    _add_tolerance_flags(parser)
     parser.add_argument("-o", "--output", default=None)
 
 
@@ -298,9 +294,8 @@ def _emit(text: str, output: Optional[str]) -> None:
         gridio.write_text_atomic(output, text)
 
 
-def _pipeline_config(args, morera_tol: float, **residual_tols: float) -> analysis.PipelineConfig:
-    """The configuration of a ``sweep`` or ``verdict`` line; ``residual_tols`` are
-    ``verdict``'s ``cross_tol`` and ``dbar_tol``, which a sweep leaves at their defaults."""
+def _pipeline_config(args, morera_tol: float) -> analysis.PipelineConfig:
+    """The configuration of a ``sweep`` or ``verdict`` line."""
     t_min = None
     if args.rho is not None:
         if not 0.0 < args.rho < 1.0:
@@ -314,7 +309,6 @@ def _pipeline_config(args, morera_tol: float, **residual_tols: float) -> analysi
         t_min=t_min,
         morera_tol=morera_tol,
         samples=args.samples,
-        **residual_tols,
     )
     # The second point is read after the configuration is checked, so a bad
     # --tau or tolerance is reported before a bad --two-point literal.
@@ -424,7 +418,7 @@ def cmd_theta(args) -> int:
 
 def cmd_verdict(args) -> int:
     f, desc, warnings, tol = resolve_function(args)
-    config = _pipeline_config(args, tol, cross_tol=args.cross_tol, dbar_tol=args.dbar_tol)
+    config = _pipeline_config(args, tol)
     result = analysis.verdict(f, config)
     if config.p2 is not None:
         warnings = warnings + ["two-point pencil configuration: cross-consistency not evaluated (partial coverage)"]

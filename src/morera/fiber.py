@@ -72,7 +72,8 @@ from .semiquadric import invert_pencil_fiber
 # Proximity guard: points closer to the curve than this fraction of its
 # diameter cannot be classified or used as Cauchy-kernel poles.
 CURVE_PROXIMITY_FACTOR = 1e-6
-# Two successive quadrature refinements must agree to this tolerance.
+# Two successive quadrature refinements must agree to this tolerance, times
+# the largest |F| sampled where that exceeds 1 (see _FiberField.tolerance).
 QUAD_REFINE_TOL = 1e-8
 MAX_REFINEMENTS = 3
 # |Im(w*z)| above this disqualifies w from the segment branch of eval_F.
@@ -308,11 +309,14 @@ def winding_numbers(curve: FiberCurve, Ws: np.ndarray) -> np.ndarray:
     locations = _locations(curve, Ws)[0]
     near = np.flatnonzero(locations < 0)
     if near.size:
-        raise CurveProximityError(
-            f"W = {complex(Ws[near[0]])} is within {curve.proximity_guard:.3e} of the fiber curve; "
-            "membership ambiguous"
-        )
+        raise _proximity_error(curve, complex(Ws[near[0]]))
     return locations
+
+
+def _proximity_error(curve: FiberCurve, W: complex) -> CurveProximityError:
+    return CurveProximityError(
+        f"W = {W} is within {curve.proximity_guard:.3e} of the fiber curve; membership ambiguous"
+    )
 
 
 def winding_number(curve: FiberCurve, W: complex) -> int:
@@ -529,7 +533,9 @@ class _FiberField:
     (:class:`ExtensionFailureError`), then one aliased at the sample cap.
     Only when no circle raises does a piece whose series did not resolve
     raise :class:`InconclusiveError` naming the piece and its parameter
-    range.
+    range.  Contour sums are judged against ``tolerance``,
+    ``QUAD_REFINE_TOL`` times the largest piece scale where that exceeds 1,
+    as the series are: rounding alone reaches 1e-8 once |F| nears 1e8.
     """
 
     def __init__(self, f: Oracle, curve: FiberCurve, samples: int, tol: float):
@@ -538,6 +544,7 @@ class _FiberField:
         self.pieces = tuple(_fiber_series(f, z, (("segment", abs(z), 1.0), ("arc", curve.t_min, 0.0)), samples, tol))
         for piece in self.pieces:
             piece.require_resolved(z)
+        self.tolerance = QUAD_REFINE_TOL * max(1.0, *(piece.scale for piece in self.pieces))
 
     def level(self, per_piece: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nodes, weights and F values of the composite Gauss rule with ``per_piece`` nodes a piece.
@@ -600,14 +607,14 @@ class _FiberField:
             per_piece *= 2
             refined = sums(*self.level(per_piece), rows)
             change = np.abs(refined - current)
-            done = change < QUAD_REFINE_TOL
+            done = change < self.tolerance
             result[rows[done]] = refined[done]
             rows, current, change = rows[~done], refined[~done], change[~done]
             if not rows.size:
                 return result
         raise MoreraError(
             f"contour quadrature over the fiber curve of z = {self.curve.z} failed to converge "
-            f"to {QUAD_REFINE_TOL} within {MAX_REFINEMENTS} refinements at {where(int(rows[0]))}: "
+            f"to {self.tolerance} within {MAX_REFINEMENTS} refinements at {where(int(rows[0]))}: "
             f"the last two sums differ by {change[0]:.3e}"
         )
 
@@ -620,7 +627,7 @@ class _FiberField:
         where the kernel is large; c is fixed for every level.  The
         subtracted integral is at most ``variation`` / (2 pi d(W)) in
         modulus, d(W) the distance from W to the curve, so a W where that is
-        within ``QUAD_REFINE_TOL`` gets c * ind(W), certified, and builds no
+        within ``tolerance`` gets c * ind(W), certified, and builds no
         level.  Every other W has its levels doubled until two agree; the
         (W x nodes) kernels are taken in row blocks of about
         ``_BLOCK_ELEMENTS`` entries, all formed in the same three buffers
@@ -666,7 +673,7 @@ class _FiberField:
 
         # c * 0 keeps the signs of c's parts; adding 0.0 makes a certified outside W read 0.0, not -0.0.
         result = jump + 0.0
-        rows = np.flatnonzero(self.variation > 2.0 * math.pi * QUAD_REFINE_TOL * distances)
+        rows = np.flatnonzero(self.variation > 2.0 * math.pi * self.tolerance * distances)
         if not rows.size:
             return result
         return self._refine(per_piece, first, result, rows, sums, where)
@@ -676,9 +683,9 @@ class _FiberField:
 
         It equals the integral of (F - c) dw for any constant c, at most
         ``variation`` in modulus, so it is 0 when that is within
-        ``QUAD_REFINE_TOL``; else levels are doubled until two agree.
+        ``tolerance``; else levels are doubled until two agree.
         """
-        if self.variation <= QUAD_REFINE_TOL:
+        if self.variation <= self.tolerance:
             return 0j
         per_piece = max(_PANEL_ORDER, nodes // 2)
 
@@ -712,12 +719,15 @@ def cauchy_transform(
     across both pieces of a ``W`` not certified a priori; it is doubled
     until two refinements agree.  This is :func:`cauchy_table` at one point,
     except that a ``W`` within the proximity guard raises
-    :class:`CurveProximityError` (see :func:`winding_numbers`).
+    :class:`CurveProximityError` (see :func:`winding_numbers`), with F not
+    sampled.
     """
     curve = fiber_curve(complex(z), tau=tau)
-    Ws = [complex(W)]
-    winding_numbers(curve, Ws)
-    return complex(cauchy_table(f, curve, Ws, nodes, samples, tol)[1][0])
+    W = complex(W)
+    locations, values = cauchy_table(f, curve, [W], nodes, samples, tol)
+    if locations[0] < 0:
+        raise _proximity_error(curve, W)
+    return complex(values[0])
 
 
 def cauchy_table(
@@ -761,7 +771,7 @@ def fiber_integral(
     As a function of ``z`` this is holomorphic wherever ``f`` is admissible;
     for functions extending from every circle met by the curve it is zero up
     to quadrature error, and exactly 0 when F's series bound it within
-    ``QUAD_REFINE_TOL`` (see :meth:`_FiberField.integral`), as for every
+    the quadrature tolerance (see :meth:`_FiberField.integral`), as for every
     holomorphic ``f``.
     """
     _require_nodes(nodes)

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morera import analysis, cli, fiber
+from morera import analysis, cli, exprparser, fiber
 from morera.cli import main, parse_point
 from morera.errors import ConfigError
 from morera.funczoo import builtin
@@ -130,13 +131,9 @@ class TestVerdictCommand:
 REJECTED_FLAG_VALUES = [
     (["verdict", "--circles", "1"], "family grid needs at least 2 circles, got 1"),
     (["sweep", "--circles", "1"], "family grid needs at least 2 circles, got 1"),
-    (["verdict", "--cross-tol", "0"], "cross_tol must be positive, got 0.0"),
-    (["verdict", "--dbar-tol", "-1e-3"], "dbar_tol must be positive, got -0.001"),
     (["verdict", "--morera-tol", "0"], "morera_tol must be positive, got 0.0"),
     (["sweep", "--morera-tol", "nan"], "morera_tol must be positive, got nan"),
     (["verdict", "--morera-tol", "inf"], "morera_tol must be finite, got inf"),
-    (["verdict", "--cross-tol", "inf"], "cross_tol must be finite, got inf"),
-    (["verdict", "--dbar-tol", "inf"], "dbar_tol must be finite, got inf"),
     (["sweep", "--morera-tol", "inf"], "morera_tol must be finite, got inf"),
     (["test-circle", "--radius", "0.5", "--morera-tol", "inf"], "tolerance must be finite, got inf"),
     (["theta", "--z", "0.5i", "--w-count", "3", "--morera-tol", "inf"], "tolerance must be finite, got inf"),
@@ -179,9 +176,10 @@ class TestPencilPointFlags:
 
 
 class TestResidualToleranceFlags:
+    # The residual thresholds derive from --morera-tol and the size of f, so no flag sets them.
     @pytest.mark.parametrize("flag", ["--cross-tol", "--dbar-tol"])
-    @pytest.mark.parametrize("name", ["test-circle", "sweep", "theta"])
-    def test_only_verdict_takes_them(self, capsys, name, flag):
+    @pytest.mark.parametrize("name", ["test-circle", "sweep", "theta", "verdict"])
+    def test_are_usage_errors(self, capsys, name, flag):
         with pytest.raises(SystemExit) as exit_:
             main(quick_argv(name, "--builtin", "expz") + [flag, "1e-3"])
         _, err = capsys.readouterr()
@@ -189,10 +187,29 @@ class TestResidualToleranceFlags:
         assert err.startswith("usage: morera [-h]")
         assert err.endswith(f"morera: error: unrecognized arguments: {flag} 1e-3\n")
 
-    def test_verdict_reports_them(self, capsys):
-        code, out, _ = run(["verdict", "--builtin", "expz", "--circles", "8", "--cross-tol", "1e-3", "--dbar-tol=2e-3"], capsys)
+    @pytest.mark.parametrize(
+        "source, oracle",
+        [
+            (["--builtin", "expz"], builtin("expz").oracle),
+            (["--expr", "10^16*exp(z)"], exprparser.compile_function(exprparser.parse("10^16*exp(z)"))),
+        ],
+        ids=["expz", "10^16*exp(z)"],
+    )
+    def test_verdict_reports_the_derived_threshold(self, capsys, source, oracle):
+        code, out, _ = run(["verdict", *source, "--circles", "8", "--morera-tol", "1e-10"], capsys)
+        result = analysis.verdict(oracle, analysis.PipelineConfig(circles_per_family=8, morera_tol=1e-10))
+        threshold = analysis.RESIDUAL_SLACK * math.sqrt(1e-10) * max(r.scale for r in result.families)
         assert code == 0
-        assert json.loads(out)["tolerances"] == {"morera": 1e-8, "cross": 1e-3, "dbar": 2e-3}
+        assert json.loads(out)["tolerances"] == {"morera": 1e-10, "cross": threshold, "dbar": threshold}
+
+    # The per-circle threshold, 1.7e308 times an energy near 1e307, overflows too, with a warning.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    def test_overflowing_threshold_is_the_largest_float(self, capsys):
+        # sqrt(1.7e308) times an RMS near 1e154 overflows; the report must stay finite JSON.
+        code, out, _ = run(["verdict", "--expr", "5*10^153*exp(z)", "--circles", "8", "--morera-tol", "1.7e308"], capsys)
+        assert code == 0
+        largest = sys.float_info.max
+        assert json.loads(out)["tolerances"] == {"morera": 1.7e308, "cross": largest, "dbar": largest}
 
 
 class TestWPadFlag:
@@ -869,8 +886,6 @@ FLAG_VALUES = {
     "--morera-tol": ["1e-300", "0.9"],
     "--samples": ["64", "512"],
     "--grid-inflation": ["1e-290", "1e6"],
-    "--cross-tol": ["1e-12"],
-    "--dbar-tol": ["1e-12"],
     "--center": ["0.1"],
     "--radius": ["0.25"],
     "--output": ["OUT"],
@@ -952,8 +967,8 @@ class TestEveryFlagIsRead:
         changed = [value for value in FLAG_VALUES[option] if outcome(with_flag(base, option, value)) != default]
         assert bool(changed) is ((name, option) not in UNREAD_FLAGS), (name, option, changed)
 
-    def test_six_commands_take_61_flags(self):
-        assert len(declared_flags()) == 61
+    def test_six_commands_take_59_flags(self):
+        assert len(declared_flags()) == 59
 
 
 def test_every_pipeline_config_field_is_set_by_some_command():

@@ -52,7 +52,7 @@ SIGNATURES = {
     "PencilConfig": "(p, tau)",
     "PipelineConfig": (
         "(tau=0.25, p=(-1+0j), p2=None, circles_per_family=32, r_min=0.05, t_min=None, "
-        "morera_tol=1e-08, cross_tol=1e-06, dbar_tol=0.0001, samples=256)"
+        "morera_tol=1e-08, samples=256)"
     ),
     "PipelineConfig.families": "(kind='both')",
     "PipelineConfig.t_values": "()",
@@ -60,7 +60,7 @@ SIGNATURES = {
     "QuadricPoint.residual": "(q)",
     "RegionD": "(curve)",
     "RegionD.contains": "(W)",
-    "Report": "(config, circles, passes, inconclusive, worst)",
+    "Report": "(config, circles, passes, inconclusive, worst, scale)",
     "Report.to_dict": "()",
     "Semiquadric": "(a, r)",
     "Semiquadric.centered": "(radius)",
