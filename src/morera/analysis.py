@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import replace
 from itertools import chain
 from typing import Callable, Optional, Sequence, Union
@@ -312,8 +311,8 @@ class PipelineConfig(Record):
     def __post_init__(self):
         require_tau(self.tau)
         value = self.morera_tol
-        if not 0.0 < value < np.inf:
-            raise ConfigError(f"morera_tol must be {'finite' if value > 0.0 else 'positive'}, got {value}")
+        if not 0.0 < value < 1.0:
+            raise ConfigError(f"morera_tol must be {'less than 1' if value >= 1.0 else 'positive'}, got {value}")
 
     @property
     def pencil_floor(self) -> float:
@@ -520,10 +519,9 @@ def verdict(f: Oracle, config: PipelineConfig = PipelineConfig()) -> Verdict:
 def _residual_tol(reports: Sequence[Report], morera_tol: float) -> float:
     """The largest cross-consistency or Wirtinger residual a verdict on ``reports`` accepts.
 
-    Capped at the largest float, which the JSON report can hold: a
-    ``morera_tol`` near it on an f near 1e154 would overflow.
+    Finite: a scale is the root of a finite energy, and ``morera_tol`` < 1.
     """
-    return min(RESIDUAL_SLACK * math.sqrt(morera_tol) * max(r.scale for r in reports), sys.float_info.max)
+    return RESIDUAL_SLACK * math.sqrt(morera_tol) * max(r.scale for r in reports)
 
 
 def report_document(

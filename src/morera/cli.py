@@ -45,9 +45,10 @@ EXIT_FAILED_VERDICT = 1
 EXIT_CONFIG = 2
 EXIT_INCONCLUSIVE = 3
 
-# Extendability thresholds are inflated by this factor for grid-file sources:
-# the interpolant is only as faithful as the sampling.
-DEFAULT_GRID_INFLATION = 10.0
+# A grid source is judged at this multiple of its interpolant's estimated
+# error (GridFunction.error), as an amplitude: the per-circle energy ratio is
+# its square.
+GRID_ERROR_MARGIN = 10.0
 
 
 def parse_point(text: str) -> complex:
@@ -84,7 +85,6 @@ def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("tolerances")
     group.add_argument("--morera-tol", type=float, default=extension.DEFAULT_MORERA_TOL)
     group.add_argument("--samples", type=int, default=extension.DEFAULT_SAMPLES, help="circle sample count (default %(default)s)")
-    group.add_argument("--grid-inflation", type=float, default=DEFAULT_GRID_INFLATION, help="extendability-threshold inflation for --grid sources (default %(default)s)")
 
 
 # Complex literals like -0.2+0.5i may open with a minus; widen argparse's
@@ -255,8 +255,13 @@ def parse_args(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
 def resolve_function(args) -> tuple:
     """Resolve the (oracle, description, warnings, extendability tolerance) of a run.
 
-    The tolerance is ``--morera-tol``, inflated by ``--grid-inflation`` for a
-    grid-file source, where it must stay finite.
+    The tolerance is ``--morera-tol``.  A grid-file source is judged through
+    its interpolant, whose error the grid estimates from its own data
+    (``GridFunction.error``, relative to max |f|): its tolerance is
+    max(``--morera-tol``, (:data:`GRID_ERROR_MARGIN` * error)^2).  Where
+    that amplitude reaches 1, no trace could fail, so the run raises
+    :class:`InconclusiveError` naming the estimate; so does a grid of fewer
+    than 7 radii, which has none.
     """
     sources = [s for s in ("builtin", "expr", "grid") if getattr(args, s, None)]
     if len(sources) != 1:
@@ -270,16 +275,28 @@ def resolve_function(args) -> tuple:
         warnings.extend(exprparser.noninteger_power_warnings(node))
         oracle = exprparser.compile_function(node)
         return oracle, {"source": "expr", "text": exprparser.to_source(node)}, warnings, args.morera_tol
-    inflation = float(args.grid_inflation)
-    if not 0.0 < inflation < math.inf:
-        raise ConfigError(f"--grid-inflation must be positive and finite, got {inflation}")
-    tol = args.morera_tol * inflation
-    if tol == math.inf:
-        raise ConfigError(f"--morera-tol {args.morera_tol} inflated x{inflation} must stay finite, got {tol}")
     oracle = gridio.read_polar_grid(args.grid)
+    if oracle.error == math.inf:
+        raise InconclusiveError(
+            f"grid file {args.grid} has {oracle.radii.size} radii; its interpolation error cannot be "
+            "estimated from fewer than 7"
+        )
+    amplitude = GRID_ERROR_MARGIN * oracle.error
+    if not amplitude < 1.0:
+        raise InconclusiveError(
+            f"grid file {args.grid} does not resolve its function: its interpolation error is estimated "
+            f"at {oracle.error:.3g} of max |f|, and at {GRID_ERROR_MARGIN:g} times that no circle could fail"
+        )
+    # morera_tol first, so that a NaN stays NaN and is refused as such.
+    tol = max(args.morera_tol, amplitude**2)
     warnings.append(
-        f"function interpolated from grid file; extendability threshold inflated x{inflation}"
+        f"function interpolated from grid file; interpolation error estimated at {oracle.error:.2e} of "
+        f"max |f|, per-circle tolerance {tol:.2e}"
     )
+    if oracle.radii[0] > 0.0:
+        warnings.append(
+            f"grid radii start at {float(oracle.radii[0])!r}, above 0; points inside that radius take its values"
+        )
     if oracle.r_max < 1.0:
         warnings.append(
             f"grid radii end at {oracle.r_max!r}, below 1; points beyond that radius take its values"

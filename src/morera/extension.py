@@ -210,10 +210,11 @@ def _threshold_rule(negative, high, total, tol: float) -> tuple:
     energy is at most ``tol`` times its total energy and the aliasing band
     stays below the same threshold.  The threshold is purely relative, so a
     trace is judged by its shape however small it is; the zero function
-    passes (0 <= 0).  ``tol`` must be positive and finite.
+    passes (0 <= 0).  ``tol`` must lie in (0, 1): at 1 the threshold is the
+    total energy, and no trace could fail.
     """
-    if not 0.0 < tol < np.inf:
-        raise ParameterDomainError(f"tolerance must be {'finite' if tol > 0.0 else 'positive'}, got {tol}")
+    if not 0.0 < tol < 1.0:
+        raise ParameterDomainError(f"tolerance must be {'less than 1' if tol >= 1.0 else 'positive'}, got {tol}")
     threshold = tol * total
     aliasing = np.greater(high, threshold)
     passes = np.logical_and(np.less_equal(negative, threshold), np.logical_not(aliasing))

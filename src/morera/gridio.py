@@ -6,11 +6,14 @@ sample, covering a full tensor grid of radii (ascending, last row of radii
 should reach 1 to cover the closed disc) and equispaced angles in [0, 2*pi);
 blank lines and ``#`` comments are skipped.  The function is reconstructed by
 trigonometric interpolation in theta, which is spectrally accurate on the
-periodic rows, and a not-a-knot cubic spline in r.  Interpolation error is
-folded into the extendability threshold by a caller-chosen inflation factor.
-Points beyond the last radius take its values; the CLI warns when that
-radius is below 1.  Evaluation runs in fixed blocks of points, so its memory
-does not grow with the query size, and a non-finite point gives NaN.
+periodic rows, and a not-a-knot cubic spline in r.  At load the grid states
+its own accuracy: ``GridFunction.error`` bounds the interpolant's error,
+relative to max |f|, from the data alone, and the CLI judges a grid source at
+a tolerance derived from it.  Points beyond the last radius take its values,
+and points inside the first take that radius's; the CLI warns when the radii
+end below 1 or start above 0.  Evaluation runs in fixed blocks of points, so
+its memory does not grow with the query size, and a non-finite point gives
+NaN.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import encodings.utf_8_sig  # noqa: F401
 import contextlib
 import itertools
+import math
 import os
 from typing import Callable, Iterable, Optional
 
@@ -31,6 +35,9 @@ HEADER = ["r", "theta", "re", "im"]
 # Each row's trigonometric interpolant is tabulated on a grid this many times
 # finer, where 4-point cubic weights evaluate it.
 _UPSAMPLE = 8
+# The radial error estimate fits a spline through every other radius, which
+# needs 4 of them.
+_ESTIMATED_RADII = 7
 # The table is built this many rows at a time.
 _TABLE_ROWS = 16
 # GridFunction evaluates at most this many points at a time.
@@ -99,6 +106,22 @@ class GridFunction:
     on the coarse rows and upsampled with them.  r is clamped to
     ``[radii[0], r_max]``.
 
+    ``error`` bounds the interpolant's error relative to max |f|, from the
+    data alone.  It is the largest, over the rows, of two theta terms, plus
+    one radial term:
+
+    - the row's largest spectral coefficient at |k| >= 3n/8, the part the n
+      angles may not resolve (Trefethen and Weideman, "The exponentially
+      convergent trapezoidal rule", SIAM Rev. 2014);
+    - the row's sum of |c_k| (3/128) (2 pi k / 8n)^4, the error of the
+      4-point cubic step on the fine grid;
+    - 1/16 of the largest gap between the not-a-knot spline through every
+      other radius and the radii it skips: the spline's error scales as h^4
+      (de Boor, *A Practical Guide to Splines*).
+
+    A grid of fewer than 7 radii has no radial estimate, and its ``error``
+    is infinite; a grid of zeros has ``error`` 0.
+
     A call evaluates at most ``_BLOCK`` points at a time into its output, so
     beyond the table and the output its memory is bounded whatever the
     query size.  A non-finite point (NaN or infinite in either part) gives
@@ -118,8 +141,15 @@ class GridFunction:
         step = 2.0 * np.pi / thetas.size
         if not (np.abs(np.diff(thetas) - step) <= 1e-9).all() or abs(thetas[0]) > 1e-12:
             raise ConfigError("grid angles must be equispaced starting at 0")
-        table = _upsample_periodic([values, _spline_second_derivatives(radii, values)])
+        table, theta_error = _upsample_periodic([values, _spline_second_derivatives(radii, values)])
         self._values, self._second = table[: radii.size], table[radii.size :]
+        scale = float(np.abs(values).max())
+        if radii.size < _ESTIMATED_RADII:
+            self.error = math.inf
+        elif scale == 0.0:
+            self.error = 0.0
+        else:
+            self.error = (float(theta_error.max()) + _radial_error(radii, values)) / scale
 
     def __call__(self, z):
         arr = np.asarray(z, dtype=complex)
@@ -151,11 +181,7 @@ class GridFunction:
         radii = self.radii
         r = np.clip(np.abs(arr), radii[0], self.r_max)
         i = np.clip(np.searchsorted(radii, r, side="right") - 1, 0, radii.size - 2)
-        h = radii[i + 1] - radii[i]
-        b = (r - radii[i]) / h
-        a = 1.0 - b
-        ca = (a**3 - a) * h**2 / 6.0
-        cb = (b**3 - b) * h**2 / 6.0
+        a, b, ca, cb = _spline_weights(radii, i, r)
         width = self._values.shape[1]
         fine = width - 3  # see _upsample_periodic for the padding
         u = np.mod(np.angle(arr), 2.0 * np.pi) * (fine / (2.0 * np.pi))
@@ -208,25 +234,54 @@ def _spline_second_derivatives(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return second
 
 
-def _upsample_periodic(sources: list) -> np.ndarray:
-    """The rows of ``sources``, stacked, each as its trigonometric interpolant on a grid
-    ``_UPSAMPLE`` times finer, wrap-padded.
+def _spline_weights(x: np.ndarray, i, r) -> tuple:
+    """Weights of y[i], y[i + 1], y''[i] and y''[i + 1] in the cubic spline through
+    the knots ``x`` at ``r`` in [x[i], x[i + 1]]."""
+    h = x[i + 1] - x[i]
+    b = (r - x[i]) / h
+    a = 1.0 - b
+    return a, b, (a**3 - a) * h**2 / 6.0, (b**3 - b) * h**2 / 6.0
 
-    The result has one column of padding before the fine grid and two after,
+
+def _radial_error(radii: np.ndarray, values: np.ndarray) -> float:
+    """1/16 of the largest gap between the not-a-knot spline through every other
+    row of ``values`` and the rows it skips between its knots."""
+    x, y = radii[::2], values[::2]
+    second = _spline_second_derivatives(x, y)
+    a, b, ca, cb = (w[:, None] for w in _spline_weights(x, np.arange(x.size - 1), radii[1:-1:2]))
+    skipped = a * y[:-1] + b * y[1:] + ca * second[:-1] + cb * second[1:]
+    return float(np.abs(skipped - values[1:-1:2]).max()) / 16.0
+
+
+def _upsample_periodic(sources: list) -> tuple:
+    """The rows of ``sources``, stacked, each as its trigonometric interpolant on a grid
+    ``_UPSAMPLE`` times finer, wrap-padded; and a bound on the theta error of
+    each row of ``sources[0]``.
+
+    The table has one column of padding before the fine grid and two after,
     so the stencil of fine node j reads columns j .. j + 3.  It is filled
     ``_TABLE_ROWS`` rows at a time through one reused zero-padded buffer, so
-    the only full-size array is the result.
+    the only full-size array is the table.  A row's bound is its largest
+    spectral coefficient at |k| >= 3n/8 plus the error of the cubic step on
+    the fine grid (see :class:`GridFunction`).
     """
     n = sources[0].shape[1]
     m = _UPSAMPLE * n
     half = n // 2
+    k = np.abs(np.fft.fftfreq(n, 1.0 / n))
+    tail = k >= 3 * n / 8
+    step = (3.0 / 128.0) * (2.0 * np.pi * k / m) ** 4
+    theta_error = np.empty(sources[0].shape[0])
     table = np.empty((sum(rows.shape[0] for rows in sources), m + 3), dtype=complex)
     fine = np.zeros((_TABLE_ROWS, m), dtype=complex)
     top = 0
-    for rows in sources:
+    for index, rows in enumerate(sources):
         for start in range(0, rows.shape[0], _TABLE_ROWS):
             spectrum = np.fft.fft(rows[start : start + _TABLE_ROWS], axis=1, norm="forward")
             count = spectrum.shape[0]
+            if index == 0:
+                amplitude = np.abs(spectrum)
+                theta_error[start : start + count] = amplitude[:, tail].max(axis=1) + (amplitude * step).sum(axis=1)
             block = fine[:count]
             # Only these two column ranges are written; the rest stays zero.
             block[:, : half + 1] = spectrum[:, : half + 1]
@@ -239,7 +294,7 @@ def _upsample_periodic(sources: list) -> np.ndarray:
             top += count
     table[:, 0] = table[:, m]
     table[:, m + 1 :] = table[:, 1:3]
-    return table
+    return table, theta_error
 
 
 def _cubic_weights(t: np.ndarray) -> tuple:

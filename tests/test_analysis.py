@@ -465,11 +465,13 @@ class TestVerdict:
             PipelineConfig(**{name: value})
         assert str(info.value) == f"{name} must be positive, got {value}"
 
+    @pytest.mark.parametrize("value", [1.0, 1.7e308, math.inf])
     @pytest.mark.parametrize("name", ["morera_tol"])
-    def test_tolerances_must_be_finite(self, name):
+    def test_tolerances_must_be_below_one(self, name, value):
+        # At 1 the threshold is the total energy, so no circle could fail.
         with pytest.raises(ConfigError) as info:
-            PipelineConfig(**{name: math.inf})
-        assert str(info.value) == f"{name} must be finite, got inf"
+            PipelineConfig(**{name: value})
+        assert str(info.value) == f"{name} must be less than 1, got {value}"
 
     def test_two_point_classifies_on_the_wirtinger_residual(self):
         config = PipelineConfig(p2=1.0, circles_per_family=8)

@@ -133,10 +133,12 @@ REJECTED_FLAG_VALUES = [
     (["sweep", "--circles", "1"], "family grid needs at least 2 circles, got 1"),
     (["verdict", "--morera-tol", "0"], "morera_tol must be positive, got 0.0"),
     (["sweep", "--morera-tol", "nan"], "morera_tol must be positive, got nan"),
-    (["verdict", "--morera-tol", "inf"], "morera_tol must be finite, got inf"),
-    (["sweep", "--morera-tol", "inf"], "morera_tol must be finite, got inf"),
-    (["test-circle", "--radius", "0.5", "--morera-tol", "inf"], "tolerance must be finite, got inf"),
-    (["theta", "--z", "0.5i", "--w-count", "3", "--morera-tol", "inf"], "tolerance must be finite, got inf"),
+    (["verdict", "--morera-tol", "inf"], "morera_tol must be less than 1, got inf"),
+    (["sweep", "--morera-tol", "inf"], "morera_tol must be less than 1, got inf"),
+    (["verdict", "--morera-tol", "1"], "morera_tol must be less than 1, got 1.0"),
+    (["test-circle", "--radius", "0.5", "--morera-tol", "inf"], "tolerance must be less than 1, got inf"),
+    (["theta", "--z", "0.5i", "--w-count", "3", "--morera-tol", "inf"], "tolerance must be less than 1, got inf"),
+    (["test-circle", "--radius", "0.5", "--morera-tol", "1"], "tolerance must be less than 1, got 1.0"),
     (["verdict", "--p", "1+"],
      "invalid complex literal '1+': parse error at offset 2: expected a number, variable, function call, or '('"),
     (["verdict", "--rho", "0"], "--rho must lie in (0, 1), got 0.0"),
@@ -202,14 +204,14 @@ class TestResidualToleranceFlags:
         assert code == 0
         assert json.loads(out)["tolerances"] == {"morera": 1e-10, "cross": threshold, "dbar": threshold}
 
-    # The per-circle threshold, 1.7e308 times an energy near 1e307, overflows too, with a warning.
-    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
-    def test_overflowing_threshold_is_the_largest_float(self, capsys):
-        # sqrt(1.7e308) times an RMS near 1e154 overflows; the report must stay finite JSON.
-        code, out, _ = run(["verdict", "--expr", "5*10^153*exp(z)", "--circles", "8", "--morera-tol", "1.7e308"], capsys)
-        assert code == 0
-        largest = sys.float_info.max
-        assert json.loads(out)["tolerances"] == {"morera": 1.7e308, "cross": largest, "dbar": largest}
+    @pytest.mark.parametrize("source", [["--builtin", "conjugate"], ["--expr", "5*10^153*exp(z)"]])
+    @pytest.mark.parametrize("tol", ["1", "1.7e308"])
+    def test_tolerance_of_one_or_more_is_config_error(self, capsys, source, tol):
+        # At morera_tol >= 1 the threshold is at least the total energy, so
+        # no circle could fail; once below 1, 2 sqrt(tol) S cannot overflow.
+        code, out, err = run(["verdict", *source, "--circles", "8", "--morera-tol", tol], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: morera_tol must be less than 1, got {float(tol)}\n"
 
 
 class TestWPadFlag:
@@ -423,7 +425,7 @@ class TestGridRoundTrip:
 
     def test_sweep_verdicts_reproduced(self, capsys, tmp_path):
         # Export sampled zoo values, re-import, and compare per-circle
-        # verdicts against the builtin sweep (interpolation threshold x10).
+        # verdicts against the builtin sweep (at the grid's derived tolerance).
         grid = tmp_path / "cex.csv"
         write_polar_grid(str(grid), builtin("counterexample").oracle, n_r=96, n_theta=192)
         out_builtin = tmp_path / "builtin.json"
@@ -449,7 +451,12 @@ class TestGridRoundTrip:
         # fail a holomorphic function; the report says so.
         path = tmp_path / "grid.csv"
         write_polar_grid(str(path), builtin("expz").oracle, n_r=32, n_theta=64, r_max=r_max)
-        expected = ["function interpolated from grid file; extendability threshold inflated x10.0"]
+        error = read_polar_grid(str(path)).error
+        tol = max(1e-8, (cli.GRID_ERROR_MARGIN * error) ** 2)
+        expected = [
+            f"function interpolated from grid file; interpolation error estimated at {error:.2e} of max |f|, "
+            f"per-circle tolerance {tol:.2e}"
+        ]
         if r_max < 1.0:
             expected.append("grid radii end at 0.5, below 1; points beyond that radius take its values")
         for argv in (
@@ -459,6 +466,50 @@ class TestGridRoundTrip:
             _, out, err = run(argv, capsys)
             assert err == ""
             assert json.loads(out)["warnings"] == expected, argv
+
+    def test_grid_starting_above_the_origin_is_reported(self, capsys, tmp_path):
+        # Points inside the first radius take its values, so the interpolant
+        # of exp(z) is not holomorphic there and the verdict fails; the
+        # report says why.
+        radii = np.linspace(0.3, 1.0, 64)
+        thetas = 2 * np.pi * np.arange(128) / 128
+        values = np.exp(radii[:, None] * np.exp(1j * thetas)[None, :])
+        rows = [
+            f"{r!r},{t!r},{v.real!r},{v.imag!r}"
+            for r, row in zip(radii.tolist(), values.tolist())
+            for t, v in zip(thetas.tolist(), row)
+        ]
+        path = tmp_path / "grid.csv"
+        path.write_text("\n".join(["r,theta,re,im"] + rows) + "\n")
+        code, out, err = run(["verdict", "--grid", str(path)], capsys)
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        assert doc["verdict"] == "morera-failure"
+        assert doc["warnings"][1:] == ["grid radii start at 0.3, above 0; points inside that radius take its values"]
+
+    @pytest.mark.parametrize("command", [["test-circle", "--radius", "0.5"], ["verdict", "--circles", "8"]])
+    def test_unresolved_grid_is_inconclusive(self, capsys, tmp_path, command):
+        # z^20 at 32 angles: the k = 20 coefficient aliases onto k = -12, so
+        # the largest coefficient at |k| >= 12 is max |f| itself.
+        path = tmp_path / "grid.csv"
+        write_polar_grid(str(path), lambda z: z**20, n_r=16, n_theta=32)
+        error = read_polar_grid(str(path)).error
+        assert error >= 1.0
+        code, out, err = run(command + ["--grid", str(path)], capsys)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: grid file {path} does not resolve its function: its interpolation error is estimated "
+            f"at {error:.3g} of max |f|, and at 10 times that no circle could fail\n"
+        )
+
+    def test_grid_of_too_few_radii_is_inconclusive(self, capsys, tmp_path):
+        path = tmp_path / "grid.csv"
+        write_polar_grid(str(path), builtin("poly3").oracle, n_r=6, n_theta=16)
+        code, out, err = run(["verdict", "--grid", str(path), "--circles", "8"], capsys)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: grid file {path} has 6 radii; its interpolation error cannot be estimated from fewer than 7\n"
+        )
 
     def test_shuffled_rows_load_the_same_grid(self, tmp_path):
         path = tmp_path / "grid.csv"
@@ -574,22 +625,15 @@ class TestTauRange:
 
 
 class TestGridInflation:
-    @pytest.mark.parametrize("command", [["test-circle", "--radius", "0.5"], ["verdict", "--circles", "8"]])
-    @pytest.mark.parametrize("value, shown", [("0", "0.0"), ("-2", "-2.0"), ("nan", "nan"), ("inf", "inf")])
-    def test_non_positive_or_non_finite_names_the_flag(self, capsys, tmp_path, command, value, shown):
-        grid = tmp_path / "grid.csv"
-        write_polar_grid(str(grid), builtin("poly3").oracle, n_r=8, n_theta=16)
-        code, out, err = run(command + ["--grid", str(grid), "--grid-inflation", value], capsys)
-        assert code == 2 and out == ""
-        assert err == f"error: --grid-inflation must be positive and finite, got {shown}\n"
-
-    @pytest.mark.parametrize("command", [["test-circle", "--radius", "0.5"], ["verdict", "--circles", "8"]])
-    def test_inflated_tolerance_must_stay_finite(self, capsys, tmp_path, command):
-        grid = tmp_path / "grid.csv"
-        write_polar_grid(str(grid), builtin("poly3").oracle, n_r=8, n_theta=16)
-        code, out, err = run(command + ["--grid", str(grid), "--morera-tol", "1e308"], capsys)
-        assert code == 2 and out == ""
-        assert err == "error: --morera-tol 1e+308 inflated x10.0 must stay finite, got inf\n"
+    # A grid's tolerance derives from its own error estimate, so no flag sets it.
+    @pytest.mark.parametrize("name", ["test-circle", "sweep", "theta", "verdict"])
+    def test_is_a_usage_error(self, capsys, name):
+        with pytest.raises(SystemExit) as exit_:
+            main(quick_argv(name, "--builtin", "expz") + ["--grid-inflation", "10"])
+        _, err = capsys.readouterr()
+        assert exit_.value.code == 2
+        assert err.startswith("usage: morera [-h]")
+        assert err.endswith("morera: error: unrecognized arguments: --grid-inflation 10\n")
 
 
 # A quick command line per command; "SOURCE" stands for its function source.
@@ -885,7 +929,6 @@ FLAG_VALUES = {
     "--grid": ["GRID"],
     "--morera-tol": ["1e-300", "0.9"],
     "--samples": ["64", "512"],
-    "--grid-inflation": ["1e-290", "1e6"],
     "--center": ["0.1"],
     "--radius": ["0.25"],
     "--output": ["OUT"],
@@ -903,15 +946,13 @@ FLAG_VALUES = {
     "--w-pad": ["0.5"],
     "--floor": ["0.7"],
 }
-# Flags that only act in some setting, which their lines set up: --grid-inflation
-# applies to a grid source, and fiber and theta read --tau only to check that
-# --z is admissible (the curve itself does not depend on it), so theirs use a z
+# Flags that only act in some setting, which their lines set up: fiber and
+# theta read --tau only to check that --z is admissible (the curve itself does not depend on it), so theirs use a z
 # that tau = 0.25 admits and tau = 0.3 excludes.  theta's --nodes sets the
 # quadrature of the W whose value is not certified a priori, which for a
 # holomorphic f (a constant F) is none of the grid, so it uses the
 # counterexample, whose F varies along the curve.
 FLAG_SETTING = {
-    **{(name, "--grid-inflation"): ("--grid", "GRID") for name in ("test-circle", "sweep", "theta", "verdict")},
     ("fiber", "--tau"): ("--z", "-0.45+0.05i"),
     ("theta", "--tau"): ("--z", "-0.45+0.05i"),
     ("theta", "--nodes"): ("--builtin", "counterexample"),
@@ -967,8 +1008,8 @@ class TestEveryFlagIsRead:
         changed = [value for value in FLAG_VALUES[option] if outcome(with_flag(base, option, value)) != default]
         assert bool(changed) is ((name, option) not in UNREAD_FLAGS), (name, option, changed)
 
-    def test_six_commands_take_59_flags(self):
-        assert len(declared_flags()) == 59
+    def test_six_commands_take_55_flags(self):
+        assert len(declared_flags()) == 55
 
 
 def test_every_pipeline_config_field_is_set_by_some_command():

@@ -388,8 +388,10 @@ class TestAnalyzeBatch:
             analyze_batch(lambda z: z, [0], [1.0], tol=0.0)
         with pytest.raises(ParameterDomainError):
             extension_test(analyze_circle(lambda z: z, Circle(0, 1.0), 16), tol=-1.0)
-        with pytest.raises(ParameterDomainError, match="^tolerance must be finite, got inf$"):
+        with pytest.raises(ParameterDomainError, match="^tolerance must be less than 1, got inf$"):
             analyze_batch(lambda z: z, [0], [1.0], tol=math.inf)
+        with pytest.raises(ParameterDomainError, match="^tolerance must be less than 1, got 1.0$"):
+            analyze_batch(lambda z: z, [0], [1.0], tol=1.0)
 
 
 class TestSingleCircle:

@@ -47,6 +47,9 @@ SPLINE_MAX_ERROR = {
     },
 }
 
+# Holomorphic functions whose coarse grids do not resolve them.
+HOLOMORPHIC = {"exp(3z)": lambda z: np.exp(3 * z), "1/(z-1.3)": lambda z: 1 / (z - 1.3), "z^20": lambda z: z**20}
+
 
 def _points():
     rng = np.random.default_rng(20260)
@@ -94,6 +97,23 @@ class TestInterpolant:
         g, values = _grid(f, radii, 64)
         assert np.max(np.abs(g(_nodes(radii, 64)) - values)) < 1e-13
         assert np.max(np.abs(g(z) - f(z))) < 1e-4
+
+    @pytest.mark.parametrize("shape", [(16, 32), (32, 64), (64, 128)])
+    @pytest.mark.parametrize("name", [*HOLOMORPHIC, *builtin_names()])
+    def test_error_estimate_bounds_the_error(self, name, shape):
+        # The CLI judges a grid source at 10 times its estimate, so 10 times it
+        # must bound the error it stands for; 1e-14 is the rounding level.
+        f = HOLOMORPHIC[name] if name in HOLOMORPHIC else builtin(name).oracle
+        g, values = _grid(f, np.linspace(0.0, 1.0, shape[0]), shape[1])
+        z = _points()
+        measured = np.max(np.abs(g(z) - f(z))) / np.max(np.abs(values))
+        assert measured <= 10.0 * max(g.error, 1e-14)
+
+    def test_error_estimate_needs_7_radii(self):
+        f = builtin("poly3").oracle
+        assert _grid(f, np.linspace(0.0, 1.0, 6), 16)[0].error == np.inf
+        assert _grid(f, np.linspace(0.0, 1.0, 7), 16)[0].error < 1e-3
+        assert _grid(lambda z: 0.0 * z, np.linspace(0.0, 1.0, 7), 16)[0].error == 0.0
 
     def test_radius_clamped_to_the_grid(self):
         f = builtin("poly3").oracle
