@@ -12,7 +12,10 @@ the three: extendability from both full families together with
 cross-consistency forces analyticity, while configurations whose smallest
 circles overlap admit non-analytic functions that pass every per-circle test.
 The two-point configuration (the pencils through two boundary points in place
-of centered + pencil) runs the same verdict without cross-consistency.
+of centered + pencil) runs the same verdict without cross-consistency.  For a
+source known only to within some error, such as a grid's interpolant, a
+looser tolerance can discount the failures that error could explain as
+inconclusive; it never turns a failure into a pass.
 """
 
 from __future__ import annotations
@@ -514,6 +517,51 @@ def verdict(f: Oracle, config: PipelineConfig = PipelineConfig()) -> Verdict:
         cross_residual=cross,
         cross_t_values=tuple(float(T) for T in t_values),
     )
+
+
+def discount_failures(report: Report, tol: float) -> Report:
+    """``report`` with each failing circle that passes at the looser ``tol`` marked inconclusive.
+
+    For a source known only to within some error, such as the interpolant of
+    a grid, a failure that error could explain decides nothing.  The circles
+    are judged again on their recorded energies, with no new samples.
+    """
+    circles = tuple(
+        replace(c, inconclusive=True) if not (c.passes or c.inconclusive) and c.relative_negative_energy <= tol else c
+        for c in report.circles
+    )
+    return replace(report, circles=circles, inconclusive=any(c.inconclusive for c in circles))
+
+
+def discount_verdict(result: Verdict, f: Oracle, config: PipelineConfig, tol: float) -> Verdict:
+    """The verdict ``result`` of ``f`` under ``config``, a failure that passes at the looser ``tol`` inconclusive.
+
+    The sweeps are discounted by :func:`discount_failures`; a failing
+    cross-consistency step is run again at ``tol``; a residual is held to the
+    threshold ``tol`` gives (see :func:`verdict`).  So a morera-failure or
+    inconsistent class either stands, because some part of it fails at
+    ``tol`` too, or becomes inconclusive; no other class changes.
+    """
+    if result.classification not in (CLASS_MORERA_FAILURE, CLASS_INCONSISTENT):
+        return result
+    reports = tuple(discount_failures(r, tol) for r in result.families)
+    result = replace(result, families=reports)
+    if any(r.failing for r in reports):
+        return result
+    if result.classification == CLASS_MORERA_FAILURE and not any(r.inconclusive for r in reports):
+        # Every swept circle passed, so a circle of the cross-consistency step failed.
+        try:
+            cross_consistency(f, config.t_values(), replace(config, morera_tol=tol))
+        except ExtensionFailureError:
+            return result
+        except InconclusiveError:
+            pass
+    elif result.classification == CLASS_INCONSISTENT:
+        residual_tol = _residual_tol(reports, tol)
+        residuals = (result.dbar_value, 0.0 if result.cross_residual is None else result.cross_residual)
+        if not all(r is not None and r <= residual_tol for r in residuals):
+            return result
+    return replace(result, classification=CLASS_INCONCLUSIVE)
 
 
 def _residual_tol(reports: Sequence[Report], morera_tol: float) -> float:

@@ -8,12 +8,12 @@ blank lines and ``#`` comments are skipped.  The function is reconstructed by
 trigonometric interpolation in theta, which is spectrally accurate on the
 periodic rows, and a not-a-knot cubic spline in r.  At load the grid states
 its own accuracy: ``GridFunction.error`` bounds the interpolant's error,
-relative to max |f|, from the data alone, and the CLI judges a grid source at
-a tolerance derived from it.  Points beyond the last radius take its values,
-and points inside the first take that radius's; the CLI warns when the radii
-end below 1 or start above 0.  Evaluation runs in fixed blocks of points, so
-its memory does not grow with the query size, and a non-finite point gives
-NaN.
+relative to max |f|, from the data alone, and the CLI counts a failure that
+this error could explain as inconclusive.  Points beyond the last radius take
+its values, and points inside the first take that radius's; the CLI warns
+when the radii end below 1 or start above 0.  Evaluation runs in fixed blocks
+of points, so its memory does not grow with the query size, and a non-finite
+point gives NaN.
 """
 
 from __future__ import annotations
@@ -112,7 +112,8 @@ class GridFunction:
 
     - the row's largest spectral coefficient at |k| >= 3n/8, the part the n
       angles may not resolve (Trefethen and Weideman, "The exponentially
-      convergent trapezoidal rule", SIAM Rev. 2014);
+      convergent trapezoidal rule", SIAM Rev. 2014).  Content the angles do
+      resolve counts too, so a grid of such content overstates its error;
     - the row's sum of |c_k| (3/128) (2 pi k / 8n)^4, the error of the
       4-point cubic step on the fine grid;
     - 1/16 of the largest gap between the not-a-knot spline through every
@@ -141,15 +142,15 @@ class GridFunction:
         step = 2.0 * np.pi / thetas.size
         if not (np.abs(np.diff(thetas) - step) <= 1e-9).all() or abs(thetas[0]) > 1e-12:
             raise ConfigError("grid angles must be equispaced starting at 0")
-        table, theta_error = _upsample_periodic([values, _spline_second_derivatives(radii, values)])
-        self._values, self._second = table[: radii.size], table[radii.size :]
         scale = float(np.abs(values).max())
         if radii.size < _ESTIMATED_RADII:
             self.error = math.inf
         elif scale == 0.0:
             self.error = 0.0
         else:
-            self.error = (float(theta_error.max()) + _radial_error(radii, values)) / scale
+            self.error = (_theta_error(values) + _radial_error(radii, values)) / scale
+        table = _upsample_periodic([values, _spline_second_derivatives(radii, values)])
+        self._values, self._second = table[: radii.size], table[radii.size :]
 
     def __call__(self, z):
         arr = np.asarray(z, dtype=complex)
@@ -253,35 +254,36 @@ def _radial_error(radii: np.ndarray, values: np.ndarray) -> float:
     return float(np.abs(skipped - values[1:-1:2]).max()) / 16.0
 
 
-def _upsample_periodic(sources: list) -> tuple:
-    """The rows of ``sources``, stacked, each as its trigonometric interpolant on a grid
-    ``_UPSAMPLE`` times finer, wrap-padded; and a bound on the theta error of
-    each row of ``sources[0]``.
+def _theta_error(values: np.ndarray) -> float:
+    """The largest, over the rows of ``values``, of the theta error bound of
+    :class:`GridFunction`: the row's largest spectral coefficient at
+    |k| >= 3n/8 plus the error of the cubic step on the fine grid."""
+    n = values.shape[1]
+    k = np.abs(np.fft.fftfreq(n, 1.0 / n))
+    step = (3.0 / 128.0) * (2.0 * np.pi * k / (_UPSAMPLE * n)) ** 4
+    amplitude = np.abs(np.fft.fft(values, axis=1, norm="forward"))
+    return float((amplitude[:, k >= 3 * n / 8].max(axis=1) + (amplitude * step).sum(axis=1)).max())
 
-    The table has one column of padding before the fine grid and two after,
+
+def _upsample_periodic(sources: list) -> np.ndarray:
+    """The rows of ``sources``, stacked, each as its trigonometric interpolant on a grid
+    ``_UPSAMPLE`` times finer, wrap-padded.
+
+    The result has one column of padding before the fine grid and two after,
     so the stencil of fine node j reads columns j .. j + 3.  It is filled
     ``_TABLE_ROWS`` rows at a time through one reused zero-padded buffer, so
-    the only full-size array is the table.  A row's bound is its largest
-    spectral coefficient at |k| >= 3n/8 plus the error of the cubic step on
-    the fine grid (see :class:`GridFunction`).
+    the only full-size array is the result.
     """
     n = sources[0].shape[1]
     m = _UPSAMPLE * n
     half = n // 2
-    k = np.abs(np.fft.fftfreq(n, 1.0 / n))
-    tail = k >= 3 * n / 8
-    step = (3.0 / 128.0) * (2.0 * np.pi * k / m) ** 4
-    theta_error = np.empty(sources[0].shape[0])
     table = np.empty((sum(rows.shape[0] for rows in sources), m + 3), dtype=complex)
     fine = np.zeros((_TABLE_ROWS, m), dtype=complex)
     top = 0
-    for index, rows in enumerate(sources):
+    for rows in sources:
         for start in range(0, rows.shape[0], _TABLE_ROWS):
             spectrum = np.fft.fft(rows[start : start + _TABLE_ROWS], axis=1, norm="forward")
             count = spectrum.shape[0]
-            if index == 0:
-                amplitude = np.abs(spectrum)
-                theta_error[start : start + count] = amplitude[:, tail].max(axis=1) + (amplitude * step).sum(axis=1)
             block = fine[:count]
             # Only these two column ranges are written; the rest stays zero.
             block[:, : half + 1] = spectrum[:, : half + 1]
@@ -294,7 +296,7 @@ def _upsample_periodic(sources: list) -> tuple:
             top += count
     table[:, 0] = table[:, m]
     table[:, m + 1 :] = table[:, 1:3]
-    return table, theta_error
+    return table
 
 
 def _cubic_weights(t: np.ndarray) -> tuple:

@@ -24,6 +24,8 @@ from morera.analysis import (
     cross_consistency,
     dbar_residual,
     dbar_residual_detail,
+    discount_failures,
+    discount_verdict,
     dumps_report,
     report_document,
     sweep_classification,
@@ -515,6 +517,57 @@ class TestVerdict:
 
         with pytest.raises(DomainError, match="refused by the oracle"):
             verdict(f, PipelineConfig(p2=p2, circles_per_family=8))
+
+
+def _perturbed_exp(z):
+    # exp(z) + 1e-3 conj(z): the largest circles' relative negative energy is
+    # about 1e-6, so they fail at 1e-7 and pass at 1e-4.
+    z = np.asarray(z, dtype=complex)
+    return np.exp(z) + 1e-3 * np.conj(z)
+
+
+class TestDiscount:
+    CONFIG = PipelineConfig(circles_per_family=8)
+
+    def test_failures_within_the_tolerance_become_inconclusive(self):
+        report = sweep_family(_perturbed_exp, FamilyConfig("centered", 0.05, 1.0, 8))
+        assert report.failing
+        discounted = discount_failures(report, 1e-4)
+        assert not discounted.failing and discounted.inconclusive and not discounted.passes
+        assert [c.inconclusive for c in discounted.circles] == [not c.passes for c in report.circles]
+        assert discount_failures(report, 1e-12) == report
+
+    @pytest.mark.parametrize("tol, expected", [(1e-4, CLASS_INCONCLUSIVE), (1e-7, CLASS_MORERA_FAILURE)])
+    def test_failing_sweep(self, tol, expected):
+        result = verdict(_perturbed_exp, self.CONFIG)
+        assert result.classification == CLASS_MORERA_FAILURE
+        assert discount_verdict(result, _perturbed_exp, self.CONFIG, tol).classification == expected
+
+    @pytest.mark.parametrize("tol, expected", [(1e-4, CLASS_INCONCLUSIVE), (1e-7, CLASS_MORERA_FAILURE)])
+    def test_failing_cross_consistency_runs_again(self, tol, expected):
+        # Sweeps that pass with a failure from the cross-consistency step: the
+        # step is run again on f at the looser tolerance.
+        result = replace(verdict(builtin("expz").oracle, self.CONFIG), classification=CLASS_MORERA_FAILURE)
+        assert discount_verdict(result, _perturbed_exp, self.CONFIG, tol).classification == expected
+
+    @pytest.mark.parametrize(
+        "dbar, cross, expected",
+        [(0.01, 0.01, CLASS_INCONCLUSIVE), (0.01, None, CLASS_INCONCLUSIVE), (0.03, 0.01, CLASS_INCONSISTENT),
+         (0.01, 0.03, CLASS_INCONSISTENT), (None, 0.01, CLASS_INCONSISTENT)],
+    )
+    def test_residuals_are_held_to_the_looser_threshold(self, dbar, cross, expected):
+        # At 1e-4 the threshold is 2 * 1e-2 times the largest scale.
+        result = verdict(builtin("expz").oracle, self.CONFIG)
+        scale = max(r.scale for r in result.families)
+        residual = lambda x: None if x is None else x * scale
+        result = replace(result, classification=CLASS_INCONSISTENT, dbar_value=residual(dbar),
+                         cross_residual=residual(cross))
+        assert discount_verdict(result, None, self.CONFIG, 1e-4).classification == expected
+
+    @pytest.mark.parametrize("classification", [CLASS_CONSISTENT, CLASS_INCONCLUSIVE])
+    def test_other_classes_stand(self, classification):
+        result = replace(verdict(builtin("expz").oracle, self.CONFIG), classification=classification)
+        assert discount_verdict(result, _perturbed_exp, self.CONFIG, 0.5) is result
 
 
 class TestReports:

@@ -425,7 +425,7 @@ class TestGridRoundTrip:
 
     def test_sweep_verdicts_reproduced(self, capsys, tmp_path):
         # Export sampled zoo values, re-import, and compare per-circle
-        # verdicts against the builtin sweep (at the grid's derived tolerance).
+        # verdicts against the builtin sweep (both at --morera-tol).
         grid = tmp_path / "cex.csv"
         write_polar_grid(str(grid), builtin("counterexample").oracle, n_r=96, n_theta=192)
         out_builtin = tmp_path / "builtin.json"
@@ -454,8 +454,8 @@ class TestGridRoundTrip:
         error = read_polar_grid(str(path)).error
         tol = max(1e-8, (cli.GRID_ERROR_MARGIN * error) ** 2)
         expected = [
-            f"function interpolated from grid file; interpolation error estimated at {error:.2e} of max |f|, "
-            f"per-circle tolerance {tol:.2e}"
+            f"function interpolated from grid file; interpolation error estimated at {error:.2e} of max |f|; "
+            f"a failure that passes at tolerance {tol:.2e} counts as inconclusive"
         ]
         if r_max < 1.0:
             expected.append("grid radii end at 0.5, below 1; points beyond that radius take its values")
@@ -487,29 +487,54 @@ class TestGridRoundTrip:
         assert doc["verdict"] == "morera-failure"
         assert doc["warnings"][1:] == ["grid radii start at 0.3, above 0; points inside that radius take its values"]
 
-    @pytest.mark.parametrize("command", [["test-circle", "--radius", "0.5"], ["verdict", "--circles", "8"]])
-    def test_unresolved_grid_is_inconclusive(self, capsys, tmp_path, command):
-        # z^20 at 32 angles: the k = 20 coefficient aliases onto k = -12, so
-        # the largest coefficient at |k| >= 12 is max |f| itself.
+    @pytest.mark.parametrize(
+        "f, n_r, n_theta, command",
+        [
+            # z^20 at 32 angles: the k = 20 coefficient aliases onto k = -12,
+            # so the largest coefficient at |k| >= 12 is max |f| itself.
+            (lambda z: z**20, 16, 32, ["test-circle", "--radius", "0.5"]),
+            (lambda z: z**20, 16, 32, ["verdict", "--circles", "8"]),
+            # Fewer than 7 radii: no estimate, so the error reads infinite.
+            (builtin("poly3").oracle, 6, 16, ["verdict", "--circles", "8"]),
+        ],
+    )
+    def test_unresolved_grid_is_inconclusive(self, capsys, tmp_path, f, n_r, n_theta, command):
         path = tmp_path / "grid.csv"
-        write_polar_grid(str(path), lambda z: z**20, n_r=16, n_theta=32)
+        write_polar_grid(str(path), f, n_r=n_r, n_theta=n_theta)
         error = read_polar_grid(str(path)).error
-        assert error >= 1.0
+        assert error >= 0.1
         code, out, err = run(command + ["--grid", str(path)], capsys)
         assert (code, out) == (3, "")
         assert err == (
             f"error: grid file {path} does not resolve its function: its interpolation error is estimated "
-            f"at {error:.3g} of max |f|, and at 10 times that no circle could fail\n"
+            f"at {error:.3g} of max |f|, and a failure within 10 times that decides nothing\n"
         )
 
-    def test_grid_of_too_few_radii_is_inconclusive(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "f, expected",
+        [
+            # 1/(z - 1.3) at 16 x 32 fails circles at --morera-tol only by
+            # about its estimated interpolation error, 1e-2 of max |f|.
+            (lambda z: 1 / (z - 1.3), {"test-circle": (3, "inconclusive"), "sweep": (3, "inconclusive"), "theta": 3}),
+            # conj(z) fails by far more, so each failure stands.
+            (np.conj, {"test-circle": (1, "does-not-extend"), "sweep": (1, "morera-failure"), "theta": 2}),
+        ],
+    )
+    def test_failure_within_the_grid_error_is_inconclusive(self, capsys, tmp_path, f, expected):
         path = tmp_path / "grid.csv"
-        write_polar_grid(str(path), builtin("poly3").oracle, n_r=6, n_theta=16)
-        code, out, err = run(["verdict", "--grid", str(path), "--circles", "8"], capsys)
-        assert (code, out) == (3, "")
-        assert err == (
-            f"error: grid file {path} has 6 radii; its interpolation error cannot be estimated from fewer than 7\n"
-        )
+        write_polar_grid(str(path), f, n_r=16, n_theta=32)
+        code, out, _ = run(["test-circle", "--grid", str(path), "--radius", "0.9"], capsys)
+        assert (code, json.loads(out)["verdict"]) == expected["test-circle"]
+        code, out, _ = run(["sweep", "--grid", str(path), "--circles", "8"], capsys)
+        doc = json.loads(out)
+        assert (code, doc["verdict"]) == expected["sweep"]
+        circles = [c for family in doc["families"] for c in family["circles"]]
+        assert any(not c["passes"] for c in circles)
+        assert all(c["passes"] or c["inconclusive"] for c in circles) == (code == 3)
+        code, _, err = run(["theta", "--grid", str(path), "--z", "0.5i", "--w-count", "3"], capsys)
+        assert code == expected["theta"]
+        assert err.startswith("error: f does not extend holomorphically from the centered circle")
+        assert err.endswith("; the failure is within the interpolation error of the grid\n") == (code == 3)
 
     def test_shuffled_rows_load_the_same_grid(self, tmp_path):
         path = tmp_path / "grid.csv"
@@ -625,7 +650,7 @@ class TestTauRange:
 
 
 class TestGridInflation:
-    # A grid's tolerance derives from its own error estimate, so no flag sets it.
+    # A grid's error tolerance derives from its own error estimate, so no flag sets it.
     @pytest.mark.parametrize("name", ["test-circle", "sweep", "theta", "verdict"])
     def test_is_a_usage_error(self, capsys, name):
         with pytest.raises(SystemExit) as exit_:

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from morera import extension, fiber
-from morera.cli import GRID_ERROR_MARGIN, main
+from morera.cli import main
 from morera.errors import (
     ConfigError,
     CurveProximityError,
@@ -842,13 +842,13 @@ class TestFiberSeries:
                 assert np.abs(values - expected).max() <= 1e-12 * np.abs(expected).max(), (z, per_piece)
 
     def test_grid_source_matches_per_node_values(self):
-        # At the tolerance the CLI derives from the grid's error estimate;
+        # At the default --morera-tol, which the CLI runs a grid source at;
         # interpolation noise in F is about 1e-11.
         f = builtin("rational").oracle
         radii = np.linspace(0.0, 1.0, 64)
         thetas = 2.0 * np.pi * np.arange(128) / 128
         grid = GridFunction(radii, thetas, f(radii[:, None] * np.exp(1j * thetas)[None, :]))
-        tol = max(extension.DEFAULT_MORERA_TOL, (GRID_ERROR_MARGIN * grid.error) ** 2)
+        tol = extension.DEFAULT_MORERA_TOL
         for z in (0.5j, -0.2 + 0.5j, 0.3 - 0.4j):
             curve = fiber_curve(z)
             _, _, values = _FiberField(grid, curve, 256, tol).level(256)

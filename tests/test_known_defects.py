@@ -167,6 +167,17 @@ def test_grid_of_a_holomorphic_function_is_not_a_failure(capsys, tmp_path, name,
 @pytest.mark.parametrize("n_r, n_theta", GRID_SHAPES)
 @pytest.mark.parametrize("name", ["counterexample", "absq", "conjugate", "radial-smooth"])
 def test_grid_of_a_non_holomorphic_builtin_fails(capsys, tmp_path, name, n_r, n_theta):
-    # The tolerance a grid derives from its own error stays tight enough
-    # that a coarse grid of a function that does not extend still fails.
+    # These fail by far more than the grid's estimated interpolation error,
+    # so no failure is discounted as inconclusive.
     assert grid_verdict(capsys, tmp_path / "grid.csv", builtin(name).oracle, n_r, n_theta) == CLASS_MORERA_FAILURE
+
+
+@pytest.mark.parametrize("n_r, n_theta", GRID_SHAPES)
+def test_grid_of_a_non_holomorphic_function_is_never_consistent(capsys, tmp_path, n_r, n_theta):
+    # At 32 angles the k = -14 term lies in the band |k| >= 12 that the error
+    # estimate counts whole, about 0.018 of max |f|.  The 16 x 32 grid was
+    # holomorphic-consistent while the estimate raised the per-circle
+    # tolerance to (10 * 0.018)^2; it only discounts failures now.
+    f = lambda z: np.exp(z) + 0.05 * np.conj(z) ** 14
+    found = grid_verdict(capsys, tmp_path / "grid.csv", f, n_r, n_theta)
+    assert found == (CLASS_INCONCLUSIVE if n_r == 16 else CLASS_MORERA_FAILURE)
