@@ -12,14 +12,15 @@ the three: extendability from both full families together with
 cross-consistency forces analyticity, while configurations whose smallest
 circles overlap admit non-analytic functions that pass every per-circle test.
 The two-point configuration (the pencils through two boundary points in place
-of centered + pencil) runs the same verdict without cross-consistency.  For a
-source known only to within some error, such as a grid's interpolant, a
-looser tolerance can discount the failures that error could explain as
-inconclusive; it never turns a failure into a pass.
+of centered + pencil) runs the same verdict without cross-consistency.  The
+extension kernel judges each circle once: it passes, fails, or is undecided
+(for a grid, say, when its stated error could explain the failure), and an
+undecided circle keeps its place in the report.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import replace
@@ -117,17 +118,19 @@ class FamilyConfig(Record):
 
 @record
 class CircleResult(Record):
-    """Per-circle outcome of a family sweep."""
+    """Per-circle outcome of a family sweep: ``reason`` (not in the JSON) says why an
+    ``inconclusive`` circle is undecided, and energies not finite in float64 are None."""
 
     family: str
     parameter: float
     circle: Circle
     samples: int
-    negative_energy: float
-    relative_negative_energy: float
+    negative_energy: Optional[float]
+    relative_negative_energy: Optional[float]
     passes: bool
     aliasing: bool
     inconclusive: bool
+    reason: Optional[str] = None
 
     def to_dict(self) -> dict:
         return {
@@ -150,8 +153,8 @@ class Report(Record):
     """Sweep report for one family: per-circle results plus aggregates.
 
     ``scale`` is the largest root-mean-square of f on a swept circle, the
-    size against which the verdict judges its residuals; it is not part of
-    the JSON report.
+    size against which the verdict judges its residuals (not in the JSON);
+    it and ``worst`` leave out circles whose energies are not finite.
     """
 
     config: FamilyConfig
@@ -186,31 +189,28 @@ def test_family(
     """Run the extendability test on every grid circle of ``config``.
 
     All circles go through one :func:`extension.analyze_batch` call; results
-    are in parameter order.
+    are in parameter order, an undecided circle marked ``inconclusive`` with
+    its reason.
     """
     params = config.parameters().tolist()
     circles = [config.circle(t) for t in params]
-    try:
-        batch = ext.analyze_batch(
-            f, [c.center for c in circles], [c.radius for c in circles], tol, samples
-        )
-    except SamplingError as exc:
-        raise SamplingError(
-            f"sweep of {config.kind} family failed at parameter {params[exc.row]}: {exc}",
-            theta=exc.theta,
-            value=exc.value,
-        ) from None
+    batch = ext.analyze_batch(f, [c.center for c in circles], [c.radius for c in circles], tol, samples)
+    finite = np.isfinite(batch.total_energy)
+    reasons = batch.undecided.tolist()
     results = []
-    for t, circle, n, negative, total, passes, aliasing, inconclusive in zip(
+    for t, circle, n, negative, total, passes, aliasing, reason, ok in zip(
         params, circles, batch.samples.tolist(), batch.negative_energy.tolist(), batch.total_energy.tolist(),
-        batch.passes.tolist(), batch.aliasing.tolist(), batch.inconclusive.tolist(),
+        batch.passes.tolist(), batch.aliasing.tolist(), reasons, finite.tolist(),
     ):
-        relative = negative / total if total > 0 else 0.0
+        negative, relative = (negative, negative / total if total > 0 else 0.0) if ok else (None, None)
         # Positional: a record built from keywords pays for a dict of them.
-        results.append(CircleResult(config.kind, t, circle, n, negative, relative, passes, aliasing, inconclusive))
-    worst = max(results, key=lambda r: r.relative_negative_energy, default=None)
-    scale = math.sqrt(float(batch.total_energy.max()))
-    return Report(config, tuple(results), bool(batch.passes.all()), bool(batch.inconclusive.any()), worst, scale)
+        results.append(
+            CircleResult(config.kind, t, circle, n, negative, relative, passes, aliasing, bool(reason), reason)
+        )
+    judged = [r for r in results if r.negative_energy is not None]
+    worst = max(judged, key=lambda r: r.relative_negative_energy, default=None)
+    scale = math.sqrt(float(batch.total_energy[finite].max(initial=0.0)))
+    return Report(config, tuple(results), bool(batch.passes.all()), any(reasons), worst, scale)
 
 
 def require_count(name: str, value: int) -> None:
@@ -374,14 +374,16 @@ def cross_consistency(
     one outside (-1 + 2 tau, 0) raises :class:`DomainError`, one with fewer
     than two surrounding circles :class:`ConfigError`.  Each distinct circle
     is then analyzed once at ``config.samples`` and ``config.morera_tol``,
-    with the same refinement as a sweep circle.  A circle that fails the
-    extendability test raises :class:`ExtensionFailureError`; failing that,
-    one still aliased at the sample cap raises :class:`InconclusiveError`.
+    with the same refinement and judgement as a sweep circle.  A circle that
+    fails the extendability test raises :class:`ExtensionFailureError`;
+    failing that, an undecided one raises :class:`InconclusiveError` giving
+    its reason.
     """
     p = require_boundary_point(config.p)
     if abs(p - (-1.0)) >= 1e-15:
         rot = -p.conjugate()  # sends p to -1
-        f = lambda zeta, f=f: f(zeta / rot)
+        # The rotated oracle keeps the attributes of f, so it states f's accuracy (extension.stated_accuracy).
+        f = functools.update_wrapper(lambda zeta, f=f: f(zeta / rot), f)
     keys: dict = {}  # (center, radius) -> row of the batch, in first-occurrence order
     names: list[str] = []  # per row, its first (T, circle) pair
     rows: list[int] = []  # per (T, circle) pair, in T order
@@ -449,7 +451,7 @@ class Verdict(Record):
 
 def sweep_classification(reports: Sequence[Report]) -> Optional[str]:
     """morera-failure if some circle of ``reports`` fails outright, else
-    inconclusive if some stayed aliased at the sample cap, else None."""
+    inconclusive if some is undecided, else None."""
     if any(r.failing for r in reports):
         return CLASS_MORERA_FAILURE
     if any(r.inconclusive for r in reports):
@@ -461,19 +463,21 @@ def verdict(f: Oracle, config: PipelineConfig = PipelineConfig()) -> Verdict:
     """Run the full pipeline on ``f`` and classify the outcome.
 
     morera-failure: some circle of some family, or of the cross-consistency
-    check, hardly fails the test.  inconclusive: no hard failure, but some
-    such circle stayed aliased at the sample-count cap.  Otherwise both
-    families pass and the verdict is holomorphic-consistent when
-    cross-consistency and the Wirtinger residual are both within
+    check, fails the test outright.  inconclusive: no outright failure, but
+    some such circle is undecided (see :func:`extension.analyze_batch`).
+    Otherwise both families pass and the verdict is holomorphic-consistent
+    when cross-consistency and the Wirtinger residual are both within
     :data:`RESIDUAL_SLACK` * sqrt(``config.morera_tol``) times the largest
-    ``scale`` of the families, the accuracy the circle test itself promises,
-    else inconsistent (the theorem allows it only when the families' smallest
-    circles overlap).
+    ``scale`` of the families, the accuracy the circle test itself promises;
+    inconclusive when they are within the threshold of the undecided
+    tolerance u that ``f`` states (:func:`extension.stated_accuracy`; u is
+    ``morera_tol`` unless ``f`` states an error); else inconsistent (the
+    theorem allows it only when the families' smallest circles overlap).
     The two-point configuration (``config.p2`` set) runs the same pipeline
     without cross-consistency, so the Wirtinger residual alone decides once
     both pencils pass.  A Wirtinger grid with a non-finite sample
-    gives ``dbar_value`` None, which is never consistent, and does not abort
-    the run.
+    gives ``dbar_value`` None, which is never consistent or inconclusive,
+    and does not abort the run.
     """
     families = config.families()
     reports = tuple(test_family(f, fam, config.morera_tol, config.samples) for fam in families)
@@ -482,8 +486,6 @@ def verdict(f: Oracle, config: PipelineConfig = PipelineConfig()) -> Verdict:
         dbar_value: Optional[float] = float(np.max(np.abs(dbar_extrap)))
     except SamplingError:
         dbar_value = dbar_error = None
-    residual_tol = _residual_tol(reports, config.morera_tol)
-    dbar_ok = dbar_value is not None and dbar_value <= residual_tol
     # The classification stays None until one of the steps below decides it.
     result = Verdict(
         sweep_classification(reports),
@@ -494,8 +496,14 @@ def verdict(f: Oracle, config: PipelineConfig = PipelineConfig()) -> Verdict:
     )
     if result.classification is not None:
         return result
+    limits = [(CLASS_CONSISTENT, config.morera_tol), (CLASS_INCONCLUSIVE, ext.stated_accuracy(f, config.morera_tol)[0])]
+
+    def judged(*residuals) -> str:
+        worst = math.nan if None in residuals else max(residuals)  # None is within no threshold
+        return next((c for c, tol in limits if worst <= _residual_tol(reports, tol)), CLASS_INCONSISTENT)
+
     if config.p2 is not None:
-        return replace(result, classification=CLASS_CONSISTENT if dbar_ok else CLASS_INCONSISTENT)
+        return replace(result, classification=judged(dbar_value))
 
     # Both families pass on the grid; measure cross-consistency near the real
     # segment every surrounding circle sees.
@@ -504,70 +512,24 @@ def verdict(f: Oracle, config: PipelineConfig = PipelineConfig()) -> Verdict:
         cross = cross_consistency(f, t_values, config)
     except (ExtensionFailureError, InconclusiveError) as exc:
         # An off-grid circle inside the configured ranges failed (a Morera
-        # failure the finite grid missed) or stayed aliased at the cap.
+        # failure the finite grid missed) or is undecided.
         failed = isinstance(exc, ExtensionFailureError)
         return replace(
             result, classification=CLASS_MORERA_FAILURE if failed else CLASS_INCONCLUSIVE, cross_note=str(exc)
         )
-
-    consistent = cross <= residual_tol and dbar_ok
     return replace(
         result,
-        classification=CLASS_CONSISTENT if consistent else CLASS_INCONSISTENT,
+        classification=judged(cross, dbar_value),
         cross_residual=cross,
         cross_t_values=tuple(float(T) for T in t_values),
     )
 
 
-def discount_failures(report: Report, tol: float) -> Report:
-    """``report`` with each failing circle that passes at the looser ``tol`` marked inconclusive.
-
-    For a source known only to within some error, such as the interpolant of
-    a grid, a failure that error could explain decides nothing.  The circles
-    are judged again on their recorded energies, with no new samples.
-    """
-    circles = tuple(
-        replace(c, inconclusive=True) if not (c.passes or c.inconclusive) and c.relative_negative_energy <= tol else c
-        for c in report.circles
-    )
-    return replace(report, circles=circles, inconclusive=any(c.inconclusive for c in circles))
-
-
-def discount_verdict(result: Verdict, f: Oracle, config: PipelineConfig, tol: float) -> Verdict:
-    """The verdict ``result`` of ``f`` under ``config``, a failure that passes at the looser ``tol`` inconclusive.
-
-    The sweeps are discounted by :func:`discount_failures`; a failing
-    cross-consistency step is run again at ``tol``; a residual is held to the
-    threshold ``tol`` gives (see :func:`verdict`).  So a morera-failure or
-    inconsistent class either stands, because some part of it fails at
-    ``tol`` too, or becomes inconclusive; no other class changes.
-    """
-    if result.classification not in (CLASS_MORERA_FAILURE, CLASS_INCONSISTENT):
-        return result
-    reports = tuple(discount_failures(r, tol) for r in result.families)
-    result = replace(result, families=reports)
-    if any(r.failing for r in reports):
-        return result
-    if result.classification == CLASS_MORERA_FAILURE and not any(r.inconclusive for r in reports):
-        # Every swept circle passed, so a circle of the cross-consistency step failed.
-        try:
-            cross_consistency(f, config.t_values(), replace(config, morera_tol=tol))
-        except ExtensionFailureError:
-            return result
-        except InconclusiveError:
-            pass
-    elif result.classification == CLASS_INCONSISTENT:
-        residual_tol = _residual_tol(reports, tol)
-        residuals = (result.dbar_value, 0.0 if result.cross_residual is None else result.cross_residual)
-        if not all(r is not None and r <= residual_tol for r in residuals):
-            return result
-    return replace(result, classification=CLASS_INCONCLUSIVE)
-
-
 def _residual_tol(reports: Sequence[Report], morera_tol: float) -> float:
-    """The largest cross-consistency or Wirtinger residual a verdict on ``reports`` accepts.
+    """The largest cross-consistency or Wirtinger residual a verdict on ``reports`` accepts
+    at the per-circle tolerance ``morera_tol``.
 
-    Finite: a scale is the root of a finite energy, and ``morera_tol`` < 1.
+    Finite for a ``morera_tol`` below 1: a scale is the root of a finite energy.
     """
     return RESIDUAL_SLACK * math.sqrt(morera_tol) * max(r.scale for r in reports)
 

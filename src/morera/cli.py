@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from . import analysis, exprparser, extension, fiber, funczoo, gridio
-from .errors import ConfigError, EvalError, ExtensionFailureError, InconclusiveError, MoreraError, ParseError
+from .errors import ConfigError, EvalError, InconclusiveError, MoreraError, ParseError
 from .geometry import DEFAULT_TAU, Circle
 
 if TYPE_CHECKING:
@@ -44,11 +44,6 @@ EXIT_OK = 0
 EXIT_FAILED_VERDICT = 1
 EXIT_CONFIG = 2
 EXIT_INCONCLUSIVE = 3
-
-# For a grid source, a failure whose relative amplitude is within this
-# multiple of its interpolant's estimated error (GridFunction.error) counts
-# as inconclusive: the per-circle energy ratio is the amplitude's square.
-GRID_ERROR_MARGIN = 10.0
 
 
 def parse_point(text: str) -> complex:
@@ -253,17 +248,12 @@ def parse_args(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
 
 
 def resolve_function(args) -> tuple:
-    """Resolve the (oracle, description, warnings, error tolerance) of a run.
+    """Resolve the (oracle, description, warnings) of a run.
 
-    Every source is judged at ``--morera-tol``.  The error tolerance is None
-    for a builtin or an expression.  A grid-file source is judged through
-    its interpolant, whose error the grid estimates from its own data
-    (``GridFunction.error``, relative to max |f|); its error tolerance is
-    max(``--morera-tol``, (:data:`GRID_ERROR_MARGIN` * error)^2), and a
-    failure that passes at it counts as inconclusive, since the
-    interpolation error could explain it.  Where that amplitude reaches 1
-    (infinite for a grid of fewer than 7 radii), no failure could count,
-    so the run raises :class:`InconclusiveError` naming the estimate.
+    A grid file gives its interpolant, which states its own accuracy
+    (:func:`extension.stated_accuracy`); the first warning names it.  Where
+    that error allows no failure to count (infinite for a grid of fewer
+    than 7 radii), the run raises :class:`InconclusiveError` naming it.
     """
     sources = [s for s in ("builtin", "expr", "grid") if getattr(args, s, None)]
     if len(sources) != 1:
@@ -271,20 +261,20 @@ def resolve_function(args) -> tuple:
     warnings: list[str] = []
     if args.builtin:
         entry = funczoo.builtin(args.builtin)
-        return entry.oracle, {"source": "builtin", "name": entry.name}, warnings, None
+        return entry.oracle, {"source": "builtin", "name": entry.name}, warnings
     if args.expr:
         node = exprparser.parse(args.expr)
         warnings.extend(exprparser.noninteger_power_warnings(node))
         oracle = exprparser.compile_function(node)
-        return oracle, {"source": "expr", "text": exprparser.to_source(node)}, warnings, None
+        return oracle, {"source": "expr", "text": exprparser.to_source(node)}, warnings
     oracle = gridio.read_polar_grid(args.grid)
-    amplitude = GRID_ERROR_MARGIN * oracle.error
-    if not amplitude < 1.0:
+    margin = extension.GRID_ERROR_MARGIN
+    if not margin * oracle.error < 1.0:
         raise InconclusiveError(
             f"grid file {args.grid} does not resolve its function: its interpolation error is estimated "
-            f"at {oracle.error:.3g} of max |f|, and a failure within {GRID_ERROR_MARGIN:g} times that decides nothing"
+            f"at {oracle.error:.3g} of max |f|, and a failure within {margin:g} times that decides nothing"
         )
-    tol = max(args.morera_tol, amplitude**2)
+    tol, _ = extension.stated_accuracy(oracle, args.morera_tol)
     warnings.append(
         f"function interpolated from grid file; interpolation error estimated at {oracle.error:.2e} of "
         f"max |f|; a failure that passes at tolerance {tol:.2e} counts as inconclusive"
@@ -297,7 +287,7 @@ def resolve_function(args) -> tuple:
         warnings.append(
             f"grid radii end at {oracle.r_max!r}, below 1; points beyond that radius take its values"
         )
-    return oracle, {"source": "grid", "path": args.grid}, warnings, tol
+    return oracle, {"source": "grid", "path": args.grid}, warnings
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -329,11 +319,9 @@ def _pipeline_config(args) -> analysis.PipelineConfig:
 
 
 def cmd_test_circle(args) -> int:
-    f, desc, warnings, error_tol = resolve_function(args)
+    f, desc, warnings = resolve_function(args)
     circle = Circle(parse_point(args.center), args.radius)
     data, result, inconclusive = extension.analyze_with_refinement(f, circle, args.morera_tol, args.samples)
-    if error_tol is not None and not (result.passes or inconclusive):
-        inconclusive = extension.extension_test(data, error_tol).passes
     total = data.total_energy
     doc = {
         "schema_version": 1,
@@ -365,13 +353,19 @@ _EXIT_BY_CLASS = {
 }
 
 
+def _warn_undecided(reports) -> None:
+    """Name on stderr each swept circle whose samples or energy float64 could not hold, with its reason."""
+    for c in (c for report in reports for c in report.circles if c.negative_energy is None):
+        text = f"the {c.family} circle with parameter {c.parameter!r} ({c.circle}) is undecided: {c.reason}"
+        print(f"warning: {text}", file=sys.stderr)
+
+
 def cmd_sweep(args) -> int:
-    f, desc, warnings, error_tol = resolve_function(args)
+    f, desc, warnings = resolve_function(args)
     config = _pipeline_config(args)
     families = config.families(args.family)
     reports = [analysis.test_family(f, fam, config.morera_tol, config.samples) for fam in families]
-    if error_tol is not None:
-        reports = [analysis.discount_failures(r, error_tol) for r in reports]
+    _warn_undecided(reports)
     classification = analysis.sweep_classification(reports)
     if config.p2 is not None:
         warnings = warnings + ["two-point pencil configuration: extension sweeps only (partial coverage)"]
@@ -414,7 +408,7 @@ def cmd_theta(args) -> int:
     analysis.require_count("--nodes", args.nodes)
     if not math.isfinite(args.w_pad):
         raise ConfigError(f"--w-pad must be finite, got {args.w_pad}")
-    f, _, _, error_tol = resolve_function(args)
+    f, _, _ = resolve_function(args)
     z = parse_point(args.z)
     curve = fiber.fiber_curve(z, tau=args.tau)
     pad = args.w_pad * curve.diameter
@@ -424,14 +418,7 @@ def cmd_theta(args) -> int:
         raise ConfigError(f"--w-pad {args.w_pad} overflows the W grid of a curve of diameter {curve.diameter}")
     xs, ys = (np.linspace(lo, hi, args.w_count) for lo, hi in bounds)
     grid = [complex(x, y) for y in ys for x in xs]
-    try:
-        locations, values = fiber.cauchy_table(f, curve, grid, args.nodes, args.samples, args.morera_tol)
-    except ExtensionFailureError as exc:
-        if error_tol is None:
-            raise
-        # Raises if some circle fails at the error tolerance too.
-        fiber.cauchy_table(f, curve, grid, args.nodes, args.samples, error_tol)
-        raise InconclusiveError(f"{exc}; the failure is within the interpolation error of the grid") from None
+    locations, values = fiber.cauchy_table(f, curve, grid, args.nodes, args.samples, args.morera_tol)
     rows = ["re_w,im_w,location,re_theta,im_theta,abs_theta"]
     for W, location, value in zip(grid, locations.tolist(), values.tolist()):
         cells = f"{value.real!r},{value.imag!r},{abs(value)!r}" if location >= 0 else ",,"
@@ -441,11 +428,10 @@ def cmd_theta(args) -> int:
 
 
 def cmd_verdict(args) -> int:
-    f, desc, warnings, error_tol = resolve_function(args)
+    f, desc, warnings = resolve_function(args)
     config = _pipeline_config(args)
     result = analysis.verdict(f, config)
-    if error_tol is not None:
-        result = analysis.discount_verdict(result, f, config, error_tol)
+    _warn_undecided(result.families)
     if config.p2 is not None:
         warnings = warnings + ["two-point pencil configuration: cross-consistency not evaluated (partial coverage)"]
     doc = analysis.report_document(result, config, desc, warnings)

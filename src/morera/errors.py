@@ -23,17 +23,12 @@ class DomainError(MoreraError, ValueError):
 
 
 class SamplingError(MoreraError):
-    """A function oracle returned a non-finite value while being sampled.
+    """A function oracle returned a non-finite value while being sampled."""
 
-    ``row`` is the index of the offending circle when a batch of circles was
-    sampled at once.
-    """
-
-    def __init__(self, message, theta=None, value=None, row=None):
+    def __init__(self, message, theta=None, value=None):
         super().__init__(message)
         self.theta = theta
         self.value = value
-        self.row = row
 
 
 class InvalidStateError(MoreraError):
@@ -68,9 +63,9 @@ class ExtensionFailureError(MoreraError):
 
 
 class InconclusiveError(MoreraError):
-    """A circle a computation relies on stayed aliased at the sample-count cap.
+    """A circle a computation relies on is undecided (aliased at the sample cap, say).
 
-    Whether the function extends from that circle is undecided, so nothing
+    Whether the function extends from that circle is unknown, so nothing
     built on its extension can be computed.  Carries the circle, or ``None``
     when what stayed unresolved is the Chebyshev series of the fiberwise
     extension along a piece of a fiber curve.

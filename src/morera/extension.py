@@ -11,7 +11,10 @@ the extension itself, evaluated as a power series in (zeta - center)/radius.
 one oracle call and one FFT per doubling level, resampling only the rows
 whose aliasing guard trips.  Every single-circle function reads one row of
 it (:func:`analyze_trace` feeds it a stored trace instead of an oracle).
-Every extension is summed by one vectorized Horner loop.
+A row passes, fails, or is undecided with a reason: aliased at the sample
+cap, not finite in float64, or failing only within the accuracy its oracle
+states (:func:`stated_accuracy`).  Every extension is summed by one
+vectorized Horner loop.
 """
 
 from __future__ import annotations
@@ -38,10 +41,20 @@ from .geometry import Circle
 # Relative negative-tail energy threshold below which a trace counts as
 # holomorphically extendable.
 DEFAULT_MORERA_TOL = 1e-8
-# Default and maximum sample counts; doubling stops at the maximum and the
-# analysis is then reported as inconclusive by the sweep layer.
+# Default and maximum sample counts; doubling stops at the maximum, where a
+# row still aliased is undecided.
 DEFAULT_SAMPLES = 256
 MAX_SAMPLES = 4096
+# A failure within this multiple of an oracle's stated relative error is
+# undecided (see stated_accuracy); energy ratios are squared amplitudes.
+GRID_ERROR_MARGIN = 10.0
+# A circle leaves an oracle's data annulus when it crosses an edge by more than this
+# (a pencil point is on the unit circle only to within 1e-12).
+_ANNULUS_SLACK = 1e-9
+# Why a row is undecided, besides a non-finite sample or energy.
+ALIASED = "aliased at the sample cap"
+WITHIN_ERROR = "within the source's stated error"
+OUTSIDE_DATA = "outside the grid's data"
 # The refusal to evaluate the extension of a circle that fails the test.
 _REFUSAL = "extension evaluated on data that fails the extendability test (negative energy {:.3e}) on {}"
 
@@ -162,31 +175,50 @@ def oracle_values(f: Oracle, points: np.ndarray, check: bool = True) -> np.ndarr
     return values
 
 
+def _non_finite(values: np.ndarray, source: str):
+    """(row, theta, value, text) of the first non-finite sample in each row of ``values`` holding one."""
+    finite = np.isfinite(values)
+    for row in [] if finite.all() else np.flatnonzero(~finite.all(axis=1)).tolist():
+        j = int(np.argmin(finite[row]))
+        theta = 2.0 * np.pi * j / values.shape[1]
+        yield row, theta, complex(values[row, j]), f"{source} non-finite value {values[row, j]} at theta = {theta}"
+
+
 def _finite_rows(values: np.ndarray, centers: np.ndarray, radii: np.ndarray, source: str) -> np.ndarray:
     """``values``, one row of N samples per circle, unless one is non-finite:
-    the first such raises :class:`SamplingError` carrying its angle and row."""
-    bad = ~np.isfinite(values.real) | ~np.isfinite(values.imag)
-    if bad.any():
-        row, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        theta = 2.0 * np.pi * j / values.shape[1]
+    the first such raises :class:`SamplingError` carrying its angle."""
+    for row, theta, value, text in _non_finite(values, source):
         circle = Circle(complex(centers[row]), float(radii[row]))
-        message = f"{source} non-finite value {values[row, j]} at theta = {theta} on {circle}"
-        raise SamplingError(message, theta=float(theta), value=complex(values[row, j]), row=int(row))
+        raise SamplingError(f"{text} on {circle}", theta=theta, value=value)
     return values
 
 
-def _sample_rows(f: Oracle, centers: np.ndarray, radii: np.ndarray, n: int) -> np.ndarray:
-    """Samples of ``f`` at ``n`` equispaced points of each circle, one row each."""
+def _sample_rows(f: Oracle, centers: np.ndarray, radii: np.ndarray, n: int, check: bool = False) -> np.ndarray:
+    """Samples of ``f`` at ``n`` equispaced points of each circle, one row each; with ``check``,
+    a non-finite sample raises :class:`SamplingError` carrying its angle."""
     _require_sample_count(n, n)
     theta = 2.0 * np.pi * np.arange(n) / n
     points = centers[:, None] + radii[:, None] * np.exp(1j * theta)[None, :]
-    return _finite_rows(oracle_values(f, points, check=False), centers, radii, "oracle returned")
+    values = oracle_values(f, points, check=False)
+    return _finite_rows(values, centers, radii, "oracle returned") if check else values
 
 
 def sample_circle(f: Oracle, circle: Circle, n: int) -> CircleTrace:
     """Sample ``f`` at ``n`` equispaced points of ``circle``; a non-finite
     sample raises :class:`SamplingError` carrying its angle."""
-    return CircleTrace(circle, _sample_rows(f, np.array([circle.center]), np.array([circle.radius]), int(n))[0])
+    return CircleTrace(circle, _sample_rows(f, np.array([circle.center]), np.array([circle.radius]), int(n), True)[0])
+
+
+def stated_accuracy(f, tol: float) -> tuple:
+    """The undecided tolerance u and the data annulus (or None) an oracle states of itself.
+
+    As a grid's interpolant (:class:`~morera.gridio.GridFunction`) does, an
+    oracle may state ``error``, its error relative to max |f|, which gives
+    u = max(``tol``, (:data:`GRID_ERROR_MARGIN` * error)^2), and ``annulus``,
+    the radii (r_min, r_max) of its data.  A row failing at ``tol`` but not
+    at u, or on a circle leaving the annulus, is undecided.
+    """
+    return max(tol, (GRID_ERROR_MARGIN * getattr(f, "error", 0.0)) ** 2), getattr(f, "annulus", None)
 
 
 def _energy_bands(coeffs: np.ndarray) -> tuple:
@@ -223,14 +255,16 @@ def _threshold_rule(negative, high, total, tol: float) -> tuple:
 
 def analyze_trace(trace: CircleTrace) -> FourierData:
     """Fourier coefficients c_k = (1/N) sum_j values_j exp(-i k theta_j): the
-    batch kernel's row on the trace's own samples, raising what a batch raises."""
+    batch kernel's row on the trace's own samples, raising what
+    :func:`analyze_with_refinement` raises."""
     replay = lambda centers, radii, n: _finite_rows(trace.values[None, :], centers, radii, "trace holds")
-    return _one_row(replay, trace.circle, DEFAULT_MORERA_TOL, trace.sample_count, trace.sample_count)[0]
+    return _one_row(replay, trace, trace.circle, DEFAULT_MORERA_TOL, trace.sample_count, trace.sample_count)[0]
 
 
 def analyze_circle(f: Oracle, circle: Circle, n: int = DEFAULT_SAMPLES) -> FourierData:
     """Sample ``f`` on ``circle`` and Fourier-analyze the trace: the row of
-    :func:`analyze_batch` held at ``n`` samples, raising what a batch raises."""
+    :func:`analyze_batch` held at ``n`` samples, raising what
+    :func:`analyze_with_refinement` raises."""
     return analyze_with_refinement(f, circle, n0=n, n_max=n)[0]
 
 
@@ -260,17 +294,21 @@ def analyze_with_refinement(
 
     One row of :func:`analyze_batch`.  Returns the final data, the test
     result, whose ``passes`` and ``aliasing_flag`` are the batch row's
-    judgement, and an ``inconclusive`` flag that is set when the guard still
-    trips at ``n_max`` samples.
+    judgement, and an ``inconclusive`` flag set when the row is undecided.
+    The circle being the whole computation, a non-finite sample raises
+    :class:`SamplingError` carrying its angle, and an overflowing Fourier
+    energy :class:`InconclusiveError` naming the circle.
     """
-    return _one_row(lambda c, r, n: _sample_rows(f, c, r, n), circle, tol, n0, n_max)
+    return _one_row(lambda c, r, n: _sample_rows(f, c, r, n, True), f, circle, tol, n0, n_max)
 
 
-def _one_row(sample, circle: Circle, tol: float, n0: int, n_max: int) -> tuple:
-    """:func:`analyze_with_refinement` on the samples ``sample`` gives."""
-    batch = _analyze_rows(sample, circle.center, circle.radius, tol, n0, n_max)
+def _one_row(sample, source, circle: Circle, tol: float, n0: int, n_max: int) -> tuple:
+    """:func:`analyze_with_refinement` on the samples ``sample`` gives, of ``source``."""
+    batch = _analyze_rows(sample, source, circle.center, circle.radius, tol, n0, n_max)
+    n = int(batch.samples[0])
+    if not np.isfinite(batch.total_energy[0]):
+        raise InconclusiveError(f"the Fourier energy of f overflows float64 on {circle} ({n} samples)", circle=circle)
     c = batch.groups[0][1][0]
-    n = c.shape[0]
     negative, high, _ = _energy_bands(c)
     # reorder from [0..N/2-1, -N/2..-1] to [-N/2 .. N/2-1]
     data = FourierData(circle, np.concatenate([c[n // 2 :], c[: n // 2]]), float(negative), float(high))
@@ -279,7 +317,7 @@ def _one_row(sample, circle: Circle, tol: float, n0: int, n_max: int) -> tuple:
     result = ExtensionResult(
         bool(batch.passes[0]), data.tail_energy_negative, tol * data.total_energy, bool(batch.aliasing[0])
     )
-    return data, result, bool(batch.inconclusive[0])
+    return data, result, batch.undecided[0] is not None
 
 
 def evaluate_extension(
@@ -329,10 +367,10 @@ class BatchAnalysis(Record):
     ``samples`` is the sample count at which each row stopped, and
     ``negative_energy``, ``total_energy``, ``passes`` and ``aliasing`` are
     the test's outcome at that count, as :func:`extension_test` computes it
-    for one circle.  ``groups`` holds ``(rows, coefficients)`` pairs, one per
-    sample count at which some rows stopped: ``coefficients[i]`` is the
-    FFT-order DFT [0..N/2-1, -N/2..-1] of row ``rows[i]``, and ``rows`` is
-    ascending.
+    for one circle; ``undecided`` holds why a row is undecided, or None.
+    ``groups`` holds ``(rows, coefficients)`` pairs, one per sample count
+    at which some rows stopped: ``coefficients[i]`` is the FFT-order DFT
+    [0..N/2-1, -N/2..-1] of row ``rows[i]``, and ``rows`` is ascending.
     """
 
     centers: np.ndarray
@@ -342,12 +380,8 @@ class BatchAnalysis(Record):
     total_energy: np.ndarray
     passes: np.ndarray
     aliasing: np.ndarray
+    undecided: np.ndarray
     groups: tuple
-
-    @property
-    def inconclusive(self) -> np.ndarray:
-        """Rows still aliased at the sample cap: a row stops aliased only there."""
-        return self.aliasing
 
     def circle(self, row: int) -> Circle:
         return Circle(complex(self.centers[row]), float(self.radii[row]))
@@ -356,16 +390,18 @@ class BatchAnalysis(Record):
         """Raise unless every row passes, naming the row by ``name(row)``.
 
         The first failing row raises :class:`ExtensionFailureError`; when
-        none fails, the first row still aliased at the sample cap raises
-        :class:`InconclusiveError`.  So a failure in any row comes before an
-        undecided row earlier in the batch.
+        none fails, the first undecided row raises
+        :class:`InconclusiveError` giving its reason.  So a failure in any
+        row comes before an undecided row earlier in the batch.
         """
-        for flags, error, what in (
-            (~self.passes & ~self.inconclusive, ExtensionFailureError, "does not extend holomorphically"),
-            (self.inconclusive, InconclusiveError, "is undecided (aliased at the sample cap)"),
-        ):
+        if self.passes.all():
+            return
+        undecided = self.undecided.astype(bool)
+        for flags, error in ((~self.passes & ~undecided, ExtensionFailureError), (undecided, InconclusiveError)):
             if flags.any():
                 row = int(np.argmax(flags))
+                reason = self.undecided[row]
+                what = "does not extend holomorphically" if reason is None else f"is undecided ({reason})"
                 raise error(
                     f"f {what} from {name(row)} (negative energy "
                     f"{self.negative_energy[row]:.3e}, {self.samples[row]} samples)",
@@ -411,18 +447,22 @@ def analyze_batch(
 
     Row i is the circle with center ``centers[i]`` and radius ``radii[i]``.
     Each doubling level makes one oracle call on the (rows x N) point matrix
-    and one FFT along the rows; rows whose aliasing guard trips are resampled
-    at 2N, up to ``n_max``, where a still-aliased row is inconclusive.  This
-    is the only refinement loop; single circles run through it as one-row
-    batches.  Non-finite samples raise :class:`SamplingError` with ``row``
-    set; a row whose Fourier energy overflows float64 raises
-    :class:`InconclusiveError` naming its circle.
+    and one FFT along the rows; rows whose aliasing guard trips at ``tol``
+    are resampled at 2N, up to ``n_max``.  This is the only refinement loop;
+    single circles run through it as one-row batches.  A row that does not
+    pass is undecided, rather than failing, when it is still aliased at
+    ``n_max``, when a sample or its Fourier energy is not finite in float64
+    (such a row stops at once, with a non-finite total energy), or when it
+    fails only within the accuracy ``f`` states (:func:`stated_accuracy`).
+    An exception the oracle raises reaches the caller.
     """
-    return _analyze_rows(lambda c, r, n: _sample_rows(f, c, r, n), centers, radii, tol, n0, n_max)
+    return _analyze_rows(lambda c, r, n: _sample_rows(f, c, r, n), f, centers, radii, tol, n0, n_max)
 
 
-def _analyze_rows(sample, centers, radii, tol: float, n0: int, n_max: int) -> BatchAnalysis:
-    """:func:`analyze_batch` on the (rows x N) samples ``sample(centers, radii, n)`` gives."""
+def _analyze_rows(sample, source, centers, radii, tol: float, n0: int, n_max: int) -> BatchAnalysis:
+    """:func:`analyze_batch` on the (rows x N) samples ``sample(centers, radii, n)`` gives,
+    judged by the accuracy ``source`` states."""
+    loose, annulus = stated_accuracy(source, tol)
     centers = np.asarray(centers, dtype=complex).ravel()
     radii = np.asarray(radii, dtype=float).ravel()
     m = centers.size
@@ -431,17 +471,16 @@ def _analyze_rows(sample, centers, radii, tol: float, n0: int, n_max: int) -> Ba
     total = np.zeros(m)
     passes = np.zeros(m, dtype=bool)
     aliasing = np.zeros(m, dtype=bool)
+    undecided = np.full(m, None, dtype=object)
     groups = []
     active = np.arange(m)
     n = int(n0)
     while active.size:
-        try:
-            values = sample(centers[active], radii[active], n)
-        except SamplingError as exc:
-            exc.row = int(active[exc.row])
-            raise
-        # Finite samples can still overflow in the FFT or in |c_k|^2; such a
-        # row is caught below, without a warning.
+        values = sample(centers[active], radii[active], n)
+        for row, _, _, text in _non_finite(values, "oracle returned"):
+            undecided[active[row]] = text
+        # Non-finite samples, or finite ones that overflow in the FFT or in
+        # |c_k|^2, give a non-finite total, without a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             coeffs = np.fft.fft(values, axis=1)
             # Free the samples now, so the energy bands can reuse their
@@ -449,14 +488,15 @@ def _analyze_rows(sample, centers, radii, tol: float, n0: int, n_max: int) -> Ba
             del values
             coeffs /= n
             row_negative, row_high, row_total = _energy_bands(coeffs)
+        _, row_aliasing, row_passes = _threshold_rule(row_negative, row_high, row_total, tol)
         finite = np.isfinite(row_total)
         if not finite.all():
-            row = int(active[np.argmin(finite)])
-            circle = Circle(complex(centers[row]), float(radii[row]))
-            raise InconclusiveError(
-                f"the Fourier energy of f overflows float64 on {circle} ({n} samples)", circle=circle
-            )
-        _, row_aliasing, row_passes = _threshold_rule(row_negative, row_high, row_total, tol)
+            # Such a row neither passes nor refines.
+            row_passes &= finite
+            row_aliasing &= finite
+            overflow = active[~finite]
+            overflow = overflow[np.equal(undecided[overflow], None)]  # finite samples
+            undecided[overflow] = f"its Fourier energy overflows float64 at {n} samples"
         samples[active] = n
         negative[active] = row_negative
         total[active] = row_total
@@ -470,4 +510,15 @@ def _analyze_rows(sample, centers, radii, tol: float, n0: int, n_max: int) -> Ba
         active = active[row_aliasing]
         del coeffs
         n *= 2
-    return BatchAnalysis(centers, radii, samples, negative, total, passes, aliasing, tuple(groups))
+    if not passes.all():
+        # A finite row that does not pass: off the source's data, within its
+        # error, or aliased at the cap, each reason overriding the one before.
+        free = ~passes & np.equal(undecided, None)
+        if annulus is not None:
+            near, far = np.abs(np.abs(centers) - radii), np.abs(centers) + radii
+            leaves = (annulus[0] - near > _ANNULUS_SLACK) | (far - annulus[1] > _ANNULUS_SLACK)
+            undecided[free & leaves] = OUTSIDE_DATA
+        if loose > tol:
+            undecided[free & (negative <= loose * total)] = WITHIN_ERROR
+        undecided[aliasing] = ALIASED
+    return BatchAnalysis(centers, radii, samples, negative, total, passes, aliasing, undecided, tuple(groups))

@@ -384,9 +384,9 @@ def _circle_values(f: Oracle, z: complex, groups: list, samples: int, tol: float
 
     ``groups`` holds (centers, radii, kind) triples, ``kind`` naming their
     circles (``centered`` or ``pencil``).  One :func:`extension.analyze_batch`
-    call takes every circle, in the order given: non-finite samples raise
-    from it, then the first circle that fails the test, else the first still
-    aliased at the sample cap, raises naming the circle.  Returns the
+    call takes every circle, in the order given: an exception of the oracle
+    raises from it, then the first circle that fails the test, else the
+    first undecided one, raises naming the circle.  Returns the
     extensions and the root-mean-square of ``f`` on each circle, the scale of
     the round-off in its extension.
     """
@@ -528,9 +528,9 @@ class _FiberField:
     node values from the series, so refining the quadrature costs no oracle
     call.  Both pieces' series are refined in lockstep (see
     :func:`_fiber_series`), so errors come by level, then by piece, the
-    segment first: within a level a non-finite sample raises first, then a
-    circle that fails the extendability test
-    (:class:`ExtensionFailureError`), then one aliased at the sample cap.
+    segment first: within a level an exception of the oracle raises first,
+    then a circle that fails the extendability test
+    (:class:`ExtensionFailureError`), then an undecided one.
     Only when no circle raises does a piece whose series did not resolve
     raise :class:`InconclusiveError` naming the piece and its parameter
     range.  Contour sums are judged against ``tolerance``,

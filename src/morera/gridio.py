@@ -8,12 +8,13 @@ blank lines and ``#`` comments are skipped.  The function is reconstructed by
 trigonometric interpolation in theta, which is spectrally accurate on the
 periodic rows, and a not-a-knot cubic spline in r.  At load the grid states
 its own accuracy: ``GridFunction.error`` bounds the interpolant's error,
-relative to max |f|, from the data alone, and the CLI counts a failure that
-this error could explain as inconclusive.  Points beyond the last radius take
-its values, and points inside the first take that radius's; the CLI warns
-when the radii end below 1 or start above 0.  Evaluation runs in fixed blocks
-of points, so its memory does not grow with the query size, and a non-finite
-point gives NaN.
+relative to max |f|, from the data alone, and ``GridFunction.annulus`` the
+radii its data span; the extension kernel counts a failure that this error
+could explain, or on a circle leaving those radii, as undecided.  Points
+beyond the last radius take its values, and points inside the first take
+that radius's; the CLI warns when the radii end below 1 or start above 0.
+Evaluation runs in fixed blocks of points, so its memory does not grow with
+the query size, and a non-finite point gives NaN.
 """
 
 from __future__ import annotations
@@ -121,7 +122,8 @@ class GridFunction:
       (de Boor, *A Practical Guide to Splines*).
 
     A grid of fewer than 7 radii has no radial estimate, and its ``error``
-    is infinite; a grid of zeros has ``error`` 0.
+    is infinite; a grid of zeros has ``error`` 0.  ``annulus`` is
+    (``radii[0]``, ``r_max``); see :func:`~morera.extension.stated_accuracy`.
 
     A call evaluates at most ``_BLOCK`` points at a time into its output, so
     beyond the table and the output its memory is bounded whatever the
@@ -139,6 +141,7 @@ class GridFunction:
         self.radii = radii
         self.thetas = thetas
         self.r_max = float(radii[-1])
+        self.annulus = (float(radii[0]), self.r_max)
         step = 2.0 * np.pi / thetas.size
         if not (np.abs(np.diff(thetas) - step) <= 1e-9).all() or abs(thetas[0]) > 1e-12:
             raise ConfigError("grid angles must be equispaced starting at 0")

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morera import cli
 from morera import extension as ext
 from morera.analysis import (
     CLASS_CONSISTENT,
@@ -24,8 +25,6 @@ from morera.analysis import (
     cross_consistency,
     dbar_residual,
     dbar_residual_detail,
-    discount_failures,
-    discount_verdict,
     dumps_report,
     report_document,
     sweep_classification,
@@ -193,13 +192,24 @@ class TestTestFamily:
             assert not report.passes
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_pole_on_a_circle_names_parameter_and_theta(self):
+    def test_pole_on_a_circle_is_undecided_naming_parameter_and_theta(self, capsys):
+        # The pole sits on the fourth circle at theta = 0: that circle alone
+        # is undecided, at its place, and the others are judged as usual.
         config = FamilyConfig("centered", 0.1, 1.0, 8)
-        pole = config.parameters()[3]
-        with pytest.raises(SamplingError) as err:
-            sweep_family(lambda z: 1.0 / (np.asarray(z, dtype=complex) - pole), config)
-        assert f"parameter {pole}" in str(err.value)
-        assert err.value.theta == pytest.approx(0.0)
+        pole = float(config.parameters()[3])
+        report = sweep_family(lambda z: 1.0 / (np.asarray(z, dtype=complex) - pole), config)
+        undecided = [c for c in report.circles if c.inconclusive]
+        assert [c.parameter for c in undecided] == [pole]
+        (circle,) = undecided
+        assert circle.reason.startswith("oracle returned non-finite value") and circle.reason.endswith("at theta = 0.0")
+        assert (circle.negative_energy, circle.relative_negative_energy, circle.passes) == (None, None, False)
+        assert report.inconclusive and report.worst is not circle and math.isfinite(report.scale)
+        assert json.loads(dumps_report(report.to_dict()))["circles"][3]["negative_energy"] is None
+        cli._warn_undecided([report])
+        assert capsys.readouterr().err == (
+            f"warning: the centered circle with parameter {pole!r} ({circle.circle}) is undecided: {circle.reason}\n"
+        )
+
 
 
 class TestCrossConsistency:
@@ -526,48 +536,83 @@ def _perturbed_exp(z):
     return np.exp(z) + 1e-3 * np.conj(z)
 
 
-class TestDiscount:
+class _Stating:
+    """``f``, stating an error relative to max |f| that gives the undecided tolerance ``u``, as a grid does."""
+
+    def __init__(self, f, u):
+        self.f = f
+        self.error = math.sqrt(u) / ext.GRID_ERROR_MARGIN
+
+    def __call__(self, z):
+        return self.f(z)
+
+
+class TestStatedError:
+    """A source that states its own error (extension.stated_accuracy) is judged once, by the kernel."""
+
     CONFIG = PipelineConfig(circles_per_family=8)
+    SHARPNESS = PipelineConfig(r_min=0.6, t_min=-0.4)
 
-    def test_failures_within_the_tolerance_become_inconclusive(self):
-        report = sweep_family(_perturbed_exp, FamilyConfig("centered", 0.05, 1.0, 8))
+    def test_failures_within_the_error_are_undecided(self):
+        config = FamilyConfig("centered", 0.05, 1.0, 8)
+        report = sweep_family(_perturbed_exp, config)
         assert report.failing
-        discounted = discount_failures(report, 1e-4)
-        assert not discounted.failing and discounted.inconclusive and not discounted.passes
-        assert [c.inconclusive for c in discounted.circles] == [not c.passes for c in report.circles]
-        assert discount_failures(report, 1e-12) == report
+        stated = sweep_family(_Stating(_perturbed_exp, 1e-4), config)
+        assert not stated.failing and stated.inconclusive and not stated.passes
+        assert [c.reason for c in stated.circles] == [None if c.passes else ext.WITHIN_ERROR for c in report.circles]
+        assert [replace(c, inconclusive=False, reason=None) for c in stated.circles] == list(report.circles)
+        # An error below the per-circle tolerance changes nothing.
+        assert sweep_family(_Stating(_perturbed_exp, 1e-12), config) == report
 
-    @pytest.mark.parametrize("tol, expected", [(1e-4, CLASS_INCONCLUSIVE), (1e-7, CLASS_MORERA_FAILURE)])
-    def test_failing_sweep(self, tol, expected):
-        result = verdict(_perturbed_exp, self.CONFIG)
-        assert result.classification == CLASS_MORERA_FAILURE
-        assert discount_verdict(result, _perturbed_exp, self.CONFIG, tol).classification == expected
+    @pytest.mark.parametrize("u, expected", [(1e-4, CLASS_INCONCLUSIVE), (1e-7, CLASS_MORERA_FAILURE)])
+    def test_failing_sweep(self, u, expected):
+        assert verdict(_perturbed_exp, self.CONFIG).classification == CLASS_MORERA_FAILURE
+        assert verdict(_Stating(_perturbed_exp, u), self.CONFIG).classification == expected
 
-    @pytest.mark.parametrize("tol, expected", [(1e-4, CLASS_INCONCLUSIVE), (1e-7, CLASS_MORERA_FAILURE)])
-    def test_failing_cross_consistency_runs_again(self, tol, expected):
-        # Sweeps that pass with a failure from the cross-consistency step: the
-        # step is run again on f at the looser tolerance.
-        result = replace(verdict(builtin("expz").oracle, self.CONFIG), classification=CLASS_MORERA_FAILURE)
-        assert discount_verdict(result, _perturbed_exp, self.CONFIG, tol).classification == expected
+    @pytest.mark.parametrize("p", [-1.0, 1j])
+    @pytest.mark.parametrize("u, expected", [(1e-4, InconclusiveError), (1e-7, ExtensionFailureError)])
+    def test_cross_consistency_circles_are_judged_at_the_stated_error(self, p, u, expected):
+        # The same rule as for sweep circles, also through the oracle rotated
+        # to send p to -1.
+        config = replace(self.CONFIG, p=p)
+        with pytest.raises(expected) as err:
+            cross_consistency(_Stating(_perturbed_exp, u), config.t_values(), config)
+        assert (f"is undecided ({ext.WITHIN_ERROR})" in str(err.value)) == (expected is InconclusiveError)
 
     @pytest.mark.parametrize(
-        "dbar, cross, expected",
-        [(0.01, 0.01, CLASS_INCONCLUSIVE), (0.01, None, CLASS_INCONCLUSIVE), (0.03, 0.01, CLASS_INCONSISTENT),
-         (0.01, 0.03, CLASS_INCONSISTENT), (None, 0.01, CLASS_INCONSISTENT)],
+        "u, two_point, expected",
+        [(0.3, False, CLASS_INCONCLUSIVE), (0.3, True, CLASS_INCONCLUSIVE), (0.2, False, CLASS_INCONSISTENT),
+         (1e-12, False, CLASS_INCONSISTENT)],
     )
-    def test_residuals_are_held_to_the_looser_threshold(self, dbar, cross, expected):
-        # At 1e-4 the threshold is 2 * 1e-2 times the largest scale.
-        result = verdict(builtin("expz").oracle, self.CONFIG)
-        scale = max(r.scale for r in result.families)
-        residual = lambda x: None if x is None else x * scale
-        result = replace(result, classification=CLASS_INCONSISTENT, dbar_value=residual(dbar),
-                         cross_residual=residual(cross))
-        assert discount_verdict(result, None, self.CONFIG, 1e-4).classification == expected
+    def test_residuals_within_the_stated_error_are_inconclusive(self, u, two_point, expected):
+        # Every circle passes under the sharpness floors; the residuals reach
+        # 0.5006 of 2 S (the Wirtinger one decides), so the threshold of u,
+        # 2 sqrt(u) S, holds them from u = 0.2506 on.
+        config = replace(self.SHARPNESS, p2=1j) if two_point else self.SHARPNESS
+        result = verdict(_Stating(builtin("counterexample").oracle, u), config)
+        assert result.classification == expected
+        assert all(r.passes for r in result.families)
+        assert result == replace(verdict(builtin("counterexample").oracle, config), classification=expected)
 
-    @pytest.mark.parametrize("classification", [CLASS_CONSISTENT, CLASS_INCONCLUSIVE])
-    def test_other_classes_stand(self, classification):
-        result = replace(verdict(builtin("expz").oracle, self.CONFIG), classification=classification)
-        assert discount_verdict(result, _perturbed_exp, self.CONFIG, 0.5) is result
+    def test_unsampled_wirtinger_grid_stays_inconsistent(self):
+        grid = DbarGrid()
+        bad = grid.points()[7] + grid.h
+        counterexample = builtin("counterexample").oracle
+
+        def f(z):
+            z = np.asarray(z, dtype=complex)
+            return np.where(z == bad, np.nan, counterexample(z))
+
+        result = verdict(_Stating(f, 0.3), self.SHARPNESS)
+        assert result.dbar_value is None
+        assert result.classification == CLASS_INCONSISTENT
+
+    @pytest.mark.parametrize("f, expected", [(builtin("expz").oracle, CLASS_CONSISTENT),
+                                             (lambda z: 1.0 / (np.asarray(z, dtype=complex) - 1.0001), CLASS_INCONCLUSIVE)])
+    def test_other_classes_stand(self, f, expected):
+        # A stated error never turns a pass into anything else.
+        assert verdict(f, self.CONFIG).classification == expected
+        assert verdict(_Stating(f, 0.5), self.CONFIG) == verdict(f, self.CONFIG)
 
 
 class TestReports:

@@ -19,10 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morera import analysis, cli, exprparser, fiber
+from morera import analysis, cli, exprparser, extension, fiber
 from morera.cli import main, parse_point
 from morera.errors import ConfigError
 from morera.funczoo import builtin
+from morera.geometry import Circle
 from morera.gridio import read_polar_grid, write_polar_grid
 
 
@@ -452,7 +453,7 @@ class TestGridRoundTrip:
         path = tmp_path / "grid.csv"
         write_polar_grid(str(path), builtin("expz").oracle, n_r=32, n_theta=64, r_max=r_max)
         error = read_polar_grid(str(path)).error
-        tol = max(1e-8, (cli.GRID_ERROR_MARGIN * error) ** 2)
+        tol = max(1e-8, (extension.GRID_ERROR_MARGIN * error) ** 2)
         expected = [
             f"function interpolated from grid file; interpolation error estimated at {error:.2e} of max |f|; "
             f"a failure that passes at tolerance {tol:.2e} counts as inconclusive"
@@ -469,8 +470,9 @@ class TestGridRoundTrip:
 
     def test_grid_starting_above_the_origin_is_reported(self, capsys, tmp_path):
         # Points inside the first radius take its values, so the interpolant
-        # of exp(z) is not holomorphic there and the verdict fails; the
-        # report says why.
+        # of exp(z) is not holomorphic there: the circles that fail all reach
+        # inside radius 0.3, beyond the grid's data, so they are undecided;
+        # the report says why.
         radii = np.linspace(0.3, 1.0, 64)
         thetas = 2 * np.pi * np.arange(128) / 128
         values = np.exp(radii[:, None] * np.exp(1j * thetas)[None, :])
@@ -482,10 +484,15 @@ class TestGridRoundTrip:
         path = tmp_path / "grid.csv"
         path.write_text("\n".join(["r,theta,re,im"] + rows) + "\n")
         code, out, err = run(["verdict", "--grid", str(path)], capsys)
-        assert (code, err) == (1, "")
+        assert (code, err) == (3, "")
         doc = json.loads(out)
-        assert doc["verdict"] == "morera-failure"
+        assert doc["verdict"] == "inconclusive"
         assert doc["warnings"][1:] == ["grid radii start at 0.3, above 0; points inside that radius take its values"]
+        undecided = [c for family in doc["families"] for c in family["circles"] if not c["passes"]]
+        assert len(undecided) == 9
+        for c in undecided:
+            assert c["inconclusive"]
+            assert abs(abs(complex(c["center_re"], c["center_im"])) - c["radius"]) < 0.3
 
     @pytest.mark.parametrize(
         "f, n_r, n_theta, command",
@@ -533,8 +540,8 @@ class TestGridRoundTrip:
         assert all(c["passes"] or c["inconclusive"] for c in circles) == (code == 3)
         code, _, err = run(["theta", "--grid", str(path), "--z", "0.5i", "--w-count", "3"], capsys)
         assert code == expected["theta"]
-        assert err.startswith("error: f does not extend holomorphically from the centered circle")
-        assert err.endswith("; the failure is within the interpolation error of the grid\n") == (code == 3)
+        what = "is undecided (within the source's stated error)" if code == 3 else "does not extend holomorphically"
+        assert err.startswith(f"error: f {what} from the centered circle")
 
     def test_shuffled_rows_load_the_same_grid(self, tmp_path):
         path = tmp_path / "grid.csv"
@@ -718,18 +725,28 @@ class TestUnusableFiles:
 
 
 class TestOverflowingEnergy:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["test-circle", "--expr", "exp(400*z)", "--radius", "1"],
-            ["sweep", "--expr", "exp(400*z)", "--circles", "8"],
-            ["verdict", "--expr", "exp(400*z)", "--circles", "8"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", [["test-circle", "--expr", "exp(400*z)", "--radius", "1"]])
     def test_is_inconclusive(self, capsys, argv):
+        # One circle is the whole run.
         code, out, err = run(argv, capsys)
         assert code == 3 and out == ""
         assert err.startswith("error: the Fourier energy of f overflows float64 on Circle(")
+
+    @pytest.mark.parametrize("command", ["sweep", "verdict"])
+    def test_circle_is_undecided_at_its_place(self, capsys, command):
+        code, out, err = run([command, "--expr", "exp(400*z)", "--circles", "8"], capsys)
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["verdict"] == "inconclusive"
+        overflowing = [c for family in doc["families"] for c in family["circles"] if c["negative_energy"] is None]
+        assert overflowing
+        assert all(c["inconclusive"] and c["relative_negative_energy"] is None for c in overflowing)
+        assert err == "".join(
+            f"warning: the {c['family']} circle with parameter {c['parameter']!r} "
+            f"({Circle(complex(c['center_re'], c['center_im']), c['radius'])}) is undecided: "
+            f"its Fourier energy overflows float64 at {c['samples']} samples\n"
+            for c in overflowing
+        )
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -2,6 +2,7 @@ import ast
 import cmath
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from morera.cli import main, parse_point
 from morera.errors import (
     ConfigError,
     DomainError,
+    ExtensionFailureError,
     InconclusiveError,
     InvalidStateError,
     ParameterDomainError,
@@ -323,7 +325,7 @@ class TestAnalyzeBatch:
             assert batch.samples[i] == data.sample_count, i
             assert batch.passes[i] == result.passes, i
             assert batch.aliasing[i] == result.aliasing_flag, i
-            assert batch.inconclusive[i] == inconclusive, i
+            assert (batch.undecided[i] is not None) == inconclusive, i
             for got, want in (
                 (batch.negative_energy[i], data.tail_energy_negative),
                 (batch.total_energy[i], data.total_energy),
@@ -344,10 +346,10 @@ class TestAnalyzeBatch:
             assert list(centered.samples) == [512] and centered.passes.all(), radius
         refined = analyze_batch(_power100, [0.5, 0], [0.1, 1.0])
         assert list(refined.samples) == [256, 512]
-        assert refined.passes.all() and not refined.inconclusive.any()
+        assert refined.passes.all() and list(refined.undecided) == [None, None]
         assert [len(rows) for rows, _ in refined.groups] == [1, 1]
         capped = analyze_batch(_power100, [0.5, 0], [0.1, 1.0], n_max=256)
-        assert list(capped.inconclusive) == [False, True]
+        assert list(capped.undecided) == [None, "aliased at the sample cap"]
         assert list(capped.passes) == [True, False]
 
     def test_evaluate_per_row_probes(self):
@@ -362,24 +364,39 @@ class TestAnalyzeBatch:
             batch.evaluate(np.array([0.1]))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_sampling_error_names_row(self):
-        with pytest.raises(SamplingError) as err:
-            analyze_batch(lambda z: 1.0 / (z - 0.5), [0, 0, 0], [0.25, 0.5, 0.75])
-        assert err.value.row == 1
-        assert err.value.theta == pytest.approx(0.0)
+    def test_non_finite_row_is_undecided_at_its_place(self):
+        # A pole on the second circle, at theta = 0: that row alone is
+        # undecided, naming the sample, and the others are judged as usual.
+        batch = analyze_batch(lambda z: 1.0 / (z - 0.5), [0, 0, 0], [0.25, 0.5, 0.75])
+        assert list(batch.undecided) == [None, "oracle returned non-finite value (inf+nanj) at theta = 0.0", None]
+        assert list(batch.passes) == [True, False, False]
+        assert not np.isfinite(batch.total_energy[1]) and np.isfinite(batch.total_energy[[0, 2]]).all()
+        # The third circle surrounds the pole: its failure comes first.
+        with pytest.raises(ExtensionFailureError, match="from 2 "):
+            batch.require_extensions(str)
 
     @pytest.mark.parametrize("c", [400, 709])
-    def test_overflowing_energy_is_inconclusive_naming_its_row(self, c):
+    def test_overflowing_row_is_undecided_at_its_place(self, c):
         # Every sample is finite; |c_k|^2 (at c = 709 the FFT as well)
         # overflows on the second circle only.  No RuntimeWarning is emitted.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = analyze_batch(lambda z: np.exp(c * z), [0, 0, 0], [0.1, 1.0, 0.5])
+        assert list(batch.undecided) == [None, "its Fourier energy overflows float64 at 256 samples", None]
+        assert list(batch.passes) == [True, False, True] and not batch.aliasing.any()
+        assert batch.samples[1] == 256
         with pytest.raises(InconclusiveError) as err:
-            analyze_batch(lambda z: np.exp(c * z), [0, 0, 0], [0.1, 1.0, 0.5])
+            batch.require_extensions(lambda row: f"row {row}")
         assert err.value.circle == Circle(0, 1.0)
-        assert str(err.value) == "the Fourier energy of f overflows float64 on Circle(center=0j, radius=1.0) (256 samples)"
+        assert str(err.value).startswith("f is undecided (its Fourier energy overflows float64 at 256 samples) from row 1")
 
-    def test_overflowing_energy_makes_the_library_verdict_raise(self):
-        with pytest.raises(InconclusiveError):
-            verdict(lambda z: np.exp(400 * np.asarray(z, dtype=complex)))
+    def test_overflowing_energy_makes_the_library_verdict_inconclusive(self):
+        result = verdict(lambda z: np.exp(400 * np.asarray(z, dtype=complex)))
+        assert result.classification == "inconclusive"
+        circles = [c for report in result.families for c in report.circles]
+        overflowing = [c for c in circles if c.negative_energy is None]
+        assert overflowing and all(c.inconclusive and c.relative_negative_energy is None for c in overflowing)
+        assert all(c.reason == f"its Fourier energy overflows float64 at {c.samples} samples" for c in overflowing)
 
     def test_invalid_parameters(self):
         with pytest.raises(ParameterDomainError):
@@ -465,7 +482,7 @@ class TestSingleCircle:
         for i, circle in enumerate(BATCH_CIRCLES):
             data, result, inconclusive = analyze_with_refinement(f, circle, n0=n)
             assert (result.passes, result.aliasing_flag, inconclusive) == (
-                batch.passes[i], batch.aliasing[i], batch.inconclusive[i]
+                batch.passes[i], batch.aliasing[i], batch.undecided[i] is not None
             )
             assert (data.sample_count, result.negative_energy) == (batch.samples[i], batch.negative_energy[i])
             assert result.threshold_used == 1e-8 * data.total_energy

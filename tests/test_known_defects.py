@@ -8,7 +8,9 @@ the program prints today:
 - z̄^200 does not extend from the unit circle;
 - λf has the class of f;
 - a grid of f is judged as f is, up to ``inconclusive`` where the grid does
-  not resolve f.
+  not resolve f or holds no data, and the library judges it as the CLI does;
+- an entire function is never worse than ``inconclusive``, even where its
+  values or their energies overflow float64.
 
 A case that breaks its invariant today is marked ``xfail(strict=True)``
 with the ROADMAP item that fixes it; the change that fixes the item makes
@@ -21,6 +23,7 @@ import json
 import numpy as np
 import pytest
 
+from morera import fiber
 from morera.analysis import (
     CLASS_CONSISTENT,
     CLASS_INCONCLUSIVE,
@@ -34,7 +37,7 @@ from morera.cli import main
 from morera.extension import analyze_with_refinement
 from morera.funczoo import builtin, builtin_names
 from morera.geometry import Circle
-from morera.gridio import write_polar_grid
+from morera.gridio import read_polar_grid, write_polar_grid
 
 FAILURES = (CLASS_MORERA_FAILURE, CLASS_INCONSISTENT)
 
@@ -143,12 +146,17 @@ GRID_FUNCTIONS = {"exp(3z)": lambda z: np.exp(3 * z), "1/(z-1.3)": lambda z: 1 /
 GRID_SHAPES = ((16, 32), (32, 64), (64, 128))
 
 
+def cli_class(capsys, path, *flags) -> str:
+    """The class of ``verdict`` on the grid file ``path``; a run that exits 3 is inconclusive."""
+    code = main(["verdict", "--grid", str(path), *flags])
+    out = capsys.readouterr().out
+    return CLASS_INCONCLUSIVE if code == 3 else json.loads(out)["verdict"]
+
+
 def grid_verdict(capsys, path, f, n_r: int, n_theta: int) -> str:
     """The class of ``verdict`` on a grid of ``f``; a run that exits 3 is inconclusive."""
     write_polar_grid(str(path), f, n_r, n_theta)
-    code = main(["verdict", "--grid", str(path)])
-    out = capsys.readouterr().out
-    return CLASS_INCONCLUSIVE if code == 3 else json.loads(out)["verdict"]
+    return cli_class(capsys, path)
 
 
 @pytest.mark.parametrize("n_r, n_theta", GRID_SHAPES)
@@ -181,3 +189,109 @@ def test_grid_of_a_non_holomorphic_function_is_never_consistent(capsys, tmp_path
     f = lambda z: np.exp(z) + 0.05 * np.conj(z) ** 14
     found = grid_verdict(capsys, tmp_path / "grid.csv", f, n_r, n_theta)
     assert found == (CLASS_INCONCLUSIVE if n_r == 16 else CLASS_MORERA_FAILURE)
+
+
+GRID_TABLE = {
+    **GRID_FUNCTIONS,
+    **{name: builtin(name).oracle for name in ("counterexample", "absq", "conjugate", "radial-smooth")},
+    "exp(z)+0.05zbar^14": lambda z: np.exp(z) + 0.05 * np.conj(z) ** 14,
+}
+
+
+@pytest.mark.parametrize("n_r, n_theta", GRID_SHAPES)
+@pytest.mark.parametrize("name", GRID_TABLE)
+def test_library_and_cli_judge_a_grid_alike(capsys, tmp_path, name, n_r, n_theta):
+    # The grid's stated error is read by the extension kernel, so the library
+    # verdict and the CLI agree, also through the oracle rotated to p = i.
+    # exp(z) + 0.05 zbar^14 at 16 x 32 was morera-failure in the library
+    # while the CLI alone discounted failures within the grid's error.
+    path = tmp_path / "grid.csv"
+    write_polar_grid(str(path), GRID_TABLE[name], n_r, n_theta)
+    found = cli_class(capsys, path)
+    assert verdict(read_polar_grid(str(path))).classification == found
+    assert cli_class(capsys, path, "--p", "1i") == found
+
+
+def write_annulus_grid(path, f) -> None:
+    """A 64 x 128 grid of ``f`` on radii 0.3 ... 1, so points inside radius 0.3 take its values."""
+    radii = np.linspace(0.3, 1.0, 64)
+    thetas = 2 * np.pi * np.arange(128) / 128
+    values = f(radii[:, None] * np.exp(1j * thetas)[None, :])
+    rows = [
+        f"{r!r},{t!r},{v.real!r},{v.imag!r}"
+        for r, row in zip(radii.tolist(), values.tolist())
+        for t, v in zip(thetas.tolist(), row)
+    ]
+    path.write_text("\n".join(["r,theta,re,im"] + rows) + "\n")
+
+
+@pytest.mark.parametrize("name", ["expz", "conjugate", "counterexample", "absq"])
+def test_grid_is_judged_where_it_holds_data(capsys, tmp_path, name):
+    # A failing circle that reaches inside radius 0.3 is undecided.  exp(z)
+    # was morera-failure with 9 failing circles, none inside the annulus;
+    # the others keep 44, 8 and 23 failing circles inside it.
+    path = tmp_path / "grid.csv"
+    entry = builtin(name)
+    write_annulus_grid(path, entry.oracle)
+    found = cli_class(capsys, path)
+    if entry.classification == "holomorphic":
+        assert found not in FAILURES
+    else:
+        assert found == CLASS_MORERA_FAILURE
+
+
+def test_failing_grid_theta_builds_one_table(capsys, tmp_path, monkeypatch):
+    # A failure within the grid's error was judged by building the table a
+    # second time at the looser tolerance.
+    calls = []
+    table = fiber.cauchy_table
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return table(*args, **kwargs)
+
+    monkeypatch.setattr(fiber, "cauchy_table", counted)
+    path = tmp_path / "grid.csv"
+    for f, code in ((lambda z: 1 / (z - 1.3), 3), (np.conj, 2)):
+        write_polar_grid(str(path), f, 16, 32)
+        calls.clear()
+        assert main(["theta", "--grid", str(path), "--z", "0.5i", "--w-count", "3"]) == code
+        assert len(calls) == 1
+    capsys.readouterr()
+
+
+ENTIRE = [
+    # At 2048 samples a pencil circle near p = -1 folds its content below
+    # the aliasing band and fails; the run was inconclusive only while the
+    # first overflowing circle aborted it.
+    pytest.param("exp(exp(6*z))", marks=item(1)),
+    "exp(exp(7*z))",
+    "cos(cos((0.5i-z)^6))",
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["verdict", "sweep"])
+@pytest.mark.parametrize("text", ENTIRE)
+def test_entire_function_is_at_worst_inconclusive(capsys, command, text):
+    # Its values or their Fourier energies overflow float64 on the largest
+    # circles: each such circle is undecided at its place, named on stderr.
+    # exp(exp(6*z)) exited 3 and the others 2, at the first such circle,
+    # with no report.
+    code = main([command, "--expr", text])
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert doc["verdict"] not in FAILURES
+    assert code == 3
+    circles = [c for family in doc["families"] for c in family["circles"] if c["negative_energy"] is None]
+    assert circles and all(c["inconclusive"] for c in circles)
+    lines = err.splitlines()
+    assert len(lines) == len(circles)
+    for c, line in zip(circles, lines):
+        assert line.startswith(f"warning: the {c['family']} circle with parameter {c['parameter']!r} (Circle(")
+        assert "is undecided: " in line and ("overflows float64" in line or "non-finite value" in line)
+
+
+def test_entire_function_plus_a_non_holomorphic_part_still_fails(capsys):
+    assert main(["verdict", "--expr", "exp(exp(7*z))+zbar"]) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] == CLASS_MORERA_FAILURE
