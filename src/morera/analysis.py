@@ -20,7 +20,6 @@ undecided circle keeps its place in the report.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import replace
@@ -364,11 +363,14 @@ def cross_consistency(
     For each real point T (one, or a sequence) evaluates the holomorphic
     extension of ``f`` from a sample of surrounding circles of both families
     at :data:`CROSS_PROBES` probe points near T, and returns the maximum
-    pairwise difference over all T.  ``f`` is first rotated to send
-    ``config.p`` to -1; T, the circles and any circle named in an error are
-    in that frame.  A centered circle of radius R surrounds T iff |T| < R, a
-    pencil member of parameter t iff T < 2t + 1; each family contributes
-    :data:`CROSS_PER_FAMILY` evenly spaced members, from :data:`CROSS_MARGIN`
+    pairwise difference over all T.  T is a parameter along the pencil's
+    axis, naming the point -p T (p = ``config.p``); the circles are built as
+    the sweeps build them (:meth:`FamilyConfig.circle`: the pencil member of
+    parameter t has center -p t and radius t + 1), so ``f`` is sampled as
+    given, and the probes and any circle named in an error are in the
+    caller's frame too.  A centered circle of radius R surrounds -p T iff
+    |T| < R, a pencil member of parameter t iff T < 2t + 1; each family
+    contributes :data:`CROSS_PER_FAMILY` evenly spaced members, from :data:`CROSS_MARGIN`
     inside that bound, and no lower than ``config.r_min`` or
     ``config.pencil_floor``, to the unit circle.  The T are taken in order:
     one outside (-1 + 2 tau, 0) raises :class:`DomainError`, one with fewer
@@ -380,10 +382,6 @@ def cross_consistency(
     its reason.
     """
     p = require_boundary_point(config.p)
-    if abs(p - (-1.0)) >= 1e-15:
-        rot = -p.conjugate()  # sends p to -1
-        # The rotated oracle keeps the attributes of f, so it states f's accuracy (extension.stated_accuracy).
-        f = functools.update_wrapper(lambda zeta, f=f: f(zeta / rot), f)
     keys: dict = {}  # (center, radius) -> row of the batch, in first-occurrence order
     names: list[str] = []  # per row, its first (T, circle) pair
     rows: list[int] = []  # per (T, circle) pair, in T order
@@ -399,7 +397,8 @@ def cross_consistency(
         if r_lo < 1.0:
             chosen += [("centered", R, Circle(0.0, R)) for R in np.linspace(r_lo, 1.0, CROSS_PER_FAMILY).tolist()]
         if t_lo < 0.0:
-            chosen += [("pencil", s, Circle(s, s + 1.0)) for s in np.linspace(t_lo, 0.0, CROSS_PER_FAMILY).tolist()]
+            pencil = np.linspace(t_lo, 0.0, CROSS_PER_FAMILY).tolist()
+            chosen += [("pencil", s, Circle(-p * s, s + 1.0)) for s in pencil]
         if len(chosen) < 2:
             raise ConfigError(f"no surrounding circles available for T = {t} under the given floors")
         for kind, param, circle in chosen:
@@ -407,8 +406,8 @@ def cross_consistency(
             if row == len(names):
                 names.append(f"the {kind} circle with parameter {param} surrounding T = {t}")
             rows.append(row)
-        delta = min(0.25 * min(c.radius - abs(t - c.center) for _, _, c in chosen), 0.02)
-        probes += [t + delta * unit_ring] * len(chosen)
+        delta = min(0.25 * min(c.radius - abs(-p * t - c.center) for _, _, c in chosen), 0.02)
+        probes += [-p * (t + delta * unit_ring)] * len(chosen)
         blocks.append(len(chosen))
     batch = ext.analyze_batch(f, [c for c, _ in keys], [r for _, r in keys], config.morera_tol, config.samples)
     batch.require_extensions(names.__getitem__)

@@ -216,7 +216,9 @@ def stated_accuracy(f, tol: float) -> tuple:
     oracle may state ``error``, its error relative to max |f|, which gives
     u = max(``tol``, (:data:`GRID_ERROR_MARGIN` * error)^2), and ``annulus``,
     the radii (r_min, r_max) of its data.  A row failing at ``tol`` but not
-    at u, or on a circle leaving the annulus, is undecided.
+    at u, or on a circle leaving the annulus, is undecided.  No stage wraps
+    the oracle it was given, so both count however the oracle stores them:
+    an instance attribute, a property or a ``__slots__`` field.
     """
     return max(tol, (GRID_ERROR_MARGIN * getattr(f, "error", 0.0)) ** 2), getattr(f, "annulus", None)
 
@@ -392,7 +394,9 @@ class BatchAnalysis(Record):
         The first failing row raises :class:`ExtensionFailureError`; when
         none fails, the first undecided row raises
         :class:`InconclusiveError` giving its reason.  So a failure in any
-        row comes before an undecided row earlier in the batch.
+        row comes before an undecided row earlier in the batch.  The message
+        quotes the row's negative energy where it is finite, and its sample
+        count.
         """
         if self.passes.all():
             return
@@ -402,10 +406,10 @@ class BatchAnalysis(Record):
                 row = int(np.argmax(flags))
                 reason = self.undecided[row]
                 what = "does not extend holomorphically" if reason is None else f"is undecided ({reason})"
+                negative = self.negative_energy[row]
+                energy = f"negative energy {negative:.3e}, " if np.isfinite(negative) else ""
                 raise error(
-                    f"f {what} from {name(row)} (negative energy "
-                    f"{self.negative_energy[row]:.3e}, {self.samples[row]} samples)",
-                    circle=self.circle(row),
+                    f"f {what} from {name(row)} ({energy}{self.samples[row]} samples)", circle=self.circle(row)
                 )
 
     def evaluate(self, points, rows=None) -> np.ndarray:

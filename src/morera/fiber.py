@@ -32,11 +32,13 @@ strays from any of its values along the whole curve, a priori: a W whose
 bound on the subtracted integral is within the quadrature tolerance gets
 c * ind(W) with no quadrature level, and a fiber integral whose bound is
 within it is 0 (for holomorphic f, where F is constant, both hold almost
-everywhere).  A table of many W locates each of them once, in one array
-pass (inside D_z, outside, or within the proximity guard of the curve),
-integrates only those beyond the guard and not certified, and forms their
-kernels block by block in buffers allocated once per table, never kept
-between calls; a single transform is the table of one W.
+everywhere).  Such a W outside D_z is 0.0 whatever c is, so c is looked
+up only for the W inside D_z or not certified.  A table of many W locates
+each of them once, in one array pass (inside D_z, outside, or within the
+proximity guard of the curve), integrates only those beyond the guard and
+not certified, and forms their kernels block by block in buffers
+allocated once per table, never kept between calls; a single transform is
+the table of one W.
 """
 
 from __future__ import annotations
@@ -628,13 +630,21 @@ class _FiberField:
         subtracted integral is at most ``variation`` / (2 pi d(W)) in
         modulus, d(W) the distance from W to the curve, so a W where that is
         within ``tolerance`` gets c * ind(W), certified, and builds no
-        level.  Every other W has its levels doubled until two agree; the
-        (W x nodes) kernels are taken in row blocks of about
+        level.  c is looked up only where a value uses it: a certified W
+        outside D_z reads 0.0 whatever c is, so a table of only such W
+        builds not even the first level.  Every other W has its levels
+        doubled until two agree; the (W x nodes) kernels are taken in row blocks of about
         ``_BLOCK_ELEMENTS`` entries, all formed in the same three buffers
         (kernel, denominator, node distances), allocated once per call and
         sized for the finest level; no buffer outlives the call.
         """
         Ws = np.asarray(Ws, dtype=complex)
+        windings = np.asarray(windings)
+        uncertified = self.variation > 2.0 * math.pi * self.tolerance * distances
+        # A certified W outside D_z reads 0.0 whatever c is: only the others need c.
+        chosen = np.flatnonzero(uncertified | (windings != 0))
+        if not chosen.size:
+            return np.zeros(Ws.shape, dtype=complex)
         per_piece = max(_PANEL_ORDER, nodes // 2)
         first = self.level(per_piece)
         w0, _, values0 = first
@@ -650,12 +660,12 @@ class _FiberField:
             return buffer[: rows * n].reshape(rows, n)
 
         step = max(1, _BLOCK_ELEMENTS // w0.size)
-        c = np.empty_like(Ws)
-        for s in range(0, Ws.size, step):
-            block = Ws[s : s + step, None]
-            gap = np.subtract(w0, block, out=view(denominator, block.size, w0.size))
-            c[s : s + step] = values0[np.argmin(np.abs(gap, out=view(distance, block.size, w0.size)), axis=1)]
-        jump = c * np.asarray(windings)
+        c = np.zeros_like(Ws)
+        for s in range(0, chosen.size, step):
+            block = chosen[s : s + step]
+            gap = np.subtract(w0, Ws[block, None], out=view(denominator, block.size, w0.size))
+            c[block] = values0[np.argmin(np.abs(gap, out=view(distance, block.size, w0.size)), axis=1)]
+        jump = c * windings
 
         def sums(w, dw, values, rows):
             out = np.empty(rows.size, dtype=complex)
@@ -671,9 +681,9 @@ class _FiberField:
         def where(row):
             return f"W = {complex(Ws[row])} ({distances[row] / self.curve.diameter:.2e} x diameter from the curve)"
 
-        # c * 0 keeps the signs of c's parts; adding 0.0 makes a certified outside W read 0.0, not -0.0.
+        # Adding 0.0 turns a -0.0 part of c * ind(W) into 0.0.
         result = jump + 0.0
-        rows = np.flatnonzero(self.variation > 2.0 * math.pi * self.tolerance * distances)
+        rows = np.flatnonzero(uncertified)
         if not rows.size:
             return result
         return self._refine(per_piece, first, result, rows, sums, where)

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -264,6 +265,20 @@ class TestCrossConsistency:
         with pytest.raises(InconclusiveError) as err:
             cross_consistency(f, -0.3)
         assert err.value.circle.radius == pytest.approx(1.0)
+
+    def test_non_finite_circle_message_gives_no_energy(self):
+        # The pole at 1 lies on the unit circle, at theta = 0: its energy is
+        # not finite, so the message gives the reason and the sample count.
+        def f(z):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return 1.0 / (np.asarray(z, dtype=complex) - 1.0)
+
+        with pytest.raises(InconclusiveError) as err:
+            cross_consistency(f, -0.3)
+        assert str(err.value) == (
+            "f is undecided (oracle returned non-finite value (inf+nanj) at theta = 0.0) "
+            "from the centered circle with parameter 1.0 surrounding T = -0.3 (256 samples)"
+        )
 
     def test_counterexample_disagrees_under_floors(self):
         # With both families floored the extensions exist but differ by circle.
@@ -547,6 +562,33 @@ class _Stating:
         return self.f(z)
 
 
+class _StatingByProperty:
+    """``_Stating`` with ``error`` a property of the class, not in the instance's ``__dict__``."""
+
+    def __init__(self, f, u):
+        self.f, self.u = f, u
+
+    @property
+    def error(self):
+        return math.sqrt(self.u) / ext.GRID_ERROR_MARGIN
+
+    def __call__(self, z):
+        return self.f(z)
+
+
+class _StatingBySlots:
+    """``_Stating`` with ``error`` a ``__slots__`` field: the instance has no ``__dict__``."""
+
+    __slots__ = ("f", "error")
+
+    def __init__(self, f, u):
+        self.f = f
+        self.error = math.sqrt(u) / ext.GRID_ERROR_MARGIN
+
+    def __call__(self, z):
+        return self.f(z)
+
+
 class TestStatedError:
     """A source that states its own error (extension.stated_accuracy) is judged once, by the kernel."""
 
@@ -572,8 +614,7 @@ class TestStatedError:
     @pytest.mark.parametrize("p", [-1.0, 1j])
     @pytest.mark.parametrize("u, expected", [(1e-4, InconclusiveError), (1e-7, ExtensionFailureError)])
     def test_cross_consistency_circles_are_judged_at_the_stated_error(self, p, u, expected):
-        # The same rule as for sweep circles, also through the oracle rotated
-        # to send p to -1.
+        # The same rule as for sweep circles, whatever the pencil point.
         config = replace(self.CONFIG, p=p)
         with pytest.raises(expected) as err:
             cross_consistency(_Stating(_perturbed_exp, u), config.t_values(), config)
@@ -613,6 +654,29 @@ class TestStatedError:
         # A stated error never turns a pass into anything else.
         assert verdict(f, self.CONFIG).classification == expected
         assert verdict(_Stating(f, 0.5), self.CONFIG) == verdict(f, self.CONFIG)
+
+
+class TestStatedErrorStorage:
+    """The kernel reads a stated error however the oracle stores it: cross-consistency hands it f itself."""
+
+    @pytest.mark.parametrize("p", [-1.0, 1j])
+    @pytest.mark.parametrize("stating", [_StatingByProperty, _StatingBySlots])
+    def test_cross_consistency_reads_the_error_at_every_pencil_point(self, stating, p):
+        config = replace(TestStatedError.CONFIG, p=p)
+        with pytest.raises(InconclusiveError, match=f"is undecided \\({ext.WITHIN_ERROR}\\)"):
+            cross_consistency(stating(_perturbed_exp, 1e-4), config.t_values(), config)
+
+    @pytest.mark.parametrize("p", [-1.0, 1j, cmath.exp(2.1j)])
+    def test_circles_are_in_the_callers_frame(self, p):
+        # A pole at 0.9 p inside the disc: every pencil circle holds it and
+        # fails.  The circle named is the pencil member the sweep through p
+        # builds for the parameter the message gives.
+        f = lambda z: 1.0 / (np.asarray(z, dtype=complex) - 0.9 * p)
+        config = PipelineConfig(p=p, r_min=1.0)
+        with pytest.raises(ExtensionFailureError, match="from the pencil circle with parameter") as err:
+            cross_consistency(f, -0.3, config)
+        parameter = float(re.search(r"parameter (\S+) surrounding", str(err.value)).group(1))
+        assert err.value.circle == config.families("pencil")[0].circle(parameter)
 
 
 class TestReports:

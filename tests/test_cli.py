@@ -749,6 +749,18 @@ class TestOverflowingEnergy:
         )
 
 
+class TestUndecidedMessage:
+    def test_non_finite_circle_gives_no_energy(self, capsys):
+        # The pole at 1 lies on the unit circle the fiber curve meets: the
+        # message gives the reason and the sample count, not a nan energy.
+        code, out, err = run(["theta", "--expr", "1/(z-1)", "--z", "0.5i"], capsys)
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: f is undecided (oracle returned non-finite value (nan+nanj) at theta = 0.0) "
+            "from the centered circle (center 0j, radius 1.0) met along the fiber curve (256 samples)\n"
+        )
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

@@ -780,9 +780,32 @@ class TestCertificate:
         assert sorted(set(locations.tolist())) == [0, 1]
         assert np.abs(values - np.where(locations > 0, f(z), 0.0)).max() <= 1e-8 * abs(f(z))
 
+    @pytest.mark.parametrize("z", CERTIFICATE_BASE_POINTS)
+    def test_certified_table_outside_the_region_builds_no_level(self, z, monkeypatch):
+        # A certified W outside D_z reads 0.0 whatever c is, so a table of
+        # only such W looks up no c and builds not even the first level; one
+        # W inside needs c, read from the first level alone.
+        f = builtin("poly3").oracle
+        curve = fiber_curve(z)
+        Ws = certificate_probes(curve)
+        locations, distances = fiber._locations(curve, Ws)
+        outside = Ws[locations == 0]
+        field = _FiberField(f, curve, extension.DEFAULT_SAMPLES, extension.DEFAULT_MORERA_TOL)
+        assert (field.variation <= 2.0 * math.pi * field.tolerance * distances[locations == 0]).all()
+        levels = []
+        level = _FiberField.level
+        monkeypatch.setattr(_FiberField, "level", lambda self, n: levels.append(n) or level(self, n))
+        table = fiber.cauchy_table(f, curve, outside)
+        assert (table[0] == 0).all() and table[1].tobytes() == np.zeros(outside.size, dtype=complex).tobytes()
+        assert levels == []
+        inside = Ws[locations == 1][:1]
+        table = fiber.cauchy_table(f, curve, np.concatenate([outside, inside]))
+        assert levels == [fiber.DEFAULT_NODES // 2]
+        assert table[1][-1] == pytest.approx(f(z), abs=1e-10) and not table[1][:-1].any()
+
     def test_no_theta_cell_reads_negative_zero(self, capsys):
-        # c * 0 keeps the signs of c's parts: a certified outside W must
-        # still print 0.0.  Some inside values here have a negative part.
+        # No cell reads -0.0, outside or inside, where c * ind(W) keeps the
+        # signs of c's parts.  Some inside values here have a negative part.
         negative = False
         for name in ("poly3", "expz", "rational"):
             for z in ("-0.2+0.5i", "0.5i", "0.3-0.4i"):
