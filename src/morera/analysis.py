@@ -183,17 +183,17 @@ def test_family(
     f: Oracle,
     config: FamilyConfig,
     tol: float = ext.DEFAULT_MORERA_TOL,
-    samples: int = ext.DEFAULT_SAMPLES,
 ) -> Report:
     """Run the extendability test on every grid circle of ``config``.
 
-    All circles go through one :func:`extension.analyze_batch` call; results
-    are in parameter order, an undecided circle marked ``inconclusive`` with
-    its reason.
+    All circles go through one :func:`extension.analyze_batch` call, which
+    refines each from the kernel's one start of 256 samples; results are in
+    parameter order, an undecided circle marked ``inconclusive`` with its
+    reason.
     """
     params = config.parameters().tolist()
     circles = [config.circle(t) for t in params]
-    batch = ext.analyze_batch(f, [c.center for c in circles], [c.radius for c in circles], tol, samples)
+    batch = ext.analyze_batch(f, [c.center for c in circles], [c.radius for c in circles], tol)
     finite = np.isfinite(batch.total_energy)
     reasons = batch.undecided.tolist()
     results = []
@@ -298,7 +298,8 @@ class PipelineConfig(Record):
     floors both at radius 0.6, violating the disjoint-smallest-circles
     hypothesis).  Setting ``p2`` selects the two-point configuration: the
     pencils through ``p`` and ``p2`` take the place of centered + pencil.
-    Both points must lie on the unit circle, and differ.
+    Both points must lie on the unit circle, and differ.  No field sets a
+    sample count: the extension kernel chooses each circle's.
     """
 
     tau: float = DEFAULT_TAU
@@ -308,7 +309,6 @@ class PipelineConfig(Record):
     r_min: float = 0.05
     t_min: Optional[float] = None  # default -1 + tau
     morera_tol: float = ext.DEFAULT_MORERA_TOL
-    samples: int = ext.DEFAULT_SAMPLES
 
     def __post_init__(self):
         require_tau(self.tau)
@@ -375,8 +375,8 @@ def cross_consistency(
     ``config.pencil_floor``, to the unit circle.  The T are taken in order:
     one outside (-1 + 2 tau, 0) raises :class:`DomainError`, one with fewer
     than two surrounding circles :class:`ConfigError`.  Each distinct circle
-    is then analyzed once at ``config.samples`` and ``config.morera_tol``,
-    with the same refinement and judgement as a sweep circle.  A circle that
+    is then analyzed once at ``config.morera_tol``, with the same
+    refinement and judgement as a sweep circle.  A circle that
     fails the extendability test raises :class:`ExtensionFailureError`;
     failing that, an undecided one raises :class:`InconclusiveError` giving
     its reason.
@@ -409,7 +409,7 @@ def cross_consistency(
         delta = min(0.25 * min(c.radius - abs(-p * t - c.center) for _, _, c in chosen), 0.02)
         probes += [-p * (t + delta * unit_ring)] * len(chosen)
         blocks.append(len(chosen))
-    batch = ext.analyze_batch(f, [c for c, _ in keys], [r for _, r in keys], config.morera_tol, config.samples)
+    batch = ext.analyze_batch(f, [c for c, _ in keys], [r for _, r in keys], config.morera_tol)
     batch.require_extensions(names.__getitem__)
     values = batch.evaluate(np.array(probes), rows)
     residual = 0.0
@@ -463,7 +463,8 @@ def verdict(f: Oracle, config: PipelineConfig = PipelineConfig()) -> Verdict:
 
     morera-failure: some circle of some family, or of the cross-consistency
     check, fails the test outright.  inconclusive: no outright failure, but
-    some such circle is undecided (see :func:`extension.analyze_batch`).
+    some such circle is undecided (see :func:`extension.analyze_batch`,
+    which refines every circle, swept or cross, from its one start).
     Otherwise both families pass and the verdict is holomorphic-consistent
     when cross-consistency and the Wirtinger residual are both within
     :data:`RESIDUAL_SLACK` * sqrt(``config.morera_tol``) times the largest
@@ -479,7 +480,7 @@ def verdict(f: Oracle, config: PipelineConfig = PipelineConfig()) -> Verdict:
     and does not abort the run.
     """
     families = config.families()
-    reports = tuple(test_family(f, fam, config.morera_tol, config.samples) for fam in families)
+    reports = tuple(test_family(f, fam, config.morera_tol) for fam in families)
     try:
         dbar_extrap, dbar_error = dbar_residual_detail(f, DbarGrid())
         dbar_value: Optional[float] = float(np.max(np.abs(dbar_extrap)))

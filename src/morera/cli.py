@@ -79,7 +79,6 @@ def _add_family_flags(parser: argparse.ArgumentParser) -> None:
 def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("tolerances")
     group.add_argument("--morera-tol", type=float, default=extension.DEFAULT_MORERA_TOL)
-    group.add_argument("--samples", type=int, default=extension.DEFAULT_SAMPLES, help="circle sample count (default %(default)s)")
 
 
 # Complex literals like -0.2+0.5i may open with a minus; widen argparse's
@@ -311,7 +310,6 @@ def _pipeline_config(args) -> analysis.PipelineConfig:
         r_min=args.r_min,
         t_min=t_min,
         morera_tol=args.morera_tol,
-        samples=args.samples,
     )
     # The second point is read after the configuration is checked, so a bad
     # --tau or tolerance is reported before a bad --two-point literal.
@@ -321,7 +319,7 @@ def _pipeline_config(args) -> analysis.PipelineConfig:
 def cmd_test_circle(args) -> int:
     f, desc, warnings = resolve_function(args)
     circle = Circle(parse_point(args.center), args.radius)
-    data, result, inconclusive = extension.analyze_with_refinement(f, circle, args.morera_tol, args.samples)
+    data, result, inconclusive = extension.analyze_with_refinement(f, circle, args.morera_tol)
     total = data.total_energy
     doc = {
         "schema_version": 1,
@@ -364,7 +362,7 @@ def cmd_sweep(args) -> int:
     f, desc, warnings = resolve_function(args)
     config = _pipeline_config(args)
     families = config.families(args.family)
-    reports = [analysis.test_family(f, fam, config.morera_tol, config.samples) for fam in families]
+    reports = [analysis.test_family(f, fam, config.morera_tol) for fam in families]
     _warn_undecided(reports)
     classification = analysis.sweep_classification(reports)
     if config.p2 is not None:
@@ -418,7 +416,7 @@ def cmd_theta(args) -> int:
         raise ConfigError(f"--w-pad {args.w_pad} overflows the W grid of a curve of diameter {curve.diameter}")
     xs, ys = (np.linspace(lo, hi, args.w_count) for lo, hi in bounds)
     grid = [complex(x, y) for y in ys for x in xs]
-    locations, values = fiber.cauchy_table(f, curve, grid, args.nodes, args.samples, args.morera_tol)
+    locations, values = fiber.cauchy_table(f, curve, grid, args.nodes, args.morera_tol)
     rows = ["re_w,im_w,location,re_theta,im_theta,abs_theta"]
     for W, location, value in zip(grid, locations.tolist(), values.tolist()):
         cells = f"{value.real!r},{value.imag!r},{abs(value)!r}" if location >= 0 else ",,"

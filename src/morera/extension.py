@@ -41,8 +41,8 @@ from .geometry import Circle
 # Relative negative-tail energy threshold below which a trace counts as
 # holomorphically extendable.
 DEFAULT_MORERA_TOL = 1e-8
-# Default and maximum sample counts; doubling stops at the maximum, where a
-# row still aliased is undecided.
+# The one start of every refinement the pipeline runs, and the sample cap,
+# where a row still aliased is undecided.
 DEFAULT_SAMPLES = 256
 MAX_SAMPLES = 4096
 # A failure within this multiple of an oracle's stated relative error is

@@ -21,7 +21,8 @@ t on the arc), and a constant one for holomorphic f.  It is represented per
 piece by a Chebyshev series: the extension is computed from the circles of
 nested Chebyshev-Lobatto parameters (17, 33, ... up to 257 points) until the
 series' tail coefficients stop mattering, so only those circles are tested
-and sampled; both pieces are refined in lockstep, one kernel pass a level.
+and sampled (each from the kernel's one start of 256 samples, as every circle
+is); both pieces are refined in lockstep, one kernel pass a level.
 Quadrature is composite Gauss-Legendre per piece in the same parameters,
 with node counts doubled until two successive refinements agree, starting
 from the curve's own nodes; every level reads its node values from the
@@ -341,9 +342,9 @@ class RegionD(Record):
         return region_contains(self.curve, W)
 
 
-def _leaf_value(f: Oracle, z: complex, name: str, param: float, samples: int, tol: float) -> complex:
+def _leaf_value(f: Oracle, z: complex, name: str, param: float, tol: float) -> complex:
     """Extension of ``f`` at z from the circle owning ``param`` on piece ``name`` (see :func:`_piece_circles`)."""
-    values, _ = _circle_values(f, z, [_piece_circles(name, np.array([param]))], samples, tol)
+    values, _ = _circle_values(f, z, [_piece_circles(name, np.array([param]))], tol)
     return complex(values[0])
 
 
@@ -351,7 +352,6 @@ def eval_F(
     f: Oracle,
     z: complex,
     w: complex,
-    samples: int = ext.DEFAULT_SAMPLES,
     tol: float = ext.DEFAULT_MORERA_TOL,
 ) -> complex:
     """Fiberwise extension F(z, w) for a point ``w`` on the fiber curve of ``z``.
@@ -369,7 +369,7 @@ def eval_F(
         slack = 1e-7
         if abs(z) * (1.0 - slack) <= R <= 1.0 + slack:
             R = min(1.0, max(abs(z), R))
-            return _leaf_value(f, z, "segment", R, samples, tol)
+            return _leaf_value(f, z, "segment", R, tol)
     t = invert_pencil_fiber(z, w)  # raises NotOnPencilError for w off the curve
     t_min = pencil_param(z)
     slack = 1e-7
@@ -378,10 +378,10 @@ def eval_F(
             f"w = {w} is on no piece of the fiber curve of z = {z} (recovered t = {t})"
         )
     t = min(0.0, max(t_min, t))
-    return _leaf_value(f, z, "arc", t, samples, tol)
+    return _leaf_value(f, z, "arc", t, tol)
 
 
-def _circle_values(f: Oracle, z: complex, groups: list, samples: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _circle_values(f: Oracle, z: complex, groups: list, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Extensions of ``f`` at ``z`` from the circles of several groups, in one kernel pass.
 
     ``groups`` holds (centers, radii, kind) triples, ``kind`` naming their
@@ -394,7 +394,7 @@ def _circle_values(f: Oracle, z: complex, groups: list, samples: int, tol: float
     """
     kinds = [kind for centers, _, kind in groups for _ in range(centers.size)]
     batch = ext.analyze_batch(
-        f, np.concatenate([c for c, _, _ in groups]), np.concatenate([r for _, r, _ in groups]), tol, samples
+        f, np.concatenate([c for c, _, _ in groups]), np.concatenate([r for _, r, _ in groups]), tol
     )
     batch.require_extensions(
         lambda i: f"the {kinds[i]} circle (center {batch.centers[i]}, radius {batch.radii[i]}) "
@@ -481,7 +481,7 @@ class _PieceSeries(Record):
             )
 
 
-def _fiber_series(f: Oracle, z: complex, spans, samples: int, tol: float) -> list[_PieceSeries]:
+def _fiber_series(f: Oracle, z: complex, spans, tol: float) -> list[_PieceSeries]:
     """Chebyshev series of F(z, .) on each span (name, lo, hi), refined in lockstep.
 
     The segment's circles are centered with radius R, the arc's are the
@@ -501,7 +501,7 @@ def _fiber_series(f: Oracle, z: complex, spans, samples: int, tol: float) -> lis
     while pending:
         grids = [_lobatto(spans[i][1], spans[i][2], n)[new_points] for i in pending]
         circles = [_piece_circles(spans[i][0], grid) for i, grid in zip(pending, grids)]
-        new, rms = _circle_values(f, z, circles, samples, tol)
+        new, rms = _circle_values(f, z, circles, tol)
         start = 0
         for i, grid in zip(pending, grids):
             rows = slice(start, start + grid.size)
@@ -526,7 +526,7 @@ def _fiber_series(f: Oracle, z: complex, spans, samples: int, tol: float) -> lis
 class _FiberField:
     """F(z, .) along the fiber curve of z, one Chebyshev series per piece.
 
-    Built once per (f, z, samples, tol, tau): every quadrature level reads its
+    Built once per (f, z, tol, tau): every quadrature level reads its
     node values from the series, so refining the quadrature costs no oracle
     call.  Both pieces' series are refined in lockstep (see
     :func:`_fiber_series`), so errors come by level, then by piece, the
@@ -540,10 +540,10 @@ class _FiberField:
     as the series are: rounding alone reaches 1e-8 once |F| nears 1e8.
     """
 
-    def __init__(self, f: Oracle, curve: FiberCurve, samples: int, tol: float):
+    def __init__(self, f: Oracle, curve: FiberCurve, tol: float):
         self.curve = curve
         z = curve.z
-        self.pieces = tuple(_fiber_series(f, z, (("segment", abs(z), 1.0), ("arc", curve.t_min, 0.0)), samples, tol))
+        self.pieces = tuple(_fiber_series(f, z, (("segment", abs(z), 1.0), ("arc", curve.t_min, 0.0)), tol))
         for piece in self.pieces:
             piece.require_resolved(z)
         self.tolerance = QUAD_REFINE_TOL * max(1.0, *(piece.scale for piece in self.pieces))
@@ -717,7 +717,6 @@ def cauchy_transform(
     z: complex,
     W: complex,
     nodes: int = DEFAULT_NODES,
-    samples: int = ext.DEFAULT_SAMPLES,
     tol: float = ext.DEFAULT_MORERA_TOL,
     tau: float = DEFAULT_TAU,
 ) -> complex:
@@ -734,7 +733,7 @@ def cauchy_transform(
     """
     curve = fiber_curve(complex(z), tau=tau)
     W = complex(W)
-    locations, values = cauchy_table(f, curve, [W], nodes, samples, tol)
+    locations, values = cauchy_table(f, curve, [W], nodes, tol)
     if locations[0] < 0:
         raise _proximity_error(curve, W)
     return complex(values[0])
@@ -745,7 +744,6 @@ def cauchy_table(
     curve: FiberCurve,
     Ws,
     nodes: int = DEFAULT_NODES,
-    samples: int = ext.DEFAULT_SAMPLES,
     tol: float = ext.DEFAULT_MORERA_TOL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Locations and Cauchy transforms along ``curve`` at many points ``Ws``, sampling F once.
@@ -764,7 +762,7 @@ def cauchy_table(
     values = np.full(Ws.shape, np.nan, dtype=complex)
     far = locations >= 0
     if far.any():
-        values[far] = _FiberField(f, curve, samples, tol).transforms(Ws[far], locations[far], distances[far], nodes)
+        values[far] = _FiberField(f, curve, tol).transforms(Ws[far], locations[far], distances[far], nodes)
     return locations, values
 
 
@@ -772,7 +770,6 @@ def fiber_integral(
     f: Oracle,
     z: complex,
     nodes: int = DEFAULT_NODES,
-    samples: int = ext.DEFAULT_SAMPLES,
     tol: float = ext.DEFAULT_MORERA_TOL,
     tau: float = DEFAULT_TAU,
 ) -> complex:
@@ -785,4 +782,4 @@ def fiber_integral(
     holomorphic ``f``.
     """
     _require_nodes(nodes)
-    return _FiberField(f, fiber_curve(complex(z), tau=tau), samples, tol).integral(nodes)
+    return _FiberField(f, fiber_curve(complex(z), tau=tau), tol).integral(nodes)

@@ -196,7 +196,7 @@ def test_criterion_5_fiber_integral_holomorphy(criterion):
                 for ix, dx in enumerate(offsets):
                     z = center + h * (dx + 1j * dy)
                     assert in_admissible_region(z)
-                    grid[iy, ix] = fiber_integral(f, z, nodes=128, samples=512)
+                    grid[iy, ix] = fiber_integral(f, z, nodes=128)
             dbar = (
                 (grid[1:-1, 2:] - grid[1:-1, :-2]) + 1j * (grid[2:, 1:-1] - grid[:-2, 1:-1])
             ) / (4.0 * h)

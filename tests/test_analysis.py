@@ -753,7 +753,7 @@ def reference_cross_consistency(f, T, config=PipelineConfig()):
             names.setdefault(row, f"the {kind} circle with parameter {param} surrounding T = {t}")
             pairs.append((t, row))
             probes.append(ring)
-    batch = ext.analyze_batch(f, [c for c, _ in keys], [r for _, r in keys], config.morera_tol, config.samples)
+    batch = ext.analyze_batch(f, [c for c, _ in keys], [r for _, r in keys], config.morera_tol)
     batch.require_extensions(names.__getitem__)
     values = batch.evaluate(np.array(probes), [row for _, row in pairs])
     residual = 0.0
@@ -771,7 +771,7 @@ CROSS_FUNCTIONS = {name: builtin(name).oracle for name in builtin_names()}
 CROSS_FUNCTIONS.update({f"exp({c}z)": _exp(c) for c in (1, 10, 20, 25, 40)})
 CROSS_FUNCTIONS["pole-at-1.0001"] = lambda z: 1.0 / (np.asarray(z, dtype=complex) - 1.0001)
 SHARPNESS = PipelineConfig(r_min=0.6, t_min=-0.4)
-WIDE = PipelineConfig(tau=0.1, r_min=0.2, samples=128)
+WIDE = PipelineConfig(tau=0.1, r_min=0.2)
 NARROW = PipelineConfig(tau=0.4)
 T8 = PipelineConfig().t_values()
 # Each setting is (T, config); a config that is not given is the default.
@@ -787,7 +787,7 @@ CROSS_SETTINGS = {
     "T-out-of-range": ([-0.3, -0.9], None),
     "too-few-circles": ([-0.3, -0.1], PipelineConfig(r_min=1.0, t_min=0.0)),
     "one-family": ([-0.3, -0.1], PipelineConfig(r_min=1.0)),
-    "loose-tolerance": (T8, PipelineConfig(morera_tol=1e-3, samples=64)),
+    "loose-tolerance": (T8, PipelineConfig(morera_tol=1e-3)),
 }
 
 

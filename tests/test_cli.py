@@ -668,6 +668,19 @@ class TestGridInflation:
         assert err.endswith("morera: error: unrecognized arguments: --grid-inflation 10\n")
 
 
+class TestSamplesFlag:
+    # Every circle's refinement starts at the kernel's one start of 256
+    # samples, so no flag sets it.
+    @pytest.mark.parametrize("name", ["test-circle", "sweep", "theta", "verdict"])
+    def test_is_a_usage_error(self, capsys, name):
+        with pytest.raises(SystemExit) as exit_:
+            main(quick_argv(name, "--builtin", "expz") + ["--samples", "512"])
+        _, err = capsys.readouterr()
+        assert exit_.value.code == 2
+        assert err.startswith("usage: morera [-h]")
+        assert err.endswith("morera: error: unrecognized arguments: --samples 512\n")
+
+
 # A quick command line per command; "SOURCE" stands for its function source.
 QUICK_COMMANDS = {
     "test-circle": ["SOURCE", "--radius", "0.5"],
@@ -982,7 +995,6 @@ FLAG_VALUES = {
     "--expr": ["z^2"],
     "--grid": ["GRID"],
     "--morera-tol": ["1e-300", "0.9"],
-    "--samples": ["64", "512"],
     "--center": ["0.1"],
     "--radius": ["0.25"],
     "--output": ["OUT"],
@@ -1062,8 +1074,8 @@ class TestEveryFlagIsRead:
         changed = [value for value in FLAG_VALUES[option] if outcome(with_flag(base, option, value)) != default]
         assert bool(changed) is ((name, option) not in UNREAD_FLAGS), (name, option, changed)
 
-    def test_six_commands_take_55_flags(self):
-        assert len(declared_flags()) == 55
+    def test_six_commands_take_51_flags(self):
+        assert len(declared_flags()) == 51
 
 
 def test_every_pipeline_config_field_is_set_by_some_command():

@@ -1,5 +1,7 @@
 import ast
 import cmath
+import dataclasses
+import inspect
 import json
 import math
 import warnings
@@ -10,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import morera
 from morera import extension
-from morera.analysis import FamilyConfig, dumps_report, verdict
+from morera._record import Record
+from morera.analysis import FamilyConfig, PipelineConfig, dumps_report, verdict
 from morera.analysis import test_family as sweep_family
 from morera.cli import main, parse_point
 from morera.errors import (
@@ -312,6 +316,9 @@ BATCH_CIRCLES = [
 ]
 BATCH_ORACLES = [builtin(name).oracle for name in builtin_names()] + [_power100, _exp40]
 
+# The test-circle command's circles: (center text, radius).
+CLI_CIRCLES = [("0", 0.5), ("0.1+0.2i", 0.6), ("0", 1.0), ("-0.7", 0.3), ("0.25", 0.25)]
+
 
 class TestAnalyzeBatch:
     @pytest.mark.parametrize("n0, n_max", [(256, MAX_SAMPLES), (64, 512), (256, 256)])
@@ -426,6 +433,35 @@ class TestSingleCircle:
             assert data.tail_energy_high == want.tail_energy_high
             assert (result, inconclusive) == (want_result, want_inconclusive)
 
+    @pytest.mark.parametrize("center, radius", CLI_CIRCLES, ids=[f"{c}-{r}" for c, r in CLI_CIRCLES])
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_small_start_matches_reference(self, name, center, radius):
+        # A start of 64 refined up to the cap on the test-circle circles:
+        # the command always starts at 256, the kernel takes any start.
+        f = builtin(name).oracle
+        circle = Circle(parse_point(center), radius)
+        data, result, inconclusive = analyze_with_refinement(f, circle, 1e-8, 64)
+        want, want_result, want_inconclusive = reference_refinement(f, circle, 1e-8, 64)
+        assert data.circle == circle
+        assert data.sample_count == want.sample_count
+        assert np.array_equal(data.coefficients, want.coefficients)
+        assert data.tail_energy_negative == want.tail_energy_negative
+        assert data.tail_energy_high == want.tail_energy_high
+        assert (result, inconclusive) == (want_result, want_inconclusive)
+
+    def test_start_above_the_cap_matches_reference(self):
+        # z^3000 on the unit circle at one level of 8192 samples: still
+        # aliased there, and the cap is below the start, so it is undecided.
+        f = compile_function(parse("z^3000"))
+        circle = Circle(0, 1.0)
+        data, result, inconclusive = analyze_with_refinement(f, circle, 1e-8, 8192)
+        want, want_result, want_inconclusive = reference_refinement(f, circle, 1e-8, 8192)
+        assert data.sample_count == 8192
+        assert np.array_equal(data.coefficients, want.coefficients)
+        assert (data.tail_energy_negative, data.tail_energy_high) == (want.tail_energy_negative, want.tail_energy_high)
+        assert (result, inconclusive) == (want_result, want_inconclusive)
+        assert inconclusive and result.aliasing_flag
+
     @pytest.mark.parametrize("name", builtin_names())
     def test_evaluate_extension_matches_reference(self, name):
         f = builtin(name).oracle
@@ -532,39 +568,49 @@ class TestSingleCircle:
         ]
         assert calls == ["_analyze_rows"]
 
+    def test_one_start(self):
+        # Every refinement the pipeline runs starts at DEFAULT_SAMPLES: only
+        # the kernel reads it, and no public callable or PipelineConfig
+        # field takes a start of its own.
+        readers = {
+            path.name
+            for path in Path(extension.__file__).parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if "DEFAULT_SAMPLES" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+        }
+        assert readers == {"extension.py"}
+        public = [getattr(morera, name) for name in morera.__all__]
+        callables = [obj for obj in public if inspect.isfunction(obj) or isinstance(obj, type) and issubclass(obj, Record)]
+        assert [obj.__name__ for obj in callables if "samples" in inspect.signature(obj).parameters] == []
+        assert "samples" not in {field.name for field in dataclasses.fields(PipelineConfig)}
 
-# test-circle cases: (source flags, oracle, center text, radius, samples flags).
-CLI_CIRCLES = [("0", 0.5), ("0.1+0.2i", 0.6), ("0", 1.0), ("-0.7", 0.3), ("0.25", 0.25)]
+
+# test-circle cases: (source flags, oracle, center text, radius).
 CLI_CASES = (
     [
-        (["--builtin", name], builtin(name).oracle, center, radius, ["--samples", str(n)])
+        (["--builtin", name], builtin(name).oracle, center, radius)
         for name in builtin_names()
         for center, radius in CLI_CIRCLES
-        for n in (64, 256)
     ]
     + [
-        (["--expr", text], compile_function(parse(text)), center, radius, [])
+        (["--expr", text], compile_function(parse(text)), center, radius)
         for text in ("z^100", "exp(40*z)")
         for center, radius in CLI_CIRCLES
     ]
-    + [
-        (["--expr", "z^3000"], compile_function(parse("z^3000")), "0", 1.0, ["--samples", "8192"]),
-        (["--expr", "exp(1/(z-1.001))"], compile_function(parse("exp(1/(z-1.001))")), "0", 1.0, []),
-    ]
+    + [(["--expr", "exp(1/(z-1.001))"], compile_function(parse("exp(1/(z-1.001))")), "0", 1.0)]
 )
 
 
 @pytest.mark.parametrize(
-    "source, f, center, radius, samples",
+    "source, f, center, radius",
     CLI_CASES,
-    ids=[" ".join(c[0] + ["--center", c[2], "--radius", str(c[3])] + c[4]) for c in CLI_CASES],
+    ids=[" ".join(c[0] + ["--center", c[2], "--radius", str(c[3])]) for c in CLI_CASES],
 )
-def test_cli_test_circle_matches_reference(capsys, source, f, center, radius, samples):
-    code = main(["test-circle", *source, "--center", center, "--radius", str(radius), *samples])
+def test_cli_test_circle_matches_reference(capsys, source, f, center, radius):
+    code = main(["test-circle", *source, "--center", center, "--radius", str(radius)])
     out = capsys.readouterr().out
     circle = Circle(parse_point(center), radius)
-    n0 = int(samples[1]) if samples else 256
-    data, result, inconclusive = reference_refinement(f, circle, 1e-8, n0)
+    data, result, inconclusive = reference_refinement(f, circle, 1e-8)
     total = data.total_energy
     shown = json.loads(out)
     doc = {
@@ -586,10 +632,10 @@ def test_cli_test_circle_matches_reference(capsys, source, f, center, radius, sa
     assert code == (3 if inconclusive else (0 if result.passes else 1))
 
 
-@pytest.mark.parametrize("case", CLI_CASES[-2:], ids=lambda case: case[0][1])
+@pytest.mark.parametrize("case", CLI_CASES[-1:], ids=lambda case: case[0][1])
 def test_cli_test_circle_aliased_at_cap_exits_three(capsys, case):
-    flags, _, center, radius, samples = case
-    assert main(["test-circle", *flags, "--center", center, "--radius", str(radius), *samples]) == 3
+    flags, _, center, radius = case
+    assert main(["test-circle", *flags, "--center", center, "--radius", str(radius)]) == 3
     assert json.loads(capsys.readouterr().out)["verdict"] == "inconclusive"
 
 

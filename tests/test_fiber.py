@@ -122,17 +122,17 @@ def reference_winding(curve, W):
     return int(round(winding))
 
 
-def reference_node_values(f, curve, samples=256, tol=1e-8):
+def reference_node_values(f, curve, tol=1e-8):
     """F at every quadrature node of ``curve``, each node's circle analysed on
     its own: the per-node evaluation the Chebyshev series replaced."""
     z = curve.z
     values = np.empty_like(curve.nodes_w)
     seg = curve.nodes_piece == 0
     rs = curve.nodes_param[seg]
-    values[seg] = _circle_values(f, z, [(np.zeros(rs.shape, dtype=complex), rs, "centered")], samples, tol)[0]
+    values[seg] = _circle_values(f, z, [(np.zeros(rs.shape, dtype=complex), rs, "centered")], tol)[0]
     arc = curve.nodes_piece == 1
     ts = curve.nodes_param[arc]
-    values[arc] = _circle_values(f, z, [(ts.astype(complex), ts + 1.0, "pencil")], samples, tol)[0]
+    values[arc] = _circle_values(f, z, [(ts.astype(complex), ts + 1.0, "pencil")], tol)[0]
     return values
 
 
@@ -302,14 +302,14 @@ class TestEvalF:
         f = builtin("expz").oracle
         z = 0.5j
         # w = 1/z: centered branch R = 1 vs pencil branch t = 0
-        seg = fiber._leaf_value(f, z, "segment", 1.0, 256, 1e-8)
-        arc = fiber._leaf_value(f, z, "arc", 0.0, 256, 1e-8)
+        seg = fiber._leaf_value(f, z, "segment", 1.0, 1e-8)
+        arc = fiber._leaf_value(f, z, "arc", 0.0, 1e-8)
         assert abs(seg - arc) < 1e-9
         # w = conj(z): centered branch R = |z| vs pencil branch t = t(z)
         from morera.geometry import pencil_param
 
-        seg2 = fiber._leaf_value(f, z, "segment", abs(z), 256, 1e-8)
-        arc2 = fiber._leaf_value(f, z, "arc", pencil_param(z), 256, 1e-8)
+        seg2 = fiber._leaf_value(f, z, "segment", abs(z), 1e-8)
+        arc2 = fiber._leaf_value(f, z, "arc", pencil_param(z), 1e-8)
         assert abs(seg2 - arc2) < 1e-9
 
     def test_morera_failure_names_circle(self):
@@ -658,7 +658,7 @@ class TestKernelBlocking:
         # The same certificate and levels with the kernel formed out of place
         # over all W at once.  A constant F certifies every W of this grid, a
         # non-constant one none.
-        field = _FiberField(f, curve, extension.DEFAULT_SAMPLES, extension.DEFAULT_MORERA_TOL)
+        field = _FiberField(f, curve, extension.DEFAULT_MORERA_TOL)
         per_piece = fiber.DEFAULT_NODES // 2
         w, dw, values = field.level(per_piece)
         c = values[np.argmin(np.abs(w - Ws[:, None]), axis=1)]
@@ -726,7 +726,7 @@ class TestCertificate:
         Ws = certificate_probes(curve)
         locations, values = fiber.cauchy_table(f, curve, Ws)
         far = locations >= 0
-        field = _FiberField(f, curve, extension.DEFAULT_SAMPLES, extension.DEFAULT_MORERA_TOL)
+        field = _FiberField(f, curve, extension.DEFAULT_MORERA_TOL)
         assert (field.variation <= 2.0 * math.pi * fiber.QUAD_REFINE_TOL * curve.distances(Ws[far])).all()
         reference = uncertified(monkeypatch, fiber.cauchy_table, f, curve, Ws)[1]
         assert np.abs(values[far] - reference[far]).max() <= fiber.QUAD_REFINE_TOL
@@ -747,7 +747,7 @@ class TestCertificate:
             return
         # W by W, since a table stops at its first unconverged W.
         field, reference = (
-            _FiberField(f, curve, extension.DEFAULT_SAMPLES, extension.DEFAULT_MORERA_TOL) for _ in range(2)
+            _FiberField(f, curve, extension.DEFAULT_MORERA_TOL) for _ in range(2)
         )
         reference.variation = math.inf
         locations, distances = fiber._locations(curve, Ws)
@@ -772,7 +772,7 @@ class TestCertificate:
                 for side in (1.0, -1.0)
             ]
         )
-        field = _FiberField(f, curve, extension.DEFAULT_SAMPLES, extension.DEFAULT_MORERA_TOL)
+        field = _FiberField(f, curve, extension.DEFAULT_MORERA_TOL)
         assert field.tolerance > fiber.QUAD_REFINE_TOL
         assert (field.variation <= 2.0 * math.pi * field.tolerance * curve.distances(Ws)).all()
         monkeypatch.setattr(fiber, "_quadrature", lambda *args: pytest.fail("a quadrature level was built"))
@@ -790,7 +790,7 @@ class TestCertificate:
         Ws = certificate_probes(curve)
         locations, distances = fiber._locations(curve, Ws)
         outside = Ws[locations == 0]
-        field = _FiberField(f, curve, extension.DEFAULT_SAMPLES, extension.DEFAULT_MORERA_TOL)
+        field = _FiberField(f, curve, extension.DEFAULT_MORERA_TOL)
         assert (field.variation <= 2.0 * math.pi * field.tolerance * distances[locations == 0]).all()
         levels = []
         level = _FiberField.level
@@ -855,7 +855,7 @@ class TestFiberSeries:
     def test_matches_per_node_values(self, name):
         f = builtin(name).oracle
         for z in (0.5j, -0.2 + 0.5j, 0.3 - 0.4j, -0.35j):
-            field = _FiberField(f, fiber_curve(z), 256, 1e-8)
+            field = _FiberField(f, fiber_curve(z), 1e-8)
             for per_piece in (256, 512):
                 curve = fiber_curve(z, per_piece)
                 w, dw, values = field.level(per_piece)
@@ -873,7 +873,7 @@ class TestFiberSeries:
         tol = extension.DEFAULT_MORERA_TOL
         for z in (0.5j, -0.2 + 0.5j, 0.3 - 0.4j):
             curve = fiber_curve(z)
-            _, _, values = _FiberField(grid, curve, 256, tol).level(256)
+            _, _, values = _FiberField(grid, curve, tol).level(256)
             expected = reference_node_values(grid, curve, tol=tol)
             assert np.abs(values - expected).max() <= 1e-9 * np.abs(expected).max(), z
 
@@ -885,17 +885,17 @@ class TestFiberSeries:
         f = builtin(name).oracle
         for z in (0.5j, -0.2 + 0.5j, 0.3 - 0.4j, -0.35j):
             curve = fiber_curve(z)
-            field = _FiberField(f, curve, 256, 1e-8)
+            field = _FiberField(f, curve, 1e-8)
             spans = (("segment", abs(z), 1.0), ("arc", curve.t_min, 0.0))
             for piece, span in zip(field.pieces, spans):
-                (alone,) = _fiber_series(f, z, [span], 256, 1e-8)
+                (alone,) = _fiber_series(f, z, [span], 1e-8)
                 assert piece.name == span[0] and (piece.lo, piece.hi) == span[1:]
                 assert np.array_equal(piece.coefficients, alone.coefficients), (z, span[0])
                 assert piece.tail == alone.tail and piece.scale == alone.scale, (z, span[0])
 
     def test_first_level_is_the_curves_nodes(self):
         curve = fiber_curve(-0.2 + 0.5j)
-        field = _FiberField(builtin("poly3").oracle, curve, 256, 1e-8)
+        field = _FiberField(builtin("poly3").oracle, curve, 1e-8)
         # 250 nodes a piece need the same 16 panels as the curve's 256.
         for per_piece in (256, 250):
             w, dw, _ = field.level(per_piece)
@@ -948,7 +948,7 @@ class TestFiberSeries:
 
     def test_holomorphic_series_chops_at_first_grid(self):
         for name in ("poly3", "expz", "rational"):
-            field = _FiberField(builtin(name).oracle, fiber_curve(-0.2 + 0.5j), 256, 1e-8)
+            field = _FiberField(builtin(name).oracle, fiber_curve(-0.2 + 0.5j), 1e-8)
             assert [piece.coefficients.size for piece in field.pieces] == [17, 17], name
 
     def test_kinked_piece_is_unresolved(self):
@@ -956,7 +956,7 @@ class TestFiberSeries:
         # decays only algebraically and is still far above tolerance at the
         # 257-point cap.
         f = lambda p: np.abs(np.abs(p) - 0.7)
-        (series,) = _fiber_series(f, 0.5j, [("segment", 0.5, 1.0)], 256, 1e-8)
+        (series,) = _fiber_series(f, 0.5j, [("segment", 0.5, 1.0)], 1e-8)
         assert series.coefficients.size == 257
         with pytest.raises(InconclusiveError, match=r"along the segment .*\(R from 0\.5 to 1\.0\) is unresolved"):
             series.require_resolved(0.5j)

@@ -3,7 +3,10 @@
 Each case asserts an invariant of the theorem the harness tests, not what
 the program prints today:
 
-- a holomorphic f is never ``morera-failure`` or ``inconsistent``;
+- a holomorphic f is never ``morera-failure`` or ``inconsistent``, and no
+  circle says it does not extend;
+- the Cauchy transform of a holomorphic f is f(z) inside the fiber curve
+  and 0 outside, or the run is inconclusive;
 - with the hypotheses valid, a verdict is never ``inconsistent``;
 - z̄^200 does not extend from the unit circle;
 - λf has the class of f;
@@ -63,6 +66,41 @@ def verdict_document(capsys, *source) -> dict:
 )
 def test_holomorphic_expression_is_not_a_failure(capsys, text):
     assert verdict_document(capsys, "--expr", text)["verdict"] not in FAILURES
+
+
+@pytest.mark.parametrize("n", [25, 50, 100])
+def test_holomorphic_power_passes_at_the_one_start(capsys, n):
+    # verdict was morera-failure, and test-circle on the unit circle said
+    # does-not-extend, while --samples could start them at 32, 64 and 128.
+    assert verdict_document(capsys, "--expr", f"z^{n}")["verdict"] == CLASS_CONSISTENT
+    assert main(["test-circle", "--expr", f"z^{n}", "--radius", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "extends"
+
+
+@item(1)
+def test_power_extends_from_the_unit_circle(capsys):
+    # At 256 samples k = 3000 folds onto k = -72, in the aliasing band, so N
+    # doubles; at 512 it folds onto -72 again, below the band.
+    main(["test-circle", "--expr", "z^3000", "--radius", "1"])
+    assert json.loads(capsys.readouterr().out)["verdict"] != "does-not-extend"
+
+
+@item(1)
+def test_theta_of_a_power_is_exact_or_inconclusive(capsys):
+    # Circles met by the curve pass on folds: the outside cells read
+    # 5.0e-4 ... 4.1e-3, and the inside cell is off by 2.4e-3 where
+    # |f(z)| = 2.1e-7.
+    z = 0.95j
+    code = main(["theta", "--expr", "z^300", "--z", "0.95i", "--w-count", "5"])
+    rows = capsys.readouterr().out.splitlines()[1:]
+    if code == 3:
+        return
+    assert code == 0
+    expected = {"inside": z**300, "outside": 0.0}
+    for row in rows:
+        _, _, location, re_theta, im_theta, _ = row.split(",")
+        if location in expected:
+            assert abs(complex(float(re_theta), float(im_theta)) - expected[location]) <= 1e-6, row
 
 
 @item(1)

@@ -52,7 +52,7 @@ SIGNATURES = {
     "PencilConfig": "(p, tau)",
     "PipelineConfig": (
         "(tau=0.25, p=(-1+0j), p2=None, circles_per_family=32, r_min=0.05, t_min=None, "
-        "morera_tol=1e-08, samples=256)"
+        "morera_tol=1e-08)"
     ),
     "PipelineConfig.families": "(kind='both')",
     "PipelineConfig.t_values": "()",
@@ -77,16 +77,16 @@ SIGNATURES = {
     "arc_lambda": "(z, tau=None)",
     "builtin": "(name)",
     "builtin_names": "()",
-    "cauchy_transform": "(f, z, W, nodes=512, samples=256, tol=1e-08, tau=0.25)",
+    "cauchy_transform": "(f, z, W, nodes=512, tol=1e-08, tau=0.25)",
     "counterexample_pole": "(a, r)",
     "cross_consistency": "(f, T, config=PipelineConfig())",
     "dbar_residual": "(f, grid=DbarGrid())",
-    "eval_F": "(f, z, w, samples=256, tol=1e-08)",
+    "eval_F": "(f, z, w, tol=1e-08)",
     "evaluate_extension": "(data, zeta, result=None, tol=1e-08)",
     "extension_test": "(data, tol=1e-08)",
     "family_intersection_point": "(R, t)",
     "fiber_curve": "(z, nodes_per_piece=256, tau=0.25)",
-    "fiber_integral": "(f, z, nodes=512, samples=256, tol=1e-08, tau=0.25)",
+    "fiber_integral": "(f, z, nodes=512, tol=1e-08, tau=0.25)",
     "fiber_w": "(q, z)",
     "in_admissible_region": "(z, tau=0.25)",
     "invert_pencil_fiber": "(z, w)",
@@ -97,7 +97,7 @@ SIGNATURES = {
     "sample_circle": "(f, circle, n)",
     "surrounds": "(inner, outer, *, tangency_tol=0.0)",
     "tangent_circle": "(z)",
-    "test_family": "(f, config, tol=1e-08, samples=256)",
+    "test_family": "(f, config, tol=1e-08)",
     "validate_families": "(config_a, config_b)",
     "verdict": "(f, config=PipelineConfig())",
     "winding_number": "(curve, W)",

@@ -64,7 +64,7 @@ def _samples() -> dict:
         semiquadric.family_intersection_point(0.5, -0.2),
         curve,
         fiber.RegionD(curve),
-        fiber._FiberField(poly3.oracle, curve, 64, 1e-8).pieces[0],
+        fiber._FiberField(poly3.oracle, curve, 1e-8).pieces[0],
         poly3.extension_for(circle),
         poly3,
         tokens[0],
