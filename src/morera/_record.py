@@ -2,15 +2,14 @@
 
 ``@dataclass(frozen=True)`` compiles six methods from source text for every
 class it decorates, which made up about a third of morera's own import time.
-A record is instead declared
+A record is instead declared by subclassing :class:`Record`
 
-    @record
     class Circle(Record):
         center: complex
         radius: float
 
-:func:`record` makes the class ``@dataclass(init=False, repr=False,
-eq=False)`` and caches its field names and defaults; :class:`Record`
+which makes the class ``@dataclass(init=False, repr=False, eq=False)`` and
+caches its field names and defaults when it is defined; :class:`Record`
 supplies the methods once, with the semantics of the generated ones:
 
 - ``__init__`` takes the fields positionally or by keyword, with their
@@ -24,9 +23,10 @@ supplies the methods once, with the semantics of the generated ones:
 
 Each record stays a dataclass, so ``dataclasses.fields``, ``replace`` and
 ``asdict`` work on it.  Its ``__dataclass_params__.frozen`` reads False,
-since this base, not the decorator, keeps it frozen.  Record fields take a
-plain default at most: no ``field(default_factory=...)``, ``init=False`` or
-``kw_only``.
+since this base, not the dataclass machinery, keeps it frozen.  Record
+fields take a plain default at most: a ``field(default_factory=...)``,
+``init=False`` or ``kw_only`` field raises :class:`TypeError` when the class
+is defined.
 """
 
 from __future__ import annotations
@@ -44,7 +44,23 @@ _setattr = object.__setattr__
 
 
 class Record:
-    """Base of a frozen record declared with :func:`record`; see the module docstring."""
+    """Base of a frozen record: subclassing it declares one; see the module docstring."""
+
+    def __init_subclass__(cls, **kwargs):
+        # The field spec is cached when the class is defined: worked out on
+        # first use instead, it cost each short-lived process its own first
+        # instance of every record class.
+        super().__init_subclass__(**kwargs)
+        dataclass(init=False, repr=False, eq=False)(cls)
+        specs = fields(cls)
+        if any(f.default_factory is not MISSING or not f.init or f.kw_only for f in specs):
+            raise TypeError(f"{cls.__qualname__}: a record field takes a plain default at most")
+        names = tuple(f.name for f in specs)
+        # A dataclass field without a default never follows one with a default.
+        defaults = tuple(f.default for f in specs if f.default is not MISSING)
+        get = attrgetter(*names)
+        values = get if len(names) > 1 else (lambda obj: (get(obj),))
+        _SPECS[cls] = (names, defaults, values, hasattr(cls, "__post_init__"))
 
     def __init__(self, *args, **kwargs):
         names, defaults, _, post_init = _SPECS[self.__class__]
@@ -74,28 +90,6 @@ class Record:
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-def record(cls: type) -> type:
-    """Make ``cls``, a :class:`Record` subclass, a dataclass served by Record's methods.
-
-    The field spec is cached here, when the class is defined: worked out on
-    first use instead, it cost each short-lived process its own first
-    instance of every record class.
-    """
-    if not issubclass(cls, Record):
-        raise TypeError(f"{cls.__qualname__} must subclass Record")
-    dataclass(init=False, repr=False, eq=False)(cls)
-    specs = fields(cls)
-    if any(f.default_factory is not MISSING or not f.init or f.kw_only for f in specs):
-        raise TypeError(f"{cls.__qualname__}: a record field takes a plain default at most")
-    names = tuple(f.name for f in specs)
-    # A dataclass field without a default never follows one with a default.
-    defaults = tuple(f.default for f in specs if f.default is not MISSING)
-    get = attrgetter(*names)
-    values = get if len(names) > 1 else (lambda obj: (get(obj),))
-    _SPECS[cls] = (names, defaults, values, hasattr(cls, "__post_init__"))
-    return cls
 
 
 def _bind(cls: type, names: tuple, defaults: tuple, args: tuple, kwargs: dict):

@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import extension as ext
-from ._record import Record, record
+from ._record import Record
 from .errors import ConfigError, DomainError, ExtensionFailureError, InconclusiveError, SamplingError
 from .geometry import DEFAULT_TAU, Circle, require_boundary_point, require_tau
 
@@ -59,7 +59,6 @@ CLASS_INCONSISTENT = "inconsistent"
 CLASS_INCONCLUSIVE = "inconclusive"
 
 
-@record
 class FamilyConfig(Record):
     """A finite grid over one circle family.
 
@@ -115,7 +114,6 @@ class FamilyConfig(Record):
         return -self.p * self.lo, self.lo + 1.0
 
 
-@record
 class CircleResult(Record):
     """Per-circle outcome of a family sweep: ``reason`` (not in the JSON) says why an
     ``inconclusive`` circle is undecided, and energies not finite in float64 are None."""
@@ -147,7 +145,6 @@ class CircleResult(Record):
         }
 
 
-@record
 class Report(Record):
     """Sweep report for one family: per-circle results plus aggregates.
 
@@ -218,7 +215,6 @@ def require_count(name: str, value: int) -> None:
         raise ConfigError(f"{name} must be at least 1, got {value}")
 
 
-@record
 class DbarGrid(Record):
     """Polar evaluation grid for the finite-difference Wirtinger residual."""
 
@@ -287,7 +283,6 @@ def validate_families(config_a: FamilyConfig, config_b: FamilyConfig) -> bool:
     return abs(c1 - c2) > r1 + r2
 
 
-@record
 class PipelineConfig(Record):
     """Everything the full verdict pipeline needs.
 
@@ -421,7 +416,6 @@ def cross_consistency(
     return residual
 
 
-@record
 class Verdict(Record):
     """Combined outcome of family sweeps, cross-consistency, and the Wirtinger oracle."""
 

@@ -9,10 +9,11 @@ Grammar (whitespace insignificant):
     exponent:= '-' exponent | power
     atom    := number | 'z' | 'zbar' | 'i' | name '(' expr ')' | '(' expr ')'
 
-Numbers are decimal literals with an optional trailing 'i' (imaginary unit);
-'zbar' abbreviates conj(z).  '^' binds tighter than unary minus, so -z^2 is
--(z^2).  Functions: conj, abs, re, im, exp, sin, cos, log, sqrt (principal
-branches); abs/re/im return real values.
+Numbers are decimal literals with an optional exponent ('1e-07', '2.5E3')
+and an optional trailing 'i' (imaginary unit); a literal that overflows a
+float is a parse error.  'zbar' abbreviates conj(z).  '^' binds tighter
+than unary minus, so -z^2 is -(z^2).  Functions: conj, abs, re, im, exp,
+sin, cos, log, sqrt (principal branches); abs/re/im return real values.
 
 Parse errors carry the byte offset of the offending position.  Evaluation is
 one numpy walk of the AST that takes a single point or an array of points.
@@ -29,7 +30,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from ._record import Record, record
+from ._record import Record
 from .errors import EvalError, ParseError
 
 # Dispatch tables of the evaluator; abs/re/im are real-valued, and their
@@ -50,27 +51,24 @@ _BINOPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^":
 FUNCTIONS = tuple(_CALLS)
 
 _TOKEN_RE = _re.compile(
-    r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+))(?P<imag>i\b)?"
+    r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(?P<imag>i\b)?"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>\^|\+|-|\*|/|\(|\)))"
 )
 
 
-@record
 class Num(Record):
     """A complex literal."""
 
     value: complex
 
 
-@record
 class Var(Record):
     """The variable z."""
 
     name: str  # always "z"
 
 
-@record
 class Unary(Record):
     """Negation of an operand."""
 
@@ -78,7 +76,6 @@ class Unary(Record):
     operand: "Expr"
 
 
-@record
 class BinOp(Record):
     """A binary operation on two operands."""
 
@@ -87,7 +84,6 @@ class BinOp(Record):
     right: "Expr"
 
 
-@record
 class Call(Record):
     """A named function applied to one argument."""
 
@@ -98,7 +94,6 @@ class Call(Record):
 Expr = Union[Num, Var, Unary, BinOp, Call]
 
 
-@record
 class _Token(Record):
     """One token of the source text, at character ``offset``."""
 
@@ -122,6 +117,8 @@ def _tokenize(source: str) -> list[_Token]:
             raise ParseError(offset, f"a token (found {stripped[0]!r})")
         if m.group("number") is not None:
             mag = float(m.group("number"))
+            if np.isinf(mag):
+                raise ParseError(m.start("number"), f"a finite number (found {m.group('number')!r})")
             value = complex(0.0, mag) if m.group("imag") else complex(mag, 0.0)
             tokens.append(_Token("number", m.group(0).strip(), m.start("number"), value))
         elif m.group("name") is not None:

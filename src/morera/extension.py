@@ -26,7 +26,7 @@ import numpy as np
 # start-up, not inside the first command that samples a circle.
 import numpy.fft  # noqa: F401
 
-from ._record import Record, record
+from ._record import Record
 from .errors import (
     DomainError,
     ExtensionFailureError,
@@ -61,7 +61,6 @@ _REFUSAL = "extension evaluated on data that fails the extendability test (negat
 Oracle = Callable[[complex], complex]
 
 
-@record
 class CircleTrace(Record):
     """Samples of a function at N equispaced points of a circle.
 
@@ -87,7 +86,6 @@ class CircleTrace(Record):
         return 2.0 * np.pi * np.arange(n) / n
 
 
-@record
 class FourierData(Record):
     """DFT of a circle trace, indexed k in [-N/2, N/2).
 
@@ -122,7 +120,6 @@ class FourierData(Record):
         return float(np.sum(np.abs(self.coefficients) ** 2))
 
 
-@record
 class ExtensionResult(Record):
     """Outcome of the extendability test for one circle."""
 
@@ -362,7 +359,6 @@ def _horner(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return acc
 
 
-@record
 class BatchAnalysis(Record):
     """Per-row outcome of :func:`analyze_batch`, one row per circle.
 

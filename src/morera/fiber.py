@@ -24,22 +24,20 @@ series' tail coefficients stop mattering, so only those circles are tested
 and sampled (each from the kernel's one start of 256 samples, as every circle
 is); both pieces are refined in lockstep, one kernel pass a level.
 Quadrature is composite Gauss-Legendre per piece in the same parameters,
-with node counts doubled until two successive refinements agree, starting
-from the curve's own nodes; every level reads its node values from the
-series.  The Cauchy transform subtracts a constant c (F at the node nearest
-W) from the integrand and adds c * ind(W) back, so the near-singular part
-of the kernel only ever meets F - c.  The series also bound how far F
-strays from any of its values along the whole curve, a priori: a W whose
-bound on the subtracted integral is within the quadrature tolerance gets
-c * ind(W) with no quadrature level, and a fiber integral whose bound is
-within it is 0 (for holomorphic f, where F is constant, both hold almost
-everywhere).  Such a W outside D_z is 0.0 whatever c is, so c is looked
-up only for the W inside D_z or not certified.  A table of many W locates
-each of them once, in one array pass (inside D_z, outside, or within the
-proximity guard of the curve), integrates only those beyond the guard and
-not certified, and forms their kernels block by block in buffers
-allocated once per table, never kept between calls; a single transform is
-the table of one W.
+with node counts doubled until two successive refinements agree; every
+level reads its node values from the series.  The series also bound how
+far F strays from the segment series' constant term a_0 along the whole
+curve, a priori: a W whose bound on the integral of (F - a_0)/(w - W) dw
+is within the quadrature tolerance gets a_0 * ind(W) with no quadrature
+node, and a fiber integral whose bound is within it is 0 (for holomorphic
+f, where F is constant, both hold almost everywhere).  Only the other W
+build levels, and each subtracts a constant c (F at the first level's node
+nearest W) from the integrand and adds c * ind(W) back, so the
+near-singular part of the kernel only ever meets F - c.  A table of many W
+locates each of them once, in one array pass (inside D_z, outside, or
+within the proximity guard of the curve), integrates only those beyond the
+guard and not certified, and forms their kernels block by block; a single
+transform is the table of one W.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from . import extension as ext
-from ._record import Record, record
+from ._record import Record
 from .errors import (
     ConfigError,
     CurveProximityError,
@@ -109,20 +107,18 @@ _CHEB_MAX = 257
 _CHEB_CHOP = 1e-10
 _CHEB_FLOOR = 1e-3
 # Cauchy kernels of many W are formed in row blocks of about this many
-# entries: 256 KiB a complex block, so a block's buffers stay in cache.
+# entries: 256 KiB a complex block, so a block's temporaries stay in cache.
 _BLOCK_ELEMENTS = 1 << 14
 
 Oracle = Callable[[complex], complex]
 
 
-def _panel_count(n_nodes: int) -> int:
-    """Gauss panels of a composite rule asked for ``n_nodes`` nodes: enough for them, at least one."""
-    return max(1, int(math.ceil(n_nodes / _PANEL_ORDER)))
-
-
 def _composite_gauss(a: float, b: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights on the oriented interval [a, b]."""
-    panels = _panel_count(n_nodes)
+    """Composite Gauss-Legendre nodes/weights on the oriented interval [a, b].
+
+    The rule has enough panels for ``n_nodes`` nodes, at least one.
+    """
+    panels = max(1, int(math.ceil(n_nodes / _PANEL_ORDER)))
     # np.linspace's own arithmetic, bit for bit, without its Python overhead.
     edges = np.arange(panels + 1.0) * ((b - a) / panels) + a
     edges[-1] = b
@@ -133,7 +129,6 @@ def _composite_gauss(a: float, b: float, n_nodes: int) -> tuple[np.ndarray, np.n
     return nodes, weights
 
 
-@record
 class FiberCurve(Record):
     """Oriented closed curve M_z with its quadrature nodes.
 
@@ -332,7 +327,6 @@ def region_contains(curve: FiberCurve, W: complex) -> bool:
     return abs(winding_number(curve, W)) == 1
 
 
-@record
 class RegionD(Record):
     """The bounded region enclosed by a fiber curve, queried by winding number."""
 
@@ -445,7 +439,6 @@ def _chebval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return c0 + c1 * x
 
 
-@record
 class _PieceSeries(Record):
     """Chebyshev series of F(z, .) in one piece's parameter over [lo, hi].
 
@@ -549,16 +542,8 @@ class _FiberField:
         self.tolerance = QUAD_REFINE_TOL * max(1.0, *(piece.scale for piece in self.pieces))
 
     def level(self, per_piece: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nodes, weights and F values of the composite Gauss rule with ``per_piece`` nodes a piece.
-
-        At the curve's own panel count these are the curve's nodes.
-        """
-        curve = self.curve
-        # A fresh level's arrays cost page faults in a cold process; the curve's are already touched.
-        if 2 * _panel_count(per_piece) * _PANEL_ORDER == curve.nodes_w.size:
-            w, dw, piece, param = curve.nodes_w, curve.nodes_dw, curve.nodes_piece, curve.nodes_param
-        else:
-            w, dw, piece, param = _quadrature(curve.z, curve.t_min, per_piece)
+        """Nodes, weights and F values of the composite Gauss rule with ``per_piece`` nodes a piece."""
+        w, dw, piece, param = _quadrature(self.curve.z, self.curve.t_min, per_piece)
         values = np.empty_like(w)
         for index, series in enumerate(self.pieces):
             mask = piece == index
@@ -567,7 +552,7 @@ class _FiberField:
 
     @cached_property
     def variation(self) -> float:
-        """A bound on the contour integral of |F - c| |dw| for every value c of F, rounding included.
+        """A bound on the contour integral of |F - c| |dw|, rounding included, for c = a_0 or any value of F.
 
         On [-1, 1], where |T_k| <= 1, a piece's series a_0 + sum a_k T_k
         takes its values in the disc of centre a_0 and radius
@@ -579,7 +564,8 @@ class _FiberField:
         lies within eps (2 |a_0| + 3 n^3 r) of the series', so each disc is
         widened by that much.  Any two values of F
         along the curve, computed or exact, then differ by at most the
-        spread of the two discs, and the curve's length
+        spread of the two discs, and so does a value and the segment's
+        centre a_0, which lies in the segment's disc; the curve's length
         L = |1/z - conj(z)| + rho * sweep bounds the integral of |dw|.
         """
         eps = np.finfo(float).eps
@@ -624,47 +610,32 @@ class _FiberField:
         """Cauchy transforms at points ``Ws`` beyond the proximity guard, with their winding numbers and distances.
 
         Singularity subtraction: Theta(W) = (1/2 pi i) * integral of
-        (F - c)/(w - W) dw + c * ind(W) holds for any constant c.  With c the
-        value at the first level's node nearest W the integrand stays small
-        where the kernel is large; c is fixed for every level.  The
+        (F - c)/(w - W) dw + c * ind(W) holds for any constant c.  The
         subtracted integral is at most ``variation`` / (2 pi d(W)) in
-        modulus, d(W) the distance from W to the curve, so a W where that is
-        within ``tolerance`` gets c * ind(W), certified, and builds no
-        level.  c is looked up only where a value uses it: a certified W
-        outside D_z reads 0.0 whatever c is, so a table of only such W
-        builds not even the first level.  Every other W has its levels
-        doubled until two agree; the (W x nodes) kernels are taken in row blocks of about
-        ``_BLOCK_ELEMENTS`` entries, all formed in the same three buffers
-        (kernel, denominator, node distances), allocated once per call and
-        sized for the finest level; no buffer outlives the call.
+        modulus when c is the segment series' constant term a_0, d(W) the
+        distance from W to the curve, so a W where that is within
+        ``tolerance`` gets a_0 * ind(W), certified, with no quadrature node.
+        Only the other W build levels: each takes c from the first level's
+        node nearest it, so the integrand stays small where the kernel is
+        large, and has its levels doubled until two agree.  The
+        (W x nodes) kernels are formed in row blocks of about
+        ``_BLOCK_ELEMENTS`` entries.
         """
         Ws = np.asarray(Ws, dtype=complex)
         windings = np.asarray(windings)
-        uncertified = self.variation > 2.0 * math.pi * self.tolerance * distances
-        # A certified W outside D_z reads 0.0 whatever c is: only the others need c.
-        chosen = np.flatnonzero(uncertified | (windings != 0))
-        if not chosen.size:
-            return np.zeros(Ws.shape, dtype=complex)
+        # Adding 0.0 turns a -0.0 part of a_0 * ind(W) into 0.0.
+        result = self.pieces[0].coefficients[0] * windings + 0.0
+        rows = np.flatnonzero(self.variation > 2.0 * math.pi * self.tolerance * distances)
+        if not rows.size:
+            return result
         per_piece = max(_PANEL_ORDER, nodes // 2)
         first = self.level(per_piece)
         w0, _, values0 = first
-        # Fresh kernel temporaries per block and level would each cost an allocation and page faults.
-        # Doubling the nodes per piece at most doubles each level's size.
-        size = max(_BLOCK_ELEMENTS, w0.size << MAX_REFINEMENTS)
-        kernel = np.empty(size, dtype=complex)
-        denominator = np.empty(size, dtype=complex)
-        distance = np.empty(size)
-
-        def view(buffer, rows, n):
-            """The first rows x n entries of a flat buffer, as a matrix."""
-            return buffer[: rows * n].reshape(rows, n)
-
-        step = max(1, _BLOCK_ELEMENTS // w0.size)
         c = np.zeros_like(Ws)
-        for s in range(0, chosen.size, step):
-            block = chosen[s : s + step]
-            gap = np.subtract(w0, Ws[block, None], out=view(denominator, block.size, w0.size))
-            c[block] = values0[np.argmin(np.abs(gap, out=view(distance, block.size, w0.size)), axis=1)]
+        step = max(1, _BLOCK_ELEMENTS // w0.size)
+        for s in range(0, rows.size, step):
+            block = rows[s : s + step]
+            c[block] = values0[np.argmin(np.abs(w0 - Ws[block, None]), axis=1)]
         jump = c * windings
 
         def sums(w, dw, values, rows):
@@ -672,20 +643,12 @@ class _FiberField:
             step = max(1, _BLOCK_ELEMENTS // w.size)
             for s in range(0, rows.size, step):
                 block = rows[s : s + step]
-                kernel_block = np.subtract(values, c[block, None], out=view(kernel, block.size, w.size))
-                kernel_block /= np.subtract(w, Ws[block, None], out=view(denominator, block.size, w.size))
-                kernel_block *= dw
-                out[s : s + step] = np.sum(kernel_block, axis=1)
+                out[s : s + step] = np.sum((values - c[block, None]) / (w - Ws[block, None]) * dw, axis=1)
             return out / (2.0j * math.pi) + jump[rows]
 
         def where(row):
             return f"W = {complex(Ws[row])} ({distances[row] / self.curve.diameter:.2e} x diameter from the curve)"
 
-        # Adding 0.0 turns a -0.0 part of c * ind(W) into 0.0.
-        result = jump + 0.0
-        rows = np.flatnonzero(uncertified)
-        if not rows.size:
-            return result
         return self._refine(per_piece, first, result, rows, sums, where)
 
     def integral(self, nodes: int) -> complex:

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._record import Record, record
+from ._record import Record
 from .errors import UnknownFunctionError
 from .geometry import Circle
 
@@ -78,7 +78,6 @@ def _radial_smooth(z):
     return np.where(r2 >= 1.0, 0.0 + 0.0j, np.exp(-1.0 / (1.0 - r2)).astype(complex))
 
 
-@record
 class ClosedFormExtension(Record):
     """A known holomorphic extension from one circle, with a sensitivity note."""
 
@@ -86,7 +85,6 @@ class ClosedFormExtension(Record):
     boundary_case: bool = False  # circle passes through the origin
 
 
-@record
 class ZooEntry(Record):
     """A builtin test function: its oracle and its known classification."""
 

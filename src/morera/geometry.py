@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from ._record import Record, record
+from ._record import Record
 from .errors import ConfigError, DegenerateInputError, DomainError, ParameterDomainError
 
 # Inputs closer than this to the real axis are rejected by tangent-circle
@@ -45,7 +45,6 @@ def require_tau(tau: float) -> None:
         raise ConfigError(f"tau must lie in (0, 1/2), got {tau}")
 
 
-@record
 class Circle(Record):
     """A circle in the plane: ``center`` plus a strictly positive ``radius``."""
 
@@ -67,7 +66,6 @@ class Circle(Record):
         return abs(abs(z - self.center) - self.radius)
 
 
-@record
 class Arc(Record):
     """Circular arc, parametrized by angle from the circle's center.
 
@@ -107,7 +105,6 @@ class Arc(Record):
         return self.circle.point(self.angle_start + s * (self.angle_end - self.angle_start))
 
 
-@record
 class PencilConfig(Record):
     """Pencil family through boundary point ``p`` with radius floor ``tau``."""
 

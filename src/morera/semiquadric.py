@@ -21,7 +21,7 @@ import cmath
 import math
 from typing import Union
 
-from ._record import Record, record
+from ._record import Record
 from .errors import (
     DomainError,
     NoIntersectionError,
@@ -61,7 +61,6 @@ def is_infinity(w: FiberValue) -> bool:
     return w is INFINITY
 
 
-@record
 class Semiquadric(Record):
     """Parameters (a, r) of the graph attached to circle bD(a, r)."""
 
@@ -87,7 +86,6 @@ class Semiquadric(Record):
         return cls(complex(t, 0.0), t + 1.0)
 
 
-@record
 class QuadricPoint(Record):
     """A point (z, w) of a semiquadric; ``w`` may be the infinity marker."""
 

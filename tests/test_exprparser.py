@@ -247,6 +247,25 @@ def test_print_parse_roundtrip(node):
     assert parse(to_source(node)) == node
 
 
+@given(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_every_literal_round_trips(value, imaginary):
+    # The printed literal of any finite non-negative float, real or
+    # imaginary, parses back to the same value: repr may print an exponent.
+    node = Num(complex(0.0, value) if imaginary else complex(value, 0.0))
+    assert parse(to_source(node)) == node
+    assert parse(f"{to_source(node)}*z") == BinOp("*", node, Var("z"))
+
+
+@pytest.mark.parametrize(
+    "text, offset", [("1e309", 0), ("z + 2.5E400i", 4), ("9" * 400, 0)], ids=["real", "imaginary", "400-digits"]
+)
+def test_literal_that_overflows_is_a_parse_error(text, offset):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.offset == offset and err.value.expected.startswith("a finite number")
+
+
 # --- Hypothesis: the numpy evaluator against a cmath reference ---
 
 

@@ -413,12 +413,13 @@ class TestCauchyTransform:
         # F(z, .) is constant, so each piece's series chops at the first
         # Lobatto grid, and both pieces' grids share one oracle call, however
         # many W the table has.  Every W of the default grid is certified,
-        # so the table builds the curve's nodes, reads c from them and
-        # builds no quadrature level beyond them.
+        # so the curve's own nodes are the only quadrature the command
+        # builds: the table looks up no c and builds no level.
         calls = []
         levels = []
         oracle_values = extension.oracle_values
         quadrature = fiber._quadrature
+        monkeypatch.setattr(_FiberField, "level", lambda *args: pytest.fail("a quadrature level was built"))
 
         def counted(f, points, check=True):
             calls.append(np.size(points))
@@ -656,8 +657,10 @@ class TestKernelBlocking:
         assert all(np.array_equal(tables[0], table) for table in tables[1:])
 
         # The same certificate and levels with the kernel formed out of place
-        # over all W at once.  A constant F certifies every W of this grid, a
-        # non-constant one none.
+        # over all W at once.  A constant F certifies every W of this grid,
+        # which reads a_0 * ind(W), a_0 the segment series' constant term; a
+        # non-constant one certifies none, and each W takes c at the first
+        # level's node nearest it.
         field = _FiberField(f, curve, extension.DEFAULT_MORERA_TOL)
         per_piece = fiber.DEFAULT_NODES // 2
         w, dw, values = field.level(per_piece)
@@ -669,7 +672,7 @@ class TestKernelBlocking:
             return np.sum((values - c[:, None]) / (w - Ws[:, None]) * dw, axis=1) / (2.0j * math.pi) + c * windings
 
         previous = level(w, dw, values)
-        expected = np.where(certified, c * windings, previous)
+        expected = np.where(certified, field.pieces[0].coefficients[0] * windings, previous)
         done = certified.copy()
         for _ in range(fiber.MAX_REFINEMENTS):
             per_piece *= 2
@@ -782,26 +785,28 @@ class TestCertificate:
 
     @pytest.mark.parametrize("z", CERTIFICATE_BASE_POINTS)
     def test_certified_table_outside_the_region_builds_no_level(self, z, monkeypatch):
-        # A certified W outside D_z reads 0.0 whatever c is, so a table of
-        # only such W looks up no c and builds not even the first level; one
-        # W inside needs c, read from the first level alone.
+        # A certified W reads a_0 * ind(W), a_0 the segment series' constant
+        # term, so a certified table looks up no c and builds not even the
+        # first level, with or without W inside D_z.
         f = builtin("poly3").oracle
         curve = fiber_curve(z)
         Ws = certificate_probes(curve)
         locations, distances = fiber._locations(curve, Ws)
-        outside = Ws[locations == 0]
+        far = locations >= 0
         field = _FiberField(f, curve, extension.DEFAULT_MORERA_TOL)
-        assert (field.variation <= 2.0 * math.pi * field.tolerance * distances[locations == 0]).all()
+        assert (field.variation <= 2.0 * math.pi * field.tolerance * distances[far]).all()
         levels = []
-        level = _FiberField.level
-        monkeypatch.setattr(_FiberField, "level", lambda self, n: levels.append(n) or level(self, n))
+        monkeypatch.setattr(_FiberField, "level", lambda self, n: levels.append(n))
+        outside = Ws[locations == 0]
         table = fiber.cauchy_table(f, curve, outside)
         assert (table[0] == 0).all() and table[1].tobytes() == np.zeros(outside.size, dtype=complex).tobytes()
-        assert levels == []
-        inside = Ws[locations == 1][:1]
+        inside = Ws[locations == 1]
+        assert inside.size
         table = fiber.cauchy_table(f, curve, np.concatenate([outside, inside]))
-        assert levels == [fiber.DEFAULT_NODES // 2]
-        assert table[1][-1] == pytest.approx(f(z), abs=1e-10) and not table[1][:-1].any()
+        assert levels == []
+        assert not table[1][: outside.size].any()
+        assert (table[1][outside.size :] == field.pieces[0].coefficients[0]).all()
+        assert np.abs(table[1][outside.size :] - f(z)).max() < 1e-10
 
     def test_no_theta_cell_reads_negative_zero(self, capsys):
         # No cell reads -0.0, outside or inside, where c * ind(W) keeps the
@@ -897,11 +902,11 @@ class TestFiberSeries:
         curve = fiber_curve(-0.2 + 0.5j)
         field = _FiberField(builtin("poly3").oracle, curve, 1e-8)
         # 250 nodes a piece need the same 16 panels as the curve's 256.
-        for per_piece in (256, 250):
+        for per_piece, size in ((256, 256), (250, 256), (512, 512)):
             w, dw, _ = field.level(per_piece)
-            assert w is curve.nodes_w and dw is curve.nodes_dw
-        w, _, _ = field.level(512)
-        assert w.size == 1024 and np.array_equal(w, fiber_curve(-0.2 + 0.5j, 512).nodes_w)
+            nodes = fiber_curve(-0.2 + 0.5j, size)
+            assert w.size == 2 * size
+            assert np.array_equal(w, nodes.nodes_w) and np.array_equal(dw, nodes.nodes_dw)
 
     @pytest.mark.parametrize(
         "name, z, message",
