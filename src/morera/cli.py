@@ -397,7 +397,7 @@ def cmd_fiber(args) -> int:
     return EXIT_OK
 
 
-# The CSV names of cauchy_table's locations; near-curve rows carry no value.
+# The CSV names of cauchy_table's locations; near-curve and unconverged rows hold NaN and carry no value.
 _LOCATIONS = {1: "inside", 0: "outside", -1: "near-curve"}
 
 
@@ -416,13 +416,15 @@ def cmd_theta(args) -> int:
         raise ConfigError(f"--w-pad {args.w_pad} overflows the W grid of a curve of diameter {curve.diameter}")
     xs, ys = (np.linspace(lo, hi, args.w_count) for lo, hi in bounds)
     grid = [complex(x, y) for y in ys for x in xs]
-    locations, values = fiber.cauchy_table(f, curve, grid, args.nodes, args.morera_tol)
+    locations, values, failures = fiber.cauchy_table(f, curve, grid, args.nodes, args.morera_tol)
     rows = ["re_w,im_w,location,re_theta,im_theta,abs_theta"]
     for W, location, value in zip(grid, locations.tolist(), values.tolist()):
-        cells = f"{value.real!r},{value.imag!r},{abs(value)!r}" if location >= 0 else ",,"
+        cells = ",," if value != value else f"{value.real!r},{value.imag!r},{abs(value)!r}"
         rows.append(f"{W.real!r},{W.imag!r},{_LOCATIONS[location]},{cells}")
+    for text in failures:
+        print(f"warning: {text}", file=sys.stderr)
     _emit("\n".join(rows) + "\n", args.output)
-    return EXIT_OK
+    return EXIT_INCONCLUSIVE if failures else EXIT_OK
 
 
 def cmd_verdict(args) -> int:

@@ -36,8 +36,8 @@ nearest W) from the integrand and adds c * ind(W) back, so the
 near-singular part of the kernel only ever meets F - c.  A table of many W
 locates each of them once, in one array pass (inside D_z, outside, or
 within the proximity guard of the curve), integrates only those beyond the
-guard and not certified, and forms their kernels block by block; a single
-transform is the table of one W.
+guard and not certified, and forms their kernels block by block, naming
+any W whose levels never agree; a single transform is the table of one W.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from .semiquadric import invert_pencil_fiber
 # diameter cannot be classified or used as Cauchy-kernel poles.
 CURVE_PROXIMITY_FACTOR = 1e-6
 # Two successive quadrature refinements must agree to this tolerance, times
-# the largest |F| sampled where that exceeds 1 (see _FiberField.tolerance).
+# the larger piece scale where that exceeds 1 (see _FiberField.tolerance).
 QUAD_REFINE_TOL = 1e-8
 MAX_REFINEMENTS = 3
 # |Im(w*z)| above this disqualifies w from the segment branch of eval_F.
@@ -130,24 +130,20 @@ def _composite_gauss(a: float, b: float, n_nodes: int) -> tuple[np.ndarray, np.n
 
 
 class FiberCurve(Record):
-    """Oriented closed curve M_z with its quadrature nodes.
+    """The positively oriented closed curve M_z: its segment, its arc and points along both.
 
-    ``nodes_w`` are positions on the curve, ``nodes_dw`` the complex
-    quadrature weights such that a contour integral of h is approximately
-    sum(h(nodes_w) * nodes_dw); ``nodes_piece`` is 0 on the segment and 1 on
-    the arc, and ``nodes_param`` stores the owning-circle parameter (centered
-    radius R on the segment, pencil parameter t on the arc).
+    ``t_min`` is the pencil parameter of the circle through ``z``, where the
+    arc ends; ``nodes_w`` are the curve's composite Gauss nodes in traversal
+    order, which set its ``diameter``.  Quadrature weights and the owning
+    circle of each node come from :func:`_quadrature`, which alone builds
+    them.
     """
 
     z: complex
     segment: tuple[complex, complex]  # (conj(z), 1/z)
     arc: Arc
     t_min: float
-    orientation: int
     nodes_w: np.ndarray
-    nodes_dw: np.ndarray
-    nodes_piece: np.ndarray
-    nodes_param: np.ndarray
 
     @cached_property
     def diameter(self) -> float:
@@ -180,11 +176,10 @@ class FiberCurve(Record):
         arc = self.arc
         v = Ws - arc.circle.center
         phi = np.arctan2(v.imag, v.real)
-        lo, hi = sorted((arc.angle_start, arc.angle_end))
         within = np.zeros(Ws.shape, dtype=bool)
         for k in (-1, 0, 1):
             shifted = phi + 2.0 * math.pi * k
-            within |= (lo <= shifted) & (shifted <= hi)
+            within |= (arc.angle_start <= shifted) & (shifted <= arc.angle_end)
         ends = np.minimum(_modulus(Ws - arc.start), _modulus(Ws - arc.end))
         return np.minimum(segment, np.where(within, np.abs(_modulus(v) - arc.circle.radius), ends))
 
@@ -244,7 +239,7 @@ def _quadrature(z: complex, t_min: float, per_piece: int) -> tuple:
 
 
 def fiber_curve(z: complex, nodes_per_piece: int = DEFAULT_NODES // 2, tau: float = DEFAULT_TAU) -> FiberCurve:
-    """Build the positively oriented fiber curve of ``z``.
+    """Build the positively oriented fiber curve of ``z``, with ``nodes_per_piece`` Gauss nodes a piece.
 
     ``tau`` must lie in (0, 1/2), ``nodes_per_piece`` be at least 1, and ``z``
     be finite, admissible (open unit disc, outside the closed disc of the
@@ -261,10 +256,8 @@ def fiber_curve(z: complex, nodes_per_piece: int = DEFAULT_NODES // 2, tau: floa
     if not in_admissible_region(z, tau):
         raise DomainError(f"z = {z} outside the admissible region for tau = {tau}")
     t_min = pencil_param(z)
-    nodes_w, nodes_dw, nodes_piece, nodes_param = _quadrature(z, t_min, nodes_per_piece)
-    curve = FiberCurve(
-        z, (z.conjugate(), 1.0 / z), arc_lambda(z), t_min, +1, nodes_w, nodes_dw, nodes_piece, nodes_param
-    )
+    nodes_w, nodes_dw = _quadrature(z, t_min, nodes_per_piece)[:2]
+    curve = FiberCurve(z, (z.conjugate(), 1.0 / z), arc_lambda(z), t_min, nodes_w)
     # Orientation self-check: the signed area (1/2i) * contour integral of
     # conj(w) dw must come out positive.
     area = float(np.sum(np.conj(nodes_w) * nodes_dw).imag) / 2.0
@@ -294,7 +287,7 @@ def _locations(curve: FiberCurve, Ws: np.ndarray) -> tuple[np.ndarray, np.ndarra
     arc_side = (chord * (curve.arc.point(0.5) - a)).imag
     inside = (_modulus(Ws - circle.center) < circle.radius) & ((side > 0.0) == (arc_side > 0.0))
     distances = curve.distances(Ws)
-    return np.where(distances < curve.proximity_guard, -1, np.where(inside, curve.orientation, 0)), distances
+    return np.where(distances < curve.proximity_guard, -1, np.where(inside, 1, 0)), distances
 
 
 def winding_numbers(curve: FiberCurve, Ws: np.ndarray) -> np.ndarray:
@@ -324,7 +317,7 @@ def winding_number(curve: FiberCurve, W: complex) -> int:
 
 def region_contains(curve: FiberCurve, W: complex) -> bool:
     """Whether ``W`` lies in the bounded region enclosed by the curve."""
-    return abs(winding_number(curve, W)) == 1
+    return winding_number(curve, W) == 1
 
 
 class RegionD(Record):
@@ -582,13 +575,13 @@ class _FiberField:
 
     def _refine(
         self, per_piece: int, first: tuple, result: np.ndarray, rows: np.ndarray, sums: Callable, where: Callable
-    ) -> np.ndarray:
-        """``result`` with the contour sums of ``rows`` set, node counts doubled until two successive levels agree.
+    ) -> list[str]:
+        """Set the contour sums of ``rows`` in ``result``, node counts doubled until two successive levels agree.
 
         ``sums(w, dw, values, rows)`` gives the sums of ``rows`` at one level;
-        only rows that have not yet agreed go on to the next level.  The first
-        row still apart after ``MAX_REFINEMENTS`` doublings, in the order
-        given, raises, named by ``where(row)``.
+        only rows that have not yet agreed go on to the next level.  Rows
+        still apart after ``MAX_REFINEMENTS`` doublings are set to NaN; the
+        messages returned name each, in the order given, by ``where(row)``.
         """
         current = sums(*first, rows)
         for _ in range(MAX_REFINEMENTS):
@@ -599,15 +592,16 @@ class _FiberField:
             result[rows[done]] = refined[done]
             rows, current, change = rows[~done], refined[~done], change[~done]
             if not rows.size:
-                return result
-        raise MoreraError(
-            f"contour quadrature over the fiber curve of z = {self.curve.z} failed to converge "
-            f"to {self.tolerance} within {MAX_REFINEMENTS} refinements at {where(int(rows[0]))}: "
-            f"the last two sums differ by {change[0]:.3e}"
-        )
+                return []
+        result[rows] = np.nan
+        return [
+            f"contour quadrature over the fiber curve of z = {self.curve.z} failed to converge to {self.tolerance} "
+            f"within {MAX_REFINEMENTS} refinements at {where(row)}: the last two sums differ by {apart:.3e}"
+            for row, apart in zip(rows.tolist(), change.tolist())
+        ]
 
-    def transforms(self, Ws: np.ndarray, windings: np.ndarray, distances: np.ndarray, nodes: int) -> np.ndarray:
-        """Cauchy transforms at points ``Ws`` beyond the proximity guard, with their winding numbers and distances.
+    def transforms(self, Ws: np.ndarray, windings: np.ndarray, distances: np.ndarray, nodes: int) -> tuple:
+        """Cauchy transforms and :meth:`_refine`'s messages at ``Ws`` beyond the guard, given windings and distances.
 
         Singularity subtraction: Theta(W) = (1/2 pi i) * integral of
         (F - c)/(w - W) dw + c * ind(W) holds for any constant c.  The
@@ -627,7 +621,7 @@ class _FiberField:
         result = self.pieces[0].coefficients[0] * windings + 0.0
         rows = np.flatnonzero(self.variation > 2.0 * math.pi * self.tolerance * distances)
         if not rows.size:
-            return result
+            return result, []
         per_piece = max(_PANEL_ORDER, nodes // 2)
         first = self.level(per_piece)
         w0, _, values0 = first
@@ -649,14 +643,15 @@ class _FiberField:
         def where(row):
             return f"W = {complex(Ws[row])} ({distances[row] / self.curve.diameter:.2e} x diameter from the curve)"
 
-        return self._refine(per_piece, first, result, rows, sums, where)
+        return result, self._refine(per_piece, first, result, rows, sums, where)
 
     def integral(self, nodes: int) -> complex:
         """Plain contour integral of F dw.
 
         It equals the integral of (F - c) dw for any constant c, at most
         ``variation`` in modulus, so it is 0 when that is within
-        ``tolerance``; else levels are doubled until two agree.
+        ``tolerance``; else levels are doubled until two agree, or it raises
+        :meth:`_refine`'s message as a :class:`MoreraError`.
         """
         if self.variation <= self.tolerance:
             return 0j
@@ -666,7 +661,10 @@ class _FiberField:
             return np.full(rows.size, np.sum(values * dw))
 
         result = np.empty(1, dtype=complex)
-        self._refine(per_piece, self.level(per_piece), result, np.arange(1), sums, lambda row: "the fiber integral")
+        first = self.level(per_piece)
+        failures = self._refine(per_piece, first, result, np.arange(1), sums, lambda row: "the fiber integral")
+        if failures:
+            raise MoreraError(failures[0])
         return complex(result[0])
 
 
@@ -692,13 +690,16 @@ def cauchy_transform(
     until two refinements agree.  This is :func:`cauchy_table` at one point,
     except that a ``W`` within the proximity guard raises
     :class:`CurveProximityError` (see :func:`winding_numbers`), with F not
-    sampled.
+    sampled, and a ``W`` whose quadrature does not converge raises
+    :class:`MoreraError` with the table's message.
     """
     curve = fiber_curve(complex(z), tau=tau)
     W = complex(W)
-    locations, values = cauchy_table(f, curve, [W], nodes, tol)
+    locations, values, failures = cauchy_table(f, curve, [W], nodes, tol)
     if locations[0] < 0:
         raise _proximity_error(curve, W)
+    if failures:
+        raise MoreraError(failures[0])
     return complex(values[0])
 
 
@@ -708,7 +709,7 @@ def cauchy_table(
     Ws,
     nodes: int = DEFAULT_NODES,
     tol: float = ext.DEFAULT_MORERA_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Locations and Cauchy transforms along ``curve`` at many points ``Ws``, sampling F once.
 
     Each W is located once (:func:`_locations`: 1 inside D_z, 0 outside, -1
@@ -717,16 +718,18 @@ def cauchy_table(
     :func:`cauchy_transform`'s value, certified from its distance or
     integrated (see :meth:`_FiberField.transforms`).  When no W lies beyond
     the guard, F is not sampled.  A W whose quadrature does not converge
-    raises, the first in the order given.
+    keeps its location and gets NaN, and the third item holds one message
+    naming each such W, in the order given.
     """
     _require_nodes(nodes)
     Ws = np.asarray(Ws, dtype=complex)
     locations, distances = _locations(curve, Ws)
     values = np.full(Ws.shape, np.nan, dtype=complex)
+    failures = []
     far = locations >= 0
     if far.any():
-        values[far] = _FiberField(f, curve, tol).transforms(Ws[far], locations[far], distances[far], nodes)
-    return locations, values
+        values[far], failures = _FiberField(f, curve, tol).transforms(Ws[far], locations[far], distances[far], nodes)
+    return locations, values, failures
 
 
 def fiber_integral(

@@ -69,28 +69,24 @@ class Circle(Record):
 class Arc(Record):
     """Circular arc, parametrized by angle from the circle's center.
 
-    The arc runs from ``angle_start`` to ``angle_end`` sweeping in the sense
-    of ``direction`` (+1 counterclockwise, -1 clockwise).  ``angle_start`` is
-    stored canonically in (-pi, pi]; ``angle_end`` may exceed that interval so
-    that ``angle_end - angle_start`` is the signed sweep.
+    The arc runs counterclockwise from ``angle_start`` to ``angle_end``,
+    which must be greater.  ``angle_start`` is stored canonically in
+    (-pi, pi]; ``angle_end`` may exceed that interval so that
+    ``angle_end - angle_start`` is the sweep.
     """
 
     circle: Circle
     angle_start: float
     angle_end: float
-    direction: int
 
     def __post_init__(self):
-        if self.direction not in (-1, 1):
-            raise ParameterDomainError("arc direction must be +1 or -1")
-        sweep = (self.angle_end - self.angle_start) * self.direction
-        if not sweep > 0.0:
+        if not self.angle_end > self.angle_start:
             raise ParameterDomainError("arc must have positive length")
 
     @property
     def sweep(self) -> float:
-        """Unsigned angular extent of the arc."""
-        return abs(self.angle_end - self.angle_start)
+        """Angular extent of the arc."""
+        return self.angle_end - self.angle_start
 
     @property
     def start(self) -> complex:
@@ -208,7 +204,7 @@ def arc_lambda(z: complex, tau: float | None = None) -> Arc:
     if not sweep > 0.0:
         raise DegenerateInputError(f"arc through conj(z) and 1/z degenerates for z = {z}")
     angle_start = cmath.phase(start - c)
-    return Arc(circle, angle_start, angle_start + sweep, +1)
+    return Arc(circle, angle_start, angle_start + sweep)
 
 
 def surrounds(inner: Circle, outer: Circle, *, tangency_tol: float = 0.0) -> bool:

@@ -100,12 +100,12 @@ def write_polar_grid(
 class GridFunction:
     """Oracle interpolating a polar sample grid: trigonometric in theta, cubic in r.
 
-    Each radius row is interpolated trigonometrically: its FFT is zero-padded
-    onto a periodic grid ``_UPSAMPLE`` times finer, evaluated there by 4-point
-    cubic weights.  Across rows it is the not-a-knot cubic spline through the
-    radii.  Both maps are linear, so the spline's second derivatives are taken
-    on the coarse rows and upsampled with them.  r is clamped to
-    ``[radii[0], r_max]``.
+    Each radius row is interpolated trigonometrically: its FFT, which the
+    error estimate reads too, is zero-padded onto a periodic grid
+    ``_UPSAMPLE`` times finer, evaluated there by 4-point cubic weights.
+    Across rows it is the not-a-knot cubic spline through the radii.  Both
+    maps are linear, so the spline's second derivatives are taken on the
+    coarse rows and upsampled with them.  r is clamped to ``[radii[0], r_max]``.
 
     ``error`` bounds the interpolant's error relative to max |f|, from the
     data alone.  It is the largest, over the rows, of two theta terms, plus
@@ -139,20 +139,21 @@ class GridFunction:
         if radii[0] < 0.0:
             raise ConfigError(f"grid radii must be at least 0, got {float(radii[0])!r}")
         self.radii = radii
-        self.thetas = thetas
         self.r_max = float(radii[-1])
         self.annulus = (float(radii[0]), self.r_max)
         step = 2.0 * np.pi / thetas.size
         if not (np.abs(np.diff(thetas) - step) <= 1e-9).all() or abs(thetas[0]) > 1e-12:
             raise ConfigError("grid angles must be equispaced starting at 0")
         scale = float(np.abs(values).max())
+        # The rows of values, then of their second derivatives in r.
+        spectra = np.fft.fft(np.vstack([values, _spline_second_derivatives(radii, values)]), axis=1, norm="forward")
         if radii.size < _ESTIMATED_RADII:
             self.error = math.inf
         elif scale == 0.0:
             self.error = 0.0
         else:
-            self.error = (_theta_error(values) + _radial_error(radii, values)) / scale
-        table = _upsample_periodic([values, _spline_second_derivatives(radii, values)])
+            self.error = (_theta_error(spectra[: radii.size]) + _radial_error(radii, values)) / scale
+        table = _upsample_periodic(spectra)
         self._values, self._second = table[: radii.size], table[radii.size :]
 
     def __call__(self, z):
@@ -257,46 +258,43 @@ def _radial_error(radii: np.ndarray, values: np.ndarray) -> float:
     return float(np.abs(skipped - values[1:-1:2]).max()) / 16.0
 
 
-def _theta_error(values: np.ndarray) -> float:
-    """The largest, over the rows of ``values``, of the theta error bound of
-    :class:`GridFunction`: the row's largest spectral coefficient at
-    |k| >= 3n/8 plus the error of the cubic step on the fine grid."""
-    n = values.shape[1]
+def _theta_error(spectra: np.ndarray) -> float:
+    """The largest, over the rows of forward-normalized FFTs ``spectra``, of the theta
+    error bound of :class:`GridFunction`: the row's largest spectral coefficient
+    at |k| >= 3n/8 plus the error of the cubic step on the fine grid."""
+    n = spectra.shape[1]
     k = np.abs(np.fft.fftfreq(n, 1.0 / n))
     step = (3.0 / 128.0) * (2.0 * np.pi * k / (_UPSAMPLE * n)) ** 4
-    amplitude = np.abs(np.fft.fft(values, axis=1, norm="forward"))
+    amplitude = np.abs(spectra)
     return float((amplitude[:, k >= 3 * n / 8].max(axis=1) + (amplitude * step).sum(axis=1)).max())
 
 
-def _upsample_periodic(sources: list) -> np.ndarray:
-    """The rows of ``sources``, stacked, each as its trigonometric interpolant on a grid
-    ``_UPSAMPLE`` times finer, wrap-padded.
+def _upsample_periodic(spectra: np.ndarray) -> np.ndarray:
+    """The rows whose forward-normalized FFTs are the rows of ``spectra``, each as its
+    trigonometric interpolant on a grid ``_UPSAMPLE`` times finer, wrap-padded.
 
     The result has one column of padding before the fine grid and two after,
     so the stencil of fine node j reads columns j .. j + 3.  It is filled
     ``_TABLE_ROWS`` rows at a time through one reused zero-padded buffer, so
-    the only full-size array is the result.
+    the only array of its size is the result.
     """
-    n = sources[0].shape[1]
+    n = spectra.shape[1]
     m = _UPSAMPLE * n
     half = n // 2
-    table = np.empty((sum(rows.shape[0] for rows in sources), m + 3), dtype=complex)
+    table = np.empty((spectra.shape[0], m + 3), dtype=complex)
     fine = np.zeros((_TABLE_ROWS, m), dtype=complex)
-    top = 0
-    for rows in sources:
-        for start in range(0, rows.shape[0], _TABLE_ROWS):
-            spectrum = np.fft.fft(rows[start : start + _TABLE_ROWS], axis=1, norm="forward")
-            count = spectrum.shape[0]
-            block = fine[:count]
-            # Only these two column ranges are written; the rest stays zero.
-            block[:, : half + 1] = spectrum[:, : half + 1]
-            block[:, m - n + half + 1 :] = spectrum[:, half + 1 :]
-            if n % 2 == 0:
-                # Split the Nyquist mode evenly between +n/2 and -n/2.
-                block[:, half] /= 2.0
-                block[:, m - half] = block[:, half]
-            np.fft.ifft(block, axis=1, norm="forward", out=table[top : top + count, 1 : m + 1])
-            top += count
+    for start in range(0, spectra.shape[0], _TABLE_ROWS):
+        spectrum = spectra[start : start + _TABLE_ROWS]
+        count = spectrum.shape[0]
+        block = fine[:count]
+        # Only these two column ranges are written; the rest stays zero.
+        block[:, : half + 1] = spectrum[:, : half + 1]
+        block[:, m - n + half + 1 :] = spectrum[:, half + 1 :]
+        if n % 2 == 0:
+            # Split the Nyquist mode evenly between +n/2 and -n/2.
+            block[:, half] /= 2.0
+            block[:, m - half] = block[:, half]
+        np.fft.ifft(block, axis=1, norm="forward", out=table[start : start + count, 1 : m + 1])
     table[:, 0] = table[:, m]
     table[:, m + 1 :] = table[:, 1:3]
     return table

@@ -95,7 +95,7 @@ def reference_closed_form_winding(curve, W):
     side = (chord * (W - a)).imag
     arc_side = (chord * (curve.arc.point(0.5) - a)).imag
     inside = abs(W - circle.center) < circle.radius and (side > 0.0) == (arc_side > 0.0)
-    return curve.orientation if inside else 0
+    return 1 if inside else 0
 
 
 def reference_winding(curve, W):
@@ -124,14 +124,16 @@ def reference_winding(curve, W):
 
 def reference_node_values(f, curve, tol=1e-8):
     """F at every quadrature node of ``curve``, each node's circle analysed on
-    its own: the per-node evaluation the Chebyshev series replaced."""
+    its own: the per-node evaluation the Chebyshev series replaced.  Each
+    node's piece and parameter come from the quadrature the field uses."""
     z = curve.z
+    _, _, piece, param = fiber._quadrature(z, curve.t_min, curve.nodes_w.size // 2)
     values = np.empty_like(curve.nodes_w)
-    seg = curve.nodes_piece == 0
-    rs = curve.nodes_param[seg]
+    seg = piece == 0
+    rs = param[seg]
     values[seg] = _circle_values(f, z, [(np.zeros(rs.shape, dtype=complex), rs, "centered")], tol)[0]
-    arc = curve.nodes_piece == 1
-    ts = curve.nodes_param[arc]
+    arc = piece == 1
+    ts = param[arc]
     values[arc] = _circle_values(f, z, [(ts.astype(complex), ts + 1.0, "pencil")], tol)[0]
     return values
 
@@ -150,7 +152,7 @@ class TestFiberCurve:
         assert c.segment == (-0.5j, -2j)
         assert c.arc.circle.center == pytest.approx(-1 - 1.25j)
         assert c.arc.circle.radius == pytest.approx(1.25)
-        assert c.orientation == 1
+        assert winding_number(c, 0.1 - 1.25j) == 1 and winding_number(c, 5.0) == 0
 
     def test_real_base_point_degenerate(self):
         with pytest.raises(DegenerateInputError):
@@ -214,7 +216,7 @@ class TestFiberCurve:
     @settings(max_examples=40, deadline=None)
     def test_winding_is_orientation(self, z):
         c = fiber_curve(z, nodes_per_piece=64)
-        assert winding_number(c, interior_probe(c)) == c.orientation == 1
+        assert winding_number(c, interior_probe(c)) == 1
 
     def test_shrinking_toward_boundary(self):
         # diameter of M_z <= C (1 - |z|) along rays toward the boundary
@@ -451,6 +453,32 @@ class TestCauchyTransform:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
+    def test_unconverged_W_is_reported_at_its_row(self, capsys):
+        # One W of this table lies 6.16e-5 diameters from the curve, where
+        # the counterexample's quadrature does not converge: the table keeps
+        # every row, that row's value cells are empty, stderr names it, and
+        # the command is inconclusive.  The table once stopped there (exit 2).
+        z = 0.3 - 0.4j
+        curve = fiber_curve(z)
+        ind0 = winding_number(curve, 0.0)
+        assert main(["theta", "--builtin", "counterexample", "--z", "0.3-0.4i"]) == 3
+        out, err = capsys.readouterr()
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 225
+        empty = [row for row in rows if row[2] != "near-curve" and row[3:] == ["", "", ""]]
+        assert len(empty) == 1 and empty[0][2] == "inside"
+        W = complex(float(empty[0][0]), float(empty[0][1]))
+        warnings = err.splitlines()
+        assert len(warnings) == 1
+        assert warnings[0].startswith("warning: contour quadrature") and "failed to converge" in warnings[0]
+        assert f"W = {W} (6.16e-05 x diameter from the curve)" in warnings[0]
+        for row in rows:
+            if row[2] == "near-curve" or row in empty:
+                continue
+            W = complex(float(row[0]), float(row[1]))
+            expected = z**2 / W * ((row[2] == "inside") - ind0)
+            assert abs(complex(float(row[3]), float(row[4])) - expected) < 1e-10, row
+
     def test_table_matches_single_transforms(self, capsys):
         f = builtin("counterexample").oracle
         z = -0.2 + 0.5j
@@ -615,7 +643,8 @@ class TestCauchyTable:
         curve = fiber_curve(z)
         node = complex(curve.nodes_w[len(curve.nodes_w) // 3])
         Ws = np.concatenate([theta_grid(curve, 5, pad), [node, interior_probe(curve), 4.0 - 1.0j]])
-        locations, values = fiber.cauchy_table(f, curve, Ws)
+        locations, values, failures = fiber.cauchy_table(f, curve, Ws)
+        assert failures == []
         near = curve.distances(Ws) < curve.proximity_guard
         assert near[-3]
         assert locations[near].tolist() == [-1] * int(near.sum())
@@ -637,8 +666,8 @@ class TestCauchyTable:
         curve = fiber_curve(0.5j)
         calls = []
         monkeypatch.setattr(fiber._FiberField, "__init__", lambda *args: calls.append(args))
-        locations, values = fiber.cauchy_table(builtin("poly3").oracle, curve, curve.nodes_w[:4])
-        assert locations.tolist() == [-1] * 4 and np.isnan(values).all() and not calls
+        locations, values, failures = fiber.cauchy_table(builtin("poly3").oracle, curve, curve.nodes_w[:4])
+        assert locations.tolist() == [-1] * 4 and np.isnan(values).all() and not failures and not calls
 
 
 class TestKernelBlocking:
@@ -727,7 +756,8 @@ class TestCertificate:
         f = builtin(name).oracle
         curve = fiber_curve(z)
         Ws = certificate_probes(curve)
-        locations, values = fiber.cauchy_table(f, curve, Ws)
+        locations, values, failures = fiber.cauchy_table(f, curve, Ws)
+        assert failures == []
         far = locations >= 0
         field = _FiberField(f, curve, extension.DEFAULT_MORERA_TOL)
         assert (field.variation <= 2.0 * math.pi * fiber.QUAD_REFINE_TOL * curve.distances(Ws[far])).all()
@@ -748,7 +778,8 @@ class TestCertificate:
             assert outcome(call, *args) == uncertified(monkeypatch, outcome, call, *args), call
         if name == "absq":
             return
-        # W by W, since a table stops at its first unconverged W.
+        # The table reports every W, unconverged ones included; and W by W,
+        # each W alone, as cauchy_transform takes it.
         field, reference = (
             _FiberField(f, curve, extension.DEFAULT_MORERA_TOL) for _ in range(2)
         )
@@ -779,7 +810,8 @@ class TestCertificate:
         assert field.tolerance > fiber.QUAD_REFINE_TOL
         assert (field.variation <= 2.0 * math.pi * field.tolerance * curve.distances(Ws)).all()
         monkeypatch.setattr(fiber, "_quadrature", lambda *args: pytest.fail("a quadrature level was built"))
-        locations, values = fiber.cauchy_table(f, curve, Ws)
+        locations, values, failures = fiber.cauchy_table(f, curve, Ws)
+        assert failures == []
         assert sorted(set(locations.tolist())) == [0, 1]
         assert np.abs(values - np.where(locations > 0, f(z), 0.0)).max() <= 1e-8 * abs(f(z))
 
@@ -864,7 +896,8 @@ class TestFiberSeries:
             for per_piece in (256, 512):
                 curve = fiber_curve(z, per_piece)
                 w, dw, values = field.level(per_piece)
-                assert np.array_equal(w, curve.nodes_w) and np.array_equal(dw, curve.nodes_dw)
+                assert np.array_equal(w, curve.nodes_w)
+                assert np.array_equal(dw, fiber._quadrature(z, curve.t_min, per_piece)[1])
                 expected = reference_node_values(f, curve)
                 assert np.abs(values - expected).max() <= 1e-12 * np.abs(expected).max(), (z, per_piece)
 
@@ -906,7 +939,8 @@ class TestFiberSeries:
             w, dw, _ = field.level(per_piece)
             nodes = fiber_curve(-0.2 + 0.5j, size)
             assert w.size == 2 * size
-            assert np.array_equal(w, nodes.nodes_w) and np.array_equal(dw, nodes.nodes_dw)
+            assert np.array_equal(w, nodes.nodes_w)
+            assert np.array_equal(dw, fiber._quadrature(nodes.z, nodes.t_min, size)[1])
 
     @pytest.mark.parametrize(
         "name, z, message",

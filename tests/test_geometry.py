@@ -189,7 +189,6 @@ class TestArcLambda:
     @given(nonreal_disc_points)
     def test_arc_is_counterclockwise(self, z):
         arc = arc_lambda(z)
-        assert arc.direction == 1
         assert arc.angle_end > arc.angle_start
 
 
@@ -256,6 +255,6 @@ class TestArcType:
     def test_requires_positive_length(self):
         c = Circle(0, 1.0)
         with pytest.raises(ParameterDomainError):
-            Arc(c, 0.3, 0.3, +1)
+            Arc(c, 0.3, 0.3)
         with pytest.raises(ParameterDomainError):
-            Arc(c, 0.3, 0.2, +1)  # wrong direction for ccw
+            Arc(c, 0.3, 0.2)  # clockwise

@@ -421,7 +421,10 @@ class TestWriter:
         path = tmp_path / "grid.csv"
         write_polar_grid(str(path), builtin("poly3").oracle, n_r=4, n_theta=4, r_max=0.5)
         g = read_polar_grid(str(path))
-        assert g.r_max == 0.5 and g.radii.size == 4 and g.thetas.size == 4
+        assert g.r_max == 0.5 and g.radii.size == 4
+        # The 4 angles are nodes of the interpolant: it reproduces f there.
+        nodes = 0.5 * np.exp(0.5j * np.pi * np.arange(4))
+        assert np.abs(g(nodes) - builtin("poly3").oracle(nodes)).max() < 1e-12
 
 
 def test_cli_import_loads_no_scipy_and_commands_import_nothing(tmp_path):

@@ -103,6 +103,27 @@ def test_theta_of_a_power_is_exact_or_inconclusive(capsys):
             assert abs(complex(float(re_theta), float(im_theta)) - expected[location]) <= 1e-6, row
 
 
+@item(9)
+def test_theta_of_a_large_entire_function_is_within_its_stated_tolerance(capsys):
+    # The fiber tolerance is 1e-8 max(1, S), S each piece's scale: at least
+    # 1e-3 times the largest root-mean-square of f on a sampled circle, here
+    # 1.09e8, so the tolerance applied is 1.09.  The inside cell is off by
+    # 2.65e-6, 3.0e-8 of |f(z)| = 88.4.
+    z = -0.2 + 0.5j
+    fz = np.exp((z + 2.0) ** 3)
+    code = main(["theta", "--expr", "exp((z+2)^3)", "--z", "-0.2+0.5i", "--w-count", "5"])
+    rows = capsys.readouterr().out.splitlines()[1:]
+    if code == 3:
+        return
+    assert code == 0
+    expected = {"inside": fz, "outside": 0.0}
+    for row in rows:
+        _, _, location, re_theta, im_theta, _ = row.split(",")
+        if location in expected:
+            value = complex(float(re_theta), float(im_theta))
+            assert abs(value - expected[location]) <= 1e-8 * max(1.0, abs(fz)), row
+
+
 @item(1)
 def test_conjugate_power_does_not_extend_from_the_unit_circle():
     # k = -200 folds onto k = +56 at 256 samples.

@@ -30,7 +30,7 @@ NOT_CALLED = {"INFINITY", "MoreraError"}
 # each public method it defines (less self or cls).  A record default equal to
 # its class's default instance is written "Class()".
 SIGNATURES = {
-    "Arc": "(circle, angle_start, angle_end, direction)",
+    "Arc": "(circle, angle_start, angle_end)",
     "Arc.point": "(s)",
     "Circle": "(center, radius)",
     "Circle.boundary_distance": "(z)",
@@ -43,7 +43,7 @@ SIGNATURES = {
     "FamilyConfig.circle": "(parameter)",
     "FamilyConfig.parameters": "()",
     "FamilyConfig.smallest_circle": "()",
-    "FiberCurve": "(z, segment, arc, t_min, orientation, nodes_w, nodes_dw, nodes_piece, nodes_param)",
+    "FiberCurve": "(z, segment, arc, t_min, nodes_w)",
     "FiberCurve.distance": "(W)",
     "FiberCurve.distances": "(Ws)",
     "FiberCurve.polyline": "(per_piece=256)",
