@@ -11,9 +11,7 @@ function is analytic, regardless of any circle tests.  The *verdict* combines
 the three: extendability from both full families together with
 cross-consistency forces analyticity, while configurations whose smallest
 circles overlap admit non-analytic functions that pass every per-circle test.
-The two-point configuration (the pencils through two boundary points in place
-of centered + pencil) runs the same verdict without cross-consistency.  The
-extension kernel judges each circle once: it passes, fails, or is undecided
+The extension kernel judges each circle once: it passes, fails, or is undecided
 (for a grid, say, when its stated error could explain the failure), and an
 undecided circle keeps its place in the report.
 """
@@ -355,28 +353,27 @@ def cross_consistency(
 ) -> float:
     """Largest disagreement between extensions from circles surrounding ``T``.
 
-    For each real point T (one, or a sequence) evaluates the holomorphic
-    extension of ``f`` from a sample of surrounding circles of both families
-    at :data:`CROSS_PROBES` probe points near T, and returns the maximum
-    pairwise difference over all T.  T is a parameter along the pencil's
-    axis, naming the point -p T (p = ``config.p``); the circles are built as
-    the sweeps build them (:meth:`FamilyConfig.circle`: the pencil member of
-    parameter t has center -p t and radius t + 1), so ``f`` is sampled as
+    For each real T (one, or a sequence), a parameter along the axis of
+    p = ``config.p`` naming the point -p T, evaluates the holomorphic extension
+    of ``f`` from a sample of the circles of ``config.families()`` that
+    surround -p T at :data:`CROSS_PROBES` probe points near it, and returns the
+    maximum pairwise difference over all T.  The circles are built as the
+    sweeps build them (:meth:`FamilyConfig.circle`), so ``f`` is sampled as
     given, and the probes and any circle named in an error are in the
-    caller's frame too.  A centered circle of radius R surrounds -p T iff
-    |T| < R, a pencil member of parameter t iff T < 2t + 1; each family
-    contributes :data:`CROSS_PER_FAMILY` evenly spaced members, from :data:`CROSS_MARGIN`
-    inside that bound, and no lower than ``config.r_min`` or
-    ``config.pencil_floor``, to the unit circle.  The T are taken in order:
-    one outside (-1 + 2 tau, 0) raises :class:`DomainError`, one with fewer
-    than two surrounding circles :class:`ConfigError`.  Each distinct circle
-    is then analyzed once at ``config.morera_tol``, with the same
-    refinement and judgement as a sweep circle.  A circle that
-    fails the extendability test raises :class:`ExtensionFailureError`;
-    failing that, an undecided one raises :class:`InconclusiveError` giving
-    its reason.
+    caller's frame too.  Each family contributes :data:`CROSS_PER_FAMILY`
+    evenly spaced members up to its largest, from :data:`CROSS_MARGIN` inside
+    the bound for surrounding -p T and no lower than its floor, or none when
+    that start is not below its largest member (see :func:`_cross_members`).
+    The families are built first, so floors the sweeps refuse raise their
+    :class:`ConfigError`; then the T are taken in order, and one outside
+    (-1 + 2 tau, 0) raises :class:`DomainError`.  Each distinct circle is
+    then analyzed once at ``config.morera_tol``, with the same refinement and
+    judgement as a sweep circle.  A circle that fails the extendability test
+    raises :class:`ExtensionFailureError`; failing that, an undecided one
+    raises :class:`InconclusiveError` giving its reason.
     """
     p = require_boundary_point(config.p)
+    families = config.families()
     keys: dict = {}  # (center, radius) -> row of the batch, in first-occurrence order
     names: list[str] = []  # per row, its first (T, circle) pair
     rows: list[int] = []  # per (T, circle) pair, in T order
@@ -386,16 +383,8 @@ def cross_consistency(
     for t in [float(t) for t in np.atleast_1d(T)]:
         if not -1.0 + 2.0 * config.tau < t < 0.0:
             raise DomainError(f"T = {t} outside the admissible interval ({-1.0 + 2.0 * config.tau}, 0)")
-        r_lo = max(config.r_min, abs(t) + CROSS_MARGIN)
-        t_lo = max(config.pencil_floor, (t - 1.0 + CROSS_MARGIN) / 2.0)
-        chosen = []
-        if r_lo < 1.0:
-            chosen += [("centered", R, Circle(0.0, R)) for R in np.linspace(r_lo, 1.0, CROSS_PER_FAMILY).tolist()]
-        if t_lo < 0.0:
-            pencil = np.linspace(t_lo, 0.0, CROSS_PER_FAMILY).tolist()
-            chosen += [("pencil", s, Circle(-p * s, s + 1.0)) for s in pencil]
-        if len(chosen) < 2:
-            raise ConfigError(f"no surrounding circles available for T = {t} under the given floors")
+        # The pencil through p always contributes, so every T has at least two circles.
+        chosen = [(fam.kind, s, fam.circle(s)) for fam in families for s in _cross_members(fam, p, t)]
         for kind, param, circle in chosen:
             row = keys.setdefault((circle.center, circle.radius), len(keys))
             if row == len(names):
@@ -414,6 +403,23 @@ def cross_consistency(
         start += count
         residual = max(residual, float(np.abs(block[:, None, :] - block[None, :, :]).max()))
     return residual
+
+
+def _cross_members(family: FamilyConfig, p: complex, t: float) -> list[float]:
+    """The parameters of the members of ``family`` that cross-consistency compares around -p t.
+
+    A centered circle of radius R surrounds -p t iff R > |t|.  In the frame of
+    the pencil through q the point is -v, v = conj(q) p t, and the member of
+    parameter s surrounds it iff s > (|v|^2 - 1) / (2 (1 + Re v)), which is
+    (Re v - 1) / 2 + (Im v)^2 / (2 (1 + Re v)); on the pencil's own axis v = t.
+    """
+    if family.kind == "centered":
+        bound = abs(t) + CROSS_MARGIN
+    else:
+        v = family.p.conjugate() * p * t
+        bound = (v.real - 1.0 + CROSS_MARGIN) / 2.0 + v.imag**2 / (2.0 * (1.0 + v.real))
+    lo = max(family.lo, bound)
+    return np.linspace(lo, family.hi, CROSS_PER_FAMILY).tolist() if lo < family.hi else []
 
 
 class Verdict(Record):
@@ -467,9 +473,7 @@ def verdict(f: Oracle, config: PipelineConfig = PipelineConfig()) -> Verdict:
     tolerance u that ``f`` states (:func:`extension.stated_accuracy`; u is
     ``morera_tol`` unless ``f`` states an error); else inconsistent (the
     theorem allows it only when the families' smallest circles overlap).
-    The two-point configuration (``config.p2`` set) runs the same pipeline
-    without cross-consistency, so the Wirtinger residual alone decides once
-    both pencils pass.  A Wirtinger grid with a non-finite sample
+    A Wirtinger grid with a non-finite sample
     gives ``dbar_value`` None, which is never consistent or inconclusive,
     and does not abort the run.
     """
@@ -495,9 +499,6 @@ def verdict(f: Oracle, config: PipelineConfig = PipelineConfig()) -> Verdict:
     def judged(*residuals) -> str:
         worst = math.nan if None in residuals else max(residuals)  # None is within no threshold
         return next((c for c, tol in limits if worst <= _residual_tol(reports, tol)), CLASS_INCONSISTENT)
-
-    if config.p2 is not None:
-        return replace(result, classification=judged(dbar_value))
 
     # Both families pass on the grid; measure cross-consistency near the real
     # segment every surrounding circle sees.
@@ -533,17 +534,11 @@ def report_document(
 ) -> dict:
     """Assemble the serializable report for a verdict run.
 
-    A two-point run (``config.p2`` set) has no cross-consistency step, and its
-    report says so with a shorter layout: no pencil point or tolerances,
-    ``dbar`` holding only the residual, and ``cross_consistency`` None.
-    Otherwise ``tolerances`` holds ``config.morera_tol`` and the residual
-    threshold the verdict applied, under both "cross" and "dbar".
+    ``tolerances`` holds ``config.morera_tol`` and the residual threshold the
+    verdict applied, under both "cross" and "dbar".
     """
     doc = {"schema_version": 1, "function": function_desc, "tau": config.tau, "warnings": list(warnings or [])}
     doc.update(result.to_dict())
-    if config.p2 is not None:
-        doc.update(dbar={"residual": result.dbar_value}, cross_consistency=None)
-        return doc
     residual_tol = _residual_tol(result.families, config.morera_tol)
     doc.update(
         p_re=config.p.real,

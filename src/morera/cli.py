@@ -365,8 +365,6 @@ def cmd_sweep(args) -> int:
     reports = [analysis.test_family(f, fam, config.morera_tol) for fam in families]
     _warn_undecided(reports)
     classification = analysis.sweep_classification(reports)
-    if config.p2 is not None:
-        warnings = warnings + ["two-point pencil configuration: extension sweeps only (partial coverage)"]
     doc = {
         "schema_version": 1,
         "function": desc,
@@ -432,8 +430,6 @@ def cmd_verdict(args) -> int:
     config = _pipeline_config(args)
     result = analysis.verdict(f, config)
     _warn_undecided(result.families)
-    if config.p2 is not None:
-        warnings = warnings + ["two-point pencil configuration: cross-consistency not evaluated (partial coverage)"]
     doc = analysis.report_document(result, config, desc, warnings)
     _emit(analysis.dumps_report(doc), args.output)
     return _EXIT_BY_CLASS[result.classification]

@@ -19,6 +19,7 @@ from morera.analysis import (
     CLASS_INCONCLUSIVE,
     CLASS_INCONSISTENT,
     CLASS_MORERA_FAILURE,
+    CROSS_MARGIN,
     CROSS_PROBES,
     DbarGrid,
     FamilyConfig,
@@ -32,6 +33,7 @@ from morera.analysis import (
     validate_families,
     verdict,
 )
+from morera.analysis import _cross_members
 from morera.analysis import test_family as sweep_family
 from morera.errors import (
     ConfigError,
@@ -500,15 +502,23 @@ class TestVerdict:
             PipelineConfig(**{name: value})
         assert str(info.value) == f"{name} must be less than 1, got {value}"
 
-    def test_two_point_classifies_on_the_wirtinger_residual(self):
+    def test_two_point_runs_the_cross_step(self):
         config = PipelineConfig(p2=1.0, circles_per_family=8)
-        v = verdict(builtin("expz").oracle, config)
-        assert v.classification == CLASS_CONSISTENT
-        assert [r.config.p for r in v.families] == [-1.0, 1.0]
-        assert v.cross_residual is None and v.cross_t_values == ()
-        v = verdict(builtin("counterexample").oracle, replace(config, t_min=-0.4))
-        assert v.classification == CLASS_INCONSISTENT
-        assert all(r.passes for r in v.families)
+        for f, floored, expected in [("expz", config, CLASS_CONSISTENT),
+                                     ("counterexample", replace(config, t_min=-0.4), CLASS_INCONSISTENT)]:
+            v = verdict(builtin(f).oracle, floored)
+            assert v.classification == expected
+            assert [r.config.p for r in v.families] == [-1.0, 1.0]
+            assert all(r.passes for r in v.families)
+            assert v.cross_t_values == tuple(config.t_values()) and math.isfinite(v.cross_residual)
+
+    @pytest.mark.parametrize("p2", [None, 1.0])
+    def test_narrow_bump_is_a_morera_failure(self, p2):
+        # f = z + a bump of width 0.005 near T = -0.17: the default sweeps
+        # catch it; the two pencils' sweeps miss it, and a cross circle catches it.
+        z0 = -0.16926 - 0.01588j
+        f = lambda z: (lambda z: z + np.exp(-np.abs(z - z0) ** 2 / 0.005**2))(np.asarray(z, dtype=complex))
+        assert verdict(f, PipelineConfig(p2=p2)).classification == CLASS_MORERA_FAILURE
 
     @pytest.mark.parametrize("p2", [None, 1.0])
     def test_unsampleable_wirtinger_grid_gives_no_residual(self, p2):
@@ -668,15 +678,16 @@ class TestStatedErrorStorage:
 
     @pytest.mark.parametrize("p", [-1.0, 1j, cmath.exp(2.1j)])
     def test_circles_are_in_the_callers_frame(self, p):
-        # A pole at 0.9 p inside the disc: every pencil circle holds it and
-        # fails.  The circle named is the pencil member the sweep through p
-        # builds for the parameter the message gives.
+        # A pole at 0.9 p inside the disc: every circle of the pencil through
+        # p holds it and fails, and no circle of the pencil through -p does.
+        # The circle named is the member the sweep through p builds for the
+        # parameter the message gives.
         f = lambda z: 1.0 / (np.asarray(z, dtype=complex) - 0.9 * p)
-        config = PipelineConfig(p=p, r_min=1.0)
+        config = PipelineConfig(p=p, p2=-p)
         with pytest.raises(ExtensionFailureError, match="from the pencil circle with parameter") as err:
             cross_consistency(f, -0.3, config)
         parameter = float(re.search(r"parameter (\S+) surrounding", str(err.value)).group(1))
-        assert err.value.circle == config.families("pencil")[0].circle(parameter)
+        assert err.value.circle == config.families()[0].circle(parameter)
 
 
 class TestReports:
@@ -699,21 +710,19 @@ class TestReports:
         assert doc["families"][1]["family"] == "pencil"
 
     def test_two_point_layout(self):
+        # The default layout, key for key.
         f = builtin("expz").oracle
-        config = PipelineConfig(p2=1.0, circles_per_family=8)
-        v = verdict(f, config)
-        doc = report_document(v, config, {"source": "builtin", "name": "expz"}, ["note"])
-        assert doc == {
-            "schema_version": 1,
-            "function": {"source": "builtin", "name": "expz"},
-            "tau": config.tau,
-            "hypotheses_valid": v.hypotheses_valid,
-            "families": [r.to_dict() for r in v.families],
-            "dbar": {"residual": v.dbar_value},
-            "cross_consistency": None,
-            "verdict": CLASS_CONSISTENT,
-            "warnings": ["note"],
-        }
+        default = PipelineConfig(circles_per_family=8)
+        config = replace(default, p2=1.0)
+        desc = {"source": "builtin", "name": "expz"}
+        doc = report_document(verdict(f, config), config, desc, ["note"])
+        expected = report_document(verdict(f, default), default, desc)
+        assert doc.keys() == expected.keys()
+        for key in ("cross_consistency", "dbar", "tolerances"):
+            assert doc[key].keys() == expected[key].keys()
+        assert doc["verdict"] == CLASS_CONSISTENT and doc["warnings"] == ["note"]
+        assert (doc["p_re"], doc["p_im"]) == (-1.0, 0.0)
+        assert doc["cross_consistency"]["t_values"] == config.t_values().tolist()
 
 
 def reference_surrounding_circles(T, r_floor, t_floor):
@@ -733,6 +742,7 @@ def reference_surrounding_circles(T, r_floor, t_floor):
 
 def reference_cross_consistency(f, T, config=PipelineConfig()):
     """Cross-consistency with a loop over T: the reference for the array version."""
+    config.families()  # floors the sweeps refuse are refused before any T
     t_values = [float(t) for t in np.atleast_1d(T)]
     t_floor = (-1.0 + config.tau) if config.t_min is None else config.t_min
     keys = {}
@@ -785,8 +795,11 @@ CROSS_SETTINGS = {
     "repeated-T": ([-0.3, -0.1, -0.3], None),
     "no-T": ([], None),
     "T-out-of-range": ([-0.3, -0.9], None),
+    # Floors the sweeps refuse: both raise FamilyConfig's ConfigError.
     "too-few-circles": ([-0.3, -0.1], PipelineConfig(r_min=1.0, t_min=0.0)),
     "one-family": ([-0.3, -0.1], PipelineConfig(r_min=1.0)),
+    # No centered circle surrounds T = -0.97, where |T| + margin >= 1.
+    "one-family-at-some-T": ([-0.3, -0.97, -0.1], PipelineConfig(tau=0.01)),
     "loose-tolerance": (T8, PipelineConfig(morera_tol=1e-3)),
 }
 
@@ -806,6 +819,37 @@ class TestCrossConsistencyOracle:
         T, config = CROSS_SETTINGS[setting]
         expected = _outcome(reference_cross_consistency, f, T, config)
         assert _outcome(cross_consistency, f, T, config) == expected
+
+
+# The bench's pencil points, whose conj(p) p is 1.0 exactly, and three that are unit only to rounding.
+EXACT_UNIT_POINTS = [1, -1, 1j, -1j, 0.6 + 0.8j, -0.6 + 0.8j, 0.8 - 0.6j, -0.8 - 0.6j, 0.28 + 0.96j, -0.96 - 0.28j]
+UNIT_POINTS = EXACT_UNIT_POINTS + [cmath.exp(2.1j), cmath.exp(-0.7j), cmath.exp(3.0j)]
+
+
+class TestCrossMembers:
+    """The members cross-consistency compares around -p T, in both configurations."""
+
+    @pytest.mark.parametrize("p", UNIT_POINTS)
+    def test_every_member_surrounds_the_point(self, p):
+        for p2 in [None, *(q for q in UNIT_POINTS if abs(q - p) > 1e-12)]:
+            config = PipelineConfig(p=p, p2=p2)
+            for T in config.t_values().tolist():
+                for family in config.families():
+                    for s in _cross_members(family, complex(p), T):
+                        circle = family.circle(s)
+                        assert abs(-p * T - circle.center) < circle.radius
+
+    @pytest.mark.parametrize("p", EXACT_UNIT_POINTS)
+    def test_bounds_are_the_axis_formulas_bit_for_bit(self, p):
+        # What keeps the default configuration's circles.  The two-point
+        # configuration's first family is the same pencil through p.  At the
+        # default floors each bound lies above its family's floor and decides.
+        p = complex(p)
+        assert p.conjugate() * p == 1.0
+        centered, pencil = PipelineConfig(p=p).families()
+        for T in PipelineConfig().t_values().tolist():
+            assert _cross_members(centered, p, T)[0] == abs(T) + CROSS_MARGIN
+            assert _cross_members(pencil, p, T)[0] == (T - 1.0 + CROSS_MARGIN) / 2.0
 
 
 # JSON documents of the kinds reports hold: nested dicts with string keys,

@@ -95,25 +95,26 @@ class TestVerdictCommand:
         code, _, _ = run(["verdict", "--builtin", "expz", "--expr", "z"], capsys)
         assert code == 2
 
-    def test_two_point_partial_coverage(self, capsys):
-        code, out, _ = run(
+    def test_two_point_runs_cross_consistency(self, capsys):
+        code, out, err = run(
             ["verdict", "--builtin", "expz", "--two-point", "1", "--rho", "0.4", "--circles", "8"],
             capsys,
         )
-        assert code == 0
+        assert code == 0 and err == ""
         doc = json.loads(out)
         assert doc["verdict"] == "holomorphic-consistent"
-        assert any("partial coverage" in w for w in doc["warnings"])
-        assert doc["cross_consistency"] is None
+        assert doc["warnings"] == []
+        assert doc["cross_consistency"]["t_values"] == analysis.PipelineConfig().t_values().tolist()
+        assert math.isfinite(doc["cross_consistency"]["residual"])
 
     @pytest.mark.parametrize("p2", ["1", "0.6+0.8i"])
     def test_two_point_report_is_the_library_document(self, capsys, p2):
         argv = ["verdict", "--builtin", "counterexample", "--two-point", p2, "--rho", "0.6", "--circles", "8"]
         code, out, _ = run(argv, capsys)
-        config = analysis.PipelineConfig(p2=parse_point(p2), t_min=-0.4, circles_per_family=8)
+        # The CLI reads its default --p, "-1", as -1 - 0i: the report's p_im is -0.0.
+        config = analysis.PipelineConfig(p=parse_point("-1"), p2=parse_point(p2), t_min=-0.4, circles_per_family=8)
         result = analysis.verdict(builtin("counterexample").oracle, config)
-        warning = "two-point pencil configuration: cross-consistency not evaluated (partial coverage)"
-        doc = analysis.report_document(result, config, {"source": "builtin", "name": "counterexample"}, [warning])
+        doc = analysis.report_document(result, config, {"source": "builtin", "name": "counterexample"})
         assert code == 1
         assert out == analysis.dumps_report(doc)
 
@@ -265,7 +266,7 @@ class TestSweepCommand:
         first, second = ([c["center_re"] for c in fam["circles"]] for fam in doc["families"])
         assert max(first) < 0.0 < min(second)
         assert doc["hypotheses_valid"] is True and doc["verdict"] == "pass"
-        assert any("partial coverage" in w for w in doc["warnings"])
+        assert doc["warnings"] == []
 
     @pytest.mark.parametrize("command", ["sweep", "verdict"])
     def test_two_point_equal_to_p_is_config_error(self, capsys, command):
