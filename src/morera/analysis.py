@@ -384,11 +384,12 @@ def cross_consistency(
         if not -1.0 + 2.0 * config.tau < t < 0.0:
             raise DomainError(f"T = {t} outside the admissible interval ({-1.0 + 2.0 * config.tau}, 0)")
         # The pencil through p always contributes, so every T has at least two circles.
-        chosen = [(fam.kind, s, fam.circle(s)) for fam in families for s in _cross_members(fam, p, t)]
-        for kind, param, circle in chosen:
+        chosen = [(fam, s, fam.circle(s)) for fam in families for s in _cross_members(fam, p, t)]
+        for fam, param, circle in chosen:
             row = keys.setdefault((circle.center, circle.radius), len(keys))
             if row == len(names):
-                names.append(f"the {kind} circle with parameter {param} surrounding T = {t}")
+                pencil = f" through {fam.p}" if fam.kind == "pencil" else ""
+                names.append(f"the {fam.kind} circle{pencil} with parameter {param} surrounding T = {t}")
             rows.append(row)
         delta = min(0.25 * min(c.radius - abs(-p * t - c.center) for _, _, c in chosen), 0.02)
         probes += [-p * (t + delta * unit_ring)] * len(chosen)

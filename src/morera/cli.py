@@ -47,12 +47,12 @@ EXIT_INCONCLUSIVE = 3
 
 
 def parse_point(text: str) -> complex:
-    """Parse a constant complex literal like ``-1``, ``0.5i``, ``-0.2+0.5i``."""
+    """Parse a constant complex literal like ``-1``, ``0.5i``, ``-0.2+0.5i``; a zero part is 0.0, never -0.0."""
     try:
         node = exprparser.parse(text)
         if any(isinstance(n, exprparser.Var) for n in exprparser.nodes(node)):
             raise ConfigError(f"complex literal {text!r} must not mention z")
-        return exprparser.evaluate(node, 0.0)
+        return exprparser.evaluate(node, 0.0) + 0j
     except ParseError as exc:
         raise ConfigError(f"invalid complex literal {text!r}: {exc}") from None
     except EvalError:
@@ -70,7 +70,7 @@ def _add_family_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("family configuration")
     group.add_argument("--tau", type=float, default=DEFAULT_TAU, help="pencil radius floor (default %(default)s)")
     group.add_argument("--p", default="-1", help="pencil boundary point on the unit circle (default -1)")
-    group.add_argument("--r-min", type=float, default=0.05, help="smallest centered radius (default %(default)s)")
+    group.add_argument("--r-min", type=float, default=analysis.PipelineConfig.r_min, help="smallest centered radius (default %(default)s)")
     group.add_argument("--rho", type=float, default=None, help="pencil radius floor as a radius (overrides --tau floor)")
     group.add_argument("--two-point", default=None, metavar="P2", help="second pencil point: sweep two pencils instead of centered+pencil")
     group.add_argument("--circles", type=int, default=analysis.DEFAULT_CIRCLES, help="circles per family (default %(default)s)")
@@ -190,7 +190,7 @@ def _fiber_flags(parser: argparse.ArgumentParser) -> None:
     _add_function_flags(parser)  # accepted for interface uniformity; geometry only
     parser.add_argument("--z", action="append", required=True, help="base point (repeatable)")
     parser.add_argument("--tau", type=float, default=DEFAULT_TAU)
-    parser.add_argument("--points-per-piece", type=int, default=256)
+    parser.add_argument("--points-per-piece", type=int, default=fiber.FiberCurve.polyline.__defaults__[0])
     parser.add_argument("-o", "--output", default=None)
 
 
@@ -379,8 +379,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fiber(args) -> int:
-    # The function source is accepted for interface uniformity but the curve
-    # is pure geometry; it is not evaluated here.
     analysis.require_count("--points-per-piece", args.points_per_piece)
     zs = [parse_point(text) for text in args.z]
     rows = ["piece,index,param,re_w,im_w"] if len(zs) == 1 else ["z_re,z_im,piece,index,param,re_w,im_w"]
@@ -409,7 +407,7 @@ def cmd_theta(args) -> int:
     curve = fiber.fiber_curve(z, tau=args.tau)
     pad = args.w_pad * curve.diameter
     # Python floats, which overflow to inf silently, so an overflowing grid is caught before numpy sees it.
-    bounds = [(float(x.min()) - pad, float(x.max()) + pad) for x in (curve.nodes_w.real, curve.nodes_w.imag)]
+    bounds = [(lo - pad, hi + pad) for lo, hi in (curve.bounds[:2], curve.bounds[2:])]
     if not all(math.isfinite(hi - lo) for lo, hi in bounds):
         raise ConfigError(f"--w-pad {args.w_pad} overflows the W grid of a curve of diameter {curve.diameter}")
     xs, ys = (np.linspace(lo, hi, args.w_count) for lo, hi in bounds)

@@ -130,26 +130,30 @@ def _composite_gauss(a: float, b: float, n_nodes: int) -> tuple[np.ndarray, np.n
 
 
 class FiberCurve(Record):
-    """The positively oriented closed curve M_z: its segment, its arc and points along both.
+    """The positively oriented closed curve M_z: the segment from conj(z) to 1/z and an arc of z's tangent circle.
 
-    ``t_min`` is the pencil parameter of the circle through ``z``, where the
-    arc ends; ``nodes_w`` are the curve's composite Gauss nodes in traversal
-    order, which set its ``diameter``.  Quadrature weights and the owning
-    circle of each node come from :func:`_quadrature`, which alone builds
-    them.
+    ``t_min`` is the pencil parameter of the circle through ``z``, where the arc ends.  The exact
+    ``bounds`` and their diagonal, the ``diameter``, size the curve, which holds no quadrature nodes.
     """
 
     z: complex
     segment: tuple[complex, complex]  # (conj(z), 1/z)
     arc: Arc
     t_min: float
-    nodes_w: np.ndarray
+
+    @cached_property
+    def bounds(self) -> tuple[float, float, float, float]:
+        """(re_min, re_max, im_min, im_max), reached at the segment's ends or the arc's points at multiples of pi/2."""
+        arc = self.arc
+        quarters = range(math.ceil(arc.angle_start / (math.pi / 2.0)), math.floor(arc.angle_end / (math.pi / 2.0)) + 1)
+        points = [*self.segment, *(arc.circle.point(k * math.pi / 2.0) for k in quarters)]
+        re, im = [w.real for w in points], [w.imag for w in points]
+        return min(re), max(re), min(im), max(im)
 
     @cached_property
     def diameter(self) -> float:
-        re = self.nodes_w.real
-        im = self.nodes_w.imag
-        return math.hypot(re.max() - re.min(), im.max() - im.min())
+        """The diagonal of :attr:`bounds`."""
+        return math.hypot(self.bounds[1] - self.bounds[0], self.bounds[3] - self.bounds[2])
 
     @property
     def proximity_guard(self) -> float:
@@ -238,16 +242,15 @@ def _quadrature(z: complex, t_min: float, per_piece: int) -> tuple:
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def fiber_curve(z: complex, nodes_per_piece: int = DEFAULT_NODES // 2, tau: float = DEFAULT_TAU) -> FiberCurve:
-    """Build the positively oriented fiber curve of ``z``, with ``nodes_per_piece`` Gauss nodes a piece.
+def fiber_curve(z: complex, *, tau: float = DEFAULT_TAU) -> FiberCurve:
+    """Build the positively oriented fiber curve of ``z``: its segment and its arc, in closed form.
 
-    ``tau`` must lie in (0, 1/2), ``nodes_per_piece`` be at least 1, and ``z``
-    be finite, admissible (open unit disc, outside the closed disc of the
-    smallest pencil member, off [0, 1]) and non-real; for real base points the
-    fiber is the extended real line and has no bounded representation.
+    ``tau`` must lie in (0, 1/2), and ``z`` be finite, admissible (open unit
+    disc, outside the closed disc of the smallest pencil member, off [0, 1])
+    and non-real; for real base points the fiber is the extended real line
+    and has no bounded representation.
     """
     require_tau(tau)
-    _require_nodes(nodes_per_piece)
     z = _require_finite(z, "z")
     if abs(z.imag) < EPS_GEOM:
         raise DegenerateInputError(
@@ -255,15 +258,7 @@ def fiber_curve(z: complex, nodes_per_piece: int = DEFAULT_NODES // 2, tau: floa
         )
     if not in_admissible_region(z, tau):
         raise DomainError(f"z = {z} outside the admissible region for tau = {tau}")
-    t_min = pencil_param(z)
-    nodes_w, nodes_dw = _quadrature(z, t_min, nodes_per_piece)[:2]
-    curve = FiberCurve(z, (z.conjugate(), 1.0 / z), arc_lambda(z), t_min, nodes_w)
-    # Orientation self-check: the signed area (1/2i) * contour integral of
-    # conj(w) dw must come out positive.
-    area = float(np.sum(np.conj(nodes_w) * nodes_dw).imag) / 2.0
-    if not area > 0.0:
-        raise MoreraError(f"internal error: fiber curve of {z} is not positively oriented (area {area})")
-    return curve
+    return FiberCurve(z, (z.conjugate(), 1.0 / z), arc_lambda(z), pencil_param(z))
 
 
 def _locations(curve: FiberCurve, Ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -535,8 +530,14 @@ class _FiberField:
         self.tolerance = QUAD_REFINE_TOL * max(1.0, *(piece.scale for piece in self.pieces))
 
     def level(self, per_piece: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nodes, weights and F values of the composite Gauss rule with ``per_piece`` nodes a piece."""
+        """Nodes, weights and F values of the composite Gauss rule with ``per_piece`` nodes a piece.
+
+        Contour sums take their sign from the nodes' order, so a level whose signed area
+        (1/2i) * sum of conj(w) dw is not positive raises :class:`MoreraError`."""
         w, dw, piece, param = _quadrature(self.curve.z, self.curve.t_min, per_piece)
+        area = float(np.sum(np.conj(w) * dw).imag) / 2.0
+        if not area > 0.0:
+            raise MoreraError(f"internal error: fiber curve of {self.curve.z} is not positively oriented (area {area})")
         values = np.empty_like(w)
         for index, series in enumerate(self.pieces):
             mask = piece == index

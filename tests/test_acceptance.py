@@ -139,7 +139,7 @@ def _acceptance_base_points(count=20, seed=404):
             continue
         if not in_admissible_region(z):
             continue
-        curve = fiber_curve(z, nodes_per_piece=64)
+        curve = fiber_curve(z)
         pts = np.concatenate([p for _, _, p in curve.polyline(96)])
         probe = complex(pts.mean())
         if curve.distance(probe) <= 0.06:
@@ -152,11 +152,10 @@ def _acceptance_base_points(count=20, seed=404):
 
 def _outside_grid(curve, count=50):
     """Deterministic points outside the closed region, off the curve."""
-    re = curve.nodes_w.real
-    im = curve.nodes_w.imag
+    re_min, re_max, im_min, im_max = curve.bounds
     pad = 0.6 * curve.diameter
-    xs = np.linspace(re.min() - pad, re.max() + pad, 12)
-    ys = np.linspace(im.min() - pad, im.max() + pad, 12)
+    xs = np.linspace(re_min - pad, re_max + pad, 12)
+    ys = np.linspace(im_min - pad, im_max + pad, 12)
     out = []
     for y in ys:
         for x in xs:
@@ -177,7 +176,7 @@ def test_criterion_4_theta_dichotomy(criterion):
         base_points = _acceptance_base_points()
         for entry in functions:
             for z, probe in base_points:
-                curve = fiber_curve(z, nodes_per_piece=256)
+                curve = fiber_curve(z)
                 for W in _outside_grid(curve, 50):
                     assert abs(cauchy_transform(entry.oracle, z, W, nodes=512)) < 1e-6
                 inside = cauchy_transform(entry.oracle, z, probe, nodes=512)

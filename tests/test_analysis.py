@@ -684,7 +684,8 @@ class TestStatedErrorStorage:
         # parameter the message gives.
         f = lambda z: 1.0 / (np.asarray(z, dtype=complex) - 0.9 * p)
         config = PipelineConfig(p=p, p2=-p)
-        with pytest.raises(ExtensionFailureError, match="from the pencil circle with parameter") as err:
+        through = re.escape(f"from the pencil circle through {complex(p)} with parameter")
+        with pytest.raises(ExtensionFailureError, match=through) as err:
             cross_consistency(f, -0.3, config)
         parameter = float(re.search(r"parameter (\S+) surrounding", str(err.value)).group(1))
         assert err.value.circle == config.families()[0].circle(parameter)
@@ -760,7 +761,8 @@ def reference_cross_consistency(f, T, config=PipelineConfig()):
         ring = t + delta * np.exp(2j * np.pi * np.arange(n) / n)
         for kind, param, circle in chosen:
             row = keys.setdefault((circle.center, circle.radius), len(keys))
-            names.setdefault(row, f"the {kind} circle with parameter {param} surrounding T = {t}")
+            pencil = f" through {complex(config.p)}" if kind == "pencil" else ""
+            names.setdefault(row, f"the {kind} circle{pencil} with parameter {param} surrounding T = {t}")
             pairs.append((t, row))
             probes.append(ring)
     batch = ext.analyze_batch(f, [c for c, _ in keys], [r for _, r in keys], config.morera_tol)

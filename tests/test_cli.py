@@ -36,6 +36,7 @@ def run(argv, capsys):
 class TestParsePoint:
     def test_forms(self):
         assert parse_point("-1") == -1
+        assert math.copysign(1.0, parse_point("-1").imag) == 1.0
         assert parse_point("0.5i") == 0.5j
         assert parse_point("-0.2+0.5i") == -0.2 + 0.5j
         assert parse_point("i") == 1j
@@ -111,11 +112,20 @@ class TestVerdictCommand:
     def test_two_point_report_is_the_library_document(self, capsys, p2):
         argv = ["verdict", "--builtin", "counterexample", "--two-point", p2, "--rho", "0.6", "--circles", "8"]
         code, out, _ = run(argv, capsys)
-        # The CLI reads its default --p, "-1", as -1 - 0i: the report's p_im is -0.0.
-        config = analysis.PipelineConfig(p=parse_point("-1"), p2=parse_point(p2), t_min=-0.4, circles_per_family=8)
+        config = analysis.PipelineConfig(p2=complex(p2.replace("i", "j")), t_min=-0.4, circles_per_family=8)
         result = analysis.verdict(builtin("counterexample").oracle, config)
         doc = analysis.report_document(result, config, {"source": "builtin", "name": "counterexample"})
         assert code == 1
+        assert out == analysis.dumps_report(doc)
+
+    def test_default_report_is_the_library_document(self, capsys):
+        # The CLI's defaults are the library's: --p -1 is -1 + 0i, so p_im is
+        # 0.0 as PipelineConfig() writes it, not -0.0.
+        code, out, _ = run(["verdict", "--builtin", "counterexample", "--circles", "8"], capsys)
+        config = analysis.PipelineConfig(circles_per_family=8)
+        result = analysis.verdict(builtin("counterexample").oracle, config)
+        doc = analysis.report_document(result, config, {"source": "builtin", "name": "counterexample"})
+        assert code == cli._EXIT_BY_CLASS[result.classification]
         assert out == analysis.dumps_report(doc)
 
     @pytest.mark.parametrize("extra", [[], ["--two-point", "1"]])

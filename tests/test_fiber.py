@@ -1,9 +1,10 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from morera import extension, fiber
@@ -122,13 +123,19 @@ def reference_winding(curve, W):
     return int(round(winding))
 
 
-def reference_node_values(f, curve, tol=1e-8):
-    """F at every quadrature node of ``curve``, each node's circle analysed on
-    its own: the per-node evaluation the Chebyshev series replaced.  Each
-    node's piece and parameter come from the quadrature the field uses."""
+def curve_nodes(curve, per_piece=256):
+    """The composite Gauss nodes of ``curve`` with ``per_piece`` nodes a piece, in traversal order."""
+    return fiber._quadrature(curve.z, curve.t_min, per_piece)[0]
+
+
+def reference_node_values(f, curve, per_piece, tol=1e-8):
+    """F at every quadrature node of ``curve`` (``per_piece`` a piece), each
+    node's circle analysed on its own: the per-node evaluation the Chebyshev
+    series replaced.  Each node's piece and parameter come from the
+    quadrature the field uses."""
     z = curve.z
-    _, _, piece, param = fiber._quadrature(z, curve.t_min, curve.nodes_w.size // 2)
-    values = np.empty_like(curve.nodes_w)
+    w, _, piece, param = fiber._quadrature(z, curve.t_min, per_piece)
+    values = np.empty_like(w)
     seg = piece == 0
     rs = param[seg]
     values[seg] = _circle_values(f, z, [(np.zeros(rs.shape, dtype=complex), rs, "centered")], tol)[0]
@@ -181,12 +188,6 @@ class TestFiberCurve:
             fiber_curve(z)
         assert str(info.value) == f"z must have finite components, got {z!r}"
 
-    @pytest.mark.parametrize("nodes", [0, -3])
-    def test_node_count_below_one_rejected(self, nodes):
-        with pytest.raises(ConfigError) as info:
-            fiber_curve(0.5j, nodes_per_piece=nodes)
-        assert str(info.value) == f"quadrature node count must be at least 1, got {nodes}"
-
     def test_outside_admissible_region(self):
         with pytest.raises(DomainError):
             fiber_curve(-0.75 + 0.1j, tau=0.25)  # inside the excluded disc
@@ -196,7 +197,7 @@ class TestFiberCurve:
     @given(admissible_points)
     @settings(max_examples=60, deadline=None)
     def test_closure(self, z):
-        c = fiber_curve(z, nodes_per_piece=32)
+        c = fiber_curve(z)
         zbar, inv = c.segment
         assert abs(c.arc.start - (inv if z.imag > 0 else zbar)) < 1e-12 * max(1.0, abs(inv))
         assert abs(c.arc.end - (zbar if z.imag > 0 else inv)) < 1e-12 * max(1.0, abs(inv))
@@ -215,7 +216,7 @@ class TestFiberCurve:
     @given(admissible_points)
     @settings(max_examples=40, deadline=None)
     def test_winding_is_orientation(self, z):
-        c = fiber_curve(z, nodes_per_piece=64)
+        c = fiber_curve(z)
         assert winding_number(c, interior_probe(c)) == 1
 
     def test_shrinking_toward_boundary(self):
@@ -230,9 +231,47 @@ class TestFiberCurve:
 
     def test_diameter_computed_once(self):
         c = fiber_curve(0.4 + 0.3j)
-        re, im = c.nodes_w.real, c.nodes_w.imag
-        assert c.diameter == math.hypot(re.max() - re.min(), im.max() - im.min())
-        assert vars(c)["diameter"] == c.diameter
+        re_min, re_max, im_min, im_max = c.bounds
+        assert c.diameter == math.hypot(re_max - re_min, im_max - im_min)
+        assert vars(c)["diameter"] == c.diameter and vars(c)["bounds"] == c.bounds
+
+    @given(st.floats(-0.92, 0.92), st.one_of(st.floats(-0.92, 0.92), st.floats(-1e-3, 1e-3)))
+    @example(-0.494408, 0.000261)
+    @settings(max_examples=300, deadline=None)
+    def test_bounds_are_exact(self, x, y):
+        # Every polyline point lies in the box, and each bound is reached by
+        # a segment end or by a point of the arc's circle on an axis through
+        # its center that lies on the arc: the box is the curve's own.
+        # Near the real axis the arc's circle is huge and the box with it.
+        z = complex(x, y)
+        assume(abs(y) >= 1e-9 and in_admissible_region(z))
+        curve = fiber_curve(z)
+        bounds = curve.bounds
+        slack = 1e-12 * max(map(abs, bounds))
+        points = np.concatenate([p for _, _, p in curve.polyline()])
+        re_min, re_max, im_min, im_max = bounds
+        assert (re_min - slack <= points.real).all() and (points.real <= re_max + slack).all()
+        assert (im_min - slack <= points.imag).all() and (points.imag <= im_max + slack).all()
+        circle = curve.arc.circle
+        axis = [circle.center + circle.radius * unit for unit in (1, 1j, -1, -1j)]
+        reached = [*curve.segment, *(q for q in axis if curve.distance(q) <= slack)]
+        for bound, coordinate, extreme in zip(bounds, ("real", "real", "imag", "imag"), (min, max, min, max)):
+            assert abs(bound - extreme(getattr(q, coordinate) for q in reached)) <= slack, (bound, coordinate)
+
+    @pytest.mark.parametrize("z", [0.5j, -0.2 + 0.5j, 0.3 - 0.4j, -0.35j, -0.494408 + 0.000261j])
+    def test_level_winds_positively(self, z, monkeypatch):
+        # Every level's signed area (1/2i) * sum of conj(w) dw is positive;
+        # run backwards, the curve's nodes raise instead.
+        curve = fiber_curve(z)
+        field = _FiberField(builtin("poly3").oracle, curve, 1e-8)
+        for per_piece in (16, 256, 512):
+            w, dw, _ = field.level(per_piece)
+            assert np.sum(np.conj(w) * dw).imag > 0.0, per_piece
+        traversal = fiber._traversal
+        backwards = lambda z, t_min: tuple((name, end, start) for name, start, end in reversed(traversal(z, t_min)))
+        monkeypatch.setattr(fiber, "_traversal", backwards)
+        with pytest.raises(MoreraError, match=re.escape(f"fiber curve of {z} is not positively oriented")):
+            field.level(256)
 
     def test_polyline_matches_nodes(self):
         c = fiber_curve(0.4 + 0.3j)
@@ -274,7 +313,7 @@ class TestRegionMembership:
     def test_closed_form_matches_argument_sum(self, z, piece, s, log_fraction, side):
         # Points from 1e-5 up to about 3 diameters off either piece, on
         # both sides.
-        c = fiber_curve(z, nodes_per_piece=32)
+        c = fiber_curve(z)
         W = off_curve(c, piece, s, side * 10.0**log_fraction * c.diameter)
         assume(c.distance(W) >= 2.0 * c.proximity_guard)
         assert winding_number(c, W) == reference_winding(c, W)
@@ -282,7 +321,7 @@ class TestRegionMembership:
     @given(admissible_points)
     @settings(max_examples=40, deadline=None)
     def test_far_points_outside(self, z):
-        c = fiber_curve(z, nodes_per_piece=32)
+        c = fiber_curve(z)
         assert not region_contains(c, 10.0 + 3.0j)
 
 
@@ -362,7 +401,8 @@ class TestCauchyTransform:
             raise AssertionError("F was sampled")
 
         curve = fiber_curve(0.5j)
-        on_curve = complex(curve.nodes_w[len(curve.nodes_w) // 3])
+        nodes = curve_nodes(curve)
+        on_curve = complex(nodes[len(nodes) // 3])
         with pytest.raises(CurveProximityError, match="membership ambiguous") as info:
             cauchy_transform(unsampled, 0.5j, on_curve)
         with pytest.raises(CurveProximityError) as expected:
@@ -415,8 +455,8 @@ class TestCauchyTransform:
         # F(z, .) is constant, so each piece's series chops at the first
         # Lobatto grid, and both pieces' grids share one oracle call, however
         # many W the table has.  Every W of the default grid is certified,
-        # so the curve's own nodes are the only quadrature the command
-        # builds: the table looks up no c and builds no level.
+        # and the curve is built in closed form, so the command builds no
+        # quadrature at all: the table looks up no c and builds no level.
         calls = []
         levels = []
         oracle_values = extension.oracle_values
@@ -442,9 +482,25 @@ class TestCauchyTransform:
                 capsys.readouterr()
                 assert len(calls) == 1, (z, w_count)
                 assert sum(calls) <= 2 * 33 * 256, (z, w_count)
-                assert levels == [256], (z, w_count)
+                assert levels == [], (z, w_count)
                 counts.append(list(calls))
             assert counts[0] == counts[1], z
+
+    def test_near_real_table_spans_the_curve(self, capsys):
+        # Near the real axis the arc reaches far below the segment: this
+        # curve's lowest point, the bottom of its tangent circle, is at im
+        # -979.4.  The W grid is the curve's exact box padded by 0.75
+        # diameters, so its rows reach that far and beyond.
+        curve = fiber_curve(-0.494408 + 0.000261j)
+        circle = curve.arc.circle
+        bottom = circle.center - 1j * circle.radius
+        assert curve.distance(bottom) < 1e-12 * circle.radius and bottom.imag < -979.0
+        assert main(["theta", "--builtin", "expz", "--z=-0.494408+0.000261i", "--w-count", "3"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        ims = sorted({float(row[1]) for row in rows})
+        pad = 0.75 * curve.diameter
+        assert ims[0] == pytest.approx(bottom.imag - pad, rel=1e-12)
+        assert ims[-1] == pytest.approx(-0.000261 + pad, rel=1e-12)
 
     def test_table_output_is_deterministic(self, capsys):
         outputs = []
@@ -454,24 +510,24 @@ class TestCauchyTransform:
         assert outputs[0] == outputs[1]
 
     def test_unconverged_W_is_reported_at_its_row(self, capsys):
-        # One W of this table lies 6.16e-5 diameters from the curve, where
+        # One W of this table lies 2.71e-3 diameters from the curve, where
         # the counterexample's quadrature does not converge: the table keeps
         # every row, that row's value cells are empty, stderr names it, and
         # the command is inconclusive.  The table once stopped there (exit 2).
         z = 0.3 - 0.4j
         curve = fiber_curve(z)
         ind0 = winding_number(curve, 0.0)
-        assert main(["theta", "--builtin", "counterexample", "--z", "0.3-0.4i"]) == 3
+        assert main(["theta", "--builtin", "counterexample", "--z", "0.3-0.4i", "--w-count", "22"]) == 3
         out, err = capsys.readouterr()
         rows = [line.split(",") for line in out.splitlines()[1:]]
-        assert len(rows) == 225
+        assert len(rows) == 22 * 22
         empty = [row for row in rows if row[2] != "near-curve" and row[3:] == ["", "", ""]]
         assert len(empty) == 1 and empty[0][2] == "inside"
         W = complex(float(empty[0][0]), float(empty[0][1]))
         warnings = err.splitlines()
         assert len(warnings) == 1
         assert warnings[0].startswith("warning: contour quadrature") and "failed to converge" in warnings[0]
-        assert f"W = {W} (6.16e-05 x diameter from the curve)" in warnings[0]
+        assert f"W = {W} (2.71e-03 x diameter from the curve)" in warnings[0]
         for row in rows:
             if row[2] == "near-curve" or row in empty:
                 continue
@@ -554,17 +610,17 @@ class TestCauchyTransform:
         f = builtin("rational").oracle
         z = 0.3 + 0.35j
         curve = fiber_curve(z)
-        values = [eval_F(f, z, complex(w)) for w in curve.nodes_w[::64]]
+        values = [eval_F(f, z, complex(w)) for w in curve_nodes(curve)[::64]]
         spread = max(abs(a - b) for a in values for b in values)
         assert spread < 1e-8
 
 
 def theta_grid(curve, count, pad):
     """The W grid of ``morera theta`` (rows in y, columns in x)."""
-    re, im = curve.nodes_w.real, curve.nodes_w.imag
+    re_min, re_max, im_min, im_max = curve.bounds
     pad *= curve.diameter
-    xs = np.linspace(re.min() - pad, re.max() + pad, count)
-    ys = np.linspace(im.min() - pad, im.max() + pad, count)
+    xs = np.linspace(re_min - pad, re_max + pad, count)
+    ys = np.linspace(im_min - pad, im_max + pad, count)
     return np.array([complex(x, y) for y in ys for x in xs])
 
 
@@ -581,7 +637,8 @@ probe_points = st.tuples(
 def probe_point(curve, kind, u, v, side, piece):
     a, b = curve.segment
     if kind == "box":  # anywhere within a diameter of the curve
-        lo = complex(curve.nodes_w.real.min(), curve.nodes_w.imag.min()) - curve.diameter * (1 + 1j)
+        re_min, _, im_min, _ = curve.bounds
+        lo = complex(re_min, im_min) - curve.diameter * (1 + 1j)
         return lo + 3.0 * curve.diameter * complex(u, v)
     if kind == "chord":  # on the chord's line, beyond its ends too
         return a + (3.0 * u - 1.0) * (b - a)
@@ -641,7 +698,8 @@ class TestCauchyTable:
         # counterexample gets the default padding.)
         f = builtin(name).oracle
         curve = fiber_curve(z)
-        node = complex(curve.nodes_w[len(curve.nodes_w) // 3])
+        nodes = curve_nodes(curve)
+        node = complex(nodes[len(nodes) // 3])
         Ws = np.concatenate([theta_grid(curve, 5, pad), [node, interior_probe(curve), 4.0 - 1.0j]])
         locations, values, failures = fiber.cauchy_table(f, curve, Ws)
         assert failures == []
@@ -666,7 +724,7 @@ class TestCauchyTable:
         curve = fiber_curve(0.5j)
         calls = []
         monkeypatch.setattr(fiber._FiberField, "__init__", lambda *args: calls.append(args))
-        locations, values, failures = fiber.cauchy_table(builtin("poly3").oracle, curve, curve.nodes_w[:4])
+        locations, values, failures = fiber.cauchy_table(builtin("poly3").oracle, curve, curve_nodes(curve)[:4])
         assert locations.tolist() == [-1] * 4 and np.isnan(values).all() and not failures and not calls
 
 
@@ -866,7 +924,7 @@ class TestCertificate:
             levels.clear()
             value = fiber_integral(entry.oracle, z)
             assert type(value) is complex and repr(value) == "0j", z
-            assert levels == [fiber.DEFAULT_NODES // 2], z
+            assert levels == [], z
 
 
 class TestNumericalRules:
@@ -894,11 +952,11 @@ class TestFiberSeries:
         for z in (0.5j, -0.2 + 0.5j, 0.3 - 0.4j, -0.35j):
             field = _FiberField(f, fiber_curve(z), 1e-8)
             for per_piece in (256, 512):
-                curve = fiber_curve(z, per_piece)
                 w, dw, values = field.level(per_piece)
-                assert np.array_equal(w, curve.nodes_w)
-                assert np.array_equal(dw, fiber._quadrature(z, curve.t_min, per_piece)[1])
-                expected = reference_node_values(f, curve)
+                quadrature = fiber._quadrature(z, field.curve.t_min, per_piece)
+                assert np.array_equal(w, quadrature[0])
+                assert np.array_equal(dw, quadrature[1])
+                expected = reference_node_values(f, field.curve, per_piece)
                 assert np.abs(values - expected).max() <= 1e-12 * np.abs(expected).max(), (z, per_piece)
 
     def test_grid_source_matches_per_node_values(self):
@@ -912,7 +970,7 @@ class TestFiberSeries:
         for z in (0.5j, -0.2 + 0.5j, 0.3 - 0.4j):
             curve = fiber_curve(z)
             _, _, values = _FiberField(grid, curve, tol).level(256)
-            expected = reference_node_values(grid, curve, tol=tol)
+            expected = reference_node_values(grid, curve, 256, tol=tol)
             assert np.abs(values - expected).max() <= 1e-9 * np.abs(expected).max(), z
 
     @pytest.mark.parametrize("name", ["poly3", "expz", "rational", "counterexample"])
@@ -937,10 +995,9 @@ class TestFiberSeries:
         # 250 nodes a piece need the same 16 panels as the curve's 256.
         for per_piece, size in ((256, 256), (250, 256), (512, 512)):
             w, dw, _ = field.level(per_piece)
-            nodes = fiber_curve(-0.2 + 0.5j, size)
             assert w.size == 2 * size
-            assert np.array_equal(w, nodes.nodes_w)
-            assert np.array_equal(dw, fiber._quadrature(nodes.z, nodes.t_min, size)[1])
+            assert np.array_equal(w, curve_nodes(curve, size))
+            assert np.array_equal(dw, fiber._quadrature(curve.z, curve.t_min, size)[1])
 
     @pytest.mark.parametrize(
         "name, z, message",

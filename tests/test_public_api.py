@@ -43,7 +43,7 @@ SIGNATURES = {
     "FamilyConfig.circle": "(parameter)",
     "FamilyConfig.parameters": "()",
     "FamilyConfig.smallest_circle": "()",
-    "FiberCurve": "(z, segment, arc, t_min, nodes_w)",
+    "FiberCurve": "(z, segment, arc, t_min)",
     "FiberCurve.distance": "(W)",
     "FiberCurve.distances": "(Ws)",
     "FiberCurve.polyline": "(per_piece=256)",
@@ -85,7 +85,7 @@ SIGNATURES = {
     "evaluate_extension": "(data, zeta, result=None, tol=1e-08)",
     "extension_test": "(data, tol=1e-08)",
     "family_intersection_point": "(R, t)",
-    "fiber_curve": "(z, nodes_per_piece=256, tau=0.25)",
+    "fiber_curve": "(z, *, tau=0.25)",
     "fiber_integral": "(f, z, nodes=512, tol=1e-08, tau=0.25)",
     "fiber_w": "(q, z)",
     "in_admissible_region": "(z, tau=0.25)",

@@ -42,7 +42,7 @@ def _samples() -> dict:
     config = analysis.PipelineConfig(circles_per_family=4)
     result = analysis.verdict(poly3.oracle, config)
     report = result.families[0]
-    curve = fiber.fiber_curve(0.5j, 64)
+    curve = fiber.fiber_curve(0.5j)
     data = extension.analyze_circle(poly3.oracle, circle)
     tokens = exprparser._tokenize("2 - z")
     tree = exprparser.parse("-sin(z)^2")
